@@ -1,13 +1,13 @@
 # Developer entry points. The tier-1 verification flow is:
 #
-#     make check        # build + vet + fmt + tests + race + scenario library
+#     make check        # build + vet + fmt + tests + race + scenario library + bench build
 #
 # which is what CI (and reviewers) should run before merging. The scenario
 # library gate alone is `make scenario-check`.
 
 GO ?= go
 
-.PHONY: all build test race vet fmt-check scenario-check chaos check bench bench-engine baseline baseline-quick baseline-scale fuzz cover clean
+.PHONY: all build test race vet fmt-check scenario-check bench-check chaos check bench bench-engine baseline baseline-quick baseline-scale fuzz cover clean
 
 # Per-target fuzzing budget for `make fuzz`.
 FUZZTIME ?= 30s
@@ -43,6 +43,12 @@ scenario-check:
 	$(GO) run ./cmd/cogsim validate scenarios/*.yaml
 	$(GO) run ./cmd/cogsim run scenarios/*.yaml > /dev/null
 
+# The benchmark driver is a module of its own (bench/go.mod), so the root
+# ./... patterns skip it; vet and test it here so an internal API change
+# cannot break the benchmark build while the rest of the flow stays green.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
 # Resilience gate: the infra-chaos property suite (internal/chaos) plus the
 # trial-pool tests, under the race detector. Both packages run a
 # goroutine-leak gate around the whole test binary (chaos.VerifyNoLeaks), so
@@ -50,7 +56,7 @@ scenario-check:
 chaos:
 	$(GO) test -race -timeout 10m ./internal/chaos ./internal/parallel
 
-check: build vet fmt-check test race scenario-check
+check: build vet fmt-check test race scenario-check bench-check
 
 # Full benchmark suite (one benchmark per experiment plus the substrate
 # micro-benchmarks).

@@ -195,8 +195,9 @@ func TestCancelTraceGraceful(t *testing.T) {
 }
 
 // TestDeadlineErrors exercises both deadline paths: an already-expired
-// context deadline trips deterministically before slot zero, and the
-// Deadline option produces the deadline sentinel.
+// context deadline trips deterministically before slot zero (for a
+// broadcast and for an aggregation session), and the Deadline option
+// produces the deadline sentinel.
 func TestDeadlineErrors(t *testing.T) {
 	defer chaos.LeakCheck(t)()
 	expired, cancel := context.WithDeadline(context.Background(), time.Unix(0, 0))
@@ -213,6 +214,15 @@ func TestDeadlineErrors(t *testing.T) {
 	var ie *crn.InterruptedError
 	if !errors.As(err, &ie) || !ie.Deadline || ie.Slots != 0 {
 		t.Fatalf("InterruptedError = %+v, want Deadline=true Slots=0", ie)
+	}
+
+	// A session run honours the same context before its first slot.
+	_, err = newNet(t, 9).AggregateRounds([][]int64{make([]int64, 64)}, crn.AggregateOptions{Seed: 9, Context: expired})
+	if want := "sim: deadline exceeded after 0 slots"; err == nil || err.Error() != want {
+		t.Fatalf("expired-context AggregateRounds error %v, want %q", err, want)
+	}
+	if !errors.Is(err, crn.ErrDeadlineExceeded) {
+		t.Fatalf("AggregateRounds sentinel mismatch: %v", err)
 	}
 
 	// The Deadline option: a 1ns budget cannot survive a 4096-node

@@ -179,7 +179,29 @@ func (a *Arena) Prepare(asn sim.Assignment, source sim.NodeID, inputs []int64, s
 	}
 	l := PhaseOneLength(n, asn.PerNode(), asn.MinOverlap(), kappa)
 
-	check := cfg.Check || a.forceCheck
+	if err := a.engineOptions(asn, cfg, cfg.Check || a.forceCheck); err != nil {
+		return nil, nil, 0, err
+	}
+	if err := a.build(asn, source, n, l, func(i int) int64 { return inputs[i] }, f, seed, a.engOpts, wrap); err != nil {
+		return nil, nil, 0, err
+	}
+	// Emit dormancy hints only when the engine actually engaged sparse
+	// stepping (the request may have been gated off by an observer or a
+	// non-slot-invariant assignment); hints are inert under a dense engine
+	// but cost a few branches per Step.
+	dormant := a.eng.Sparse()
+	for _, nd := range a.nodes {
+		nd.SetDormant(dormant)
+	}
+	return a.nodes, a.eng, l, nil
+}
+
+// engineOptions collects one execution's engine options into a.engOpts:
+// shards, sparse stepping, the context (cfg's, else the arena's) and the
+// observer chain — cfg's observer, a trace recorder, then the invariant
+// oracle when check is set. Prepare and RunRounds both configure their
+// engine here.
+func (a *Arena) engineOptions(asn sim.Assignment, cfg Config, check bool) error {
 	a.engOpts = a.engOpts[:0]
 	if cfg.Shards > 1 {
 		a.engOpts = append(a.engOpts, sim.WithShards(cfg.Shards))
@@ -200,7 +222,7 @@ func (a *Arena) Prepare(asn sim.Assignment, source sim.NodeID, inputs []int64, s
 	}
 	if check {
 		if err := invariant.CheckAssignment(asn, 0); err != nil {
-			return nil, nil, 0, fmt.Errorf("cogcomp: %w", err)
+			return fmt.Errorf("cogcomp: %w", err)
 		}
 		if a.checker == nil {
 			a.checker = new(invariant.Checker)
@@ -211,18 +233,7 @@ func (a *Arena) Prepare(asn sim.Assignment, source sim.NodeID, inputs []int64, s
 	if obs != nil {
 		a.engOpts = append(a.engOpts, sim.WithObserver(obs))
 	}
-	if err := a.build(asn, source, n, l, func(i int) int64 { return inputs[i] }, f, seed, a.engOpts, wrap); err != nil {
-		return nil, nil, 0, err
-	}
-	// Emit dormancy hints only when the engine actually engaged sparse
-	// stepping (the request may have been gated off by an observer or a
-	// non-slot-invariant assignment); hints are inert under a dense engine
-	// but cost a few branches per Step.
-	dormant := a.eng.Sparse()
-	for _, nd := range a.nodes {
-		nd.SetDormant(dormant)
-	}
-	return a.nodes, a.eng, l, nil
+	return nil
 }
 
 // Run executes COGCOMP exactly as the package-level Run does, reusing the

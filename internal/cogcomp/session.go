@@ -100,22 +100,8 @@ func (a *Arena) RunRounds(asn sim.Assignment, source sim.NodeID, rounds [][]int6
 		roundSteps = n + l + 16
 	}
 
-	a.engOpts = a.engOpts[:0]
-	if cfg.Shards > 1 {
-		a.engOpts = append(a.engOpts, sim.WithShards(cfg.Shards))
-	}
-	if cfg.Sparse {
-		a.engOpts = append(a.engOpts, sim.WithSparse())
-	}
-	if a.forceCheck {
-		if err := invariant.CheckAssignment(asn, 0); err != nil {
-			return nil, fmt.Errorf("cogcomp: %w", err)
-		}
-		if a.checker == nil {
-			a.checker = new(invariant.Checker)
-		}
-		a.checker.Reset(asn, sim.UniformWinner)
-		a.engOpts = append(a.engOpts, sim.WithObserver(a.checker))
+	if err := a.engineOptions(asn, Config{Shards: cfg.Shards, Sparse: cfg.Sparse}, a.forceCheck); err != nil {
+		return nil, err
 	}
 	if err := a.build(asn, source, n, l, func(i int) int64 { return rounds[0][i] }, f, seed, a.engOpts, nil); err != nil {
 		return nil, err

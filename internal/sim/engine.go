@@ -66,48 +66,49 @@ type Engine struct {
 	// not allocate. bcast and listen are dense, indexed by physical channel
 	// and sized to asn.Channels() up front (grown on demand should an
 	// assignment hand out a larger index). touched marks the channels used
-	// this slot and active lists them so reset is O(active), not O(C).
-	// Resolution scans physical channels in ascending index order — the same
-	// deterministic order the previous sorted-map implementation produced.
+	// this slot and active lists them so reset is O(active), not O(C);
+	// maxCh is the highest of them and broadcasts counts the slot's
+	// broadcasters. Resolution scans physical channels in ascending index
+	// order — the same deterministic order the previous sorted-map
+	// implementation produced.
 	acts       []Action
 	bcast      [][]NodeID // physical channel -> broadcasters
 	listen     [][]NodeID // physical channel -> listeners
 	touched    []bool     // physical channel -> used this slot
 	active     []int      // physical channels touched this slot (unordered)
+	maxCh      int        // highest channel touched this slot; -1 if none
+	broadcasts int
 	outScratch []ChannelOutcome
 
-	// Sharded phase-A scan (WithShards). shards is the requested shard
-	// count; effShards is the count actually used after clamping to the node
-	// count and gating on ConcurrentAssignment. shardAcc holds one scratch
-	// accumulator per shard and shardFns the pre-built goroutine bodies, so a
-	// steady-state sharded slot spawns goroutines without allocating
-	// closures. scanSlot carries the slot number into the workers.
-	shards    int
-	effShards int
-	shardAcc  []shardScan
-	shardFns  []func()
-	shardWG   sync.WaitGroup
-	scanSlot  int
+	// Dense phase-A scan. shards is the count requested via WithShards;
+	// shardAcc holds one scratch accumulator per effective shard (at least
+	// one: a single shard is the serial scan, see configure) and shardFns
+	// the pre-built goroutine bodies of shards 1.., so a steady-state
+	// sharded slot spawns goroutines without allocating closures. scanSlot
+	// carries the slot number into the workers.
+	shards   int
+	shardAcc []shardScan
+	shardFns []func()
+	shardWG  sync.WaitGroup
+	scanSlot int
 
 	// Event-driven stepping (WithSparse). sparseReq is the requested mode;
 	// sp holds the wake-queue state and is live only while sp.on (see
-	// sparse.go for the gating rules). audit, when set, receives the sparse
+	// configure for the gating rules). audit, when set, receives the sparse
 	// scheduler's decisions for external cross-checking.
 	sparseReq bool
 	audit     WakeAuditor
 	sp        sparseState
 }
 
-// shardScan is the per-shard scratch of the sharded phase-A scan: the node
+// shardScan is the per-shard scratch of the dense phase-A scan: the node
 // range [lo, hi), the pending (node, physical channel, op) triples collected
-// in node-ascending order, and the shard's partial aggregates. pend is kept
-// across slots so the steady state appends into pre-grown backing.
+// in node-ascending order, and the shard's first error. pend is kept across
+// slots so the steady state appends into pre-grown backing.
 type shardScan struct {
-	lo, hi     int
-	pend       []pendingAct
-	broadcasts int
-	errNode    int
-	err        error
+	lo, hi int
+	pend   []pendingAct
+	err    error
 }
 
 // pendingAct records one non-idle action discovered by a shard, to be merged
@@ -186,11 +187,8 @@ func WithCollisionModel(m CollisionModel) Option {
 // goroutines over contiguous node ranges. Results are merged in shard- and
 // hence node-ascending order, and channel resolution stays serial, so any
 // shard count produces executions byte-identical to the serial engine —
-// tables, traces and RNG streams included. Values below 1 and above the node
-// count are clamped; s > 1 takes effect only when the assignment implements
-// ConcurrentAssignment and reports a concurrency-safe ChannelSet, otherwise
-// the engine silently runs serially (which is byte-identical anyway).
-// Default 1 (serial).
+// tables, traces and RNG streams included. The effective count is gated as
+// Engine.configure describes and reported by Shards(). Default 1 (serial).
 func WithShards(s int) Option {
 	return func(e *Engine) { e.shards = s }
 }
@@ -264,35 +262,42 @@ func (e *Engine) Reset(asn Assignment, nodes []Protocol, seed int64, opts ...Opt
 	for _, opt := range opts {
 		opt(e)
 	}
-	e.configureShards()
-	e.configureSparse()
+	e.configure()
 	nodesSimulated.Add(int64(len(nodes)))
 	return nil
 }
 
-// configureShards resolves the requested shard count against the node count
-// and the assignment's concurrency contract, then (re)builds the per-shard
-// accumulators and goroutine bodies. Shard ranges are contiguous and cover
-// [0, n) in order; pend capacity is pre-sized to the range width so the
-// first slots do not regrow it node by node.
-func (e *Engine) configureShards() {
-	s := e.shards
+// configure is the engine's one mode gate: it resolves the requested shard
+// count and sparse mode into the effective ones, then (re)builds the scan
+// scratch. Every fallback is silent, because every mode yields the same
+// execution byte for byte:
+//
+//   - Shards clamp to [1, n]. More than one shard also needs an assignment
+//     implementing ConcurrentAssignment with ConcurrentChannelSet true, as
+//     the shards call ChannelSet concurrently; otherwise the scan is serial.
+//   - Sparse stepping engages only with no Observer attached (an observer
+//     must see silent listen-only channels the sparse scan never
+//     materializes), below 2^22 nodes (wake-heap entries pack the node id
+//     into 22 bits), and over an assignment implementing
+//     SlotInvariantAssignment with SlotInvariantChannelSet true (parked
+//     listeners cache the physical channel they parked on); otherwise the
+//     engine steps densely.
+//   - Engaged sparse stepping forces one shard: its wake bookkeeping is
+//     single-threaded, and with few awake nodes nothing is worth sharding.
+//
+// Shard ranges are contiguous and cover [0, n) in order; pend capacity is
+// pre-sized to the range width so the first slots do not regrow it node by
+// node.
+func (e *Engine) configure() {
 	n := len(e.nodes)
-	if s < 1 {
+	sparse := e.sparseReq && e.obs == nil && n < maxSparseNodes
+	if sparse {
+		si, ok := e.asn.(SlotInvariantAssignment)
+		sparse = ok && si.SlotInvariantChannelSet()
+	}
+	s := max(1, min(e.shards, n))
+	if ca, ok := e.asn.(ConcurrentAssignment); sparse || !ok || !ca.ConcurrentChannelSet() {
 		s = 1
-	}
-	if s > n {
-		s = n
-	}
-	if s > 1 {
-		ca, ok := e.asn.(ConcurrentAssignment)
-		if !ok || !ca.ConcurrentChannelSet() {
-			s = 1
-		}
-	}
-	e.effShards = s
-	if s <= 1 {
-		return
 	}
 	if cap(e.shardAcc) < s {
 		e.shardAcc = make([]shardScan, s)
@@ -300,20 +305,22 @@ func (e *Engine) configureShards() {
 	}
 	e.shardAcc = e.shardAcc[:s]
 	e.shardFns = e.shardFns[:s]
-	for i := 0; i < s; i++ {
+	for i := range e.shardAcc {
 		sc := &e.shardAcc[i]
-		sc.lo = i * n / s
-		sc.hi = (i + 1) * n / s
+		sc.lo, sc.hi = i*n/s, (i+1)*n/s
 		if cap(sc.pend) < sc.hi-sc.lo {
 			sc.pend = make([]pendingAct, 0, sc.hi-sc.lo)
 		}
-		if e.shardFns[i] == nil {
-			idx := i
+		if i > 0 && e.shardFns[i] == nil {
 			e.shardFns[i] = func() {
 				defer e.shardWG.Done()
-				e.scanShard(&e.shardAcc[idx], e.scanSlot)
+				e.scanShard(&e.shardAcc[i], e.scanSlot)
 			}
 		}
+	}
+	e.sp.on = sparse
+	if sparse {
+		e.resetSparse()
 	}
 }
 
@@ -321,14 +328,9 @@ func (e *Engine) configureShards() {
 func (e *Engine) Slot() int { return e.slot }
 
 // Shards returns the effective shard count of the phase-A scan: the value
-// requested via WithShards after clamping and concurrency gating, so 1 means
-// the scan runs serially.
-func (e *Engine) Shards() int {
-	if e.effShards < 1 {
-		return 1
-	}
-	return e.effShards
-}
+// requested via WithShards after configure's gating, so 1 means the scan
+// runs serially.
+func (e *Engine) Shards() int { return len(e.shardAcc) }
 
 // Collisions returns the engine's collision model. Debug observers (the
 // invariant checker) use it to select which semantics to re-verify.
@@ -362,70 +364,92 @@ func (e *Engine) RunSlot() error {
 	e.slot++
 	slotsExecuted.Add(1)
 
+	// Phase A: collect actions and bucket nodes by physical channel, in node
+	// order at any shard count. The sparse scan steps only awake nodes;
+	// phase B merges the parked listeners back in.
 	e.touchReset()
-
-	if e.sp.on {
-		return e.runSlotSparse(slot)
-	}
-
-	// Phase A: collect actions and bucket nodes by physical channel. The
-	// sharded scan fills the same buckets in the same node order as the
-	// serial one, so everything downstream is oblivious to the choice.
-	var broadcasts, maxCh int
 	var err error
-	if e.effShards > 1 {
-		broadcasts, maxCh, err = e.scanSharded(slot)
+	if e.sp.on {
+		err = e.scanSparse(slot)
 	} else {
-		broadcasts, maxCh, err = e.scanSerial(slot)
+		err = e.scanShards(slot)
 	}
 	if err != nil {
 		return err
 	}
 
-	// Fast path: with no broadcaster anywhere there is no feedback to
-	// deliver, and with no observer there is nothing to report — skip
+	// Phase B. Fast path: with no broadcaster anywhere there is no feedback
+	// to deliver, and with no observer there is nothing to report — skip
 	// channel resolution entirely.
-	if broadcasts == 0 && e.obs == nil {
-		return nil
+	if e.broadcasts > 0 || e.obs != nil {
+		e.resolveChannels(slot)
 	}
+	if e.sp.on {
+		e.commitParked()
+		if e.audit != nil {
+			return e.audit.EndSlot(slot)
+		}
+	}
+	return nil
+}
 
-	// Phase B: resolve channels in deterministic ascending physical order.
+// resolveChannels is phase B and the engine's one resolver: it resolves
+// the touched channels in deterministic ascending physical order under the
+// collision model and reports them to the observer. Under UniformWinner one
+// broadcaster, drawn uniformly from the engine stream, succeeds; the others
+// fail, and they and every listener receive the winner's message. Under
+// AllDelivered every broadcaster succeeds, every listener receives every
+// message, and the first broadcaster is reported as the winner. Under
+// sparse stepping a channel's listeners are its live bucket merged with the
+// listeners parked there, and the parked ones that heard something are
+// re-woken.
+func (e *Engine) resolveChannels(slot int) {
 	var outcomes []ChannelOutcome
 	if e.obs != nil {
 		outcomes = e.outScratch[:0]
 	}
-	for ch := 0; ch <= maxCh; ch++ {
+	for ch := 0; ch <= e.maxCh; ch++ {
 		if !e.touched[ch] {
 			continue
 		}
-		bs := e.bcast[ch]
+		bs, ls := e.bcast[ch], e.listen[ch]
 		winner := None
 		if len(bs) > 0 {
+			if e.sp.on {
+				ls = e.mergedListeners(ch, e.compactParked(slot, ch))
+			}
 			switch e.collisions {
 			case AllDelivered:
 				// Footnote-3 semantics: every message goes through.
 				winner = bs[0]
 				for _, b := range bs {
-					e.deliver(b, slot, Event{Kind: EvSendSucceeded, From: b, Msg: e.acts[b].Msg, Channel: e.acts[b].Channel})
+					e.nodes[b].Deliver(slot, Event{Kind: EvSendSucceeded, From: b, Msg: e.acts[b].Msg, Channel: e.acts[b].Channel})
+					e.delivered(slot, b)
 				}
-				for _, l := range e.listen[ch] {
+				for _, l := range ls {
 					for _, b := range bs {
-						e.deliver(l, slot, Event{Kind: EvReceived, From: b, Msg: e.acts[b].Msg, Channel: e.acts[l].Channel})
+						e.nodes[l].Deliver(slot, Event{Kind: EvReceived, From: b, Msg: e.acts[b].Msg, Channel: e.acts[l].Channel})
+						e.delivered(slot, l)
 					}
 				}
 			default:
 				winner = bs[e.rand.Intn(len(bs))]
 				msg := e.acts[winner].Msg
 				for _, b := range bs {
+					kind := EvSendFailed
 					if b == winner {
-						e.deliver(b, slot, Event{Kind: EvSendSucceeded, From: winner, Msg: msg, Channel: e.acts[b].Channel})
-					} else {
-						e.deliver(b, slot, Event{Kind: EvSendFailed, From: winner, Msg: msg, Channel: e.acts[b].Channel})
+						kind = EvSendSucceeded
 					}
+					e.nodes[b].Deliver(slot, Event{Kind: kind, From: winner, Msg: msg, Channel: e.acts[b].Channel})
+					e.delivered(slot, b)
 				}
-				for _, l := range e.listen[ch] {
-					e.deliver(l, slot, Event{Kind: EvReceived, From: winner, Msg: msg, Channel: e.acts[l].Channel})
+				for _, l := range ls {
+					e.nodes[l].Deliver(slot, Event{Kind: EvReceived, From: winner, Msg: msg, Channel: e.acts[l].Channel})
+					e.delivered(slot, l)
 				}
+			}
+			if e.sp.on {
+				e.wakeParked(ch, ls)
 			}
 		}
 		if e.obs != nil {
@@ -433,7 +457,7 @@ func (e *Engine) RunSlot() error {
 				Channel:      ch,
 				Broadcasters: bs,
 				Winner:       winner,
-				Listeners:    e.listen[ch],
+				Listeners:    ls,
 			})
 		}
 	}
@@ -443,7 +467,16 @@ func (e *Engine) RunSlot() error {
 		e.outScratch = outcomes
 		e.obs.OnSlot(slot, outcomes)
 	}
-	return nil
+}
+
+// delivered follows every delivery to node id. Only sparse stepping has
+// bookkeeping to do (sparseDelivered); a dense engine pays one branch, and
+// the function stays small enough to inline, so resolution makes no extra
+// call per delivery.
+func (e *Engine) delivered(slot int, id NodeID) {
+	if e.sp.on {
+		e.sparseDelivered(slot, id)
+	}
 }
 
 // Run executes slots until every protocol is done or maxSlots slots have
@@ -477,118 +510,47 @@ func (e *Engine) RunWhile(maxSlots int, cond func() bool) (int, error) {
 	return e.slot, nil
 }
 
-// scanSerial is the single-goroutine phase-A scan: step every non-done node
-// in index order and bucket its action by physical channel. It returns the
-// broadcast count and the highest channel touched (-1 if none).
-func (e *Engine) scanSerial(slot int) (broadcasts, maxCh int, err error) {
-	maxCh = -1 // highest physical channel touched; bounds phase B's scan
-	for i, p := range e.nodes {
-		if p.Done() {
-			e.acts[i] = Idle()
-			continue
-		}
-		act := p.Step(slot)
-		e.acts[i] = act
-		if act.Op == OpIdle {
-			continue
-		}
-		set := e.asn.ChannelSet(NodeID(i), slot)
-		if act.Channel < 0 || act.Channel >= len(set) {
-			return 0, 0, fmt.Errorf("sim: slot %d: node %d chose local channel %d outside [0,%d)",
-				slot, i, act.Channel, len(set))
-		}
-		phys := set[act.Channel]
-		if phys < 0 {
-			return 0, 0, fmt.Errorf("sim: slot %d: assignment mapped node %d to negative physical channel %d", slot, i, phys)
-		}
-		if phys >= len(e.bcast) {
-			e.growScratch(phys + 1)
-		}
-		if !e.touched[phys] {
-			e.touched[phys] = true
-			e.active = append(e.active, phys)
-		}
-		if phys > maxCh {
-			maxCh = phys
-		}
-		switch act.Op {
-		case OpListen:
-			e.listen[phys] = append(e.listen[phys], NodeID(i))
-		case OpBroadcast:
-			e.bcast[phys] = append(e.bcast[phys], NodeID(i))
-			broadcasts++
-		default:
-			return 0, 0, fmt.Errorf("sim: slot %d: node %d produced invalid op %d", slot, i, act.Op)
-		}
-	}
-	return broadcasts, maxCh, nil
-}
-
-// scanSharded runs phase A across effShards goroutines, each stepping a
-// contiguous node range into a private pend list, then merges the lists into
-// the global per-channel buckets in shard-ascending order. Because shard
-// ranges partition [0, n) in order and each shard appends in node order, the
-// merged bucket contents, the active-channel sequence and maxCh are exactly
-// those of scanSerial — phase B (including its RNG draws) observes no
-// difference. On error the lowest failing node index wins, matching the
-// serial scan's message; unlike the serial scan, nodes past the failing one
-// may already have stepped, but scan errors are fatal to the run so no
-// caller observes the difference.
-func (e *Engine) scanSharded(slot int) (int, int, error) {
+// scanShards is the dense phase-A scan. Each shard steps its contiguous
+// node range into a private pend list — shards 1.. on their own goroutines,
+// shard 0 (the whole scan when serial) on the caller's — and the lists are
+// then merged into the per-channel buckets in shard-ascending order.
+// Because shard ranges partition [0, n) in order and each shard appends in
+// node order, the buckets, the active-channel sequence and maxCh do not
+// depend on the shard count, and phase B (including its RNG draws) observes
+// no difference. A shard stops at its first failing node, so the first
+// failing shard holds the lowest failing node and the serial scan's error;
+// nodes past it in later shards may already have stepped, but scan errors
+// are fatal to the run so no caller observes the difference.
+func (e *Engine) scanShards(slot int) error {
 	e.scanSlot = slot
-	s := e.effShards
-	for i := 1; i < s; i++ {
+	for i := 1; i < len(e.shardAcc); i++ {
 		e.shardWG.Add(1)
 		go e.shardFns[i]()
 	}
 	e.scanShard(&e.shardAcc[0], slot)
 	e.shardWG.Wait()
-	errNode := -1
-	var firstErr error
-	for i := 0; i < s; i++ {
-		if sc := &e.shardAcc[i]; sc.err != nil && (errNode < 0 || sc.errNode < errNode) {
-			errNode, firstErr = sc.errNode, sc.err
+	for i := range e.shardAcc {
+		if err := e.shardAcc[i].err; err != nil {
+			return err
 		}
 	}
-	if firstErr != nil {
-		return 0, 0, firstErr
-	}
-	broadcasts := 0
-	maxCh := -1
-	for i := 0; i < s; i++ {
-		sc := &e.shardAcc[i]
-		broadcasts += sc.broadcasts
-		for _, pa := range sc.pend {
-			phys := pa.phys
-			if phys >= len(e.bcast) {
-				e.growScratch(phys + 1)
-			}
-			if !e.touched[phys] {
-				e.touched[phys] = true
-				e.active = append(e.active, phys)
-			}
-			if phys > maxCh {
-				maxCh = phys
-			}
-			if pa.op == OpListen {
-				e.listen[phys] = append(e.listen[phys], pa.node)
-			} else {
-				e.bcast[phys] = append(e.bcast[phys], pa.node)
-			}
+	for i := range e.shardAcc {
+		for _, pa := range e.shardAcc[i].pend {
+			e.bucket(pa.node, pa.phys, pa.op)
 		}
 	}
-	return broadcasts, maxCh, nil
+	return nil
 }
 
-// scanShard steps the nodes of one shard, validating exactly as scanSerial
-// does and buffering non-idle actions as flat (node, phys, op) triples. It
-// writes only shard-private state and distinct e.acts elements, so shards
-// never contend.
+// scanShard steps the nodes of one shard, buffering non-idle actions as
+// flat (node, phys, op) triples. It writes only shard-private state and
+// distinct e.acts elements, so shards never contend; the pend header lives
+// in a local until the scan ends, because neighbouring shardScans may share
+// a cache line.
 func (e *Engine) scanShard(sc *shardScan, slot int) {
-	sc.pend = sc.pend[:0]
-	sc.broadcasts = 0
+	pend := sc.pend[:0]
 	sc.err = nil
-	for i := sc.lo; i < sc.hi; i++ {
+	for i, hi := sc.lo, sc.hi; i < hi; i++ {
 		p := e.nodes[i]
 		if p.Done() {
 			e.acts[i] = Idle()
@@ -599,34 +561,53 @@ func (e *Engine) scanShard(sc *shardScan, slot int) {
 		if act.Op == OpIdle {
 			continue
 		}
-		set := e.asn.ChannelSet(NodeID(i), slot)
-		if act.Channel < 0 || act.Channel >= len(set) {
-			sc.errNode = i
-			sc.err = fmt.Errorf("sim: slot %d: node %d chose local channel %d outside [0,%d)",
-				slot, i, act.Channel, len(set))
-			return
+		phys, err := e.physChannel(NodeID(i), slot, act)
+		if err != nil {
+			sc.err = err
+			break
 		}
-		phys := set[act.Channel]
-		if phys < 0 {
-			sc.errNode = i
-			sc.err = fmt.Errorf("sim: slot %d: assignment mapped node %d to negative physical channel %d", slot, i, phys)
-			return
-		}
-		switch act.Op {
-		case OpBroadcast:
-			sc.broadcasts++
-		case OpListen:
-		default:
-			sc.errNode = i
-			sc.err = fmt.Errorf("sim: slot %d: node %d produced invalid op %d", slot, i, act.Op)
-			return
-		}
-		sc.pend = append(sc.pend, pendingAct{node: NodeID(i), phys: phys, op: act.Op})
+		pend = append(pend, pendingAct{node: NodeID(i), phys: phys, op: act.Op})
 	}
+	sc.pend = pend
 }
 
-func (e *Engine) deliver(id NodeID, slot int, ev Event) {
-	e.nodes[id].Deliver(slot, ev)
+// physChannel validates node id's non-idle action and maps its local
+// channel to the physical one. Every scan reports a failing node through
+// it, so the error text does not depend on the mode.
+func (e *Engine) physChannel(id NodeID, slot int, act Action) (int, error) {
+	set := e.asn.ChannelSet(id, slot)
+	if act.Channel < 0 || act.Channel >= len(set) {
+		return 0, fmt.Errorf("sim: slot %d: node %d chose local channel %d outside [0,%d)",
+			slot, id, act.Channel, len(set))
+	}
+	phys := set[act.Channel]
+	if phys < 0 {
+		return 0, fmt.Errorf("sim: slot %d: assignment mapped node %d to negative physical channel %d", slot, id, phys)
+	}
+	if act.Op != OpListen && act.Op != OpBroadcast {
+		return 0, fmt.Errorf("sim: slot %d: node %d produced invalid op %d", slot, id, act.Op)
+	}
+	return phys, nil
+}
+
+// bucket files a validated action of node id on physical channel phys.
+// Callers insert in node-ascending order, which is the order resolution
+// delivers in.
+func (e *Engine) bucket(id NodeID, phys int, op Op) {
+	if phys >= len(e.bcast) {
+		e.growScratch(phys + 1)
+	}
+	if !e.touched[phys] {
+		e.touched[phys] = true
+		e.active = append(e.active, phys)
+		e.maxCh = max(e.maxCh, phys)
+	}
+	if op == OpListen {
+		e.listen[phys] = append(e.listen[phys], id)
+	} else {
+		e.bcast[phys] = append(e.bcast[phys], id)
+		e.broadcasts++
+	}
 }
 
 // growScratch extends the dense per-channel scratch to cover at least n
@@ -650,4 +631,6 @@ func (e *Engine) touchReset() {
 		e.listen[ch] = e.listen[ch][:0]
 	}
 	e.active = e.active[:0]
+	e.maxCh = -1
+	e.broadcasts = 0
 }

@@ -113,45 +113,59 @@ func TestShardedScanByteIdentity(t *testing.T) {
 	}
 }
 
-// TestShardsClampAndGate pins WithShards' resolution rules: values clamp to
-// [1, n]; assignments that do not implement ConcurrentAssignment silently
-// run serial; and Reset without options returns the engine to serial.
-func TestShardsClampAndGate(t *testing.T) {
+// TestModeGate pins the engine's one mode gate case by case: requested
+// shards, requested sparse stepping, an attached observer and the
+// assignment's capabilities decide the effective Shards() and Sparse().
+// Shards clamp to [1, n] and need a concurrency-safe assignment; sparse
+// needs a slot-invariant assignment and no observer, and forces one shard.
+// After every case an option-free Reset must return the engine to dense,
+// serial stepping.
+func TestModeGate(t *testing.T) {
 	const n = 8
-	asn := fullOverlap(t, n, 2) // *assign.Static: concurrency-safe
-	mkNodes := func() []sim.Protocol {
-		nodes, _ := collidingScripts(n, 1)
-		return nodes
-	}
+	static := fullOverlap(t, n, 2) // *assign.Static: concurrent and slot-invariant
+	// underAdvertised implements neither ConcurrentAssignment nor
+	// SlotInvariantAssignment.
+	bare := &underAdvertised{claim: 2, sets: [][]int{{0, 1}, {0, 1}, {0, 1}, {0, 1}}}
+	obs := sim.ObserverFunc(func(int, []sim.ChannelOutcome) {})
 	for _, tc := range []struct {
-		req, want int
+		name             string
+		asn              sim.Assignment
+		shards           int
+		sparse, observer bool
+		wantShards       int
+		wantSparse       bool
 	}{
-		{req: 0, want: 1},
-		{req: -3, want: 1},
-		{req: 4, want: 4},
-		{req: 1000, want: n},
+		{"zero shards clamp to 1", static, 0, false, false, 1, false},
+		{"negative shards clamp to 1", static, -3, false, false, 1, false},
+		{"4 shards", static, 4, false, false, 4, false},
+		{"shards clamp to n", static, 1000, false, false, n, false},
+		{"non-concurrent assignment runs serial", bare, 4, false, false, 1, false},
+		{"sparse forces one shard", static, 4, true, false, 1, true},
+		{"observer forces dense", static, 1, true, true, 1, false},
+		{"observer forces dense and keeps shards", static, 4, true, true, 4, false},
+		{"non-slot-invariant assignment runs dense", bare, 1, true, false, 1, false},
 	} {
-		e := newEngine(t, asn, mkNodes(), 1, sim.WithShards(tc.req))
-		if got := e.Shards(); got != tc.want {
-			t.Errorf("WithShards(%d) on static assignment: Shards() = %d, want %d", tc.req, got, tc.want)
-		}
-	}
-
-	// underAdvertised does not implement ConcurrentAssignment, so the
-	// request must be gated down to serial.
-	gated := &underAdvertised{claim: 2, sets: [][]int{{0, 1}, {0, 1}, {0, 1}, {0, 1}}}
-	e := newEngine(t, gated, mkNodes()[:4], 1, sim.WithShards(4))
-	if got := e.Shards(); got != 1 {
-		t.Errorf("WithShards(4) on non-concurrent assignment: Shards() = %d, want 1", got)
-	}
-
-	// Reset without options must drop a previous shard configuration.
-	e = newEngine(t, asn, mkNodes(), 1, sim.WithShards(4))
-	if err := e.Reset(asn, mkNodes(), 1); err != nil {
-		t.Fatal(err)
-	}
-	if got := e.Shards(); got != 1 {
-		t.Errorf("Shards() after option-free Reset = %d, want 1", got)
+		t.Run(tc.name, func(t *testing.T) {
+			nodes, _ := collidingScripts(tc.asn.Nodes(), 1)
+			opts := []sim.Option{sim.WithShards(tc.shards)}
+			if tc.sparse {
+				opts = append(opts, sim.WithSparse())
+			}
+			if tc.observer {
+				opts = append(opts, sim.WithObserver(obs))
+			}
+			e := newEngine(t, tc.asn, nodes, 1, opts...)
+			if e.Shards() != tc.wantShards || e.Sparse() != tc.wantSparse {
+				t.Errorf("Shards(), Sparse() = %d, %v, want %d, %v", e.Shards(), e.Sparse(), tc.wantShards, tc.wantSparse)
+			}
+			nodes, _ = collidingScripts(tc.asn.Nodes(), 1)
+			if err := e.Reset(tc.asn, nodes, 1); err != nil {
+				t.Fatal(err)
+			}
+			if e.Shards() != 1 || e.Sparse() {
+				t.Errorf("after option-free Reset: Shards(), Sparse() = %d, %v, want 1, false", e.Shards(), e.Sparse())
+			}
+		})
 	}
 }
 

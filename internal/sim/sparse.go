@@ -4,8 +4,8 @@ package sim
 // calls for nodes that declared themselves dormant through Action.Sleep
 // hints, so a slot costs O(awake + deliveries) instead of Θ(n). The mode
 // exists for long quiescent phases — COGCOMP's sequential census leaves
-// almost every node silently parked for Θ(n) slots — and it is gated so
-// that sparse executions are byte-identical to dense ones:
+// almost every node silently parked for Θ(n) slots — and sparse executions
+// are byte-identical to dense ones:
 //
 //   - Dormant nodes draw no RNG and change no state (the Action.Sleep
 //     contract), so the engine's tie-break stream and every per-node
@@ -14,21 +14,13 @@ package sim
 //     there reaches them through the same node-ascending order the dense
 //     bucket would have produced, and re-wakes them eagerly — the next
 //     slot steps them again.
-//   - Sparse engages only when no Observer is attached (an observer must
-//     see silent listen-only channels the sparse scan never materializes)
-//     and the assignment is slot-invariant (SlotInvariantAssignment), and
-//     it forces the serial scan (shard counts never change output, so this
-//     is invisible). Anything else silently runs dense, which is always
-//     correct.
 //
-// The wake queue is a binary min-heap over packed (slot, node) entries
-// plus per-channel parked-listener lists; all of it is pre-sized at Reset,
-// so a warm sparse slot allocates nothing.
+// When the mode engages is Engine.configure's call. The wake queue is a
+// binary min-heap over packed (slot, node) entries plus per-channel
+// parked-listener lists; all of it is pre-sized at Reset, so a warm sparse
+// slot allocates nothing.
 
-import (
-	"fmt"
-	"slices"
-)
+import "slices"
 
 // WakeAuditor observes the sparse engine's scheduling decisions so an
 // external oracle (package invariant) can cross-check wake-queue
@@ -53,8 +45,8 @@ type WakeAuditor interface {
 // byte-identical to the dense engine — transcripts, RNG draw order, error
 // strings and traces included — because dormant nodes neither act nor draw
 // randomness and every delivery re-wakes its target. The engine silently
-// falls back to dense stepping when an Observer is attached or the
-// assignment is not slot-invariant; Sparse() reports the effective mode.
+// falls back to dense stepping as Engine.configure describes; Sparse()
+// reports the effective mode.
 func WithSparse() Option {
 	return func(e *Engine) { e.sparseReq = true }
 }
@@ -75,10 +67,9 @@ const (
 )
 
 // sparseState is the wake-queue bookkeeping of the event-driven scan. All
-// slices are pre-sized by configureSparse and reused across slots and
-// Resets.
+// slices are pre-sized by resetSparse and reused across slots and Resets.
 type sparseState struct {
-	on      bool // sparse stepping engaged (after gating)
+	on      bool // sparse stepping engaged (after configure's gating)
 	notDone int  // nodes whose Done has not been observed true
 
 	awake     []int32 // sorted ids stepped every slot
@@ -102,26 +93,13 @@ type sparseState struct {
 }
 
 // Sparse reports whether event-driven stepping is engaged: WithSparse was
-// requested and survived gating (no observer, slot-invariant assignment).
+// requested and survived configure's gating.
 func (e *Engine) Sparse() bool { return e.sp.on }
 
-// configureSparse resolves the requested sparse mode against its gates and
-// (re)builds the wake-queue state. Runs after configureShards so it can
-// force the serial scan.
-func (e *Engine) configureSparse() {
+// resetSparse (re)builds the wake-queue state for the engine's nodes: every
+// node starts awake, unparked and with no pending timer.
+func (e *Engine) resetSparse() {
 	sp := &e.sp
-	on := e.sparseReq && e.obs == nil && len(e.nodes) < maxSparseNodes
-	if on {
-		si, ok := e.asn.(SlotInvariantAssignment)
-		on = ok && si.SlotInvariantChannelSet()
-	}
-	sp.on = on
-	if !on {
-		return
-	}
-	// The sparse scan is serial: wake bookkeeping is cheap exactly because
-	// it is single-threaded, and shard counts never change output anyway.
-	e.effShards = 1
 	n := len(e.nodes)
 	if cap(sp.awake) < n {
 		sp.awake = make([]int32, 0, n)
@@ -194,40 +172,14 @@ func (e *Engine) growParked(n int) {
 	}
 }
 
-// runSlotSparse is RunSlot's event-driven body: wake due timers, step the
-// awake set, resolve only channels with live broadcasters, re-wake every
-// parked listener that heard something.
-func (e *Engine) runSlotSparse(slot int) error {
-	broadcasts, maxCh, err := e.scanSparse(slot)
-	if err != nil {
-		return err
-	}
-	if broadcasts > 0 {
-		for ch := 0; ch <= maxCh; ch++ {
-			if !e.touched[ch] {
-				continue
-			}
-			if len(e.bcast[ch]) == 0 {
-				continue
-			}
-			e.resolveSparse(slot, ch)
-		}
-	}
-	e.commitParked()
-	if e.audit != nil {
-		return e.audit.EndSlot(slot)
-	}
-	return nil
-}
-
 // scanSparse is the event-driven phase-A scan: merge the standing awake
 // list with this slot's re-woken nodes in ascending node order and step
-// exactly those, validating and bucketing as scanSerial does. Dormant
+// exactly those, validating and bucketing as the dense scan does. Dormant
 // nodes were validated when they parked and their (unchanged, per the
 // Sleep contract) actions stay valid under a slot-invariant assignment, so
 // the first failing node among awake nodes is the first failing node
 // overall — error strings match the dense scan's.
-func (e *Engine) scanSparse(slot int) (broadcasts, maxCh int, err error) {
+func (e *Engine) scanSparse(slot int) error {
 	sp := &e.sp
 	for len(sp.heap) > 0 {
 		top := sp.heap[0]
@@ -247,7 +199,6 @@ func (e *Engine) scanSparse(slot int) (broadcasts, maxCh int, err error) {
 	slices.Sort(wk)
 	aw := sp.awake
 	next := sp.awakeNext[:0]
-	maxCh = -1
 	i, j := 0, 0
 	for i < len(aw) || j < len(wk) {
 		var v int32
@@ -271,108 +222,44 @@ func (e *Engine) scanSparse(slot int) (broadcasts, maxCh int, err error) {
 		if e.audit != nil {
 			e.audit.OnStep(slot, NodeID(v), act)
 		}
-		live := true
-		if p.Done() {
-			// Done flipped inside Step: the action still resolves this
-			// slot (the dense engine steps first and skips only from the
-			// next slot on), but the node leaves the active set now.
+		// Done flipping inside Step retires the node now, but its action
+		// still resolves this slot: the dense engine steps first and skips
+		// only from the next slot on.
+		live := !p.Done()
+		if !live {
 			e.retireNode(slot, v)
-			live = false
 		}
-		if act.Op == OpIdle {
-			if live {
-				if act.Sleep > 0 {
-					e.parkIdle(v, slot, act.Sleep)
-				} else {
-					next = append(next, v)
-				}
+		phys := -1
+		if act.Op != OpIdle {
+			var err error
+			if phys, err = e.physChannel(NodeID(v), slot, act); err != nil {
+				return err
 			}
-			continue
+			e.bucket(NodeID(v), phys, act.Op)
 		}
-		set := e.asn.ChannelSet(NodeID(v), slot)
-		if act.Channel < 0 || act.Channel >= len(set) {
-			return 0, 0, fmt.Errorf("sim: slot %d: node %d chose local channel %d outside [0,%d)",
-				slot, v, act.Channel, len(set))
-		}
-		phys := set[act.Channel]
-		if phys < 0 {
-			return 0, 0, fmt.Errorf("sim: slot %d: assignment mapped node %d to negative physical channel %d", slot, v, phys)
-		}
-		if phys >= len(e.bcast) {
-			e.growScratch(phys + 1)
-		}
-		if !e.touched[phys] {
-			e.touched[phys] = true
-			e.active = append(e.active, phys)
-		}
-		if phys > maxCh {
-			maxCh = phys
-		}
-		switch act.Op {
-		case OpListen:
-			e.listen[phys] = append(e.listen[phys], NodeID(v))
-			if live {
-				if act.Sleep > 0 {
-					e.parkListen(v, phys, slot, act.Sleep, act.Quiet)
-				} else {
-					next = append(next, v)
-				}
-			}
-		case OpBroadcast:
-			e.bcast[phys] = append(e.bcast[phys], NodeID(v))
-			broadcasts++
-			if live {
-				next = append(next, v)
-			}
+		switch {
+		case !live:
+		case act.Sleep <= 0 || act.Op == OpBroadcast:
+			next = append(next, v)
+		case act.Op == OpIdle:
+			e.parkIdle(v, slot, act.Sleep)
 		default:
-			return 0, 0, fmt.Errorf("sim: slot %d: node %d produced invalid op %d", slot, v, act.Op)
+			e.parkListen(v, phys, slot, act.Sleep, act.Quiet)
 		}
 	}
 	sp.awake, sp.awakeNext = next, sp.awake
 	sp.woken = sp.woken[:0]
-	return broadcasts, maxCh, nil
+	return nil
 }
 
-// resolveSparse resolves one channel with live broadcasters: the winner
-// draw and broadcaster feedback are exactly the dense engine's (dormant
-// nodes never broadcast, so the broadcaster set is identical), and
-// listeners merge the live bucket with the channel's parked list in
-// node-ascending order — the order the dense bucket would have held. Every
-// parked listener that heard something is re-woken.
-func (e *Engine) resolveSparse(slot, ch int) {
+// wakeParked runs after a channel's deliveries to its listeners ls (live
+// and parked, as mergedListeners built them): every parked listener that
+// heard something is re-woken unless its park is quiet.
+func (e *Engine) wakeParked(ch int, ls []NodeID) {
 	sp := &e.sp
-	bs := e.bcast[ch]
-	ls := e.mergedListeners(ch, e.compactParked(slot, ch))
-	switch e.collisions {
-	case AllDelivered:
-		for _, b := range bs {
-			e.deliverSparse(b, slot, Event{Kind: EvSendSucceeded, From: b, Msg: e.acts[b].Msg, Channel: e.acts[b].Channel})
-		}
-		for _, l := range ls {
-			for _, b := range bs {
-				e.deliverSparse(l, slot, Event{Kind: EvReceived, From: b, Msg: e.acts[b].Msg, Channel: e.acts[l].Channel})
-			}
-			if sp.parkedPhys[l] >= 0 && !sp.parkedQuiet[l] {
-				e.wakeNode(int32(l))
-			}
-		}
-	default:
-		winner := bs[e.rand.Intn(len(bs))]
-		msg := e.acts[winner].Msg
-		for _, b := range bs {
-			if b == winner {
-				e.deliverSparse(b, slot, Event{Kind: EvSendSucceeded, From: winner, Msg: msg, Channel: e.acts[b].Channel})
-			} else {
-				e.deliverSparse(b, slot, Event{Kind: EvSendFailed, From: winner, Msg: msg, Channel: e.acts[b].Channel})
-			}
-		}
-		for _, l := range ls {
-			e.deliverSparse(l, slot, Event{Kind: EvReceived, From: winner, Msg: msg, Channel: e.acts[l].Channel})
-		}
-		for _, l := range ls {
-			if sp.parkedPhys[l] >= 0 && !sp.parkedQuiet[l] {
-				e.wakeNode(int32(l))
-			}
+	for _, l := range ls {
+		if sp.parkedPhys[l] >= 0 && !sp.parkedQuiet[l] {
+			e.wakeNode(int32(l))
 		}
 	}
 	// Every non-quiet parked entry was just woken and stale entries were
@@ -392,11 +279,11 @@ func (e *Engine) resolveSparse(slot, ch int) {
 	}
 }
 
-// deliverSparse delivers one event and keeps the notDone count exact: a
-// delivery may flip a protocol's Done (state-based termination), and the
+// sparseDelivered is the sparse bookkeeping of one delivery: it reports the
+// delivery to the wake auditor and keeps the notDone count exact, because a
+// delivery may flip a protocol's Done (state-based termination) and the
 // dense Run loop would observe that after this very slot.
-func (e *Engine) deliverSparse(id NodeID, slot int, ev Event) {
-	e.nodes[id].Deliver(slot, ev)
+func (e *Engine) sparseDelivered(slot int, id NodeID) {
 	if e.audit != nil {
 		e.audit.OnDeliver(slot, id)
 	}

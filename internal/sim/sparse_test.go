@@ -256,51 +256,6 @@ func TestSparseForeverPark(t *testing.T) {
 	}
 }
 
-// TestSparseGates pins WithSparse's resolution rules: it engages only on
-// slot-invariant assignments with no observer attached, it forces the scan
-// serial even when shards were requested, and an option-free Reset returns
-// the engine to dense.
-func TestSparseGates(t *testing.T) {
-	const n = 8
-	asn := fullOverlap(t, n, 2) // *assign.Static: slot-invariant
-	mkNodes := func() []sim.Protocol {
-		nodes, _ := collidingScripts(n, 1)
-		return nodes
-	}
-
-	e := newEngine(t, asn, mkNodes(), 1, sim.WithSparse(), sim.WithShards(4))
-	if !e.Sparse() {
-		t.Error("WithSparse on a static assignment did not engage")
-	}
-	if got := e.Shards(); got != 1 {
-		t.Errorf("sparse engine Shards() = %d, want 1 (sparse scan is serial)", got)
-	}
-
-	// An observer forces dense: traced and checked runs must see every slot.
-	obs := sim.ObserverFunc(func(int, []sim.ChannelOutcome) {})
-	e = newEngine(t, asn, mkNodes(), 1, sim.WithSparse(), sim.WithObserver(obs))
-	if e.Sparse() {
-		t.Error("WithSparse engaged despite an observer")
-	}
-
-	// An assignment without the slot-invariant marker cannot support parked
-	// listens (its channel sets may move), so the request is gated down.
-	gated := &underAdvertised{claim: 2, sets: [][]int{{0, 1}, {0, 1}, {0, 1}, {0, 1}}}
-	e = newEngine(t, gated, mkNodes()[:4], 1, sim.WithSparse())
-	if e.Sparse() {
-		t.Error("WithSparse engaged on a non-slot-invariant assignment")
-	}
-
-	// Reset without options must drop a previous sparse configuration.
-	e = newEngine(t, asn, mkNodes(), 1, sim.WithSparse())
-	if err := e.Reset(asn, mkNodes(), 1); err != nil {
-		t.Fatal(err)
-	}
-	if e.Sparse() {
-		t.Error("Sparse() after option-free Reset = true, want false")
-	}
-}
-
 // TestSparseErrorMatchesDense pins error determinism: when a node produces
 // an invalid action while lower-numbered nodes are dormant, the sparse scan
 // must report exactly the dense engine's message — parked nodes were
