@@ -113,38 +113,58 @@ func TestShardedScanByteIdentity(t *testing.T) {
 	}
 }
 
-// TestModeGate pins the engine's one mode gate case by case: requested
-// shards, requested sparse stepping, an attached observer and the
-// assignment's capabilities decide the effective Shards() and Sparse().
-// Shards clamp to [1, n] and need a concurrency-safe assignment; sparse
-// needs a slot-invariant assignment and no observer, and forces one shard.
-// After every case an option-free Reset must return the engine to dense,
-// serial stepping.
-func TestModeGate(t *testing.T) {
-	const n = 8
-	static := fullOverlap(t, n, 2) // *assign.Static: concurrent and slot-invariant
-	// underAdvertised implements neither ConcurrentAssignment nor
-	// SlotInvariantAssignment.
-	bare := &underAdvertised{claim: 2, sets: [][]int{{0, 1}, {0, 1}, {0, 1}, {0, 1}}}
-	obs := sim.ObserverFunc(func(int, []sim.ChannelOutcome) {})
-	for _, tc := range []struct {
-		name             string
-		asn              sim.Assignment
-		shards           int
-		sparse, observer bool
-		wantShards       int
-		wantSparse       bool
-	}{
+// modeGateCase is one row of the engine's mode gate: requested shards,
+// requested sparse stepping, an attached observer and the assignment's
+// capabilities, and the effective Shards() and Sparse() they must resolve to.
+type modeGateCase struct {
+	name             string
+	asn              sim.Assignment
+	shards           int
+	sparse, observer bool
+	wantShards       int
+	wantSparse       bool
+}
+
+const gateNodes = 8
+
+// gateAssignments returns a static assignment, which is concurrent and
+// slot-invariant, and an underAdvertised one, which is neither.
+func gateAssignments(t *testing.T) (static, bare sim.Assignment) {
+	return fullOverlap(t, gateNodes, 2), &underAdvertised{claim: 2, sets: [][]int{{0, 1}, {0, 1}, {0, 1}, {0, 1}}}
+}
+
+// TestShardsClampAndGate pins the gate's shard rules: values clamp to [1, n]
+// and assignments that do not implement ConcurrentAssignment silently run
+// serial.
+func TestShardsClampAndGate(t *testing.T) {
+	static, bare := gateAssignments(t)
+	runModeGate(t, []modeGateCase{
 		{"zero shards clamp to 1", static, 0, false, false, 1, false},
 		{"negative shards clamp to 1", static, -3, false, false, 1, false},
 		{"4 shards", static, 4, false, false, 4, false},
-		{"shards clamp to n", static, 1000, false, false, n, false},
+		{"shards clamp to n", static, 1000, false, false, gateNodes, false},
 		{"non-concurrent assignment runs serial", bare, 4, false, false, 1, false},
+	})
+}
+
+// TestSparseGates pins the gate's sparse rules: sparse stepping needs a
+// slot-invariant assignment and no observer, and it forces one shard.
+func TestSparseGates(t *testing.T) {
+	static, bare := gateAssignments(t)
+	runModeGate(t, []modeGateCase{
 		{"sparse forces one shard", static, 4, true, false, 1, true},
 		{"observer forces dense", static, 1, true, true, 1, false},
 		{"observer forces dense and keeps shards", static, 4, true, true, 4, false},
 		{"non-slot-invariant assignment runs dense", bare, 1, true, false, 1, false},
-	} {
+	})
+}
+
+// runModeGate checks each case's effective Shards() and Sparse(), then that
+// an option-free Reset returns the engine to dense, serial stepping.
+func runModeGate(t *testing.T, cases []modeGateCase) {
+	t.Helper()
+	obs := sim.ObserverFunc(func(int, []sim.ChannelOutcome) {})
+	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			nodes, _ := collidingScripts(tc.asn.Nodes(), 1)
 			opts := []sim.Option{sim.WithShards(tc.shards)}
