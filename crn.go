@@ -1068,14 +1068,13 @@ func (nw *Network) AggregateRounds(rounds [][]int64, opts AggregateOptions) (*Se
 	}
 	ctx, cancel := interruptContext(opts.Context, opts.Deadline)
 	defer cancel()
-	var arena cogcomp.Arena
-	arena.SetCheck(opts.Check)
-	arena.SetContext(ctx)
-	res, err := arena.RunRounds(nw.asn, sim.NodeID(opts.Source), rounds, opts.Seed, cogcomp.SessionConfig{
-		Kappa:  opts.Kappa,
-		Func:   f,
-		Shards: opts.Shards,
-		Sparse: opts.Sparse,
+	res, err := cogcomp.RunRounds(nw.asn, sim.NodeID(opts.Source), rounds, opts.Seed, cogcomp.SessionConfig{
+		Kappa:   opts.Kappa,
+		Func:    f,
+		Shards:  opts.Shards,
+		Sparse:  opts.Sparse,
+		Check:   opts.Check,
+		Context: ctx,
 	})
 	if err != nil {
 		return nil, finishInterrupted(nil, err)

@@ -50,8 +50,8 @@ func TestCheckedRunMatchesUnchecked(t *testing.T) {
 	}
 }
 
-// TestCheckedArenaPoolsTallies pins the arena-level wiring: SetCheck(true)
-// keeps one checker across runs, pooling winner-position tallies over
+// TestCheckedArenaPoolsTallies pins the arena-level wiring: checked runs
+// on one arena share its checker, pooling winner-position tallies over
 // seeds, and the pooled uniformity test does not reject. (The heavyweight
 // statistical test with dense contention lives in package invariant.)
 func TestCheckedArenaPoolsTallies(t *testing.T) {
@@ -60,9 +60,8 @@ func TestCheckedArenaPoolsTallies(t *testing.T) {
 		t.Fatal(err)
 	}
 	var arena cogcast.Arena
-	arena.SetCheck(true)
 	for seed := int64(0); seed < 40; seed++ {
-		if _, err := arena.Run(asn, 0, "m", seed, cogcast.RunConfig{UntilAllInformed: true, MaxSlots: 20000}); err != nil {
+		if _, err := arena.Run(asn, 0, "m", seed, cogcast.RunConfig{UntilAllInformed: true, MaxSlots: 20000, Check: true}); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}

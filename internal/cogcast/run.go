@@ -82,22 +82,8 @@ type Arena struct {
 	eng         *sim.Engine
 	wasInformed []bool
 	opts        []sim.Option
-	forceCheck  bool
-	ctx         context.Context
 	checker     *invariant.Checker
 }
-
-// SetCheck forces invariant checking for every subsequent Run on this
-// arena, regardless of RunConfig.Check — how the experiment harness turns
-// one -check flag into oracle coverage of every trial without threading a
-// flag through each run-configuration site.
-func (a *Arena) SetCheck(on bool) { a.forceCheck = on }
-
-// SetContext attaches a context to every subsequent Run on this arena that
-// does not carry its own RunConfig.Context — how the experiment harness
-// makes a whole suite cancellable without threading a context through each
-// run-configuration site (the SetCheck pattern).
-func (a *Arena) SetContext(ctx context.Context) { a.ctx = ctx }
 
 // Checker returns the arena's invariant checker, non-nil once a checked
 // run has happened. Its winner-uniformity tallies pool across all of the
@@ -108,13 +94,48 @@ func (a *Arena) Checker() *invariant.Checker { return a.checker }
 // is valid until the arena's next trial. COGCOMP's phases read these.
 func (a *Arena) Nodes() []*Node { return a.nodes }
 
-// runContext picks the effective run context: the per-run config wins,
-// then the arena-wide default, then none.
-func runContext(cfg, arena context.Context) context.Context {
-	if cfg != nil {
-		return cfg
+// EngineOptions appends to dst the engine options one run configured by cfg
+// needs, and returns the extended slice. It is the single place a runner's
+// per-call settings become engine options; COGCAST's and COGCOMP's runners
+// both configure their engines here. The order is fixed: the collision
+// model (unless it is the engine's default, UniformWinner), shards (when
+// cfg.Shards > 1), sparse stepping, the context, and then the observer
+// chain, which tees cfg.Observer first, a trace recorder for cfg.Trace
+// second, and the invariant checker last. With cfg.Check set, the
+// assignment contract is verified up front and *ck is allocated on first
+// use and re-armed for asn; its winner tallies pool across the runs that
+// share it. Only MaxSlots, Trajectory and UntilAllInformed are ignored.
+func EngineOptions(dst []sim.Option, asn sim.Assignment, cfg RunConfig, ck **invariant.Checker) ([]sim.Option, error) {
+	if cfg.Collisions != sim.UniformWinner {
+		dst = append(dst, sim.WithCollisionModel(cfg.Collisions))
 	}
-	return arena
+	if cfg.Shards > 1 {
+		dst = append(dst, sim.WithShards(cfg.Shards))
+	}
+	if cfg.Sparse {
+		dst = append(dst, sim.WithSparse())
+	}
+	if cfg.Context != nil {
+		dst = append(dst, sim.WithContext(cfg.Context))
+	}
+	obs := cfg.Observer
+	if cfg.Trace != nil {
+		obs = sim.Tee(obs, trace.NewRecorder(cfg.Trace))
+	}
+	if cfg.Check {
+		if err := invariant.CheckAssignment(asn, 0); err != nil {
+			return dst, err
+		}
+		if *ck == nil {
+			*ck = new(invariant.Checker)
+		}
+		(*ck).Reset(asn, cfg.Collisions)
+		obs = sim.Tee(obs, *ck)
+	}
+	if obs != nil {
+		dst = append(dst, sim.WithObserver(obs))
+	}
+	return dst, nil
 }
 
 // build (re)initializes n nodes and the engine for one trial. nodeOpts apply
@@ -157,33 +178,9 @@ func (a *Arena) Run(asn sim.Assignment, source sim.NodeID, payload sim.Message, 
 		maxSlots = SlotBound(n, asn.PerNode(), asn.MinOverlap(), DefaultKappa)
 	}
 
-	check := cfg.Check || a.forceCheck
-	a.opts = append(a.opts[:0], sim.WithCollisionModel(cfg.Collisions))
-	if cfg.Shards > 1 {
-		a.opts = append(a.opts, sim.WithShards(cfg.Shards))
-	}
-	if cfg.Sparse {
-		a.opts = append(a.opts, sim.WithSparse())
-	}
-	if ctx := runContext(cfg.Context, a.ctx); ctx != nil {
-		a.opts = append(a.opts, sim.WithContext(ctx))
-	}
-	obs := cfg.Observer
-	if cfg.Trace != nil {
-		obs = sim.Tee(obs, trace.NewRecorder(cfg.Trace))
-	}
-	if check {
-		if err := invariant.CheckAssignment(asn, 0); err != nil {
-			return nil, fmt.Errorf("cogcast: %w", err)
-		}
-		if a.checker == nil {
-			a.checker = new(invariant.Checker)
-		}
-		a.checker.Reset(asn, cfg.Collisions)
-		obs = sim.Tee(obs, a.checker)
-	}
-	if obs != nil {
-		a.opts = append(a.opts, sim.WithObserver(obs))
+	var err error
+	if a.opts, err = EngineOptions(a.opts[:0], asn, cfg, &a.checker); err != nil {
+		return nil, fmt.Errorf("cogcast: %w", err)
 	}
 	if err := a.build(asn, source, payload, seed, a.opts); err != nil {
 		return nil, err
@@ -249,7 +246,7 @@ func (a *Arena) Run(asn sim.Assignment, source sim.NodeID, payload sim.Message, 
 		res.Parents[i] = nd.Parent()
 		res.InformedSlots[i] = nd.InformedSlot()
 	}
-	if check {
+	if cfg.Check {
 		if err := a.checker.Err(); err != nil {
 			return nil, fmt.Errorf("cogcast: slot oracle (%d violations): %w", a.checker.Violations(), err)
 		}

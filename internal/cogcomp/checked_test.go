@@ -56,8 +56,7 @@ func TestCheckedSession(t *testing.T) {
 		}
 	}
 	var arena cogcomp.Arena
-	arena.SetCheck(true)
-	res, err := arena.RunRounds(asn, 0, rounds, 7, cogcomp.SessionConfig{})
+	res, err := arena.RunRounds(asn, 0, rounds, 7, cogcomp.SessionConfig{Check: true})
 	if err != nil {
 		t.Fatal(err)
 	}

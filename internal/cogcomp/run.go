@@ -99,23 +99,13 @@ type Result struct {
 // RunRounds. Arenas are not safe for concurrent use: parallel trial runners
 // keep one per worker.
 type Arena struct {
-	nodes      []*Node
-	protos     []sim.Protocol
-	eng        *sim.Engine
-	engOpts    []sim.Option
-	forceCheck bool
-	ctx        context.Context
-	checker    *invariant.Checker
-	infSlots   []int
+	nodes    []*Node
+	protos   []sim.Protocol
+	eng      *sim.Engine
+	engOpts  []sim.Option
+	checker  *invariant.Checker
+	infSlots []int
 }
-
-// SetCheck forces invariant checking for every subsequent Run on this
-// arena, regardless of Config.Check (see cogcast.Arena.SetCheck).
-func (a *Arena) SetCheck(on bool) { a.forceCheck = on }
-
-// SetContext attaches a context to every subsequent Run on this arena that
-// does not carry its own Config.Context (see cogcast.Arena.SetContext).
-func (a *Arena) SetContext(ctx context.Context) { a.ctx = ctx }
 
 // Checker returns the arena's invariant checker, non-nil once a checked
 // run has happened.
@@ -179,8 +169,13 @@ func (a *Arena) Prepare(asn sim.Assignment, source sim.NodeID, inputs []int64, s
 	}
 	l := PhaseOneLength(n, asn.PerNode(), asn.MinOverlap(), kappa)
 
-	if err := a.engineOptions(asn, cfg, cfg.Check || a.forceCheck); err != nil {
-		return nil, nil, 0, err
+	var err error
+	a.engOpts, err = cogcast.EngineOptions(a.engOpts[:0], asn, cogcast.RunConfig{
+		Observer: cfg.Observer, Trace: cfg.Trace, Check: cfg.Check,
+		Shards: cfg.Shards, Sparse: cfg.Sparse, Context: cfg.Context,
+	}, &a.checker)
+	if err != nil {
+		return nil, nil, 0, fmt.Errorf("cogcomp: %w", err)
 	}
 	if err := a.build(asn, source, n, l, func(i int) int64 { return inputs[i] }, f, seed, a.engOpts, wrap); err != nil {
 		return nil, nil, 0, err
@@ -194,46 +189,6 @@ func (a *Arena) Prepare(asn sim.Assignment, source sim.NodeID, inputs []int64, s
 		nd.SetDormant(dormant)
 	}
 	return a.nodes, a.eng, l, nil
-}
-
-// engineOptions collects one execution's engine options into a.engOpts:
-// shards, sparse stepping, the context (cfg's, else the arena's) and the
-// observer chain — cfg's observer, a trace recorder, then the invariant
-// oracle when check is set. Prepare and RunRounds both configure their
-// engine here.
-func (a *Arena) engineOptions(asn sim.Assignment, cfg Config, check bool) error {
-	a.engOpts = a.engOpts[:0]
-	if cfg.Shards > 1 {
-		a.engOpts = append(a.engOpts, sim.WithShards(cfg.Shards))
-	}
-	if cfg.Sparse {
-		a.engOpts = append(a.engOpts, sim.WithSparse())
-	}
-	ctx := cfg.Context
-	if ctx == nil {
-		ctx = a.ctx
-	}
-	if ctx != nil {
-		a.engOpts = append(a.engOpts, sim.WithContext(ctx))
-	}
-	obs := cfg.Observer
-	if cfg.Trace != nil {
-		obs = sim.Tee(obs, trace.NewRecorder(cfg.Trace))
-	}
-	if check {
-		if err := invariant.CheckAssignment(asn, 0); err != nil {
-			return fmt.Errorf("cogcomp: %w", err)
-		}
-		if a.checker == nil {
-			a.checker = new(invariant.Checker)
-		}
-		a.checker.Reset(asn, sim.UniformWinner)
-		obs = sim.Tee(obs, a.checker)
-	}
-	if obs != nil {
-		a.engOpts = append(a.engOpts, sim.WithObserver(obs))
-	}
-	return nil
 }
 
 // Run executes COGCOMP exactly as the package-level Run does, reusing the
@@ -252,11 +207,7 @@ func (a *Arena) RunWith(asn sim.Assignment, source sim.NodeID, inputs []int64, s
 	if err != nil {
 		return nil, err
 	}
-	f := cfg.Func
-	if f == nil {
-		f = aggfunc.Sum{}
-	}
-	check := cfg.Check || a.forceCheck
+	f := nodes[source].f
 	maxSlots := cfg.MaxSlots
 	if maxSlots == 0 {
 		maxSlots = DefaultMaxSlots(n, l)
@@ -302,7 +253,7 @@ func (a *Arena) RunWith(asn sim.Assignment, source sim.NodeID, inputs []int64, s
 	if cfg.Trace != nil {
 		cfg.Trace.Emit(trace.CensusEvent(total, informed, res.Mediators))
 	}
-	if check {
+	if cfg.Check {
 		if err := a.checker.Err(); err != nil {
 			return nil, fmt.Errorf("cogcomp: slot oracle (%d violations): %w", a.checker.Violations(), err)
 		}

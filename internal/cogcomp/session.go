@@ -1,11 +1,11 @@
 package cogcomp
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
 	"github.com/cogradio/crn/internal/aggfunc"
-	"github.com/cogradio/crn/internal/cogcast"
 	"github.com/cogradio/crn/internal/invariant"
 	"github.com/cogradio/crn/internal/sim"
 )
@@ -40,6 +40,13 @@ type SessionConfig struct {
 	// and phase-four holding patterns park, so a session's cost tracks its
 	// traffic rather than n·slots.
 	Sparse bool
+	// Check attaches the invariant oracle: the assignment contract, every
+	// slot's channel outcomes, and every complete round's aggregate
+	// against aggfunc.Fold ground truth. A violation fails the session.
+	Check bool
+	// Context, when non-nil, is checked at every slot boundary; see
+	// Config.Context.
+	Context context.Context
 }
 
 // SessionResult reports a multi-round aggregation.
@@ -75,9 +82,6 @@ func RunRounds(asn sim.Assignment, source sim.NodeID, rounds [][]int64, seed int
 // copy.
 func (a *Arena) RunRounds(asn sim.Assignment, source sim.NodeID, rounds [][]int64, seed int64, cfg SessionConfig) (*SessionResult, error) {
 	n := asn.Nodes()
-	if source < 0 || int(source) >= n {
-		return nil, fmt.Errorf("cogcomp: source %d outside [0,%d)", source, n)
-	}
 	if len(rounds) == 0 {
 		return nil, errors.New("cogcomp: session needs at least one round")
 	}
@@ -86,30 +90,18 @@ func (a *Arena) RunRounds(asn sim.Assignment, source sim.NodeID, rounds [][]int6
 			return nil, fmt.Errorf("cogcomp: round %d has %d inputs for %d nodes", r, len(inputs), n)
 		}
 	}
-	kappa := cfg.Kappa
-	if kappa == 0 {
-		kappa = cogcast.DefaultKappa
+	nodes, eng, l, err := a.Prepare(asn, source, rounds[0], seed, Config{
+		Kappa: cfg.Kappa, Func: cfg.Func, Check: cfg.Check,
+		Shards: cfg.Shards, Sparse: cfg.Sparse, Context: cfg.Context,
+	}, nil)
+	if err != nil {
+		return nil, err
 	}
-	f := cfg.Func
-	if f == nil {
-		f = aggfunc.Sum{}
-	}
-	l := PhaseOneLength(n, asn.PerNode(), asn.MinOverlap(), kappa)
 	roundSteps := cfg.RoundSteps
 	if roundSteps == 0 {
 		roundSteps = n + l + 16
 	}
-
-	if err := a.engineOptions(asn, Config{Shards: cfg.Shards, Sparse: cfg.Sparse}, a.forceCheck); err != nil {
-		return nil, err
-	}
-	if err := a.build(asn, source, n, l, func(i int) int64 { return rounds[0][i] }, f, seed, a.engOpts, nil); err != nil {
-		return nil, err
-	}
-	nodes := a.nodes
-	dormant := a.eng.Sparse()
 	for i, nd := range nodes {
-		nd.SetDormant(dormant)
 		for r := range rounds {
 			nd.rounds = append(nd.rounds, rounds[r][i])
 		}
@@ -124,7 +116,7 @@ func (a *Arena) RunRounds(asn sim.Assignment, source sim.NodeID, rounds [][]int6
 	}
 	setup := 2*l + n
 	budget := setup + 3*roundSteps*len(rounds) + 3
-	total, err := a.eng.Run(budget)
+	total, err := eng.Run(budget)
 	if err != nil && !errors.Is(err, sim.ErrMaxSlots) {
 		return nil, err
 	}
@@ -138,7 +130,7 @@ func (a *Arena) RunRounds(asn sim.Assignment, source sim.NodeID, rounds [][]int6
 		RoundSlots:  3 * roundSteps,
 		FinishSteps: src.finishSteps,
 	}
-	if a.forceCheck {
+	if cfg.Check {
 		if err := a.checker.Err(); err != nil {
 			return nil, fmt.Errorf("cogcomp: slot oracle (%d violations): %w", a.checker.Violations(), err)
 		}
@@ -146,9 +138,9 @@ func (a *Arena) RunRounds(asn sim.Assignment, source sim.NodeID, rounds [][]int6
 			if !res.Complete[r] {
 				continue
 			}
-			if want := aggfunc.Fold(f, rounds[r]); !invariant.AggEqual(res.Values[r], want) {
+			if want := aggfunc.Fold(src.f, rounds[r]); !invariant.AggEqual(res.Values[r], want) {
 				return nil, fmt.Errorf("cogcomp: round %d aggregate %v diverges from ground truth %v (%s over n=%d)",
-					r, res.Values[r], want, f.Name(), n)
+					r, res.Values[r], want, src.f.Name(), n)
 			}
 		}
 	}

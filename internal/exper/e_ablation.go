@@ -62,7 +62,7 @@ func runE15(cfg Config) ([]*Table, error) {
 		out.scanInformed = float64(scan.Informed)
 
 		// The same adversary cannot predict COGCAST's coin flips.
-		cog, err := a.cast.Run(adv, 0, "m", ts, cogcast.RunConfig{UntilAllInformed: true, MaxSlots: budget, Shards: cfg.Shards, Sparse: cfg.Sparse})
+		cog, err := a.cast.Run(adv, 0, "m", ts, cfg.cast(cogcast.RunConfig{UntilAllInformed: true, MaxSlots: budget}))
 		if err != nil {
 			return out, err
 		}
@@ -131,9 +131,9 @@ func runE16(cfg Config) ([]*Table, error) {
 					return 0, err
 				}
 				budget := 64 * cogcast.SlotBound(n, c, k, cogcast.DefaultKappa)
-				res, err := a.cast.Run(asn, 0, "m", ts, cogcast.RunConfig{
-					UntilAllInformed: true, MaxSlots: budget, Collisions: model, Shards: cfg.Shards, Sparse: cfg.Sparse,
-				})
+				res, err := a.cast.Run(asn, 0, "m", ts, cfg.cast(cogcast.RunConfig{
+					UntilAllInformed: true, MaxSlots: budget, Collisions: model,
+				}))
 				if err != nil {
 					return 0, err
 				}
@@ -181,7 +181,7 @@ func runE17(cfg Config) ([]*Table, error) {
 			if err != nil {
 				return false, err
 			}
-			res, err := a.cast.Run(asn, 0, "m", ts, cogcast.RunConfig{MaxSlots: horizon, Shards: cfg.Shards, Sparse: cfg.Sparse})
+			res, err := a.cast.Run(asn, 0, "m", ts, cfg.cast(cogcast.RunConfig{MaxSlots: horizon}))
 			if err != nil {
 				return false, err
 			}

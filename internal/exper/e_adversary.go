@@ -31,6 +31,8 @@ func runE30(cfg Config) ([]*Table, error) {
 		Seed:    rng300(cfg.Seed),
 		Workers: cfg.workers(),
 		Shards:  cfg.Shards,
+		Check:   cfg.Check,
+		Context: cfg.Context,
 	}
 	res, err := games.RunTournament(tour)
 	if err != nil {

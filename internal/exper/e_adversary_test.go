@@ -2,8 +2,11 @@ package exper
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestAdversaryTournamentDeterminism pins E30's acceptance criterion: the
@@ -36,5 +39,21 @@ func TestAdversaryTournamentDeterminism(t *testing.T) {
 	}
 	if !strings.Contains(ref, "CONFIRMED") {
 		t.Errorf("E30 quick run did not confirm the crasher-vs-oblivious comparison:\n%s", ref)
+	}
+}
+
+// TestAdversaryTournamentHonoursContext pins that E30 hands the suite's
+// context to its tournament: an already-expired deadline must stop the
+// run with an error instead of producing tables.
+func TestAdversaryTournamentHonoursContext(t *testing.T) {
+	e, err := ByID("E30")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithDeadline(context.Background(), time.Unix(0, 0))
+	defer cancel()
+	tables, err := e.Run(Config{Seed: 7, Trials: 3, Quick: true, Context: ctx})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("E30 under an expired context: %d tables, error %v; want context.DeadlineExceeded", len(tables), err)
 	}
 }

@@ -45,9 +45,9 @@ func runE24(cfg Config) ([]*Table, error) {
 				return costResult{}, err
 			}
 			obs := backoff.NewCostObserver(n, ts)
-			res, err := a.cast.Run(asn, 0, "m", ts, cogcast.RunConfig{
-				UntilAllInformed: true, MaxSlots: 200000, Observer: obs, Shards: cfg.Shards, Sparse: cfg.Sparse,
-			})
+			res, err := a.cast.Run(asn, 0, "m", ts, cfg.cast(cogcast.RunConfig{
+				UntilAllInformed: true, MaxSlots: 200000, Observer: obs,
+			}))
 			if err != nil {
 				return costResult{}, err
 			}

@@ -32,7 +32,7 @@ func cogcastTrials(cfg Config, trials int, seed int64, build func(b *assign.Buil
 			cfg.Trace.Emit(trace.TrialEvent(trial, ts))
 		}
 		budget := 64 * cogcast.SlotBound(asn.Nodes(), asn.PerNode(), asn.MinOverlap(), cogcast.DefaultKappa)
-		res, err := a.cast.Run(asn, 0, "m", ts, cogcast.RunConfig{UntilAllInformed: true, MaxSlots: budget, Trace: cfg.Trace, Shards: cfg.Shards, Sparse: cfg.Sparse})
+		res, err := a.cast.Run(asn, 0, "m", ts, cfg.cast(cogcast.RunConfig{UntilAllInformed: true, MaxSlots: budget, Trace: cfg.Trace}))
 		if err != nil {
 			return 0, err
 		}
@@ -283,7 +283,7 @@ func runE13(cfg Config) ([]*Table, error) {
 			return stageResult{}, err
 		}
 		budget := 64 * cogcast.SlotBound(n, c, k, cogcast.DefaultKappa)
-		res, err := a.cast.Run(asn, 0, "m", ts, cogcast.RunConfig{UntilAllInformed: true, MaxSlots: budget, Trajectory: true, Shards: cfg.Shards, Sparse: cfg.Sparse})
+		res, err := a.cast.Run(asn, 0, "m", ts, cfg.cast(cogcast.RunConfig{UntilAllInformed: true, MaxSlots: budget, Trajectory: true}))
 		if err != nil {
 			return stageResult{}, err
 		}

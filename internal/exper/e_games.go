@@ -219,7 +219,7 @@ func runE8(cfg Config) ([]*Table, error) {
 				return 0, err
 			}
 			budget := 64 * cogcast.SlotBound(n, c, k, cogcast.DefaultKappa)
-			res, err := a.cast.Run(asn, 0, "m", ts, cogcast.RunConfig{UntilAllInformed: true, MaxSlots: budget, Trajectory: true, Shards: cfg.Shards, Sparse: cfg.Sparse})
+			res, err := a.cast.Run(asn, 0, "m", ts, cfg.cast(cogcast.RunConfig{UntilAllInformed: true, MaxSlots: budget, Trajectory: true}))
 			if err != nil {
 				return 0, err
 			}

@@ -76,7 +76,7 @@ func runE9(cfg Config) ([]*Table, error) {
 				return regimeResult{}, err
 			}
 			budget := 64 * cogcast.SlotBound(p.n, p.c, p.k, cogcast.DefaultKappa)
-			cog, err := a.cast.Run(lAsn, 0, "m", ts, cogcast.RunConfig{UntilAllInformed: true, MaxSlots: budget, Shards: cfg.Shards, Sparse: cfg.Sparse})
+			cog, err := a.cast.Run(lAsn, 0, "m", ts, cfg.cast(cogcast.RunConfig{UntilAllInformed: true, MaxSlots: budget}))
 			if err != nil {
 				return regimeResult{}, err
 			}

@@ -80,11 +80,10 @@ func runE26(cfg Config) ([]*Table, error) {
 			if rate > 0 {
 				sched = schedule
 			}
-			res, err := a.rec.Run(asn, 0, inputs, ts, recov.Config{
+			res, err := a.rec.Run(asn, 0, inputs, ts, cfg.recov(recov.Config{
 				Schedule: sched,
 				Trace:    cfg.Trace,
-				Check:    cfg.Check,
-			})
+			}))
 			if err != nil {
 				return out, err
 			}
@@ -207,7 +206,7 @@ func runE27(cfg Config) ([]*Table, error) {
 				return pairResult{}, err
 			}
 			inputs := a.experInputs(p.n, ts)
-			classic, err := a.comp.Run(asn, 0, inputs, ts, cogcomp.Config{Shards: cfg.Shards, Sparse: cfg.Sparse})
+			classic, err := a.comp.Run(asn, 0, inputs, ts, cfg.comp(cogcomp.Config{}))
 			if err != nil {
 				return pairResult{}, err
 			}
@@ -215,7 +214,7 @@ func runE27(cfg Config) ([]*Table, error) {
 			// below reuses the same arena nodes, so copy what we compare.
 			cc := *classic
 			cc.Parents = append([]sim.NodeID(nil), classic.Parents...)
-			sup, err := a.rec.Run(asn, 0, inputs, ts, recov.Config{})
+			sup, err := a.rec.Run(asn, 0, inputs, ts, cfg.recov(recov.Config{}))
 			if err != nil {
 				return pairResult{}, err
 			}

@@ -194,9 +194,9 @@ func runE21(cfg Config) ([]*Table, error) {
 			return utilResult{}, err
 		}
 		var cm metrics.Collector
-		cres, err := a.cast.Run(asn, 0, "m", ts, cogcast.RunConfig{
-			UntilAllInformed: true, MaxSlots: 1_000_000, Observer: &cm, Shards: cfg.Shards, Sparse: cfg.Sparse,
-		})
+		cres, err := a.cast.Run(asn, 0, "m", ts, cfg.cast(cogcast.RunConfig{
+			UntilAllInformed: true, MaxSlots: 1_000_000, Observer: &cm,
+		}))
 		if err != nil {
 			return utilResult{}, err
 		}
@@ -292,7 +292,7 @@ func runE22(cfg Config) ([]*Table, error) {
 			if err != nil {
 				return out, err
 			}
-			res, err := a.cast.Run(model, 0, "m", ts, cogcast.RunConfig{UntilAllInformed: true, MaxSlots: 500000, Shards: cfg.Shards, Sparse: cfg.Sparse})
+			res, err := a.cast.Run(model, 0, "m", ts, cfg.cast(cogcast.RunConfig{UntilAllInformed: true, MaxSlots: 500000}))
 			if err != nil {
 				return out, err
 			}

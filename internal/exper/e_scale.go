@@ -93,9 +93,9 @@ func runE28(cfg Config) ([]*Table, error) {
 			switch p.proto {
 			case "COGCAST":
 				budget := 64 * cogcast.SlotBound(p.n, c, k, cogcast.DefaultKappa)
-				res, err := a.cast.Run(asn, 0, "m", ts, cogcast.RunConfig{
-					UntilAllInformed: true, MaxSlots: budget, Trace: cfg.Trace, Shards: cfg.Shards, Sparse: cfg.Sparse,
-				})
+				res, err := a.cast.Run(asn, 0, "m", ts, cfg.cast(cogcast.RunConfig{
+					UntilAllInformed: true, MaxSlots: budget, Trace: cfg.Trace,
+				}))
 				if err != nil {
 					return out, err
 				}

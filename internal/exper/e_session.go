@@ -53,12 +53,12 @@ func runE25(cfg Config) ([]*Table, error) {
 			// use, with incompleteness detection as the safety net). The
 			// probe's FinishSteps alias arena backing, so read them before
 			// the next session run reuses it.
-			probe, err := a.comp.RunRounds(asn, 0, rounds[:1], ts, cogcomp.SessionConfig{Shards: cfg.Shards, Sparse: cfg.Sparse})
+			probe, err := a.comp.RunRounds(asn, 0, rounds[:1], ts, cfg.session(cogcomp.SessionConfig{}))
 			if err != nil {
 				return sessionResult{}, err
 			}
 			tuned := 2*probe.FinishSteps[0] + 8
-			res, err := a.comp.RunRounds(asn, 0, rounds, ts, cogcomp.SessionConfig{RoundSteps: tuned, Shards: cfg.Shards, Sparse: cfg.Sparse})
+			res, err := a.comp.RunRounds(asn, 0, rounds, ts, cfg.session(cogcomp.SessionConfig{RoundSteps: tuned}))
 			if err != nil {
 				return sessionResult{}, err
 			}
@@ -72,7 +72,7 @@ func runE25(cfg Config) ([]*Table, error) {
 
 			total := 0
 			for r := range rounds {
-				single, err := a.comp.Run(asn, 0, rounds[r], rng.Derive(ts, int64(r), 1), cogcomp.Config{Shards: cfg.Shards, Sparse: cfg.Sparse})
+				single, err := a.comp.Run(asn, 0, rounds[r], rng.Derive(ts, int64(r), 1), cfg.comp(cogcomp.Config{}))
 				if err != nil {
 					return sessionResult{}, err
 				}

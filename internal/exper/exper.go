@@ -51,8 +51,9 @@ type Config struct {
 	// Check runs every COGCAST/COGCOMP trial under the invariant oracle
 	// (package invariant): assignment contract, per-slot collision
 	// resolution, distribution tree, census, and aggregate ground truth.
-	// Any violation fails the experiment. Tables are unchanged — the
-	// oracle only observes — at the cost of slower trials.
+	// Every trial config carries it (see Config.cast). Any violation fails
+	// the experiment. Tables are unchanged — the oracle only observes — at
+	// the cost of slower trials.
 	Check bool
 	// Recover routes every COGCOMP trial through the crash-restart
 	// recovery supervisor (package recover) instead of the classic
@@ -79,9 +80,9 @@ type Config struct {
 	// Context, when non-nil, makes the experiment cancellable: the worker
 	// pool stops claiming new trials once it is done (surfacing a
 	// *parallel.CanceledError with the finished-trial count) and every
-	// trial's engine checks it at slot boundaries (surfacing a
-	// *sim.Interrupted mid-trial). An experiment that completes is
-	// byte-identical with or without one.
+	// trial config carries it to the engine, which checks it at slot
+	// boundaries (surfacing a *sim.Interrupted mid-trial). An experiment
+	// that completes is byte-identical with or without one.
 	Context context.Context
 }
 
@@ -107,6 +108,31 @@ func (c Config) workers() int {
 	return parallel.DefaultWorkers()
 }
 
+// cast, comp, recov and session stamp the suite-wide engine settings onto
+// one trial's runner config, the only way Shards, Sparse, Check and Context
+// reach a trial. A trial may turn Sparse on for itself (E29's sparse
+// points); the other three always come from the suite. The recovery
+// supervisor has no Sparse: its fault wrappers void dormancy promises.
+func (c Config) cast(rc cogcast.RunConfig) cogcast.RunConfig {
+	rc.Shards, rc.Sparse, rc.Check, rc.Context = c.Shards, rc.Sparse || c.Sparse, c.Check, c.Context
+	return rc
+}
+
+func (c Config) comp(cc cogcomp.Config) cogcomp.Config {
+	cc.Shards, cc.Sparse, cc.Check, cc.Context = c.Shards, cc.Sparse || c.Sparse, c.Check, c.Context
+	return cc
+}
+
+func (c Config) recov(rc recov.Config) recov.Config {
+	rc.Shards, rc.Check, rc.Context = c.Shards, c.Check, c.Context
+	return rc
+}
+
+func (c Config) session(sc cogcomp.SessionConfig) cogcomp.SessionConfig {
+	sc.Shards, sc.Sparse, sc.Check, sc.Context = c.Shards, sc.Sparse || c.Sparse, c.Check, c.Context
+	return sc
+}
+
 // arena is the per-worker scratch handed to every trial closure: an
 // assignment builder, the protocol arenas, and input scratch, so repeated
 // trials regenerate their setup state in place instead of reallocating it
@@ -129,21 +155,15 @@ type arena struct {
 // to the classic path (TestRecoverByteIdentity pins this across the whole
 // quick suite), so flipping Recover never changes a fault-free table.
 func (a *arena) compRun(cfg Config, asn sim.Assignment, source sim.NodeID, inputs []int64, seed int64, ccfg cogcomp.Config) (*cogcomp.Result, error) {
-	if ccfg.Shards == 0 {
-		ccfg.Shards = cfg.Shards
-	}
-	ccfg.Sparse = ccfg.Sparse || cfg.Sparse
 	if !cfg.Recover {
-		return a.comp.Run(asn, source, inputs, seed, ccfg)
+		return a.comp.Run(asn, source, inputs, seed, cfg.comp(ccfg))
 	}
-	res, err := a.rec.Run(asn, source, inputs, seed, recov.Config{
+	res, err := a.rec.Run(asn, source, inputs, seed, cfg.recov(recov.Config{
 		Kappa:    ccfg.Kappa,
 		Func:     ccfg.Func,
 		MaxSlots: ccfg.MaxSlots,
 		Trace:    ccfg.Trace,
-		Check:    ccfg.Check,
-		Shards:   ccfg.Shards,
-	})
+	}))
 	if err != nil {
 		return nil, err
 	}
@@ -194,26 +214,7 @@ func (a *arena) experInputs(n int, seed int64) []int64 {
 // and share no other mutable state — which is what makes the resulting
 // tables independent of Config.Parallel.
 func forTrials[T any](cfg Config, trials int, fn func(trial int, a *arena) (T, error)) ([]T, error) {
-	return parallel.MapArena(cfg.Context, trials, cfg.workers(), func() *arena {
-		a := new(arena)
-		if cfg.Check {
-			// Arena-level forcing puts every trial of every experiment
-			// under the oracle without threading a flag through each
-			// run-configuration site.
-			a.cast.SetCheck(true)
-			a.comp.SetCheck(true)
-			a.rec.SetCheck(true)
-		}
-		if cfg.Context != nil {
-			// Same trick for cancellation: the arenas hand the context to
-			// every engine they build, so a cancel lands at the next slot
-			// boundary instead of waiting out the current trial.
-			a.cast.SetContext(cfg.Context)
-			a.comp.SetContext(cfg.Context)
-			a.rec.SetContext(cfg.Context)
-		}
-		return a
-	}, fn)
+	return parallel.MapArena(cfg.Context, trials, cfg.workers(), func() *arena { return new(arena) }, fn)
 }
 
 // Table is a rendered experiment result.

@@ -55,6 +55,13 @@ type Tournament struct {
 	// Shards splits each trial's per-slot protocol scan (sim.WithShards).
 	// Results are identical for every value.
 	Shards int
+	// Check runs every trial under the invariant oracle (the runners'
+	// Check field). A violation fails the tournament.
+	Check bool
+	// Context, when non-nil, stops the tournament once it is done: the
+	// trial pool stops claiming trials and every trial's engine checks it
+	// at slot boundaries. A completed tournament is identical either way.
+	Context context.Context
 }
 
 // Duel is one (protocol configuration, adversary strategy) cell of the
@@ -168,7 +175,7 @@ func RunTournament(cfg Tournament) (*TournamentResult, error) {
 			// arm and trial index alone — so every adversary faces the same
 			// baseline draws, overhead comparisons are paired, and an inert
 			// adversary's row is byte-identical to the "none" row.
-			outcomes, err := parallel.MapArena(context.Background(), cfg.Trials, cfg.Workers,
+			outcomes, err := parallel.MapArena(cfg.Context, cfg.Trials, cfg.Workers,
 				func() *tourArena { return new(tourArena) },
 				func(trial int, a *tourArena) (trialOutcome, error) {
 					ts := rng.Derive(cfg.Seed, int64(ai), int64(trial), 0x7031)
@@ -238,7 +245,7 @@ func cogcastTrial(a *tourArena, cfg Tournament, strategy string, ts int64) (tria
 	}
 	var jam jamming.Jammer = jamming.NoJammer{}
 	k := 0
-	rcfg := cogcast.RunConfig{UntilAllInformed: true, Shards: cfg.Shards}
+	rcfg := cogcast.RunConfig{UntilAllInformed: true, Shards: cfg.Shards, Check: cfg.Check, Context: cfg.Context}
 	if drv != nil {
 		jam, k = drv, kJam
 		rcfg.Observer = drv
@@ -286,7 +293,7 @@ func cogcompTrial(a *tourArena, cfg Tournament, strategy string, ts int64, recov
 	}
 
 	if recover {
-		rcfg := recov.Config{Shards: cfg.Shards}
+		rcfg := recov.Config{Shards: cfg.Shards, Check: cfg.Check, Context: cfg.Context}
 		if drv != nil {
 			rcfg.Schedule = drv
 			rcfg.Observer = drv
@@ -308,7 +315,7 @@ func cogcompTrial(a *tourArena, cfg Tournament, strategy string, ts int64, recov
 		return out, nil
 	}
 
-	ccfg := cogcomp.Config{Shards: cfg.Shards}
+	ccfg := cogcomp.Config{Shards: cfg.Shards, Check: cfg.Check, Context: cfg.Context}
 	var wrap func(sim.NodeID, *cogcomp.Node) sim.Protocol
 	if drv != nil {
 		ccfg.Observer = drv

@@ -163,27 +163,15 @@ type Result struct {
 // use. Not safe for concurrent use; parallel trial runners keep one per
 // worker.
 type Arena struct {
-	comp       cogcomp.Arena
-	crashers   []*faults.Crasher
-	pruned     []bool
-	ckpts      []invariant.Checkpoint
-	gen        int
-	forceCheck bool
-	infSlots   []int
-	groups     [][]sim.NodeID
-	scratch    []sim.NodeID
+	comp     cogcomp.Arena
+	crashers []*faults.Crasher
+	pruned   []bool
+	ckpts    []invariant.Checkpoint
+	gen      int
+	infSlots []int
+	groups   [][]sim.NodeID
+	scratch  []sim.NodeID
 }
-
-// SetCheck forces invariant checking for every subsequent Run on this
-// arena, regardless of Config.Check.
-func (a *Arena) SetCheck(on bool) {
-	a.forceCheck = on
-	a.comp.SetCheck(on)
-}
-
-// SetContext attaches a context to every subsequent Run on this arena that
-// does not carry its own Config.Context (see cogcast.Arena.SetContext).
-func (a *Arena) SetContext(ctx context.Context) { a.comp.SetContext(ctx) }
 
 // run is the per-execution supervisor state.
 type run struct {
@@ -877,7 +865,7 @@ func (r *run) finish() (*Result, error) {
 	}
 	r.emit(trace.CensusEvent(total, informed, res.Mediators))
 
-	if r.cfg.Check || r.a.forceCheck {
+	if r.cfg.Check {
 		if err := r.check(res, informed); err != nil {
 			return nil, err
 		}

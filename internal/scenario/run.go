@@ -152,12 +152,8 @@ func (sc *Scenario) ExecuteContext(ctx context.Context, out io.Writer) (*Outcome
 	oc := &Outcome{Nodes: net.Nodes()}
 	switch sc.Protocol.Name {
 	case "cogcast":
-		opts := crn.BroadcastOptions{
-			Source: crn.NodeID(sc.Protocol.Source), Payload: sc.Protocol.Payload, Seed: sc.Seed,
-			RunToCompletion: true, MaxSlots: budget, Trajectory: sc.Protocol.Curve,
-			Check: sc.Engine.Check, Shards: sc.Engine.Shards, Sparse: sc.Engine.Sparse,
-			Context: ctx,
-		}
+		opts := sc.broadcastOptions(ctx, sc.Seed, budget)
+		opts.Trajectory = sc.Protocol.Curve
 		if traceW != nil {
 			opts.Trace = traceW
 			opts.CollectMetrics = true
@@ -187,23 +183,7 @@ func (sc *Scenario) ExecuteContext(ctx context.Context, out io.Writer) (*Outcome
 		for i := range inputs {
 			inputs[i] = int64(i)
 		}
-		opts := crn.AggregateOptions{
-			Source: crn.NodeID(sc.Protocol.Source), Func: sc.Protocol.Aggregate, Seed: sc.Seed,
-			MaxSlots: sc.capSlots(sc.Protocol.MaxSlots),
-			Check:    sc.Engine.Check, Recover: sc.Recovery.Enabled, OutageRate: sc.Recovery.OutageRate,
-			Shards: sc.Engine.Shards, Sparse: sc.Engine.Sparse,
-			Context: ctx,
-		}
-		if sc.Recovery.Enabled {
-			opts.OutageDuration = sc.Recovery.OutageDuration
-			opts.MaxRetries = sc.Recovery.MaxRetries
-			opts.Faults = sc.faultSpecs()
-		}
-		if sc.Adversary.Strategy != "" {
-			opts.Adversary = sc.Adversary.Strategy
-			opts.AdversaryEnergy = sc.Adversary.Energy
-			opts.AdversaryPerSlot = sc.Adversary.PerSlot
-		}
+		opts := sc.aggregateOptions(ctx, sc.Seed)
 		if traceW != nil {
 			opts.Trace = traceW
 		}
@@ -240,11 +220,7 @@ func (sc *Scenario) ExecuteContext(ctx context.Context, out io.Writer) (*Outcome
 				roundInputs[r][i] = int64(r*1000 + i)
 			}
 		}
-		res, err := net.AggregateRounds(roundInputs, crn.AggregateOptions{
-			Source: crn.NodeID(sc.Protocol.Source), Func: sc.Protocol.Aggregate, Seed: sc.Seed,
-			Check: sc.Engine.Check, Shards: sc.Engine.Shards, Sparse: sc.Engine.Sparse,
-			Context: ctx,
-		})
+		res, err := net.AggregateRounds(roundInputs, sc.aggregateOptions(ctx, sc.Seed))
 		if err != nil {
 			return nil, err
 		}
@@ -295,6 +271,42 @@ func (sc *Scenario) ExecuteContext(ctx context.Context, out io.Writer) (*Outcome
 	return oc, nil
 }
 
+// broadcastOptions builds a cogcast run's options from the scenario, for
+// the single run and every -repeat repetition alike.
+func (sc *Scenario) broadcastOptions(ctx context.Context, seed int64, budget int) crn.BroadcastOptions {
+	return crn.BroadcastOptions{
+		Source: crn.NodeID(sc.Protocol.Source), Payload: sc.Protocol.Payload, Seed: seed,
+		RunToCompletion: true, MaxSlots: budget,
+		Check: sc.Engine.Check, Shards: sc.Engine.Shards, Sparse: sc.Engine.Sparse,
+		Context: ctx,
+	}
+}
+
+// aggregateOptions builds a cogcomp or session run's options from the
+// scenario, for the single run and every -repeat repetition alike.
+// Sessions ignore the slot budget, recovery and adversary settings, which
+// Validate admits only for cogcomp; fault events never meet -repeat.
+func (sc *Scenario) aggregateOptions(ctx context.Context, seed int64) crn.AggregateOptions {
+	opts := crn.AggregateOptions{
+		Source: crn.NodeID(sc.Protocol.Source), Func: sc.Protocol.Aggregate, Seed: seed,
+		MaxSlots: sc.capSlots(sc.Protocol.MaxSlots),
+		Check:    sc.Engine.Check, Recover: sc.Recovery.Enabled, OutageRate: sc.Recovery.OutageRate,
+		Shards: sc.Engine.Shards, Sparse: sc.Engine.Sparse,
+		Context: ctx,
+	}
+	if sc.Recovery.Enabled {
+		opts.OutageDuration = sc.Recovery.OutageDuration
+		opts.MaxRetries = sc.Recovery.MaxRetries
+		opts.Faults = sc.faultSpecs()
+	}
+	if sc.Adversary.Strategy != "" {
+		opts.Adversary = sc.Adversary.Strategy
+		opts.AdversaryEnergy = sc.Adversary.Energy
+		opts.AdversaryPerSlot = sc.Adversary.PerSlot
+	}
+	return opts
+}
+
 // runRepeated executes Engine.Repeat independent seeded repetitions of
 // cogcast or cogcomp across a bounded worker pool, prints one line per
 // repetition (index, derived seed, slots) and a slot-count summary. Every
@@ -306,12 +318,7 @@ func (sc *Scenario) runRepeated(ctx context.Context, out io.Writer, budget int) 
 	switch sc.Protocol.Name {
 	case "cogcast":
 		fn = func(trialSeed int64, net *crn.Network) (float64, error) {
-			res, err := net.Broadcast(crn.BroadcastOptions{
-				Source: crn.NodeID(sc.Protocol.Source), Payload: sc.Protocol.Payload, Seed: trialSeed,
-				RunToCompletion: true, MaxSlots: budget, Check: sc.Engine.Check,
-				Shards: sc.Engine.Shards, Sparse: sc.Engine.Sparse,
-				Context: ctx,
-			})
+			res, err := net.Broadcast(sc.broadcastOptions(ctx, trialSeed, budget))
 			if err != nil {
 				return 0, err
 			}
@@ -326,23 +333,7 @@ func (sc *Scenario) runRepeated(ctx context.Context, out io.Writer, budget int) 
 			for i := range inputs {
 				inputs[i] = int64(i)
 			}
-			opts := crn.AggregateOptions{
-				Source: crn.NodeID(sc.Protocol.Source), Func: sc.Protocol.Aggregate, Seed: trialSeed,
-				MaxSlots: sc.capSlots(sc.Protocol.MaxSlots),
-				Check:    sc.Engine.Check, Recover: sc.Recovery.Enabled, OutageRate: sc.Recovery.OutageRate,
-				Shards: sc.Engine.Shards, Sparse: sc.Engine.Sparse,
-				Context: ctx,
-			}
-			if sc.Recovery.Enabled {
-				opts.OutageDuration = sc.Recovery.OutageDuration
-				opts.MaxRetries = sc.Recovery.MaxRetries
-			}
-			if sc.Adversary.Strategy != "" {
-				opts.Adversary = sc.Adversary.Strategy
-				opts.AdversaryEnergy = sc.Adversary.Energy
-				opts.AdversaryPerSlot = sc.Adversary.PerSlot
-			}
-			res, err := net.Aggregate(inputs, opts)
+			res, err := net.Aggregate(inputs, sc.aggregateOptions(ctx, trialSeed))
 			if err != nil {
 				return 0, err
 			}
