@@ -110,11 +110,11 @@ func (c Config) workers() int {
 
 // cast, comp, recov and session stamp the suite-wide engine settings onto
 // one trial's runner config, the only way Shards, Sparse, Check and Context
-// reach a trial. A trial may turn Sparse on for itself (E29's sparse
-// points); the other three always come from the suite. The recovery
-// supervisor has no Sparse: its fault wrappers void dormancy promises.
+// reach a trial. comp alone keeps a trial's own Sparse, for E29's sparse
+// points. The recovery supervisor has no Sparse: its fault wrappers void
+// dormancy promises.
 func (c Config) cast(rc cogcast.RunConfig) cogcast.RunConfig {
-	rc.Shards, rc.Sparse, rc.Check, rc.Context = c.Shards, rc.Sparse || c.Sparse, c.Check, c.Context
+	rc.Shards, rc.Sparse, rc.Check, rc.Context = c.Shards, c.Sparse, c.Check, c.Context
 	return rc
 }
 
@@ -129,7 +129,7 @@ func (c Config) recov(rc recov.Config) recov.Config {
 }
 
 func (c Config) session(sc cogcomp.SessionConfig) cogcomp.SessionConfig {
-	sc.Shards, sc.Sparse, sc.Check, sc.Context = c.Shards, sc.Sparse || c.Sparse, c.Check, c.Context
+	sc.Shards, sc.Sparse, sc.Check, sc.Context = c.Shards, c.Sparse, c.Check, c.Context
 	return sc
 }
 

@@ -55,8 +55,12 @@ type Tournament struct {
 	// Shards splits each trial's per-slot protocol scan (sim.WithShards).
 	// Results are identical for every value.
 	Shards int
-	// Check runs every trial under the invariant oracle (the runners'
-	// Check field). A violation fails the tournament.
+	// Check runs trials under the invariant oracle (the runners' Check
+	// field): every COGCAST and supervised COGCOMP trial, and the classic
+	// COGCOMP arm's unattacked baseline. Attacked classic trials run
+	// without it, as E20's faulted runs do: a wrong aggregate or a broken
+	// tree is the degraded outcome that arm measures, not a violation. A
+	// violation fails the tournament.
 	Check bool
 	// Context, when non-nil, stops the tournament once it is done: the
 	// trial pool stops claiming trials and every trial's engine checks it
@@ -315,7 +319,9 @@ func cogcompTrial(a *tourArena, cfg Tournament, strategy string, ts int64, recov
 		return out, nil
 	}
 
-	ccfg := cogcomp.Config{Shards: cfg.Shards, Check: cfg.Check, Context: cfg.Context}
+	// Attacked classic runs go unchecked: the oracle would report this
+	// arm's degraded outcome as a violation (see Tournament.Check).
+	ccfg := cogcomp.Config{Shards: cfg.Shards, Check: cfg.Check && drv == nil, Context: cfg.Context}
 	var wrap func(sim.NodeID, *cogcomp.Node) sim.Protocol
 	if drv != nil {
 		ccfg.Observer = drv

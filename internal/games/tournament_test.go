@@ -102,3 +102,32 @@ func TestTournamentZeroEnergy(t *testing.T) {
 		}
 	}
 }
+
+// TestTournamentCheckKeepsTables pins that Check observes without
+// steering: the checked tournament returns the unchecked tables, including
+// the classic COGCOMP arm's attacked rows, which stall or degrade by
+// design and so run without the oracle.
+func TestTournamentCheckKeepsTables(t *testing.T) {
+	base := quickTournament()
+	base.Nodes, base.Budget = 24, adversary.Budget{PerSlot: 3, Total: 160}
+	ref, err := RunTournament(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	failed := 0
+	for _, d := range ref.ByConfig(ArmCogcompBare)[1:] {
+		failed += d.Degraded + d.Stalled
+	}
+	if failed == 0 {
+		t.Fatal("no attacked classic COGCOMP trial failed; the config no longer exercises the unchecked path")
+	}
+	checked := base
+	checked.Check = true
+	got, err := RunTournament(checked)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, ref) {
+		t.Errorf("checked tables diverge\n got %+v\nwant %+v", got, ref)
+	}
+}
