@@ -99,6 +99,7 @@ fuzz:
 	$(GO) test -run NONE -fuzz FuzzEngineSlot -fuzztime $(FUZZTIME) ./internal/sim
 	$(GO) test -run NONE -fuzz FuzzRecovery -fuzztime $(FUZZTIME) ./internal/recover
 	$(GO) test -run NONE -fuzz FuzzJammer -fuzztime $(FUZZTIME) ./internal/jamming
+	$(GO) test -run NONE -fuzz FuzzTraceReader -fuzztime $(FUZZTIME) ./internal/trace
 
 # Coverage gate: aggregate statement coverage across all packages must stay
 # above the threshold (see TESTING.md). Writes cover.out for inspection

@@ -870,9 +870,6 @@ func (nw *Network) Aggregate(inputs []int64, opts AggregateOptions) (*AggregateR
 	if opts.Adversary != "" && !opts.Recover {
 		return nil, errors.New("crn: Adversary needs Recover (the classic runner has no fault injection)")
 	}
-	if opts.Recover {
-		return nw.aggregateRecovered(ctx, inputs, opts, f, sink)
-	}
 	cfg := cogcomp.Config{
 		Kappa:    opts.Kappa,
 		MaxSlots: opts.MaxSlots,
@@ -885,7 +882,19 @@ func (nw *Network) Aggregate(inputs []int64, opts AggregateOptions) (*AggregateR
 	if sink != nil {
 		cfg.Trace = sink
 	}
-	res, err := cogcomp.Run(nw.asn, sim.NodeID(opts.Source), inputs, opts.Seed, cfg)
+	var (
+		res *cogcomp.Result
+		rec *recov.Result
+		drv *adversary.Driver
+	)
+	if opts.Recover {
+		rec, drv, err = nw.aggregateRecovered(inputs, opts, cfg, sink)
+		if rec != nil {
+			res = &rec.Result
+		}
+	} else {
+		res, err = cogcomp.Run(nw.asn, sim.NodeID(opts.Source), inputs, opts.Seed, cfg)
+	}
 	if err != nil {
 		return nil, finishInterrupted(sink, err)
 	}
@@ -908,24 +917,28 @@ func (nw *Network) Aggregate(inputs []int64, opts AggregateOptions) (*AggregateR
 	for i, p := range res.Parents {
 		out.Parents[i] = NodeID(p)
 	}
+	if rec != nil {
+		out.Degraded, out.Stalled = rec.Degraded, rec.Stalled
+		out.Retries, out.Reelections, out.Restarts = rec.Retries, rec.Reelections, rec.Restarts
+		if rec.Contributors != nil {
+			out.Contributors = make([]NodeID, len(rec.Contributors))
+			for i, id := range rec.Contributors {
+				out.Contributors[i] = NodeID(id)
+			}
+		}
+	}
+	if drv != nil {
+		out.Adversary = advReport(drv)
+	}
 	return out, nil
 }
 
-// aggregateRecovered runs the recovery supervisor for Aggregate, with
-// optional injected outages.
-func (nw *Network) aggregateRecovered(ctx context.Context, inputs []int64, opts AggregateOptions, f aggfunc.Func, sink *trace.JSONL) (*AggregateResult, error) {
-	cfg := recov.Config{
-		Kappa:      opts.Kappa,
-		MaxSlots:   opts.MaxSlots,
-		Func:       f,
-		MaxRetries: opts.MaxRetries,
-		Check:      opts.Check,
-		Shards:     opts.Shards,
-		Context:    ctx,
-	}
-	if sink != nil {
-		cfg.Trace = sink
-	}
+// aggregateRecovered runs the recovery supervisor for Aggregate over the
+// COGCOMP settings ccfg, with optional injected outages and a crash
+// adversary. It returns the adversary's driver when one was built, so its
+// ledger can be reported.
+func (nw *Network) aggregateRecovered(inputs []int64, opts AggregateOptions, ccfg cogcomp.Config, sink *trace.JSONL) (*recov.Result, *adversary.Driver, error) {
+	cfg := recov.Config{Config: ccfg, MaxRetries: opts.MaxRetries}
 	var parts []faults.Schedule
 	if opts.OutageRate > 0 {
 		duration := opts.OutageDuration
@@ -934,14 +947,14 @@ func (nw *Network) aggregateRecovered(ctx context.Context, inputs []int64, opts 
 		}
 		schedule, err := faults.NewRandomOutages(opts.OutageRate, duration, opts.Seed, sim.NodeID(opts.Source))
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		parts = append(parts, schedule)
 	}
 	for _, f := range opts.Faults {
 		s, err := f.schedule(opts.Seed, opts.Source)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		parts = append(parts, s)
 	}
@@ -949,10 +962,10 @@ func (nw *Network) aggregateRecovered(ctx context.Context, inputs []int64, opts 
 	if opts.Adversary != "" {
 		strat, err := adversary.New(opts.Adversary)
 		if err != nil {
-			return nil, fmt.Errorf("crn: %w", err)
+			return nil, nil, fmt.Errorf("crn: %w", err)
 		}
 		if opts.Adversary != "none" && !adversary.CanCrash(opts.Adversary) {
-			return nil, fmt.Errorf("crn: adversary %q cannot crash nodes; recovered runs take none, hunter, crasher or oblivious", opts.Adversary)
+			return nil, nil, fmt.Errorf("crn: adversary %q cannot crash nodes; recovered runs take none, hunter, crasher or oblivious", opts.Adversary)
 		}
 		perSlot := opts.AdversaryPerSlot
 		if perSlot == 0 && opts.AdversaryEnergy > 0 {
@@ -961,7 +974,7 @@ func (nw *Network) aggregateRecovered(ctx context.Context, inputs []int64, opts 
 		budget := adversary.Budget{PerSlot: perSlot, Total: opts.AdversaryEnergy}
 		drv, err = adversary.NewDriver(strat, nw.Nodes(), nw.TotalChannels(), budget, opts.Seed)
 		if err != nil {
-			return nil, fmt.Errorf("crn: %w", err)
+			return nil, nil, fmt.Errorf("crn: %w", err)
 		}
 		drv.EnableCrash(sim.NodeID(opts.Source))
 		if drv.Active() {
@@ -979,48 +992,12 @@ func (nw *Network) aggregateRecovered(ctx context.Context, inputs []int64, opts 
 	if len(parts) > 0 {
 		schedule, err := faults.Compose(parts...)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		cfg.Schedule = schedule
 	}
 	res, err := recov.Run(nw.asn, sim.NodeID(opts.Source), inputs, opts.Seed, cfg)
-	if err != nil {
-		return nil, finishInterrupted(sink, err)
-	}
-	if sink != nil {
-		sink.Finish()
-		if terr := sink.Err(); terr != nil {
-			return nil, terr
-		}
-	}
-	out := &AggregateResult{
-		Value:          exportValue(res.Value),
-		Slots:          res.TotalSlots,
-		Phase1Slots:    res.Phase1Slots,
-		Phase2Slots:    res.Phase2Slots,
-		Phase3Slots:    res.Phase3Slots,
-		Phase4Slots:    res.Phase4Slots,
-		Parents:        make([]NodeID, len(res.Parents)),
-		MaxMessageSize: res.MaxMessageSize,
-		Degraded:       res.Degraded,
-		Stalled:        res.Stalled,
-		Retries:        res.Retries,
-		Reelections:    res.Reelections,
-		Restarts:       res.Restarts,
-	}
-	for i, p := range res.Parents {
-		out.Parents[i] = NodeID(p)
-	}
-	if res.Contributors != nil {
-		out.Contributors = make([]NodeID, len(res.Contributors))
-		for i, id := range res.Contributors {
-			out.Contributors[i] = NodeID(id)
-		}
-	}
-	if drv != nil {
-		out.Adversary = advReport(drv)
-	}
-	return out, nil
+	return res, drv, err
 }
 
 // exportValue converts internal aggregate values to public types.
@@ -1053,10 +1030,26 @@ type SessionResult struct {
 // tree and coordination structures are built once, then each round of
 // inputs (rounds[r][v] = node v's datum in round r) is converged over the
 // same tree. This amortizes the Θ((c/k)·lg n + n) setup across the paper's
-// periodic-snapshot use case. The network must be static.
+// periodic-snapshot use case. The network must be static. Sessions run
+// untraced and unsupervised: setting Trace, Recover, OutageRate, Faults or
+// Adversary is an error.
 func (nw *Network) AggregateRounds(rounds [][]int64, opts AggregateOptions) (*SessionResult, error) {
 	if nw.dynamic {
 		return nil, errors.New("crn: AggregateRounds requires a static network")
+	}
+	for _, o := range []struct {
+		name string
+		set  bool
+	}{
+		{"Trace", opts.Trace != nil},
+		{"Recover", opts.Recover},
+		{"OutageRate", opts.OutageRate != 0},
+		{"Faults", len(opts.Faults) > 0},
+		{"Adversary", opts.Adversary != ""},
+	} {
+		if o.set {
+			return nil, fmt.Errorf("crn: AggregateRounds does not support %s (sessions run untraced and unsupervised)", o.name)
+		}
 	}
 	name := opts.Func
 	if name == "" {

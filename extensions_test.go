@@ -1,6 +1,8 @@
 package crn_test
 
 import (
+	"io"
+	"strings"
 	"testing"
 
 	crn "github.com/cogradio/crn"
@@ -168,5 +170,21 @@ func TestAggregateRoundsValidation(t *testing.T) {
 	rounds := [][]int64{make([]int64, dnet.Nodes())}
 	if _, err := dnet.AggregateRounds(rounds, crn.AggregateOptions{}); err == nil {
 		t.Error("dynamic network accepted")
+	}
+	// Sessions run untraced and unsupervised: the options only those
+	// paths honour are rejected rather than silently ignored.
+	rounds = [][]int64{make([]int64, net.Nodes())}
+	for name, opts := range map[string]crn.AggregateOptions{
+		"Trace":      {Trace: io.Discard},
+		"Recover":    {Recover: true},
+		"OutageRate": {OutageRate: 0.01},
+		"Faults":     {Faults: []crn.FaultSpec{{Kind: "random", Rate: 0.01}}},
+		"Adversary":  {Adversary: "crasher"},
+	} {
+		if _, err := net.AggregateRounds(rounds, opts); err == nil {
+			t.Errorf("%s accepted", name)
+		} else if !strings.Contains(err.Error(), name) {
+			t.Errorf("%s: error %q does not name the option", name, err)
+		}
 	}
 }

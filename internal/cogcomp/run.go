@@ -107,10 +107,6 @@ type Arena struct {
 	infSlots []int
 }
 
-// Checker returns the arena's invariant checker, non-nil once a checked
-// run has happened.
-func (a *Arena) Checker() *invariant.Checker { return a.checker }
-
 // build (re)initializes n nodes and the engine for one execution. wrap,
 // when non-nil, maps each node to the protocol the engine drives (e.g. a
 // fault-injection wrapper); nil drives the nodes directly.
@@ -223,48 +219,24 @@ func (a *Arena) RunWith(asn sim.Assignment, source sim.NodeID, inputs []int64, s
 	}
 
 	res := &Result{
-		Value:       nodes[source].Aggregate(),
 		TotalSlots:  total,
 		Phase1Slots: l,
 		Phase2Slots: n,
 		Phase3Slots: l,
 		Phase4Slots: total - (2*l + n),
-		Parents:     make([]sim.NodeID, n),
 	}
 	if res.Phase4Slots < 0 {
 		// Tiny networks can finish before the nominal phase boundaries.
 		res.Phase4Slots = 0
 	}
-	informed := 0
-	for i, nd := range nodes {
-		if nd.Informed() {
-			informed++
-		}
-		res.Parents[i] = nd.Parent()
-		if nd.MaxMessageSize() > res.MaxMessageSize {
-			res.MaxMessageSize = nd.MaxMessageSize()
-		}
-		if nd.IsMediator() {
-			res.Mediators++
-		}
-	}
-	res.InformedAfterPhase1 = informed
+	a.Tally(res, source)
+	informed := res.InformedAfterPhase1
 	res.Complete = informed == n
 	if cfg.Trace != nil {
 		cfg.Trace.Emit(trace.CensusEvent(total, informed, res.Mediators))
 	}
 	if cfg.Check {
-		if err := a.checker.Err(); err != nil {
-			return nil, fmt.Errorf("cogcomp: slot oracle (%d violations): %w", a.checker.Violations(), err)
-		}
-		if cap(a.infSlots) < n {
-			a.infSlots = make([]int, n)
-		}
-		a.infSlots = a.infSlots[:n]
-		for i, nd := range nodes {
-			a.infSlots[i] = nd.InformedSlot()
-		}
-		if err := invariant.CheckBroadcastTree(n, source, res.Parents, a.infSlots, res.Complete); err != nil {
+		if err := a.CheckRun(res, source); err != nil {
 			return nil, fmt.Errorf("cogcomp: %w", err)
 		}
 		if err := invariant.CheckCensus(n, asn.Channels(), informed, res.Mediators, res.Complete); err != nil {
@@ -281,6 +253,49 @@ func (a *Arena) RunWith(asn sim.Assignment, source sim.NodeID, inputs []int64, s
 		return res, ErrIncomplete
 	}
 	return res, nil
+}
+
+// Tally fills res's per-node fields from the arena's nodes after a run: the
+// source's aggregate, the distribution tree, the largest phase-four
+// message, the mediator count and, in InformedAfterPhase1, the informed
+// count. The classic runner and the recovery supervisor both assemble
+// their results through it; each sets the phase accounting and Complete
+// itself.
+func (a *Arena) Tally(res *Result, source sim.NodeID) {
+	res.Value = a.nodes[source].Aggregate()
+	res.Parents = make([]sim.NodeID, len(a.nodes))
+	for i, nd := range a.nodes {
+		if nd.Informed() {
+			res.InformedAfterPhase1++
+		}
+		res.Parents[i] = nd.Parent()
+		if nd.MaxMessageSize() > res.MaxMessageSize {
+			res.MaxMessageSize = nd.MaxMessageSize()
+		}
+		if nd.IsMediator() {
+			res.Mediators++
+		}
+	}
+}
+
+// CheckRun runs the oracle verdicts the classic runner and the recovery
+// supervisor share after a checked run, in order: the slot checker's first
+// violation, then the distribution tree in res (filled by Tally) against
+// every node's informed slot, complete when every node was informed. The
+// error carries no package prefix; callers add their own.
+func (a *Arena) CheckRun(res *Result, source sim.NodeID) error {
+	if err := a.checker.Err(); err != nil {
+		return fmt.Errorf("slot oracle (%d violations): %w", a.checker.Violations(), err)
+	}
+	n := len(a.nodes)
+	if cap(a.infSlots) < n {
+		a.infSlots = make([]int, n)
+	}
+	a.infSlots = a.infSlots[:n]
+	for i, nd := range a.nodes {
+		a.infSlots[i] = nd.InformedSlot()
+	}
+	return invariant.CheckBroadcastTree(n, source, res.Parents, a.infSlots, res.InformedAfterPhase1 == n)
 }
 
 // Run executes COGCOMP over the assignment and returns the source's

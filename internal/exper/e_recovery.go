@@ -80,10 +80,10 @@ func runE26(cfg Config) ([]*Table, error) {
 			if rate > 0 {
 				sched = schedule
 			}
-			res, err := a.rec.Run(asn, 0, inputs, ts, cfg.recov(recov.Config{
+			res, err := a.rec.Run(asn, 0, inputs, ts, recov.Config{
+				Config:   cfg.comp(cogcomp.Config{Trace: cfg.Trace}),
 				Schedule: sched,
-				Trace:    cfg.Trace,
-			}))
+			})
 			if err != nil {
 				return out, err
 			}
@@ -214,7 +214,7 @@ func runE27(cfg Config) ([]*Table, error) {
 			// below reuses the same arena nodes, so copy what we compare.
 			cc := *classic
 			cc.Parents = append([]sim.NodeID(nil), classic.Parents...)
-			sup, err := a.rec.Run(asn, 0, inputs, ts, cfg.recov(recov.Config{}))
+			sup, err := a.rec.Run(asn, 0, inputs, ts, recov.Config{Config: cfg.comp(cogcomp.Config{})})
 			if err != nil {
 				return pairResult{}, err
 			}
@@ -222,16 +222,7 @@ func runE27(cfg Config) ([]*Table, error) {
 				return pairResult{}, fmt.Errorf("exper: E27 fault-free run reports recovery activity: %d retries, %d re-elections, %d restarts",
 					sup.Retries, sup.Reelections, sup.Restarts)
 			}
-			identical := cc.Value == sup.Value &&
-				cc.TotalSlots == sup.TotalSlots &&
-				cc.Phase1Slots == sup.Phase1Slots &&
-				cc.Phase2Slots == sup.Phase2Slots &&
-				cc.Phase3Slots == sup.Phase3Slots &&
-				cc.Phase4Slots == sup.Phase4Slots &&
-				cc.MaxMessageSize == sup.MaxMessageSize &&
-				cc.Mediators == sup.Mediators &&
-				reflect.DeepEqual(cc.Parents, sup.Parents)
-			if !identical {
+			if !reflect.DeepEqual(cc, sup.Result) {
 				return pairResult{}, fmt.Errorf("exper: E27 supervised run diverged from classic at n=%d c=%d k=%d trial %d",
 					p.n, p.c, p.k, trial)
 			}

@@ -108,11 +108,11 @@ func (c Config) workers() int {
 	return parallel.DefaultWorkers()
 }
 
-// cast, comp, recov and session stamp the suite-wide engine settings onto
-// one trial's runner config, the only way Shards, Sparse, Check and Context
+// cast, comp and session stamp the suite-wide engine settings onto one
+// trial's runner config, the only way Shards, Sparse, Check and Context
 // reach a trial. comp alone keeps a trial's own Sparse, for E29's sparse
-// points. The recovery supervisor has no Sparse: its fault wrappers void
-// dormancy promises.
+// points; it also stamps the COGCOMP config the recovery supervisor
+// embeds, which ignores Sparse.
 func (c Config) cast(rc cogcast.RunConfig) cogcast.RunConfig {
 	rc.Shards, rc.Sparse, rc.Check, rc.Context = c.Shards, c.Sparse, c.Check, c.Context
 	return rc
@@ -121,11 +121,6 @@ func (c Config) cast(rc cogcast.RunConfig) cogcast.RunConfig {
 func (c Config) comp(cc cogcomp.Config) cogcomp.Config {
 	cc.Shards, cc.Sparse, cc.Check, cc.Context = c.Shards, cc.Sparse || c.Sparse, c.Check, c.Context
 	return cc
-}
-
-func (c Config) recov(rc recov.Config) recov.Config {
-	rc.Shards, rc.Check, rc.Context = c.Shards, c.Check, c.Context
-	return rc
 }
 
 func (c Config) session(sc cogcomp.SessionConfig) cogcomp.SessionConfig {
@@ -155,34 +150,18 @@ type arena struct {
 // to the classic path (TestRecoverByteIdentity pins this across the whole
 // quick suite), so flipping Recover never changes a fault-free table.
 func (a *arena) compRun(cfg Config, asn sim.Assignment, source sim.NodeID, inputs []int64, seed int64, ccfg cogcomp.Config) (*cogcomp.Result, error) {
+	ccfg = cfg.comp(ccfg)
 	if !cfg.Recover {
-		return a.comp.Run(asn, source, inputs, seed, cfg.comp(ccfg))
+		return a.comp.Run(asn, source, inputs, seed, ccfg)
 	}
-	res, err := a.rec.Run(asn, source, inputs, seed, cfg.recov(recov.Config{
-		Kappa:    ccfg.Kappa,
-		Func:     ccfg.Func,
-		MaxSlots: ccfg.MaxSlots,
-		Trace:    ccfg.Trace,
-	}))
+	res, err := a.rec.Run(asn, source, inputs, seed, recov.Config{Config: ccfg})
 	if err != nil {
 		return nil, err
 	}
 	if !res.Complete {
 		return nil, cogcomp.ErrIncomplete
 	}
-	return &cogcomp.Result{
-		Value:               res.Value,
-		Complete:            res.Complete,
-		TotalSlots:          res.TotalSlots,
-		Phase1Slots:         res.Phase1Slots,
-		Phase2Slots:         res.Phase2Slots,
-		Phase3Slots:         res.Phase3Slots,
-		Phase4Slots:         res.Phase4Slots,
-		InformedAfterPhase1: res.InformedAfterPhase1,
-		Parents:             res.Parents,
-		MaxMessageSize:      res.MaxMessageSize,
-		Mediators:           res.Mediators,
-	}, nil
+	return &res.Result, nil
 }
 
 // experInputs fills the arena's input scratch with the standard experiment

@@ -296,11 +296,14 @@ func cogcompTrial(a *tourArena, cfg Tournament, strategy string, ts int64, recov
 		want += a.inputs[i]
 	}
 
+	ccfg := cogcomp.Config{Shards: cfg.Shards, Check: cfg.Check, Context: cfg.Context}
+	if drv != nil {
+		ccfg.Observer = drv
+	}
 	if recover {
-		rcfg := recov.Config{Shards: cfg.Shards, Check: cfg.Check, Context: cfg.Context}
+		rcfg := recov.Config{Config: ccfg}
 		if drv != nil {
 			rcfg.Schedule = drv
-			rcfg.Observer = drv
 		}
 		res, err := a.rec.Run(asn, 0, a.inputs, ts, rcfg)
 		if err != nil {
@@ -321,10 +324,9 @@ func cogcompTrial(a *tourArena, cfg Tournament, strategy string, ts int64, recov
 
 	// Attacked classic runs go unchecked: the oracle would report this
 	// arm's degraded outcome as a violation (see Tournament.Check).
-	ccfg := cogcomp.Config{Shards: cfg.Shards, Check: cfg.Check && drv == nil, Context: cfg.Context}
 	var wrap func(sim.NodeID, *cogcomp.Node) sim.Protocol
 	if drv != nil {
-		ccfg.Observer = drv
+		ccfg.Check = false
 		wrap = func(id sim.NodeID, nd *cogcomp.Node) sim.Protocol {
 			return faults.Wrap(nd, id, drv, faults.WithRestart())
 		}

@@ -25,23 +25,33 @@ type Collector struct {
 
 var _ sim.Observer = (*Collector)(nil)
 
-// OnSlot implements sim.Observer.
+// OnSlot implements sim.Observer: it counts the slot and folds every
+// outcome in through AddChannel.
 func (c *Collector) OnSlot(_ int, outcomes []sim.ChannelOutcome) {
-	c.slots++
+	c.AddSlot()
 	for _, oc := range outcomes {
-		b := len(oc.Broadcasters)
-		l := len(oc.Listeners)
-		c.broadcasts += int64(b)
-		if b == 0 {
-			c.wastedListens += int64(l)
-			continue
-		}
-		c.busyChannels++
-		if b > 1 {
-			c.collided++
-		}
-		c.deliveries += int64(l)
+		c.AddChannel(len(oc.Broadcasters), len(oc.Listeners))
 	}
+}
+
+// AddSlot counts one observed slot.
+func (c *Collector) AddSlot() { c.slots++ }
+
+// AddChannel folds one active channel's outcome, given as its broadcaster
+// and listener counts, into the statistics. Replays of recorded runs
+// (trace.Summarize) call AddSlot and AddChannel directly, so they need no
+// node lists.
+func (c *Collector) AddChannel(broadcasters, listeners int) {
+	c.broadcasts += int64(broadcasters)
+	if broadcasters == 0 {
+		c.wastedListens += int64(listeners)
+		return
+	}
+	c.busyChannels++
+	if broadcasters > 1 {
+		c.collided++
+	}
+	c.deliveries += int64(listeners)
 }
 
 // Metrics is a finished summary of a run.

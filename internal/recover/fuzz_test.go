@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/cogradio/crn/internal/assign"
+	"github.com/cogradio/crn/internal/cogcomp"
 	"github.com/cogradio/crn/internal/faults"
 	recov "github.com/cogradio/crn/internal/recover"
 	"github.com/cogradio/crn/internal/sim"
@@ -64,8 +65,8 @@ func FuzzRecovery(f *testing.F) {
 			in[i] = int64(i + 1)
 		}
 		res, err := rec.Run(asn, 0, in, seed, recov.Config{
+			Config:     cogcomp.Config{Check: true},
 			Schedule:   sched,
-			Check:      true,
 			MaxRetries: 3,
 		})
 		if err != nil {

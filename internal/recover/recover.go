@@ -42,7 +42,6 @@
 package recover
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
@@ -68,16 +67,31 @@ const (
 
 // Config configures a recovered COGCOMP run. The zero value computes a sum
 // fault-free with default budgets.
+//
+// The embedded cogcomp.Config carries the COGCOMP settings, which the
+// supervisor hands to cogcomp.Arena.Prepare with these differences:
+//
+//   - MaxSlots bounds the whole execution including retries. Zero picks a
+//     budget covering the full retry schedule: every epoch re-executed to
+//     cogcomp.DefaultMaxSlots, plus the capped backoff gaps. Exhausting it
+//     does not fail the run: the supervisor gives up and reports Stalled.
+//   - Sparse is ignored: the supervisor always steps densely, because its
+//     crash wrappers void dormancy promises.
+//   - Shards is forced to 1 when Schedule and Trace are both set: crashers
+//     emit fault and restart events from inside Step, and a sharded scan
+//     would interleave them nondeterministically in the trace.
+//   - Trace additionally receives the recovery event stream: epoch starts,
+//     per-node checkpoints, retries, mediator re-elections and node
+//     restarts, interleaved with the usual COGCOMP events.
+//   - Check additionally arms the recovery-safety checks: no duplicate
+//     contribution after a retry, and checkpoint-log monotonicity.
+//   - Observer pairs with an adversarial Schedule to close a reactive
+//     adversary's loop over the supervised run.
+//   - A done Context propagates as an error wrapped with the supervisor's
+//     slot accounting, unlike slot-budget exhaustion, which the
+//     supervisor absorbs into a Stalled result.
 type Config struct {
-	// Kappa scales phase one's length (see cogcast.SlotBound). Zero means
-	// cogcast.DefaultKappa.
-	Kappa float64
-	// Func is the aggregate to compute. Nil means aggfunc.Sum.
-	Func aggfunc.Func
-	// MaxSlots bounds the whole execution including retries. Zero picks a
-	// budget covering the full retry schedule. Exhausting it does not fail
-	// the run: the supervisor gives up and reports Stalled.
-	MaxSlots int
+	cogcomp.Config
 	// Schedule, when non-nil, injects crash-restart faults: every node is
 	// wrapped in a faults.Crasher with WithRestart, so outages cost missed
 	// slots and force recovery per the durability model above. Nil runs
@@ -86,42 +100,20 @@ type Config struct {
 	// MaxRetries bounds re-executions per epoch. Zero means
 	// DefaultMaxRetries.
 	MaxRetries int
-	// Observer, when non-nil, receives every slot's channel outcomes
-	// (cogcomp.Config.Observer, tee'd before the trace recorder and the
-	// checker). Reactive adversaries observe the supervised run through
-	// it; pairing it with an adversarial Schedule closes their loop.
-	Observer sim.Observer
 	// Backoff is the initial backoff gap in slots before an epoch retry,
 	// doubling per attempt up to a cap. Zero means DefaultBackoff.
 	Backoff int
-	// Trace, when non-nil, additionally receives the recovery event stream:
-	// epoch starts, per-node checkpoints, retries, mediator re-elections,
-	// and node restarts, interleaved with the usual COGCOMP events.
-	Trace trace.Sink
-	// Check attaches the invariant oracle plus the recovery-safety checks:
-	// no duplicate contribution after a retry, and checkpoint-log
-	// monotonicity. A violation fails the run.
-	Check bool
-	// Shards splits the engine's per-slot protocol scan across that many
-	// goroutines (sim.WithShards). Results are byte-identical at any value;
-	// 0 or 1 means serial.
-	Shards int
-	// Context, when non-nil, is checked at every slot boundary of the
-	// supervised run (sim.WithContext): a done context stops the run with
-	// a *sim.Interrupted error. Unlike slot-budget exhaustion — which the
-	// supervisor absorbs into a Stalled result — an interrupt propagates
-	// as an error, wrapped with the supervisor's slot accounting.
-	Context context.Context
 }
 
-// Result reports one recovered COGCOMP execution.
+// Result reports one recovered COGCOMP execution. The embedded
+// cogcomp.Result holds what the classic runner reports, read with the
+// supervisor's meanings: Value covers only Contributors when Degraded and
+// carries no guarantee when Stalled; Complete also requires that no node
+// was pruned and the run did not stall; Phase1Slots to Phase4Slots include
+// retry extensions and backoff gaps; Mediators counts the nodes holding the
+// mediator role at termination.
 type Result struct {
-	// Value is the aggregate held by the source at termination. When
-	// Degraded it covers only Contributors; when Stalled it is the
-	// source's partial state and carries no guarantee.
-	Value aggfunc.Value
-	// Complete reports that every node contributed (fault-free semantics).
-	Complete bool
+	cogcomp.Result
 	// Degraded reports that recovery could not restore full participation:
 	// some nodes were pruned (or the run stalled) and Value is a
 	// partial-census aggregate.
@@ -133,19 +125,6 @@ type Result struct {
 	// Contributors lists the nodes whose inputs Value aggregates, in
 	// ascending id order (all n when Complete; nil when Stalled).
 	Contributors []sim.NodeID
-	// TotalSlots is the number of slots until the run ended.
-	TotalSlots int
-	// Phase1Slots .. Phase4Slots break the run down per epoch, including
-	// any retry extensions and backoff gaps.
-	Phase1Slots, Phase2Slots, Phase3Slots, Phase4Slots int
-	// InformedAfterPhase1 counts nodes holding INIT when epoch one ended.
-	InformedAfterPhase1 int
-	// Parents is the distribution tree (sim.None for source/uninformed).
-	Parents []sim.NodeID
-	// MaxMessageSize is the largest phase-four value message any node sent.
-	MaxMessageSize int
-	// Mediators counts nodes holding the mediator role at termination.
-	Mediators int
 	// Retries counts epoch re-executions and stall-recovery rounds.
 	Retries int
 	// Reelections counts mediator re-elections.
@@ -168,7 +147,6 @@ type Arena struct {
 	pruned   []bool
 	ckpts    []invariant.Checkpoint
 	gen      int
-	infSlots []int
 	groups   [][]sim.NodeID
 	scratch  []sim.NodeID
 }
@@ -212,7 +190,10 @@ func (a *Arena) Run(asn sim.Assignment, source sim.NodeID, inputs []int64, seed 
 	} else {
 		a.crashers = a.crashers[:0]
 	}
-	ccfg := cogcomp.Config{Kappa: cfg.Kappa, Func: cfg.Func, Observer: cfg.Observer, Trace: cfg.Trace, Check: cfg.Check, Shards: cfg.Shards, Context: cfg.Context}
+	ccfg := cfg.Config
+	// Crash wrappers void dormancy promises, so supervised runs step
+	// densely.
+	ccfg.Sparse = false
 	if cfg.Schedule != nil && cfg.Trace != nil {
 		// Traced fault runs must stay serial: crashers emit fault/restart
 		// events from inside Step, and a sharded scan would interleave them
@@ -814,14 +795,11 @@ func (r *run) reelectMediators() {
 func (r *run) finish() (*Result, error) {
 	total := r.eng.Slot()
 	res := &Result{
-		Value:       r.nodes[r.source].Aggregate(),
-		TotalSlots:  total,
-		Phase1Slots: r.p1end,
+		Result:      cogcomp.Result{TotalSlots: total, Phase1Slots: r.p1end},
 		Retries:     r.retries,
 		Reelections: r.reelections,
 		Stalled:     r.stalled,
 		Degraded:    r.degraded,
-		Parents:     make([]sim.NodeID, r.n),
 	}
 	if r.p2end > 0 {
 		res.Phase2Slots = r.p2end - r.p1end
@@ -832,26 +810,14 @@ func (r *run) finish() (*Result, error) {
 			res.Phase4Slots = 0
 		}
 	}
-	informed := 0
-	prunedCount := 0
-	for i, nd := range r.nodes {
-		if nd.Informed() {
-			informed++
-		}
-		res.Parents[i] = nd.Parent()
-		if nd.MaxMessageSize() > res.MaxMessageSize {
-			res.MaxMessageSize = nd.MaxMessageSize()
-		}
-		if nd.IsMediator() {
-			res.Mediators++
-		}
-		if r.a.pruned[i] {
-			prunedCount++
+	r.a.comp.Tally(&res.Result, r.source)
+	informed := res.InformedAfterPhase1
+	for _, pruned := range r.a.pruned {
+		if pruned {
+			res.Pruned++
 		}
 	}
-	res.InformedAfterPhase1 = informed
-	res.Pruned = prunedCount
-	res.Complete = informed == r.n && prunedCount == 0 && !r.stalled
+	res.Complete = informed == r.n && res.Pruned == 0 && !r.stalled
 	if !r.stalled {
 		for i, nd := range r.nodes {
 			if nd.Informed() && !r.a.pruned[i] {
@@ -866,7 +832,7 @@ func (r *run) finish() (*Result, error) {
 	r.emit(trace.CensusEvent(total, informed, res.Mediators))
 
 	if r.cfg.Check {
-		if err := r.check(res, informed); err != nil {
+		if err := r.check(res); err != nil {
 			return nil, err
 		}
 	}
@@ -875,25 +841,12 @@ func (r *run) finish() (*Result, error) {
 
 // check runs the invariant oracle verdicts plus the recovery-safety
 // checks over the finished run.
-func (r *run) check(res *Result, informed int) error {
-	a := r.a
-	if checker := a.comp.Checker(); checker != nil {
-		if err := checker.Err(); err != nil {
-			return fmt.Errorf("recover: slot oracle (%d violations): %w", checker.Violations(), err)
-		}
-	}
-	if cap(a.infSlots) < r.n {
-		a.infSlots = make([]int, r.n)
-	}
-	a.infSlots = a.infSlots[:r.n]
-	for i, nd := range r.nodes {
-		a.infSlots[i] = nd.InformedSlot()
-	}
-	if err := invariant.CheckBroadcastTree(r.n, r.source, res.Parents, a.infSlots, informed == r.n); err != nil {
+func (r *run) check(res *Result) error {
+	if err := r.a.comp.CheckRun(&res.Result, r.source); err != nil {
 		return fmt.Errorf("recover: %w", err)
 	}
 	if res.Complete {
-		if err := invariant.CheckCensus(r.n, r.asn.Channels(), informed, res.Mediators, true); err != nil {
+		if err := invariant.CheckCensus(r.n, r.asn.Channels(), res.InformedAfterPhase1, res.Mediators, true); err != nil {
 			return fmt.Errorf("recover: %w", err)
 		}
 	}
@@ -902,7 +855,7 @@ func (r *run) check(res *Result, informed int) error {
 			return fmt.Errorf("recover: %w", err)
 		}
 	}
-	if err := invariant.CheckCheckpointLog(a.ckpts); err != nil {
+	if err := invariant.CheckCheckpointLog(r.a.ckpts); err != nil {
 		return fmt.Errorf("recover: %w", err)
 	}
 	return nil

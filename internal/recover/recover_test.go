@@ -55,7 +55,7 @@ func TestFaultFreeMatchesClassic(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d: classic: %v", seed, err)
 				}
-				got, err := rec.Run(asn, 0, in, seed, recov.Config{Check: true})
+				got, err := rec.Run(asn, 0, in, seed, recov.Config{Config: cogcomp.Config{Check: true}})
 				if err != nil {
 					t.Fatalf("seed %d: recover: %v", seed, err)
 				}
@@ -91,6 +91,9 @@ func TestFaultFreeMatchesClassic(t *testing.T) {
 				if len(got.Contributors) != tc.n {
 					t.Errorf("seed %d: %d contributors, want all %d", seed, len(got.Contributors), tc.n)
 				}
+				if !reflect.DeepEqual(got.Result, *want) {
+					t.Errorf("seed %d: result %+v != classic %+v", seed, got.Result, *want)
+				}
 			}
 		})
 	}
@@ -110,7 +113,7 @@ func TestCensusCrashRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := recov.Run(asn, 0, inputsFor(n), seed, recov.Config{Schedule: sched, Check: true})
+	res, err := recov.Run(asn, 0, inputsFor(n), seed, recov.Config{Config: cogcomp.Config{Check: true}, Schedule: sched})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +150,7 @@ func TestRewindCrashRestart(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := rec.Run(asn, 0, inputsFor(n), seed, recov.Config{Schedule: sched, Check: true})
+		res, err := rec.Run(asn, 0, inputsFor(n), seed, recov.Config{Config: cogcomp.Config{Check: true}, Schedule: sched})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -187,7 +190,7 @@ func TestMediatorReelection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := rec.Run(asn, 0, inputsFor(n), seed, recov.Config{Schedule: sched, Check: true})
+		res, err := rec.Run(asn, 0, inputsFor(n), seed, recov.Config{Config: cogcomp.Config{Check: true}, Schedule: sched})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -218,7 +221,7 @@ func TestPermanentOutageDegrades(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := recov.Run(asn, 0, inputsFor(n), seed,
-		recov.Config{Schedule: sched, Check: true, MaxRetries: 2})
+		recov.Config{Config: cogcomp.Config{Check: true}, Schedule: sched, MaxRetries: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +264,7 @@ func TestRandomOutagesRecover(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := rec.Run(asn, 0, inputsFor(n), seed, recov.Config{Schedule: sched, Check: true})
+		res, err := rec.Run(asn, 0, inputsFor(n), seed, recov.Config{Config: cogcomp.Config{Check: true}, Schedule: sched})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -293,7 +296,7 @@ func TestDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := recov.Config{Schedule: sched, Check: true}
+	cfg := recov.Config{Config: cogcomp.Config{Check: true}, Schedule: sched}
 	var a, b recov.Arena
 	r1, err := a.Run(asn, 0, inputsFor(n), seed, cfg)
 	if err != nil {

@@ -275,6 +275,7 @@ func ReadAllTrailer(r io.Reader) (Meta, []Event, Trailer, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	lineNo := 0
+	header := false
 	var meta Meta
 	var events []Event
 	var trailer Trailer
@@ -288,10 +289,11 @@ func ReadAllTrailer(r io.Reader) (Meta, []Event, Trailer, error) {
 		if err := json.Unmarshal(text, &raw); err != nil {
 			return meta, nil, trailer, fmt.Errorf("trace: line %d: %w", lineNo, err)
 		}
-		if lineNo == 1 {
+		if !header {
 			if raw.Schema != "crn-trace" {
-				return meta, nil, trailer, fmt.Errorf("trace: line 1: not a crn-trace header (schema %q)", raw.Schema)
+				return meta, nil, trailer, fmt.Errorf("trace: line %d: not a crn-trace header (schema %q)", lineNo, raw.Schema)
 			}
+			header = true
 			if raw.Version != Version {
 				return meta, nil, trailer, fmt.Errorf("trace: unsupported schema version %d (reader supports %d)", raw.Version, Version)
 			}
@@ -325,7 +327,7 @@ func ReadAllTrailer(r io.Reader) (Meta, []Event, Trailer, error) {
 	if err := sc.Err(); err != nil {
 		return meta, nil, trailer, fmt.Errorf("trace: read: %w", err)
 	}
-	if lineNo == 0 {
+	if !header {
 		return meta, nil, trailer, fmt.Errorf("trace: empty input (missing header)")
 	}
 	return meta, events, trailer, nil

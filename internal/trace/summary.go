@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"github.com/cogradio/crn/internal/metrics"
-	"github.com/cogradio/crn/internal/sim"
 )
 
 // Summary is the fold of one trace file back into aggregate numbers.
@@ -37,8 +36,9 @@ type Summary struct {
 
 // Summarize reads a JSONL trace and folds it into a Summary. The medium
 // metrics are recomputed by replaying the per-channel outcomes into a
-// metrics.Collector: KindChannel events accumulate per slot and each
-// KindSlot marker closes the slot, mirroring the live observer cadence.
+// metrics.Collector: each KindChannel event folds in its broadcaster and
+// listener counts (negative counts are rejected) and each KindSlot marker
+// closes the slot, mirroring the live observer cadence.
 func Summarize(r io.Reader) (*Summary, error) {
 	meta, events, trailer, err := ReadAllTrailer(r)
 	if err != nil {
@@ -52,33 +52,24 @@ func Summarize(r io.Reader) (*Summary, error) {
 		Complete:      trailer.Complete,
 	}
 	var col metrics.Collector
-	var pending []sim.ChannelOutcome
-	// The collector only reads slice lengths; one shared backing array
-	// sized to the largest count observed stands in for the node lists.
-	var nodes []sim.NodeID
-	grow := func(n int) []sim.NodeID {
-		for len(nodes) < n {
-			nodes = append(nodes, sim.None)
-		}
-		return nodes[:n]
-	}
+	var pending int64 // channel events since the last slot marker
 	for _, ev := range events {
 		s.Events[ev.Kind]++
 		switch ev.Kind {
 		case KindChannel:
-			pending = append(pending, sim.ChannelOutcome{
-				Channel:      ev.Channel,
-				Winner:       sim.NodeID(ev.Peer),
-				Broadcasters: grow(int(ev.A)),
-				Listeners:    grow(int(ev.B)),
-			})
-		case KindSlot:
-			if int64(len(pending)) != ev.A {
-				return nil, fmt.Errorf("trace: slot %d marker claims %d active channels, stream carries %d",
-					ev.Slot, ev.A, len(pending))
+			if ev.A < 0 || ev.B < 0 {
+				return nil, fmt.Errorf("trace: slot %d channel %d claims %d broadcasters and %d listeners",
+					ev.Slot, ev.Channel, ev.A, ev.B)
 			}
-			col.OnSlot(ev.Slot, pending)
-			pending = pending[:0]
+			col.AddChannel(int(ev.A), int(ev.B))
+			pending++
+		case KindSlot:
+			if pending != ev.A {
+				return nil, fmt.Errorf("trace: slot %d marker claims %d active channels, stream carries %d",
+					ev.Slot, ev.A, pending)
+			}
+			col.AddSlot()
+			pending = 0
 		case KindProgress:
 			s.FinalInformed = int(ev.A)
 			s.TotalNodes = int(ev.B)
@@ -89,8 +80,8 @@ func Summarize(r io.Reader) (*Summary, error) {
 			s.Cancel = &ev
 		}
 	}
-	if len(pending) != 0 {
-		return nil, fmt.Errorf("trace: %d channel events after the last slot marker (truncated trace?)", len(pending))
+	if pending != 0 {
+		return nil, fmt.Errorf("trace: %d channel events after the last slot marker (truncated trace?)", pending)
 	}
 	s.Metrics = col.Snapshot()
 	return s, nil
