@@ -107,9 +107,8 @@ func TestReactiveZeroEnergyControl(t *testing.T) {
 // TestReactiveBroadcastShardSparseIdentity pins byte-identity across the
 // engine configuration matrix: a reactive jammed run produces identical
 // results and identical JSONL traces (adversary ledger events included) at
-// every Shards setting, and Sparse silently steps densely (the adversary
-// is an engine observer and the jammed assignment is slot-varying, both of
-// which gate event-driven stepping off).
+// every Shards setting, and Sparse silently steps densely (the jammed
+// assignment is slot-varying, which gates event-driven stepping off).
 func TestReactiveBroadcastShardSparseIdentity(t *testing.T) {
 	budget := crn.AdversaryBudget{PerSlot: 3, Total: 120}
 	run := func(shards int, sparse bool) (*crn.BroadcastResult, string) {

@@ -85,27 +85,38 @@ func TestRunSlotShardedAllocFree(t *testing.T) {
 // the dormancy-heavy pattern the sparse engine exists for — and the pin
 // holds at every requested shard count: sparse execution forces the scan
 // serial (Shards() == 1), and the discarded shard machinery must not leak
-// per-slot cost back in.
+// per-slot cost back in. It also holds with a ring-buffered trace recorder
+// and the invariant oracle observing, which keep the engine sparse.
 func TestRunSlotSparseAllocFree(t *testing.T) {
 	const n, c = 4096, 16
 	asn, err := assign.SharedCore(n, c, 4, 48, assign.LocalLabels, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range []int{1, 2, 4, 8} {
+	type mode struct {
+		shards   int
+		observed bool
+	}
+	for _, m := range []mode{{1, false}, {2, false}, {4, false}, {8, false}, {1, true}} {
 		protos := make([]sim.Protocol, n)
 		for i := range protos {
 			protos[i] = &censusNode{id: i, n: n}
 		}
-		eng, err := sim.NewEngine(asn, protos, 1, sim.WithSparse(), sim.WithShards(shards))
+		opts := []sim.Option{sim.WithSparse(), sim.WithShards(m.shards)}
+		ck := new(invariant.Checker)
+		if m.observed {
+			ck.Reset(asn, sim.UniformWinner)
+			opts = append(opts, sim.WithObserver(sim.Tee(trace.NewRecorder(trace.NewRing(4096)), ck)))
+		}
+		eng, err := sim.NewEngine(asn, protos, 1, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !eng.Sparse() {
-			t.Fatalf("shards=%d: engine not in sparse mode", shards)
+			t.Fatalf("%+v: engine not in sparse mode", m)
 		}
 		if got := eng.Shards(); got != 1 {
-			t.Fatalf("shards=%d: sparse engine reports %d shards, want 1 (forced serial)", shards, got)
+			t.Fatalf("%+v: sparse engine reports %d shards, want 1 (forced serial)", m, got)
 		}
 		for i := 0; i < 8; i++ { // warm scratch and fill the wake-queue
 			if err := eng.RunSlot(); err != nil {
@@ -118,7 +129,10 @@ func TestRunSlotSparseAllocFree(t *testing.T) {
 			}
 		})
 		if allocs != 0 {
-			t.Errorf("steady-state sparse RunSlot (shards=%d requested) allocates %.2f objects/slot, want 0", shards, allocs)
+			t.Errorf("steady-state sparse RunSlot (%+v) allocates %.2f objects/slot, want 0", m, allocs)
+		}
+		if err := ck.Err(); err != nil {
+			t.Fatalf("oracle violation on a healthy run: %v", err)
 		}
 	}
 }

@@ -97,7 +97,7 @@ func runCtx(ctx context.Context, args []string, out io.Writer) error {
 		repeat   = fs.Int("repeat", 1, "independent seeded repetitions (cogcast and cogcomp only); prints per-repetition lines and a slot-count summary")
 		workers  = fs.Int("parallel", 0, "workers for -repeat (0 = GOMAXPROCS, 1 = serial); output is identical for every value")
 		shards   = fs.Int("shards", 1, "goroutines sharding each slot's protocol scan inside the engine (1 = serial); output is identical for every value; dynamic/jammed networks run serially")
-		sparse   = fs.Bool("sparse", false, "event-driven stepping: skip dormant nodes instead of scanning all n each slot; output is identical either way; traced/checked and dynamic/jammed runs step densely")
+		sparse   = fs.Bool("sparse", false, "event-driven stepping: skip dormant nodes instead of scanning all n each slot; output is identical either way, traced and checked runs included; dynamic/jammed runs step densely")
 		timeout  = fs.Duration("timeout", 0, "wall-clock budget for the run (0 = none); an exceeded budget stops the run at the next slot boundary with a deadline error")
 		traceTo  = fs.String("trace", "", "record a JSONL event trace of the run to this file (cogcast and cogcomp, single run; schema in TRACE.md)")
 		traceSum = fs.String("trace-summary", "", "read a trace file and fold it back into summary numbers instead of running anything")

@@ -425,9 +425,8 @@ type BroadcastOptions struct {
 	// Sparse runs the engine in event-driven stepping mode: nodes that
 	// declare themselves dormant are skipped instead of scanned every slot,
 	// so a slot costs O(awake + deliveries) instead of Θ(n). Results are
-	// byte-identical at any setting; runs with Trace, Check or
-	// CollectMetrics attached, and dynamic or jammed networks, silently
-	// step densely.
+	// byte-identical at any setting, Trace, Check and CollectMetrics
+	// included; dynamic or jammed networks silently step densely.
 	Sparse bool
 	// Context, when non-nil, can interrupt the run. Cancellation is
 	// observed at slot boundaries and consumes no protocol randomness, so
@@ -648,9 +647,8 @@ type AggregateOptions struct {
 	// Sparse runs the engine in event-driven stepping mode: COGCOMP's
 	// census window and phase-four holding patterns leave almost every
 	// node dormant, and the sparse engine skips them instead of scanning
-	// all n each slot. Results are byte-identical at any setting; runs
-	// with Trace or Check attached, and recovered runs (Recover), silently
-	// step densely.
+	// all n each slot. Results are byte-identical at any setting, Trace
+	// and Check included; recovered runs (Recover) silently step densely.
 	Sparse bool
 	// Context, when non-nil, can interrupt the run. Cancellation is
 	// observed at slot boundaries and consumes no protocol randomness, so

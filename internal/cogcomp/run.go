@@ -29,8 +29,8 @@ type Config struct {
 	Func aggfunc.Func
 	// Observer, when non-nil, receives every slot's channel outcomes
 	// (before the trace recorder and the invariant checker in tee order).
-	// Reactive adversaries attach through it; note that any observer
-	// gates the sparse engine back to dense stepping.
+	// Reactive adversaries attach through it. Observers see sparse runs
+	// slot by slot, exactly as they see dense ones.
 	Observer sim.Observer
 	// Trace, when non-nil, receives the run's structured event stream
 	// (TRACE.md): per-slot channel outcomes, phase-transition events as
@@ -51,9 +51,8 @@ type Config struct {
 	// Sparse enables event-driven stepping (sim.WithSparse): nodes emit
 	// dormancy hints and the engine scans only awake nodes, which collapses
 	// the census window's Θ(n²) node-steps to O(events). Executions are
-	// byte-identical to dense runs; the engine silently runs dense when an
-	// observer is attached (Trace/Check) or the assignment is not
-	// slot-invariant.
+	// byte-identical to dense runs, Trace and Check included; the engine
+	// silently runs dense when the assignment is not slot-invariant.
 	Sparse bool
 	// Context, when non-nil, is checked at every slot boundary
 	// (sim.WithContext): a done context stops the run with a
@@ -177,9 +176,9 @@ func (a *Arena) Prepare(asn sim.Assignment, source sim.NodeID, inputs []int64, s
 		return nil, nil, 0, err
 	}
 	// Emit dormancy hints only when the engine actually engaged sparse
-	// stepping (the request may have been gated off by an observer or a
-	// non-slot-invariant assignment); hints are inert under a dense engine
-	// but cost a few branches per Step.
+	// stepping (the request may have been gated off by a non-slot-invariant
+	// assignment); hints are inert under a dense engine but cost a few
+	// branches per Step.
 	dormant := a.eng.Sparse()
 	for _, nd := range a.nodes {
 		nd.SetDormant(dormant)

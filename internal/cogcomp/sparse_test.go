@@ -1,19 +1,26 @@
 package cogcomp_test
 
 import (
+	"bytes"
+	"io"
 	"testing"
 
 	"github.com/cogradio/crn/internal/aggfunc"
 	"github.com/cogradio/crn/internal/assign"
 	"github.com/cogradio/crn/internal/cogcomp"
 	"github.com/cogradio/crn/internal/invariant"
+	"github.com/cogradio/crn/internal/trace"
 )
 
 // TestSparseMatchesDense is COGCOMP's sparse-vs-dense equivalence test: with
 // event-driven stepping the census window and phase-four holding patterns
 // are mostly skipped, yet every observable — aggregate, slot counts, phase
 // breakdown, tree, mediators, message sizes — must match the dense run
-// exactly, across topologies, aggregate functions and seeds.
+// exactly, across topologies, aggregate functions and seeds. Both sides run
+// under the oracle and a JSONL trace, which must not stop the sparse side
+// from stepping sparsely, and the traces must be byte-identical: the census
+// window's parked listeners are reported exactly as dense stepping reports
+// them.
 func TestSparseMatchesDense(t *testing.T) {
 	shapes := []struct {
 		name string
@@ -40,13 +47,30 @@ func TestSparseMatchesDense(t *testing.T) {
 				}
 				inputs := trialInputs(asn.Nodes(), int64(trial))
 				f := funcs[trial%len(funcs)]
-				want, wantErr := cogcomp.Run(asn, 0, inputs, seed, cogcomp.Config{Func: f})
-				got, gotErr := cogcomp.Run(asn, 0, inputs, seed, cogcomp.Config{Func: f, Sparse: true})
+				run := func(sparse bool) (*cogcomp.Result, []byte, error) {
+					cfg := cogcomp.Config{Func: f, Check: true, Sparse: sparse, Trace: trace.NewJSONL(io.Discard)}
+					_, eng, _, err := new(cogcomp.Arena).Prepare(asn, 0, inputs, seed, cfg, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if eng.Sparse() != sparse {
+						t.Fatalf("trial %d: checked, traced engine Sparse() = %v, want %v", trial, eng.Sparse(), sparse)
+					}
+					var buf bytes.Buffer
+					cfg.Trace = trace.NewJSONL(&buf)
+					res, err := cogcomp.Run(asn, 0, inputs, seed, cfg)
+					return res, buf.Bytes(), err
+				}
+				want, wantTrace, wantErr := run(false)
+				got, gotTrace, gotErr := run(true)
 				if (wantErr == nil) != (gotErr == nil) {
 					t.Fatalf("trial %d: error mismatch: dense %v, sparse %v", trial, wantErr, gotErr)
 				}
 				if wantErr != nil {
 					continue
+				}
+				if !bytes.Equal(gotTrace, wantTrace) {
+					t.Fatalf("trial %d: sparse trace (%d bytes) != dense trace (%d bytes)", trial, len(gotTrace), len(wantTrace))
 				}
 				if !invariant.AggEqual(got.Value, want.Value) {
 					t.Fatalf("trial %d: sparse value %v != dense %v", trial, got.Value, want.Value)
@@ -70,7 +94,8 @@ func TestSparseMatchesDense(t *testing.T) {
 
 // TestSparseSessionMatchesDense covers the multi-round session path: parked
 // round-finished nodes must wake exactly at round boundaries, reproducing
-// the dense session value for value, completion flag and finish step.
+// the dense session value for value, completion flag and finish step. Both
+// sides run under the oracle.
 func TestSparseSessionMatchesDense(t *testing.T) {
 	const n = 16
 	for trial := 0; trial < 3; trial++ {
@@ -83,8 +108,8 @@ func TestSparseSessionMatchesDense(t *testing.T) {
 		for r := range rounds {
 			rounds[r] = trialInputs(n, int64(r*10+trial))
 		}
-		want, wantErr := cogcomp.RunRounds(asn, 0, rounds, seed, cogcomp.SessionConfig{})
-		got, gotErr := cogcomp.RunRounds(asn, 0, rounds, seed, cogcomp.SessionConfig{Sparse: true})
+		want, wantErr := cogcomp.RunRounds(asn, 0, rounds, seed, cogcomp.SessionConfig{Check: true})
+		got, gotErr := cogcomp.RunRounds(asn, 0, rounds, seed, cogcomp.SessionConfig{Check: true, Sparse: true})
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("trial %d: error mismatch: dense %v, sparse %v", trial, wantErr, gotErr)
 		}

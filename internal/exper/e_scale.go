@@ -159,9 +159,9 @@ func init() {
 // reference machine measures ~3x per pair (dense 6.8s vs sparse 2.2s at
 // n=8000; 116s vs 38s at n=32000), and only sparse stepping carries the
 // sweep to n=100000 — dense extrapolates to ~20 minutes at its measured
-// n=32000 rate of 330 slots/sec. Under Config.Check or Config.Trace the
-// engine falls back to dense stepping (observers see every slot), which is
-// invisible here precisely because the modes are byte-identical.
+// n=32000 rate of 330 slots/sec. Config.Check and Config.Trace observe the
+// sparse rows as they run, so -check verifies the sparse-only point slot by
+// slot too.
 func runE29(cfg Config) ([]*Table, error) {
 	const c, k, coreChannels = 16, 4, 48
 	type point struct {

@@ -72,10 +72,10 @@ type Config struct {
 	// Sparse runs every trial's engine in event-driven stepping mode
 	// (sim.WithSparse): dormant nodes are skipped instead of scanned, which
 	// collapses COGCOMP's census window from Θ(n²) node-steps to O(events).
-	// Tables and traces are byte-identical either way — the engine falls
-	// back to dense whenever an observer is attached (Trace/Check) — so the
-	// flag only moves wall-clock. The recovery supervisor (Recover) always
-	// runs dense: its fault wrappers void dormancy promises.
+	// Tables and traces are byte-identical either way, Trace and Check
+	// included, so the flag only moves wall-clock. The recovery supervisor
+	// (Recover) always runs dense: its fault wrappers void dormancy
+	// promises.
 	Sparse bool
 	// Context, when non-nil, makes the experiment cancellable: the worker
 	// pool stops claiming new trials once it is done (surfacing a

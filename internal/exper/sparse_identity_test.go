@@ -48,10 +48,10 @@ func TestSparseTrialByteIdentity(t *testing.T) {
 }
 
 // TestSparseTraceByteIdentity extends the contract to the event stream: a
-// JSONL trace forces the engine dense (observers see every slot), so a
-// traced run with Config.Sparse set must be byte-for-byte the run without
-// it — the flag degrades to a no-op rather than perturbing the stream. E1
-// covers COGCAST trace events, E26 the recovery supervisor's fault events.
+// traced run with Config.Sparse set steps sparsely under the trace
+// recorder, and its JSONL stream must be byte-for-byte the dense run's. E1
+// covers COGCAST trace events, E26 the recovery supervisor's fault events
+// (the supervisor always steps densely, so there the flag is a no-op).
 func TestSparseTraceByteIdentity(t *testing.T) {
 	for _, id := range []string{"E1", "E26"} {
 		id := id

@@ -7,9 +7,11 @@ import (
 	"github.com/cogradio/crn/internal/sim"
 )
 
-// WakeChecker is a sim.WakeAuditor that cross-checks the sparse engine's
-// wake-queue from outside: it rebuilds the dormancy schedule from the very
-// hints and deliveries the engine reports and verifies, slot by slot, that
+// WakeChecker cross-checks the sparse engine's wake-queue from outside.
+// Interpose it on every node with Wrap and attach it as the engine's
+// observer: it rebuilds the dormancy schedule from the hints the wrapped
+// protocols return and the deliveries they receive, and verifies, slot by
+// slot, that
 //
 //   - no dormant node acts: a node that promised Sleep=k is not stepped
 //     again before the promise expires unless a delivery woke it,
@@ -20,16 +22,16 @@ import (
 //     unless its promise was quiet (sim.ParkListenQuiet), in which case
 //     deliveries leave the schedule untouched and the promise runs to its
 //     expiry,
-//   - retirement is final: a node whose Done was observed is never stepped
-//     or delivered to again (save deliveries in its retirement slot, where
-//     its final action still resolves, matching the dense engine).
+//   - retirement is final: a node whose own Done reported true at the end
+//     of a slot is never stepped or delivered to again.
 //
-// Like Checker it deliberately shares no state with the engine's wake heap
-// or parked lists — the schedule is re-derived from the audit stream alone,
-// so bookkeeping bugs in either structure surface as violations. EndSlot is
-// O(n), which is fine for the test workloads the auditor exists for.
+// Like Checker it shares no code or state with the engine: it sees only the
+// public Protocol and Observer interfaces, so bookkeeping bugs in the wake
+// heap or the parked lists surface as violations. It checks sparse runs
+// only — a dense engine steps every node every slot, hints or not. OnSlot
+// is O(n), which is fine for the test workloads the checker exists for.
 type WakeChecker struct {
-	n int
+	protos []sim.Protocol // the wrapped protocols, by node
 
 	retired   []bool
 	retireDay []int  // slot the node retired in (valid when retired)
@@ -41,28 +43,30 @@ type WakeChecker struct {
 	firstErr   error
 }
 
-var _ sim.WakeAuditor = (*WakeChecker)(nil)
+var _ sim.Observer = (*WakeChecker)(nil)
 
 // never marks a node woken only by deliveries (Sleep >= sim.Forever).
 const never = math.MaxInt
 
 // Reset prepares the checker for one run over n nodes: every node is
-// expected awake at slot 0.
+// expected awake at slot 0. Wrap every node afterwards.
 func (w *WakeChecker) Reset(n int) {
-	w.n = n
 	if cap(w.retired) < n {
+		w.protos = make([]sim.Protocol, n)
 		w.retired = make([]bool, n)
 		w.retireDay = make([]int, n)
 		w.expect = make([]int, n)
 		w.stepped = make([]int, n)
 		w.quiet = make([]bool, n)
 	}
+	w.protos = w.protos[:n]
 	w.retired = w.retired[:n]
 	w.retireDay = w.retireDay[:n]
 	w.expect = w.expect[:n]
 	w.stepped = w.stepped[:n]
 	w.quiet = w.quiet[:n]
 	for i := 0; i < n; i++ {
+		w.protos[i] = nil
 		w.retired[i] = false
 		w.expect[i] = 0
 		w.stepped[i] = -1
@@ -72,12 +76,40 @@ func (w *WakeChecker) Reset(n int) {
 	w.firstErr = nil
 }
 
-// OnStep implements sim.WakeAuditor: the stepped node must be exactly due.
-func (w *WakeChecker) OnStep(slot int, node sim.NodeID, act sim.Action) {
-	if node < 0 || int(node) >= w.n {
-		w.failf("slot %d: stepped node %d outside [0,%d)", slot, node, w.n)
-		return
+// Wrap interposes the checker between the engine and node id's protocol p,
+// which must be in its initial state: a node already done is retired
+// before slot 0. id must lie in the range given to Reset.
+func (w *WakeChecker) Wrap(id sim.NodeID, p sim.Protocol) sim.Protocol {
+	w.protos[id] = p
+	if p.Done() {
+		w.retired[id] = true
+		w.retireDay[id] = -1
 	}
+	return wakeProbe{w: w, id: id, p: p}
+}
+
+// wakeProbe reports node id's steps and deliveries to the checker.
+type wakeProbe struct {
+	w  *WakeChecker
+	id sim.NodeID
+	p  sim.Protocol
+}
+
+func (q wakeProbe) Step(slot int) sim.Action {
+	act := q.p.Step(slot)
+	q.w.onStep(slot, q.id, act)
+	return act
+}
+
+func (q wakeProbe) Deliver(slot int, ev sim.Event) {
+	q.p.Deliver(slot, ev)
+	q.w.onDeliver(slot, q.id)
+}
+
+func (q wakeProbe) Done() bool { return q.p.Done() }
+
+// onStep checks that the stepped node is exactly due.
+func (w *WakeChecker) onStep(slot int, node sim.NodeID, act sim.Action) {
 	v := int(node)
 	if w.retired[v] {
 		w.failf("slot %d: retired node %d stepped again", slot, node)
@@ -100,21 +132,15 @@ func (w *WakeChecker) OnStep(slot int, node sim.NodeID, act sim.Action) {
 	}
 }
 
-// OnDeliver implements sim.WakeAuditor: a delivery must re-wake its target
-// for the next slot — unless the target's current promise is quiet, which
-// the delivery leaves untouched — and only a node's retirement slot may
-// still deliver to it (its final action resolves that slot, exactly as the
-// dense engine resolves it).
-func (w *WakeChecker) OnDeliver(slot int, node sim.NodeID) {
-	if node < 0 || int(node) >= w.n {
-		w.failf("slot %d: delivery to node %d outside [0,%d)", slot, node, w.n)
-		return
-	}
+// onDeliver checks that a delivery re-wakes its target for the next slot —
+// unless the target's current promise is quiet, which the delivery leaves
+// untouched — and that no node is delivered to after its retirement slot
+// (its final action resolves that slot, exactly as the dense engine
+// resolves it).
+func (w *WakeChecker) onDeliver(slot int, node sim.NodeID) {
 	v := int(node)
 	if w.retired[v] {
-		if w.retireDay[v] != slot {
-			w.failf("slot %d: delivery to node %d retired in slot %d", slot, node, w.retireDay[v])
-		}
+		w.failf("slot %d: delivery to node %d retired in slot %d", slot, node, w.retireDay[v])
 		return
 	}
 	if w.quiet[v] && slot < w.expect[v] {
@@ -123,32 +149,22 @@ func (w *WakeChecker) OnDeliver(slot int, node sim.NodeID) {
 	w.expect[v] = slot + 1
 }
 
-// OnRetire implements sim.WakeAuditor: retirement happens once.
-func (w *WakeChecker) OnRetire(slot int, node sim.NodeID) {
-	if node < 0 || int(node) >= w.n {
-		w.failf("slot %d: retired node %d outside [0,%d)", slot, node, w.n)
-		return
-	}
-	v := int(node)
-	if w.retired[v] {
-		w.failf("slot %d: node %d retired twice (first in slot %d)", slot, node, w.retireDay[v])
-		return
-	}
-	w.retired[v] = true
-	w.retireDay[v] = slot
-}
-
-// EndSlot implements sim.WakeAuditor: every node that was due this slot
-// must have been stepped. Returns the first violation so the engine aborts
-// the run the moment its wake-queue diverges from the shadow schedule.
-func (w *WakeChecker) EndSlot(slot int) error {
-	for v := 0; v < w.n; v++ {
-		if !w.retired[v] && w.expect[v] == slot && w.stepped[v] != slot {
+// OnSlot implements sim.Observer: every node that was due this slot must
+// have been stepped, and a node whose Done now reports true retires.
+func (w *WakeChecker) OnSlot(slot int, _ []sim.ChannelOutcome) {
+	for v, p := range w.protos {
+		if w.retired[v] {
+			continue
+		}
+		if w.expect[v] == slot && w.stepped[v] != slot {
 			w.failf("slot %d: awake node %d skipped by the sparse scan", slot, v)
 			w.expect[v] = slot + 1
 		}
+		if p.Done() {
+			w.retired[v] = true
+			w.retireDay[v] = slot
+		}
 	}
-	return w.firstErr
 }
 
 func (w *WakeChecker) failf(format string, args ...any) {

@@ -197,4 +197,13 @@ func TestParseScalars(t *testing.T) {
 	if sc.Seed != 42 {
 		t.Errorf("Seed = %d", sc.Seed)
 	}
+	// An escaped quote does not end a double-quoted string, so the # after
+	// it is not a comment.
+	sc, err = Parse([]byte("protocol:\n" + `  payload: "say \"hi #1\""  # comment`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `say "hi #1"`; sc.Protocol.Payload != want {
+		t.Errorf("Payload = %q, want %q", sc.Protocol.Payload, want)
+	}
 }

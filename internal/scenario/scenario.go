@@ -109,8 +109,8 @@ type Engine struct {
 	Shards int
 	// Sparse enables event-driven stepping: dormant nodes are skipped
 	// instead of scanned every slot (sim.WithSparse). Results are
-	// byte-identical either way; checked/traced and dynamic/jammed runs
-	// silently step densely.
+	// byte-identical either way, checked and traced runs included;
+	// dynamic/jammed runs silently step densely.
 	Sparse bool
 	// Parallel bounds workers for repeated runs (0 = GOMAXPROCS).
 	Parallel int

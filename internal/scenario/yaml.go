@@ -68,11 +68,14 @@ func splitYAMLLines(data []byte) ([]yamlLine, error) {
 }
 
 // stripComment removes a trailing "# ..." comment that is outside quotes
-// and, mid-line, preceded by a space.
+// and, mid-line, preceded by a space. Inside double quotes a backslash
+// escapes the next character, so \" does not close the string.
 func stripComment(s string) string {
 	var quote byte
 	for i := 0; i < len(s); i++ {
 		switch c := s[i]; {
+		case quote == '"' && c == '\\':
+			i++
 		case quote != 0:
 			if c == quote {
 				quote = 0

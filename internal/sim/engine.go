@@ -94,10 +94,8 @@ type Engine struct {
 
 	// Event-driven stepping (WithSparse). sparseReq is the requested mode;
 	// sp holds the wake-queue state and is live only while sp.on (see
-	// configure for the gating rules). audit, when set, receives the sparse
-	// scheduler's decisions for external cross-checking.
+	// configure for the gating rules).
 	sparseReq bool
-	audit     WakeAuditor
 	sp        sparseState
 }
 
@@ -241,7 +239,6 @@ func (e *Engine) Reset(asn Assignment, nodes []Protocol, seed int64, opts ...Opt
 	e.ctx = nil
 	e.shards = 1
 	e.sparseReq = false
-	e.audit = nil
 	if cap(e.acts) < len(nodes) {
 		e.acts = make([]Action, len(nodes))
 	}
@@ -275,13 +272,12 @@ func (e *Engine) Reset(asn Assignment, nodes []Protocol, seed int64, opts ...Opt
 //   - Shards clamp to [1, n]. More than one shard also needs an assignment
 //     implementing ConcurrentAssignment with ConcurrentChannelSet true, as
 //     the shards call ChannelSet concurrently; otherwise the scan is serial.
-//   - Sparse stepping engages only with no Observer attached (an observer
-//     must see silent listen-only channels the sparse scan never
-//     materializes), below 2^22 nodes (wake-heap entries pack the node id
-//     into 22 bits), and over an assignment implementing
+//   - Sparse stepping engages only below 2^22 nodes (wake-heap entries
+//     pack the node id into 22 bits) and over an assignment implementing
 //     SlotInvariantAssignment with SlotInvariantChannelSet true (parked
 //     listeners cache the physical channel they parked on); otherwise the
-//     engine steps densely.
+//     engine steps densely. Observers do not gate it: a sparse engine
+//     reports the same channel outcomes a dense one would.
 //   - Engaged sparse stepping forces one shard: its wake bookkeeping is
 //     single-threaded, and with few awake nodes nothing is worth sharding.
 //
@@ -290,7 +286,7 @@ func (e *Engine) Reset(asn Assignment, nodes []Protocol, seed int64, opts ...Opt
 // node.
 func (e *Engine) configure() {
 	n := len(e.nodes)
-	sparse := e.sparseReq && e.obs == nil && n < maxSparseNodes
+	sparse := e.sparseReq && n < maxSparseNodes
 	if sparse {
 		si, ok := e.asn.(SlotInvariantAssignment)
 		sparse = ok && si.SlotInvariantChannelSet()
@@ -331,10 +327,6 @@ func (e *Engine) Slot() int { return e.slot }
 // requested via WithShards after configure's gating, so 1 means the scan
 // runs serially.
 func (e *Engine) Shards() int { return len(e.shardAcc) }
-
-// Collisions returns the engine's collision model. Debug observers (the
-// invariant checker) use it to select which semantics to re-verify.
-func (e *Engine) Collisions() CollisionModel { return e.collisions }
 
 // AllDone reports whether every protocol has terminated.
 func (e *Engine) AllDone() bool {
@@ -386,9 +378,6 @@ func (e *Engine) RunSlot() error {
 	}
 	if e.sp.on {
 		e.commitParked()
-		if e.audit != nil {
-			return e.audit.EndSlot(slot)
-		}
 	}
 	return nil
 }
@@ -402,34 +391,39 @@ func (e *Engine) RunSlot() error {
 // message, and the first broadcaster is reported as the winner. Under
 // sparse stepping a channel's listeners are its live bucket merged with the
 // listeners parked there, and the parked ones that heard something are
-// re-woken.
+// re-woken; an observed sparse slot also reports the channels whose only
+// listeners are parked, as the dense scan would have bucketed them.
 func (e *Engine) resolveChannels(slot int) {
 	var outcomes []ChannelOutcome
 	if e.obs != nil {
 		outcomes = e.outScratch[:0]
+		if e.sp.on {
+			e.touchParked(slot)
+		}
 	}
+	e.sp.lscratch = e.sp.lscratch[:0]
 	for ch := 0; ch <= e.maxCh; ch++ {
 		if !e.touched[ch] {
 			continue
 		}
 		bs, ls := e.bcast[ch], e.listen[ch]
+		if e.sp.on && (len(bs) > 0 || e.obs != nil) {
+			ls = e.mergedListeners(ch, e.compactParked(slot, ch))
+		}
 		winner := None
 		if len(bs) > 0 {
-			if e.sp.on {
-				ls = e.mergedListeners(ch, e.compactParked(slot, ch))
-			}
 			switch e.collisions {
 			case AllDelivered:
 				// Footnote-3 semantics: every message goes through.
 				winner = bs[0]
 				for _, b := range bs {
 					e.nodes[b].Deliver(slot, Event{Kind: EvSendSucceeded, From: b, Msg: e.acts[b].Msg, Channel: e.acts[b].Channel})
-					e.delivered(slot, b)
+					e.delivered(b)
 				}
 				for _, l := range ls {
 					for _, b := range bs {
 						e.nodes[l].Deliver(slot, Event{Kind: EvReceived, From: b, Msg: e.acts[b].Msg, Channel: e.acts[l].Channel})
-						e.delivered(slot, l)
+						e.delivered(l)
 					}
 				}
 			default:
@@ -441,11 +435,11 @@ func (e *Engine) resolveChannels(slot int) {
 						kind = EvSendSucceeded
 					}
 					e.nodes[b].Deliver(slot, Event{Kind: kind, From: winner, Msg: msg, Channel: e.acts[b].Channel})
-					e.delivered(slot, b)
+					e.delivered(b)
 				}
 				for _, l := range ls {
 					e.nodes[l].Deliver(slot, Event{Kind: EvReceived, From: winner, Msg: msg, Channel: e.acts[l].Channel})
-					e.delivered(slot, l)
+					e.delivered(l)
 				}
 			}
 			if e.sp.on {
@@ -473,9 +467,9 @@ func (e *Engine) resolveChannels(slot int) {
 // bookkeeping to do (sparseDelivered); a dense engine pays one branch, and
 // the function stays small enough to inline, so resolution makes no extra
 // call per delivery.
-func (e *Engine) delivered(slot int, id NodeID) {
+func (e *Engine) delivered(id NodeID) {
 	if e.sp.on {
-		e.sparseDelivered(slot, id)
+		e.sparseDelivered(id)
 	}
 }
 
@@ -597,16 +591,22 @@ func (e *Engine) bucket(id NodeID, phys int, op Op) {
 	if phys >= len(e.bcast) {
 		e.growScratch(phys + 1)
 	}
-	if !e.touched[phys] {
-		e.touched[phys] = true
-		e.active = append(e.active, phys)
-		e.maxCh = max(e.maxCh, phys)
-	}
+	e.touch(phys)
 	if op == OpListen {
 		e.listen[phys] = append(e.listen[phys], id)
 	} else {
 		e.bcast[phys] = append(e.bcast[phys], id)
 		e.broadcasts++
+	}
+}
+
+// touch marks physical channel phys as used this slot, so resolution
+// visits it and the next slot's touchReset clears it.
+func (e *Engine) touch(phys int) {
+	if !e.touched[phys] {
+		e.touched[phys] = true
+		e.active = append(e.active, phys)
+		e.maxCh = max(e.maxCh, phys)
 	}
 }
 

@@ -11,15 +11,26 @@ import (
 )
 
 // scripted is a protocol driven entirely by fuzz bytes: node id's action
-// in each slot is decoded from script[slot*n+id]. It never terminates —
-// the fuzz body runs a fixed number of slots — and logs every delivery.
+// in each slot is decoded from script[slot*n+id]. A listen byte with its
+// top bit set parks: the node holds that listen for the next (b>>4)&7
+// slots, ignoring its script, unless a delivery arrives. The hold ends at
+// an absolute slot, so the Sleep hint it carries honours the Action.Sleep
+// contract. It never terminates — the fuzz body runs a fixed number of
+// slots — and logs every delivery.
 type scripted struct {
 	script   []byte
 	id, n, c int
+	hold     sim.Action
+	holdEnd  int // first slot after the hold; the hold is over when slot >= holdEnd
 	log      []string
 }
 
 func (s *scripted) Step(slot int) sim.Action {
+	if slot < s.holdEnd {
+		act := s.hold
+		act.Sleep = s.holdEnd - 1 - slot
+		return act
+	}
 	idx := slot*s.n + s.id
 	if idx >= len(s.script) {
 		return sim.Idle()
@@ -30,6 +41,10 @@ func (s *scripted) Step(slot int) sim.Action {
 	case 0:
 		return sim.Idle()
 	case 1:
+		if k := int(b>>4) & 7; b&0x80 != 0 && k > 0 {
+			s.hold, s.holdEnd = sim.ParkListen(ch, k), slot+k+1
+			return s.hold
+		}
 		return sim.Listen(ch)
 	default:
 		return sim.Broadcast(ch, int(b))
@@ -37,6 +52,7 @@ func (s *scripted) Step(slot int) sim.Action {
 }
 
 func (s *scripted) Deliver(slot int, ev sim.Event) {
+	s.holdEnd = 0
 	s.log = append(s.log, fmt.Sprintf("%d/%v/%d/%v/%d", slot, ev.Kind, ev.From, ev.Msg, ev.Channel))
 }
 
@@ -49,14 +65,20 @@ func (s *scripted) Done() bool { return false }
 // per slot, and every contended channel has exactly one winner drawn from
 // its broadcasters. Any script the engine accepts must produce a
 // violation-free outcome stream. The script is then replayed unobserved on
-// two shards and under sparse stepping, and every node's delivery log must
-// match the observed dense run's, so one target drives the shared scan and
-// resolver through all three stepping modes.
+// two shards, where every node's delivery log must match the observed dense
+// run's, and under sparse stepping with its own oracle attached, where the
+// delivery logs and the per-slot outcome stream must both match — parked
+// listeners included — so one target drives the shared scan and resolver
+// through all three stepping modes.
 func FuzzEngineSlot(f *testing.F) {
 	f.Add(uint8(8), uint8(3), int64(1), []byte("\x02\x05\x08\x0b\x0e\x11\x14\x17"))
 	f.Add(uint8(4), uint8(2), int64(7), []byte{2, 2, 2, 2, 1, 1, 1, 1})
 	f.Add(uint8(12), uint8(4), int64(42), []byte("mixed traffic with listeners and idles"))
 	f.Add(uint8(2), uint8(1), int64(3), []byte{255, 254, 253, 252, 0, 1, 2})
+	// Two nodes park listening on different physical channels, so one slot
+	// reports two channels whose merged listener lists must both stay valid
+	// until the observer has run.
+	f.Add(uint8(4), uint8(2), int64(7), []byte("00\xa6\xa6"))
 	f.Fuzz(func(t *testing.T, rawN, rawC uint8, seed int64, script []byte) {
 		n := 2 + int(rawN)%31 // [2, 32] nodes
 		c := 1 + int(rawC)%7  // [1, 7] channels per node
@@ -94,13 +116,20 @@ func FuzzEngineSlot(f *testing.F) {
 			}
 			return eng, sb.String()
 		}
-		ck := new(invariant.Checker)
-		ck.Reset(asn, sim.UniformWinner)
-		_, dense := run(sim.WithObserver(ck))
-		if err := ck.Err(); err != nil {
-			t.Fatalf("oracle violation (%d total) on n=%d c=%d seed=%d script=%q: %v",
-				ck.Violations(), n, c, seed, script, err)
+		// observed runs the script under a fresh oracle and returns its
+		// delivery logs and the outcome stream the oracle saw.
+		observed := func(opts ...sim.Option) (*sim.Engine, string, string) {
+			ck := new(invariant.Checker)
+			ck.Reset(asn, sim.UniformWinner)
+			var outs outcomeLog
+			eng, logs := run(append(opts, sim.WithObserver(sim.Tee(ck, &outs)))...)
+			if err := ck.Err(); err != nil {
+				t.Fatalf("oracle violation (%d total) on n=%d c=%d seed=%d script=%q: %v",
+					ck.Violations(), n, c, seed, script, err)
+			}
+			return eng, logs, outs.String()
 		}
+		_, dense, denseOuts := observed()
 		sharded, got := run(sim.WithShards(2))
 		if sharded.Shards() != 2 {
 			t.Fatalf("Shards() = %d, want 2", sharded.Shards())
@@ -108,12 +137,27 @@ func FuzzEngineSlot(f *testing.F) {
 		if got != dense {
 			t.Fatalf("2 shards diverged from the observed dense run:\n--- sharded ---\n%s--- dense ---\n%s", got, dense)
 		}
-		sparse, got := run(sim.WithSparse())
+		sparse, got, gotOuts := observed(sim.WithSparse())
 		if !sparse.Sparse() {
 			t.Fatal("WithSparse did not engage on a static assignment")
 		}
 		if got != dense {
 			t.Fatalf("sparse diverged from the observed dense run:\n--- sparse ---\n%s--- dense ---\n%s", got, dense)
 		}
+		if gotOuts != denseOuts {
+			t.Fatalf("sparse outcome stream diverged from dense:\n--- sparse ---\n%s--- dense ---\n%s", gotOuts, denseOuts)
+		}
 	})
+}
+
+// outcomeLog is an observer that renders every slot's channel outcomes,
+// one line per slot.
+type outcomeLog struct{ strings.Builder }
+
+func (l *outcomeLog) OnSlot(slot int, outcomes []sim.ChannelOutcome) {
+	fmt.Fprintf(l, "%d:", slot)
+	for _, o := range outcomes {
+		fmt.Fprintf(l, " ch%d b%v w%d l%v", o.Channel, o.Broadcasters, o.Winner, o.Listeners)
+	}
+	l.WriteByte('\n')
 }

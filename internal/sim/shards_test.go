@@ -148,14 +148,16 @@ func TestShardsClampAndGate(t *testing.T) {
 }
 
 // TestSparseGates pins the gate's sparse rules: sparse stepping needs a
-// slot-invariant assignment and no observer, and it forces one shard.
+// slot-invariant assignment, an observer does not gate it, and it forces
+// one shard.
 func TestSparseGates(t *testing.T) {
 	static, bare := gateAssignments(t)
 	runModeGate(t, []modeGateCase{
 		{"sparse forces one shard", static, 4, true, false, 1, true},
-		{"observer forces dense", static, 1, true, true, 1, false},
-		{"observer forces dense and keeps shards", static, 4, true, true, 4, false},
+		{"observer keeps sparse", static, 1, true, true, 1, true},
+		{"observer keeps sparse and one shard", static, 4, true, true, 1, true},
 		{"non-slot-invariant assignment runs dense", bare, 1, true, false, 1, false},
+		{"observed non-slot-invariant assignment runs dense", bare, 1, true, true, 1, false},
 	})
 }
 

@@ -22,24 +22,6 @@ package sim
 
 import "slices"
 
-// WakeAuditor observes the sparse engine's scheduling decisions so an
-// external oracle (package invariant) can cross-check wake-queue
-// consistency: no dormant node acts, every delivery wakes, no awake node
-// is skipped. It is consulted only when sparse stepping is engaged;
-// attaching one does not change the execution. An EndSlot error aborts the
-// run like a protocol error would.
-type WakeAuditor interface {
-	// OnStep reports that node was stepped this slot and returned act.
-	OnStep(slot int, node NodeID, act Action)
-	// OnDeliver reports a delivery to node this slot (which re-wakes it).
-	OnDeliver(slot int, node NodeID)
-	// OnRetire reports that node's Done became true and it left the
-	// active set for good.
-	OnRetire(slot int, node NodeID)
-	// EndSlot closes the slot; a non-nil error fails the run.
-	EndSlot(slot int) error
-}
-
 // WithSparse requests event-driven stepping: the engine honors Action.Sleep
 // dormancy hints and scans only awake nodes each slot. Executions are
 // byte-identical to the dense engine — transcripts, RNG draw order, error
@@ -49,13 +31,6 @@ type WakeAuditor interface {
 // reports the effective mode.
 func WithSparse() Option {
 	return func(e *Engine) { e.sparseReq = true }
-}
-
-// WithWakeAudit attaches a wake-queue auditor (active only while sparse
-// stepping is engaged; see WakeAuditor). Unlike WithObserver it does not
-// force dense stepping — it exists precisely to audit the sparse scan.
-func WithWakeAudit(a WakeAuditor) Option {
-	return func(e *Engine) { e.audit = a }
 }
 
 // Wake-heap entries pack (wake slot << wakeNodeBits) | node into an int64,
@@ -214,20 +189,17 @@ func (e *Engine) scanSparse(slot int) error {
 		}
 		p := e.nodes[v]
 		if p.Done() {
-			e.retireNode(slot, v)
+			e.retireNode(v)
 			continue
 		}
 		act := p.Step(slot)
 		e.acts[v] = act
-		if e.audit != nil {
-			e.audit.OnStep(slot, NodeID(v), act)
-		}
 		// Done flipping inside Step retires the node now, but its action
 		// still resolves this slot: the dense engine steps first and skips
 		// only from the next slot on.
 		live := !p.Done()
 		if !live {
-			e.retireNode(slot, v)
+			e.retireNode(v)
 		}
 		phys := -1
 		if act.Op != OpIdle {
@@ -279,16 +251,13 @@ func (e *Engine) wakeParked(ch int, ls []NodeID) {
 	}
 }
 
-// sparseDelivered is the sparse bookkeeping of one delivery: it reports the
-// delivery to the wake auditor and keeps the notDone count exact, because a
-// delivery may flip a protocol's Done (state-based termination) and the
-// dense Run loop would observe that after this very slot.
-func (e *Engine) sparseDelivered(slot int, id NodeID) {
-	if e.audit != nil {
-		e.audit.OnDeliver(slot, id)
-	}
+// sparseDelivered is the sparse bookkeeping of one delivery: it keeps the
+// notDone count exact, because a delivery may flip a protocol's Done
+// (state-based termination) and the dense Run loop would observe that
+// after this very slot.
+func (e *Engine) sparseDelivered(id NodeID) {
 	if !e.sp.retired[id] && e.nodes[id].Done() {
-		e.retireNode(slot, int32(id))
+		e.retireNode(int32(id))
 	}
 }
 
@@ -296,13 +265,9 @@ func (e *Engine) sparseDelivered(slot int, id NodeID) {
 // notDone once and never stepped again. Sparse stepping requires Done to
 // be monotonic (true for every protocol in this repository outside the
 // recovery supervisor, which always runs dense).
-func (e *Engine) retireNode(slot int, v int32) {
-	sp := &e.sp
-	sp.retired[v] = true
-	sp.notDone--
-	if e.audit != nil {
-		e.audit.OnRetire(slot, NodeID(v))
-	}
+func (e *Engine) retireNode(v int32) {
+	e.sp.retired[v] = true
+	e.sp.notDone--
 }
 
 // wakeNode returns a dormant node to the stepped set: its pending timer is
@@ -405,17 +370,32 @@ func (e *Engine) compactParked(slot, ch int) []int32 {
 	return lst
 }
 
+// touchParked marks every channel that holds live parked listeners as used
+// this slot, so an observed slot reports a channel whose only listeners are
+// parked, exactly as the dense scan would have bucketed them.
+func (e *Engine) touchParked(slot int) {
+	for _, ch := range e.sp.parkedTouch {
+		if len(e.compactParked(slot, ch)) > 0 {
+			e.touch(ch)
+		}
+	}
+}
+
 // mergedListeners merges the live listen bucket with the channel's
 // compacted parked list in ascending node order — exactly the order the
 // dense bucket would have held, since a dense scan appends listeners in
 // node order and the two sets are disjoint (a parked node is not stepped,
-// so it is never in the live bucket).
+// so it is never in the live bucket). Each channel's list is appended
+// after the previous one in lscratch, which resolveChannels resets once per
+// slot, so every list stays valid until the observer has seen the slot; a
+// slot holds at most n listeners, lscratch's capacity.
 func (e *Engine) mergedListeners(ch int, pk []int32) []NodeID {
 	live := e.listen[ch]
 	if len(pk) == 0 {
 		return live
 	}
-	out := e.sp.lscratch[:0]
+	out := e.sp.lscratch
+	start := len(out)
 	i, j := 0, 0
 	for i < len(live) || j < len(pk) {
 		if j >= len(pk) || (i < len(live) && live[i] < NodeID(pk[j])) {
@@ -427,7 +407,7 @@ func (e *Engine) mergedListeners(ch int, pk []int32) []NodeID {
 		}
 	}
 	e.sp.lscratch = out
-	return out
+	return out[start:len(out):len(out)]
 }
 
 // pushWake queues a timer wake. Re-parking with an unchanged wake slot

@@ -100,11 +100,22 @@ func (n *drowsyNode) Done() bool {
 		(n.doneHeard > 0 && n.received >= n.doneHeard)
 }
 
+// wakeChecked returns a wake-queue oracle interposed on every node of
+// nodes, in place; attach it as the engine's observer.
+func wakeChecked(nodes []sim.Protocol) *invariant.WakeChecker {
+	wake := new(invariant.WakeChecker)
+	wake.Reset(len(nodes))
+	for i, p := range nodes {
+		nodes[i] = wake.Wrap(sim.NodeID(i), p)
+	}
+	return wake
+}
+
 // drowsyTrace runs n chaos nodes for the given slot budget and returns the
 // full execution transcript: every node's delivery log, fresh-draw count and
-// final promise state. In sparse mode the wake-queue oracle is attached, so
-// any dormant node that is stepped — or awake node that is skipped — fails
-// the run directly.
+// final promise state. In sparse mode the wake-queue oracle observes the
+// run, so any dormant node that is stepped — or awake node that is skipped —
+// fails the test.
 func drowsyTrace(t *testing.T, asnFn func(t *testing.T) sim.Assignment, n, c, slots int, model sim.CollisionModel, sparse bool) string {
 	t.Helper()
 	asn := asnFn(t)
@@ -123,9 +134,8 @@ func drowsyTrace(t *testing.T, asnFn func(t *testing.T) sim.Assignment, n, c, sl
 	opts := []sim.Option{sim.WithCollisionModel(model)}
 	var wake *invariant.WakeChecker
 	if sparse {
-		wake = new(invariant.WakeChecker)
-		wake.Reset(n)
-		opts = append(opts, sim.WithSparse(), sim.WithWakeAudit(wake))
+		wake = wakeChecked(nodes)
+		opts = append(opts, sim.WithSparse(), sim.WithObserver(wake))
 	}
 	eng := newEngine(t, asn, nodes, 7, opts...)
 	if eng.Sparse() != sparse {
@@ -221,9 +231,8 @@ func TestSparseForeverPark(t *testing.T) {
 		var opts []sim.Option
 		var wake *invariant.WakeChecker
 		if sparse {
-			wake = new(invariant.WakeChecker)
-			wake.Reset(n)
-			opts = append(opts, sim.WithSparse(), sim.WithWakeAudit(wake))
+			wake = wakeChecked(nodes)
+			opts = append(opts, sim.WithSparse(), sim.WithObserver(wake))
 		}
 		eng := newEngine(t, asn, nodes, 11, opts...)
 		for s := 0; s < slots; s++ {
