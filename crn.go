@@ -127,11 +127,14 @@ type Spec struct {
 	Seed int64
 }
 
-// Network is an immutable network instance protocols run over.
+// Network is a network instance protocols run over. A network whose
+// Dynamic reports false is immutable and safe to share between concurrent
+// runs. A dynamic one is not: its assignment caches or re-draws sets per
+// slot, jamming adapters hold state, and a reactive network resets a shared
+// adversary in every Broadcast, so concurrent runs each need their own.
 type Network struct {
-	asn     sim.Assignment
-	dynamic bool
-	adv     *adversary.Driver
+	asn sim.Assignment
+	adv *adversary.Driver
 }
 
 // NewNetwork builds a network from a Spec.
@@ -154,7 +157,7 @@ func NewNetwork(spec Spec) (*Network, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &Network{asn: asn, dynamic: true}, nil
+		return &Network{asn: asn}, nil
 	}
 	if len(spec.FlipSlots) > 0 {
 		if spec.Topology != SharedCore {
@@ -167,7 +170,7 @@ func NewNetwork(spec Spec) (*Network, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &Network{asn: asn, dynamic: true}, nil
+		return &Network{asn: asn}, nil
 	}
 	var (
 		asn sim.Assignment
@@ -209,7 +212,7 @@ func NewJammedNetwork(nodes, channels, kJam int, strategy string, seed int64) (*
 	if err != nil {
 		return nil, err
 	}
-	return &Network{asn: asn, dynamic: true}, nil
+	return &Network{asn: asn}, nil
 }
 
 // newJammer maps a strategy name to a jamming adversary with the given
@@ -306,7 +309,7 @@ func NewReactiveJammedNetwork(nodes, channels int, strategy string, budget Adver
 	if err != nil {
 		return nil, err
 	}
-	return &Network{asn: asn, dynamic: true, adv: drv}, nil
+	return &Network{asn: asn, adv: drv}, nil
 }
 
 // JamPhase is one segment of a phase-scheduled jamming adversary: from
@@ -358,7 +361,7 @@ func NewJammedNetworkPhases(nodes, channels int, phases []JamPhase, seed int64) 
 	if err != nil {
 		return nil, err
 	}
-	return &Network{asn: asn, dynamic: true}, nil
+	return &Network{asn: asn}, nil
 }
 
 // Nodes returns n.
@@ -373,8 +376,8 @@ func (nw *Network) MinOverlap() int { return nw.asn.MinOverlap() }
 // TotalChannels returns C.
 func (nw *Network) TotalChannels() int { return nw.asn.Channels() }
 
-// Dynamic reports whether channel sets change per slot.
-func (nw *Network) Dynamic() bool { return nw.dynamic }
+// Dynamic reports whether channel sets can change from slot to slot.
+func (nw *Network) Dynamic() bool { return !sim.Fixed(nw.asn) }
 
 // SlotBound returns the paper's COGCAST run-length
 // κ·(c/k)·max{1,c/n}·lg n for this network (κ = kappa; pass 0 for the
@@ -847,7 +850,7 @@ func finishInterrupted(sink *trace.JSONL, err error) error {
 // the returned value is the aggregate of all inputs at the source. The
 // network must be static (phases two to four revisit phase-one channels).
 func (nw *Network) Aggregate(inputs []int64, opts AggregateOptions) (*AggregateResult, error) {
-	if nw.dynamic {
+	if nw.Dynamic() {
 		return nil, errors.New("crn: Aggregate requires a static network (COGCOMP revisits phase-one channels)")
 	}
 	name := opts.Func
@@ -1032,7 +1035,7 @@ type SessionResult struct {
 // untraced and unsupervised: setting Trace, Recover, OutageRate, Faults or
 // Adversary is an error.
 func (nw *Network) AggregateRounds(rounds [][]int64, opts AggregateOptions) (*SessionResult, error) {
-	if nw.dynamic {
+	if nw.Dynamic() {
 		return nil, errors.New("crn: AggregateRounds requires a static network")
 	}
 	for _, o := range []struct {
@@ -1106,7 +1109,7 @@ func (nw *Network) RendezvousAggregate(source NodeID, inputs []int64, seed int64
 // HoppingTogether runs the global-label lockstep-scan broadcast (Section 6
 // discussion). The network must use GlobalLabels and be static.
 func (nw *Network) HoppingTogether(source NodeID, payload any, seed int64, maxSlots int) (int, bool, error) {
-	if nw.dynamic {
+	if nw.Dynamic() {
 		return 0, false, errors.New("crn: HoppingTogether requires a static network")
 	}
 	res, err := baseline.HoppingTogether(nw.asn, sim.NodeID(source), payload, seed, maxSlots)

@@ -46,7 +46,7 @@ func NewPrimaryUserNetwork(spec PrimaryUserSpec) (*Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Network{asn: model, dynamic: true}, nil
+	return &Network{asn: model}, nil
 }
 
 // GossipResult reports a multi-source dissemination run.

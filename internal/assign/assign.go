@@ -62,20 +62,12 @@ type Static struct {
 	backing    []int
 	sets       [][]int
 
-	// Derived, invalidated whenever a Builder regenerates the assignment:
-	// the largest physical index handed out (for engine scratch pre-sizing)
-	// and the lazily built channel→members reverse index.
-	maxChan      int
-	maxChanKnown bool
-	index        *Index
+	// The lazily built channel→members reverse index, invalidated whenever
+	// a Builder regenerates the assignment.
+	index *Index
 }
 
-var (
-	_ sim.Assignment              = (*Static)(nil)
-	_ sim.ConcurrentAssignment    = (*Static)(nil)
-	_ sim.SlotInvariantAssignment = (*Static)(nil)
-	_ sim.ChannelBounder          = (*Static)(nil)
-)
+var _ sim.FixedAssignment = (*Static)(nil)
 
 // Nodes returns n.
 func (s *Static) Nodes() int { return len(s.sets) }
@@ -92,34 +84,10 @@ func (s *Static) MinOverlap() int { return s.minOverlap }
 // ChannelSet returns node's channel set; static assignments ignore slot.
 func (s *Static) ChannelSet(node sim.NodeID, _ int) []int { return s.sets[node] }
 
-// ConcurrentChannelSet reports that ChannelSet is safe for concurrent calls:
-// a built Static is immutable, so the engine may shard its per-slot scan
-// over it.
-func (s *Static) ConcurrentChannelSet() bool { return true }
-
-// SlotInvariantChannelSet reports that ChannelSet ignores its slot argument:
-// a built Static never remaps a node, so the sparse engine may cache the
-// physical channel a parked listener tuned to.
-func (s *Static) SlotInvariantChannelSet() bool { return true }
-
-// MaxPhysChannel returns the largest physical channel index any node holds,
-// or -1 for an assignment with no memberships. Builders compute it at build
-// time; hand-assembled Statics (tests) fall back to a lazy scan.
-func (s *Static) MaxPhysChannel() int {
-	if !s.maxChanKnown {
-		m := -1
-		for _, set := range s.sets {
-			for _, ch := range set {
-				if ch > m {
-					m = ch
-				}
-			}
-		}
-		s.maxChan = m
-		s.maxChanKnown = true
-	}
-	return s.maxChan
-}
+// FixedChannelSets reports that a built Static never remaps a node and is
+// immutable, so the engine may shard its scan over it and park listeners by
+// physical channel.
+func (s *Static) FixedChannelSets() bool { return true }
 
 // Validate checks every structural invariant of the model: set sizes equal
 // c, channels lie in [0, C), sets contain no duplicates, and every pair of

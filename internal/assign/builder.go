@@ -32,7 +32,6 @@ type Builder struct {
 func (b *Builder) reuse(n, c, totalChannels, k int) *Static {
 	s := &b.s
 	s.channels, s.perNode, s.minOverlap = totalChannels, c, k
-	s.maxChanKnown = false
 	s.index = nil
 	need := n * c
 	if cap(s.backing) < need {
@@ -101,21 +100,11 @@ func (b *Builder) applyLabels(sets [][]int, model LabelModel, seed int64) error 
 	return nil
 }
 
-// finish applies labels, records the maximum physical index (labels only
-// permute sets, so the scan can run either side of labeling) and hands the
-// assignment out.
+// finish applies labels and hands the assignment out.
 func (b *Builder) finish(s *Static, model LabelModel, seed int64) (*Static, error) {
 	if err := b.applyLabels(s.sets, model, seed); err != nil {
 		return nil, err
 	}
-	m := -1
-	for _, ch := range s.backing {
-		if ch > m {
-			m = ch
-		}
-	}
-	s.maxChan = m
-	s.maxChanKnown = true
 	return s, nil
 }
 

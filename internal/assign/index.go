@@ -40,8 +40,11 @@ func (s *Static) Index() *Index {
 func buildIndex(s *Static) *Index {
 	n := len(s.sets)
 	c := s.channels
-	if m := s.MaxPhysChannel(); m+1 > c {
-		c = m + 1 // tolerate malformed sets so tests on invalid Statics don't panic
+	// Tolerate malformed sets so tests on invalid Statics don't panic.
+	for _, set := range s.sets {
+		for _, ch := range set {
+			c = max(c, ch+1)
+		}
 	}
 	idx := &Index{nodes: n}
 	idx.offsets = make([]int32, c+1)

@@ -88,23 +88,9 @@ func (s *SlowAssignment) ChannelSet(node sim.NodeID, slot int) []int {
 	return s.Assignment.ChannelSet(node, slot)
 }
 
-// ConcurrentChannelSet forwards the wrapped assignment's concurrency
-// declaration so sharded scans stay sharded under the drag.
-func (s *SlowAssignment) ConcurrentChannelSet() bool {
-	if ca, ok := s.Assignment.(sim.ConcurrentAssignment); ok {
-		return ca.ConcurrentChannelSet()
-	}
-	return false
-}
-
-// SlotInvariantChannelSet forwards the wrapped assignment's slot-invariance
-// declaration so sparse stepping stays available under the drag.
-func (s *SlowAssignment) SlotInvariantChannelSet() bool {
-	if sa, ok := s.Assignment.(sim.SlotInvariantAssignment); ok {
-		return sa.SlotInvariantChannelSet()
-	}
-	return false
-}
+// FixedChannelSets forwards the wrapped assignment's capability so sharded
+// and sparse scans keep their mode under the drag.
+func (s *SlowAssignment) FixedChannelSets() bool { return sim.Fixed(s.Assignment) }
 
 // LeakCheck snapshots the live goroutine count and returns a function that
 // asserts the count settled back. Call it at the top of a test, defer the

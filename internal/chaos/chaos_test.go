@@ -340,6 +340,53 @@ func TestSlowShardsByteIdentical(t *testing.T) {
 	}
 }
 
+// TestSlowAssignmentKeepsMode pins the effective engine mode through the
+// drag wrapper: a wrapped static assignment keeps its shards and sparse
+// stepping, and a wrapped dynamic one still falls back to dense serial
+// stepping. Results alone cannot tell, as every mode is byte-identical.
+func TestSlowAssignmentKeepsMode(t *testing.T) {
+	static, err := assign.Partitioned(16, 4, 2, assign.LocalLabels, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dynamic, err := assign.NewDynamic(16, 4, 2, 12, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name       string
+		asn        sim.Assignment
+		opt        sim.Option
+		wantShards int
+		wantSparse bool
+	}{
+		{"static sharded", static, sim.WithShards(4), 4, false},
+		{"static sparse", static, sim.WithSparse(), 1, true},
+		{"dynamic sharded", dynamic, sim.WithShards(4), 1, false},
+		{"dynamic sparse", dynamic, sim.WithSparse(), 1, false},
+	} {
+		slow := &chaos.SlowAssignment{Assignment: tc.asn, Stride: 7, Yields: 3}
+		nodes := make([]sim.Protocol, slow.Nodes())
+		for i := range nodes {
+			nodes[i] = idleNode{}
+		}
+		e, err := sim.NewEngine(slow, nodes, 1, tc.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.Shards() != tc.wantShards || e.Sparse() != tc.wantSparse {
+			t.Errorf("%s: Shards(), Sparse() = %d, %v, want %d, %v", tc.name, e.Shards(), e.Sparse(), tc.wantShards, tc.wantSparse)
+		}
+	}
+}
+
+// idleNode listens on its first channel forever.
+type idleNode struct{}
+
+func (idleNode) Step(int) sim.Action    { return sim.Listen(0) }
+func (idleNode) Deliver(int, sim.Event) {}
+func (idleNode) Done() bool             { return false }
+
 // TestTornTraceDetection verifies the three completeness verdicts a trace
 // reader can reach: intact (marker present and counts match), truncated
 // (marker missing — a crash or kill -9 cut the stream), and corrupted

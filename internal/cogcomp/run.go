@@ -52,7 +52,7 @@ type Config struct {
 	// dormancy hints and the engine scans only awake nodes, which collapses
 	// the census window's Θ(n²) node-steps to O(events). Executions are
 	// byte-identical to dense runs, Trace and Check included; the engine
-	// silently runs dense when the assignment is not slot-invariant.
+	// silently runs dense when the assignment is not sim.Fixed.
 	Sparse bool
 	// Context, when non-nil, is checked at every slot boundary
 	// (sim.WithContext): a done context stops the run with a
@@ -176,8 +176,8 @@ func (a *Arena) Prepare(asn sim.Assignment, source sim.NodeID, inputs []int64, s
 		return nil, nil, 0, err
 	}
 	// Emit dormancy hints only when the engine actually engaged sparse
-	// stepping (the request may have been gated off by a non-slot-invariant
-	// assignment); hints are inert under a dense engine but cost a few
+	// stepping (the request may have been gated off by an assignment that
+	// is not sim.Fixed); hints are inert under a dense engine but cost a few
 	// branches per Step.
 	dormant := a.eng.Sparse()
 	for _, nd := range a.nodes {

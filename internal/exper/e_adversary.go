@@ -25,7 +25,7 @@ func runE30(cfg Config) ([]*Table, error) {
 		budget.Total = 160
 	}
 	tour := games.Tournament{
-		Nodes: n, Channels: c, K: 2,
+		Nodes: n, Channels: c,
 		Trials:  trials,
 		Budget:  budget,
 		Seed:    rng300(cfg.Seed),

@@ -36,9 +36,6 @@ type Tournament struct {
 	// physical spectrum for the jammed COGCAST arm and the channel count
 	// of the partitioned static assignment for the COGCOMP arms.
 	Nodes, Channels int
-	// K is the per-node channel-set size of the COGCOMP arms' partitioned
-	// assignment. Zero means 2.
-	K int
 	// Trials is the number of independent repetitions per duel. Zero
 	// means 5.
 	Trials int
@@ -116,6 +113,10 @@ func (r *TournamentResult) ByConfig(config string) []Duel {
 	return out
 }
 
+// tourK is the per-node channel-set size of the COGCOMP arms' partitioned
+// assignment.
+const tourK = 2
+
 // Arm names used in Duel.Config.
 const (
 	ArmCogcastJam     = "COGCAST/jam"
@@ -146,9 +147,6 @@ type tourArena struct {
 func RunTournament(cfg Tournament) (*TournamentResult, error) {
 	if cfg.Nodes < 2 || cfg.Channels < 2 {
 		return nil, fmt.Errorf("games: tournament needs nodes >= 2 and channels >= 2, got n=%d c=%d", cfg.Nodes, cfg.Channels)
-	}
-	if cfg.K == 0 {
-		cfg.K = 2
 	}
 	if cfg.Trials == 0 {
 		cfg.Trials = 5
@@ -282,7 +280,7 @@ func cogcompTrial(a *tourArena, cfg Tournament, strategy string, ts int64, recov
 	if err != nil {
 		return out, err
 	}
-	asn, err := a.assign.Partitioned(n, c, cfg.K, assign.LocalLabels, ts)
+	asn, err := a.assign.Partitioned(n, c, tourK, assign.LocalLabels, ts)
 	if err != nil {
 		return out, err
 	}

@@ -9,7 +9,7 @@ import (
 
 func quickTournament() Tournament {
 	return Tournament{
-		Nodes: 16, Channels: 8, K: 2, Trials: 3,
+		Nodes: 16, Channels: 8, Trials: 3,
 		Budget: adversary.Budget{PerSlot: 2, Total: 40},
 		Seed:   7,
 	}

@@ -58,8 +58,8 @@ const (
 	// DefaultMaxRetries bounds re-executions per epoch (and fruitless
 	// stall-recovery rounds in epoch four) when Config.MaxRetries is zero.
 	DefaultMaxRetries = 8
-	// DefaultBackoff is the initial backoff gap in slots when
-	// Config.Backoff is zero; it doubles per retry of the same epoch.
+	// DefaultBackoff is the initial backoff gap in slots before an epoch
+	// retry; it doubles per retry of the same epoch.
 	DefaultBackoff = 8
 	// maxBackoffGap caps the exponential backoff.
 	maxBackoffGap = 4096
@@ -100,9 +100,6 @@ type Config struct {
 	// MaxRetries bounds re-executions per epoch. Zero means
 	// DefaultMaxRetries.
 	MaxRetries int
-	// Backoff is the initial backoff gap in slots before an epoch retry,
-	// doubling per attempt up to a cap. Zero means DefaultBackoff.
-	Backoff int
 }
 
 // Result reports one recovered COGCOMP execution. The embedded
@@ -162,9 +159,9 @@ type run struct {
 	eng    *sim.Engine
 	f      aggfunc.Func
 
-	n, l                int
-	maxSlots            int
-	maxRetries, backoff int
+	n, l       int
+	maxSlots   int
+	maxRetries int
 
 	p1end, p2end, p3end int // epoch boundaries, moved by retries
 
@@ -212,10 +209,6 @@ func (a *Arena) Run(asn sim.Assignment, source sim.NodeID, inputs []int64, seed 
 	if maxRetries == 0 {
 		maxRetries = DefaultMaxRetries
 	}
-	backoff := cfg.Backoff
-	if backoff == 0 {
-		backoff = DefaultBackoff
-	}
 	maxSlots := cfg.MaxSlots
 	if maxSlots == 0 {
 		// Cover the full retry schedule: every epoch re-executed to the
@@ -236,7 +229,7 @@ func (a *Arena) Run(asn sim.Assignment, source sim.NodeID, inputs []int64, seed 
 		a: a, cfg: cfg, asn: asn, source: source, inputs: inputs,
 		nodes: nodes, eng: eng, f: f,
 		n: n, l: l, maxSlots: maxSlots,
-		maxRetries: maxRetries, backoff: backoff,
+		maxRetries:  maxRetries,
 		p1end:       l,
 		srcDoneSlot: -1,
 	}
@@ -298,7 +291,7 @@ func (r *run) runUntil(until int) error {
 
 // gap returns the backoff gap for the attempt-th retry (0-based).
 func (r *run) gap(attempt int) int {
-	return backoff.RetryGap(r.backoff, attempt, maxBackoffGap)
+	return backoff.RetryGap(DefaultBackoff, attempt, maxBackoffGap)
 }
 
 // phys returns the physical channel an informed non-source node censuses

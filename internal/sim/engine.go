@@ -244,14 +244,6 @@ func (e *Engine) Reset(asn Assignment, nodes []Protocol, seed int64, opts ...Opt
 	}
 	e.acts = e.acts[:len(nodes)]
 	c := asn.Channels()
-	// Assignments that know their exact maximum physical index let us
-	// pre-size the dense scratch past the advertised Channels(), so the
-	// growScratch path never fires mid-run.
-	if b, ok := asn.(ChannelBounder); ok {
-		if m := b.MaxPhysChannel() + 1; m > c {
-			c = m
-		}
-	}
 	e.growScratch(c)
 	if cap(e.active) < c {
 		e.active = make([]int, 0, c)
@@ -269,30 +261,25 @@ func (e *Engine) Reset(asn Assignment, nodes []Protocol, seed int64, opts ...Opt
 // scratch. Every fallback is silent, because every mode yields the same
 // execution byte for byte:
 //
-//   - Shards clamp to [1, n]. More than one shard also needs an assignment
-//     implementing ConcurrentAssignment with ConcurrentChannelSet true, as
-//     the shards call ChannelSet concurrently; otherwise the scan is serial.
-//   - Sparse stepping engages only below 2^22 nodes (wake-heap entries
-//     pack the node id into 22 bits) and over an assignment implementing
-//     SlotInvariantAssignment with SlotInvariantChannelSet true (parked
-//     listeners cache the physical channel they parked on); otherwise the
-//     engine steps densely. Observers do not gate it: a sparse engine
-//     reports the same channel outcomes a dense one would.
-//   - Engaged sparse stepping forces one shard: its wake bookkeeping is
-//     single-threaded, and with few awake nodes nothing is worth sharding.
+//   - Both modes need a Fixed assignment: shards call ChannelSet
+//     concurrently, and parked listeners cache the physical channel they
+//     parked on. Otherwise the engine steps densely and serially.
+//   - Sparse stepping also needs n < 2^22 (wake-heap entries pack the node
+//     id into 22 bits). Observers do not gate it: a sparse engine reports
+//     the same channel outcomes a dense one would.
+//   - Shards clamp to [1, n], and engaged sparse stepping forces one: its
+//     wake bookkeeping is single-threaded, and with few awake nodes
+//     nothing is worth sharding.
 //
 // Shard ranges are contiguous and cover [0, n) in order; pend capacity is
 // pre-sized to the range width so the first slots do not regrow it node by
 // node.
 func (e *Engine) configure() {
 	n := len(e.nodes)
-	sparse := e.sparseReq && n < maxSparseNodes
-	if sparse {
-		si, ok := e.asn.(SlotInvariantAssignment)
-		sparse = ok && si.SlotInvariantChannelSet()
-	}
+	fixed := Fixed(e.asn)
+	sparse := e.sparseReq && fixed && n < maxSparseNodes
 	s := max(1, min(e.shards, n))
-	if ca, ok := e.asn.(ConcurrentAssignment); sparse || !ok || !ca.ConcurrentChannelSet() {
+	if !fixed || sparse {
 		s = 1
 	}
 	if cap(e.shardAcc) < s {

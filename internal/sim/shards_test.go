@@ -127,15 +127,14 @@ type modeGateCase struct {
 
 const gateNodes = 8
 
-// gateAssignments returns a static assignment, which is concurrent and
-// slot-invariant, and an underAdvertised one, which is neither.
+// gateAssignments returns a static assignment, which is Fixed, and an
+// underAdvertised one, which is not.
 func gateAssignments(t *testing.T) (static, bare sim.Assignment) {
 	return fullOverlap(t, gateNodes, 2), &underAdvertised{claim: 2, sets: [][]int{{0, 1}, {0, 1}, {0, 1}, {0, 1}}}
 }
 
 // TestShardsClampAndGate pins the gate's shard rules: values clamp to [1, n]
-// and assignments that do not implement ConcurrentAssignment silently run
-// serial.
+// and assignments that are not Fixed silently run serial.
 func TestShardsClampAndGate(t *testing.T) {
 	static, bare := gateAssignments(t)
 	runModeGate(t, []modeGateCase{
@@ -148,7 +147,7 @@ func TestShardsClampAndGate(t *testing.T) {
 }
 
 // TestSparseGates pins the gate's sparse rules: sparse stepping needs a
-// slot-invariant assignment, an observer does not gate it, and it forces
+// Fixed assignment, an observer does not gate it, and it forces
 // one shard.
 func TestSparseGates(t *testing.T) {
 	static, bare := gateAssignments(t)
@@ -191,12 +190,12 @@ func runModeGate(t *testing.T, cases []modeGateCase) {
 	}
 }
 
-// underAdvertisedConc is underAdvertised plus the concurrency capability, so
+// underAdvertisedConc is underAdvertised plus the Fixed capability, so
 // a sharded scan runs over an assignment that hands out physical indices
 // beyond its advertised channel count — the growScratch-under-merge path.
 type underAdvertisedConc struct{ underAdvertised }
 
-func (a *underAdvertisedConc) ConcurrentChannelSet() bool { return true }
+func (a *underAdvertisedConc) FixedChannelSets() bool { return true }
 
 // TestShardedGrowScratchPastAdvertised replays the growScratch scenario with
 // a sharded scan: the oversized physical index is discovered during the

@@ -151,7 +151,7 @@ func (e *Engine) growParked(n int) {
 // list with this slot's re-woken nodes in ascending node order and step
 // exactly those, validating and bucketing as the dense scan does. Dormant
 // nodes were validated when they parked and their (unchanged, per the
-// Sleep contract) actions stay valid under a slot-invariant assignment, so
+// Sleep contract) actions stay valid under a Fixed assignment, so
 // the first failing node among awake nodes is the first failing node
 // overall — error strings match the dense scan's.
 func (e *Engine) scanSparse(slot int) error {

@@ -192,42 +192,22 @@ type Assignment interface {
 	ChannelSet(node NodeID, slot int) []int
 }
 
-// ConcurrentAssignment is an optional Assignment interface declaring that
-// ChannelSet is safe for concurrent calls with distinct nodes — true for
-// immutable assignments (assign.Static), false for stateful ones that cache
-// or re-draw sets per call (dynamic re-draws, jamming adapters). The engine
-// shards its per-slot protocol scan (WithShards) only over assignments that
-// report true; everything else runs the serial scan regardless of the
-// requested shard count.
-type ConcurrentAssignment interface {
+// FixedAssignment is an optional Assignment interface declaring that
+// channel sets never change: ChannelSet ignores its slot argument and is
+// safe to call concurrently for distinct nodes. True for immutable static
+// assignments (assign.Static); dynamic re-draws and jamming adapters cache
+// or re-draw sets per slot and do not implement it. The engine shards its
+// scan (WithShards) and parks listeners by physical channel (WithSparse)
+// only over fixed assignments.
+type FixedAssignment interface {
 	Assignment
-	// ConcurrentChannelSet reports whether ChannelSet may be called
-	// concurrently for distinct nodes without synchronization.
-	ConcurrentChannelSet() bool
+	// FixedChannelSets reports whether every node's channel set is the
+	// same in every slot and readable concurrently.
+	FixedChannelSets() bool
 }
 
-// SlotInvariantAssignment is an optional Assignment interface declaring
-// that ChannelSet ignores its slot argument — true for immutable static
-// assignments, false for dynamic re-draws and jamming adapters whose sets
-// change per slot. The sparse engine (WithSparse) parks dormant listeners
-// by the physical channel their local choice mapped to at park time; that
-// cache is only sound when the mapping cannot change underneath them, so
-// sparse stepping engages only over assignments that report true.
-type SlotInvariantAssignment interface {
-	Assignment
-	// SlotInvariantChannelSet reports whether ChannelSet(node, slot) is
-	// independent of slot for every node.
-	SlotInvariantChannelSet() bool
-}
-
-// ChannelBounder is an optional Assignment interface reporting the largest
-// physical channel index the assignment will ever hand out. Channels()
-// already bounds well-formed assignments, but implementations that know
-// their exact maximum let the engine pre-size its dense per-channel scratch
-// at Reset so the grow path never fires mid-run (the grow path survives for
-// assignments without this knowledge).
-type ChannelBounder interface {
-	// MaxPhysChannel returns the largest physical channel index ChannelSet
-	// can return, or -1 if no node holds any channel.
-	MaxPhysChannel() int
+// Fixed reports whether asn implements FixedAssignment and reports true.
+func Fixed(asn Assignment) bool {
+	f, ok := asn.(FixedAssignment)
+	return ok && f.FixedChannelSets()
 }
