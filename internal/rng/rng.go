@@ -6,6 +6,19 @@
 // simple arithmetic (seed+i) produces badly correlated math/rand streams;
 // instead we mix identifiers through SplitMix64, the finalizer used to seed
 // xoshiro-family generators, which decorrelates even adjacent inputs.
+//
+// Stream contract: every generator New returns draws exactly the values
+// rand.New(rand.NewSource(Derive(seed, ids...))) would, call for call, so
+// tables and traces do not depend on how the generator is seeded. Only the
+// seeding differs: the package's own rand.Source64 (source.go) derives each
+// of the 607 state words independently from a table of Lehmer multipliers
+// and computes a word only when a draw first reads it, instead of walking
+// math/rand's serial 1,841-step seeding chain. Lazy-word invariant: after a
+// seed, draws 1–273 read only words no draw has written, so they keep no
+// state (a generator that draws d ≤ 273 values computes 2d words and is one
+// 64-byte allocation); draw 274 writes the state back into the 607-word
+// array, which is allocated then, once per generator, and kept across
+// reseeds.
 package rng
 
 import "math/rand"
@@ -42,13 +55,26 @@ func Uniform01(seed int64, ids ...int64) float64 {
 // generator is private to the caller and must not be shared across
 // goroutines without synchronization.
 func New(seed int64, ids ...int64) *rand.Rand {
-	return rand.New(rand.NewSource(Derive(seed, ids...)))
+	g := new(generator)
+	g.src.Seed(Derive(seed, ids...))
+	g.Rand = *rand.New(&g.src)
+	return &g.Rand
+}
+
+// generator holds a rand.Rand and its source in one 64-byte allocation.
+// rand.New's result is copied out because a Rand has no other constructor;
+// it holds no lock and no pointer to itself, so the copy is the same Rand.
+type generator struct {
+	rand.Rand
+	src source
 }
 
 // Reseed re-seeds r so that its subsequent draws are exactly those of a
-// fresh New(seed, ids...). Reusing one generator this way is what lets trial
-// arenas regenerate per-trial state without allocating a new ~5 KB source
-// per entity while keeping every stream byte-identical to the fresh path.
+// fresh New(seed, ids...). For a generator from New this costs O(1): the
+// source only records the seed, and each later draw computes the state words
+// it reads first. Reusing one generator this way lets trial arenas
+// regenerate per-trial state without allocating a new generator per entity
+// while keeping every stream byte-identical to the fresh path.
 func Reseed(r *rand.Rand, seed int64, ids ...int64) {
 	r.Seed(Derive(seed, ids...))
 }

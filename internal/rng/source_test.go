@@ -1,0 +1,197 @@
+package rng
+
+import (
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+	"unsafe"
+)
+
+// edgeSeeds are the seeds where math/rand's seed normalization changes
+// case: 0 and its substitute 89482311, signs, multiples of the Lehmer
+// modulus 2³¹−1 (which normalize to 0) and the int64 extremes.
+var edgeSeeds = []int64{
+	0, 89482311, 1, -1,
+	int32max, -int32max, 2 * int32max,
+	math.MinInt64, math.MaxInt64,
+}
+
+// lazyBoundaries are draw counts around the points where the lazy path
+// changes case: the last draw without state (273), the draw that writes the
+// state back (274), the last that computes a word (334), and a full state
+// turn (607).
+var lazyBoundaries = []int{0, 1, 272, 273, 274, 333, 334, 335, 607, 608}
+
+const streamDraws = 5000
+
+// mixedStream makes draws calls on r, cycling through every rand.Rand
+// method family the simulator uses, and returns the values produced.
+func mixedStream(r *rand.Rand, draws int) []int64 {
+	out := make([]int64, 0, 2*draws)
+	for i := 0; i < draws; i++ {
+		switch i % 5 {
+		case 0:
+			out = append(out, r.Int63())
+		case 1:
+			out = append(out, int64(r.Uint64()))
+		case 2:
+			out = append(out, int64(r.Intn(i%1000+1)))
+		case 3:
+			a := []int64{1, 2, 3, 4, 5, 6, 7}
+			r.Shuffle(len(a), func(x, y int) { a[x], a[y] = a[y], a[x] })
+			out = append(out, a...)
+		case 4:
+			for _, v := range r.Perm(i%9 + 1) {
+				out = append(out, int64(v))
+			}
+		}
+	}
+	return out
+}
+
+// sameStream fails t unless got and want produce the same mixed stream.
+// Both streams have the same length: mixedStream's shape depends only on
+// draws.
+func sameStream(t *testing.T, name string, got, want *rand.Rand) {
+	t.Helper()
+	g, w := mixedStream(got, streamDraws), mixedStream(want, streamDraws)
+	for i := range g {
+		if g[i] != w[i] {
+			t.Fatalf("%s: value %d differs: got %d, math/rand %d", name, i, g[i], w[i])
+		}
+	}
+}
+
+func stdlib(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
+
+func TestSourceMatchesMathRand(t *testing.T) {
+	// A fresh source, then one warm source stopped after exactly k raw
+	// draws and reseeded, so every case of the lazy path is left part-way
+	// through.
+	warm, want := rand.New(new(source)), stdlib(0)
+	for i, seed := range edgeSeeds {
+		fresh := new(source)
+		fresh.Seed(seed)
+		sameStream(t, "fresh", rand.New(fresh), stdlib(seed))
+		next := edgeSeeds[(i+1)%len(edgeSeeds)]
+		for _, k := range lazyBoundaries {
+			warm.Seed(seed)
+			want.Seed(seed)
+			for d := 0; d < k; d++ {
+				if g, w := warm.Uint64(), want.Uint64(); g != w {
+					t.Fatalf("seed %d draw %d: got %d, math/rand %d", seed, d+1, g, w)
+				}
+			}
+			warm.Seed(next)
+			want.Seed(next)
+			sameStream(t, "reseeded", warm, want)
+		}
+	}
+}
+
+func TestNewAndReseedMatchMathRand(t *testing.T) {
+	warm := New(3)
+	warm.Int63()
+	for _, seed := range edgeSeeds {
+		for _, id := range []int64{0, 0x5c1, 0x1ab} {
+			want := Derive(seed, id)
+			sameStream(t, "New", New(seed, id), stdlib(want))
+			Reseed(warm, seed, id)
+			sameStream(t, "Reseed", warm, stdlib(want))
+		}
+	}
+}
+
+func TestReseedDrawAllocFree(t *testing.T) {
+	r := New(1)
+	seed := int64(0)
+	allocs := testing.AllocsPerRun(100, func() {
+		seed++
+		Reseed(r, seed, 0x5c1)
+		for i := 0; i < 700; i++ {
+			drawSink += r.Intn(1000)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warm Reseed + 700 draws allocated %v times, want 0", allocs)
+	}
+}
+
+// FuzzSource compares the source with math/rand over arbitrary seeds and
+// draw counts, reseeding to ^seed after reseedAt draws. The committed corpus
+// (testdata/fuzz/FuzzSource) holds the edge seeds, each reseeded at a lazy
+// boundary.
+func FuzzSource(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed int64, draws, reseedAt uint16) {
+		s := new(source)
+		s.Seed(seed)
+		got, want := rand.New(s), stdlib(seed)
+		for i := 0; i < int(draws); i++ {
+			if i == int(reseedAt) {
+				got.Seed(^seed)
+				want.Seed(^seed)
+			}
+			var g, w int64
+			if i%3 == 2 {
+				g, w = int64(got.Intn(i+1)), int64(want.Intn(i+1))
+			} else {
+				g, w = int64(got.Uint64()), int64(want.Uint64())
+			}
+			if g != w {
+				t.Fatalf("seed %d reseedAt %d draw %d: got %d, math/rand %d", seed, reseedAt, i, g, w)
+			}
+		}
+		if g, w := got.Perm(8), want.Perm(8); !slices.Equal(g, w) {
+			t.Fatalf("seed %d: Perm after %d draws: got %v, math/rand %v", seed, draws, g, w)
+		}
+	})
+}
+
+var drawSink int
+
+// benchReseedDraw measures what a per-node generator costs on the setup
+// paths: reseed a warm generator, then make d Intn draws. rng is this
+// package's source; math-rand is the stdlib source reseeded the same way.
+func benchReseedDraw(b *testing.B, d int) {
+	run := func(b *testing.B, r *rand.Rand) {
+		sum := 0
+		for i := 0; i < b.N; i++ {
+			r.Seed(Derive(int64(i), 0x5c1))
+			for j := 0; j < d; j++ {
+				sum += r.Intn(1000)
+			}
+		}
+		drawSink = sum
+	}
+	b.Run("rng", func(b *testing.B) { run(b, New(1)) })
+	b.Run("math-rand", func(b *testing.B) { run(b, stdlib(1)) })
+}
+
+func BenchmarkReseedDraw16(b *testing.B)  { benchReseedDraw(b, 16) }
+func BenchmarkReseedDraw44(b *testing.B)  { benchReseedDraw(b, 44) }
+func BenchmarkReseedDraw607(b *testing.B) { benchReseedDraw(b, 607) }
+
+func TestStateAllocatedPastDraw273(t *testing.T) {
+	// A fresh generator is one allocation holding the rand.Rand and a
+	// 16-byte source: draws 1–273 need no state, draw 274 allocates it once,
+	// and a reseeded generator keeps it.
+	for _, c := range []struct{ draws, allocs int }{{0, 1}, {273, 1}, {274, 2}, {700, 2}} {
+		got := testing.AllocsPerRun(20, func() {
+			r := New(5)
+			for i := 0; i < c.draws; i++ {
+				r.Uint64()
+			}
+			Reseed(r, 6)
+			for i := 0; i < c.draws; i++ {
+				r.Uint64()
+			}
+		})
+		if int(got) != c.allocs {
+			t.Errorf("New + Reseed with %d draws each: %v allocs, want %d", c.draws, got, c.allocs)
+		}
+	}
+	if got := unsafe.Sizeof(source{}); got != 16 {
+		t.Errorf("source is %d B, want 16", got)
+	}
+}
