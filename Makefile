@@ -102,6 +102,7 @@ fuzz:
 	$(GO) test -run NONE -fuzz FuzzTraceReader -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run NONE -fuzz FuzzScenario -fuzztime $(FUZZTIME) ./internal/scenario
 	$(GO) test -run NONE -fuzz FuzzNetworkSpec -fuzztime $(FUZZTIME) .
+	$(GO) test -run NONE -fuzz FuzzNetworkConstructors -fuzztime $(FUZZTIME) .
 	$(GO) test -run NONE -fuzz FuzzSource -fuzztime $(FUZZTIME) ./internal/rng
 
 # Coverage gate: aggregate statement coverage across all packages must stay

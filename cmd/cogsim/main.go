@@ -89,7 +89,7 @@ func runCtx(ctx context.Context, args []string, out io.Writer) error {
 		agg      = fs.String("agg", "sum", "aggregate for cogcomp: sum, count, min, max, stats, collect")
 		rounds   = fs.Int("rounds", 3, "reporting rounds for the session protocol")
 		rumors   = fs.Int("rumors", 4, "rumor count for the gossip protocol")
-		maxSlots = fs.Int("max-slots", 0, "slot budget (0 = automatic)")
+		maxSlots = fs.Int("max-slots", 0, "slot budget every protocol stops at (0 = automatic; session rejects it)")
 		check    = fs.Bool("check", false, "run under the invariant oracle: re-verify every slot, the distribution tree, census and aggregate (cogcast, cogcomp, session)")
 		recov    = fs.Bool("recover", false, "run cogcomp under the crash-restart recovery supervisor (epoch checkpoints, bounded retries, mediator re-election; DESIGN.md §7)")
 		outage   = fs.Float64("outage", 0, "with -recover: per-slot crash probability per node (source protected), 10-slot outages")

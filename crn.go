@@ -593,6 +593,7 @@ type AggregateOptions struct {
 	// Kappa scales phase one's length (0 = library default).
 	Kappa float64
 	// MaxSlots bounds the run (0 = a budget above the Theorem 10 bound).
+	// AggregateRounds rejects it: a session sizes its own window.
 	MaxSlots int
 	// Trace, when non-nil, streams a structured JSONL event trace of the
 	// run to the writer — per-slot channel outcomes, phase transitions,
@@ -1031,12 +1032,16 @@ type SessionResult struct {
 // tree and coordination structures are built once, then each round of
 // inputs (rounds[r][v] = node v's datum in round r) is converged over the
 // same tree. This amortizes the Θ((c/k)·lg n + n) setup across the paper's
-// periodic-snapshot use case. The network must be static. Sessions run
-// untraced and unsupervised: setting Trace, Recover, OutageRate, Faults or
-// Adversary is an error.
+// periodic-snapshot use case. The network must be static. Sessions size
+// their own slot window from the round count, so setting MaxSlots is an
+// error; they also run untraced and unsupervised, so setting Trace,
+// Recover, OutageRate, Faults or Adversary is one too.
 func (nw *Network) AggregateRounds(rounds [][]int64, opts AggregateOptions) (*SessionResult, error) {
 	if nw.Dynamic() {
 		return nil, errors.New("crn: AggregateRounds requires a static network")
+	}
+	if opts.MaxSlots != 0 {
+		return nil, errors.New("crn: AggregateRounds does not support MaxSlots (sessions have no slot budget)")
 	}
 	for _, o := range []struct {
 		name string

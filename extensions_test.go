@@ -171,8 +171,9 @@ func TestAggregateRoundsValidation(t *testing.T) {
 	if _, err := dnet.AggregateRounds(rounds, crn.AggregateOptions{}); err == nil {
 		t.Error("dynamic network accepted")
 	}
-	// Sessions run untraced and unsupervised: the options only those
-	// paths honour are rejected rather than silently ignored.
+	// Sessions have no slot budget and run untraced and unsupervised: the
+	// options only other paths honour are rejected rather than silently
+	// ignored.
 	rounds = [][]int64{make([]int64, net.Nodes())}
 	for name, opts := range map[string]crn.AggregateOptions{
 		"Trace":      {Trace: io.Discard},
@@ -180,6 +181,7 @@ func TestAggregateRoundsValidation(t *testing.T) {
 		"OutageRate": {OutageRate: 0.01},
 		"Faults":     {Faults: []crn.FaultSpec{{Kind: "random", Rate: 0.01}}},
 		"Adversary":  {Adversary: "crasher"},
+		"MaxSlots":   {MaxSlots: 5},
 	} {
 		if _, err := net.AggregateRounds(rounds, opts); err == nil {
 			t.Errorf("%s accepted", name)

@@ -84,9 +84,6 @@ func (f *Flipping) PerNode() int { return f.perNode }
 // MinOverlap returns k.
 func (f *Flipping) MinOverlap() int { return f.minOverlap }
 
-// Flips returns the flip schedule (read-only).
-func (f *Flipping) Flips() []int { return f.flips }
-
 // epoch returns how many flips have happened by the slot (0 before the
 // first flip).
 func (f *Flipping) epoch(slot int) int {

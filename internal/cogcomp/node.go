@@ -744,10 +744,6 @@ func (nd *Node) InformedSlot() int {
 // aggregate, at the source, once the node is done).
 func (nd *Node) Aggregate() aggfunc.Value { return nd.acc }
 
-// ClusterSize returns the size of the node's own (r, c)-cluster as counted
-// in phase two (zero for the source).
-func (nd *Node) ClusterSize() int { return nd.clusterSize }
-
 // IsMediator reports whether the node won the mediator election for its
 // channel.
 func (nd *Node) IsMediator() bool { return nd.isMediator }
@@ -755,9 +751,6 @@ func (nd *Node) IsMediator() bool { return nd.isMediator }
 // MaxMessageSize returns the largest value-message size (in abstract words)
 // the node sent during phase four.
 func (nd *Node) MaxMessageSize() int { return nd.maxMsgSize }
-
-// InformerClusterCount returns how many clusters this node informed.
-func (nd *Node) InformerClusterCount() int { return len(nd.collected) }
 
 // --- Recovery hooks ----------------------------------------------------------
 //

@@ -31,8 +31,6 @@ type rumorSet []uint64
 
 func newRumorSet(m int) rumorSet { return make(rumorSet, (m+63)/64) }
 
-func (s rumorSet) has(r Rumor) bool { return s[r/64]&(1<<(uint(r)%64)) != 0 }
-
 func (s rumorSet) clone() rumorSet {
 	out := make(rumorSet, len(s))
 	copy(out, s)
@@ -134,9 +132,6 @@ func (n *Node) Deliver(_ int, ev sim.Event) {
 
 // Done implements sim.Protocol; gossip nodes are engine-stopped.
 func (n *Node) Done() bool { return false }
-
-// Knows reports whether the node holds rumor r.
-func (n *Node) Knows(r Rumor) bool { return n.rumors.has(r) }
 
 // Count returns how many rumors the node holds.
 func (n *Node) Count() int { return n.rumors.count() }

@@ -7,6 +7,10 @@ import (
 	"github.com/cogradio/crn/internal/sim"
 )
 
+// has reports whether the set holds rumor r; production code only counts
+// and merges sets.
+func (s rumorSet) has(r Rumor) bool { return s[r/64]&(1<<(uint(r)%64)) != 0 }
+
 func TestRumorSetOps(t *testing.T) {
 	s := newRumorSet(130)
 	if s.count() != 0 {

@@ -1,15 +1,18 @@
 package scenario
 
 // Strict mapping from the generic parsed tree (YAML or JSON) onto the
-// Scenario struct: every field name is checked against the schema, every
-// value against its type, and anything unknown is an error — a scenario
-// that parses is a scenario whose every line means something.
+// Scenario struct: every field name is checked against the schema (the
+// `key` tags on Scenario and its section types), every value against its
+// field's type, and anything unknown is an error — a scenario that parses
+// is a scenario whose every line means something.
 
 import (
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
+	"reflect"
+	"slices"
 	"strings"
 )
 
@@ -57,10 +60,8 @@ func Parse(data []byte) (*Scenario, error) {
 		return nil, fmt.Errorf("scenario: document must be a mapping, got %s", typeName(tree))
 	}
 	sc := &Scenario{}
-	d := &decoder{}
-	d.decodeRoot(root, sc)
-	if d.err != nil {
-		return nil, d.err
+	if err := decodeStruct(root, reflect.ValueOf(sc).Elem(), ""); err != nil {
+		return nil, err
 	}
 	return sc, nil
 }
@@ -90,313 +91,96 @@ func normalizeJSON(v any) any {
 	}
 }
 
-// decoder walks the tree, recording the first error with its field path.
-type decoder struct {
-	err error
-}
-
-func (d *decoder) fail(path, format string, args ...any) {
-	if d.err == nil {
-		if path != "" {
-			format = path + ": " + format
-		}
-		d.err = fmt.Errorf("scenario: "+format, args...)
-	}
-}
-
-// section extracts a nested mapping field (nil when absent).
-func (d *decoder) section(m map[string]any, path, key string) map[string]any {
-	v, ok := m[key]
-	if !ok || d.err != nil {
-		return nil
-	}
-	sub, ok := v.(map[string]any)
-	if !ok {
-		d.fail(joinPath(path, key), "want a mapping, got %s", typeName(v))
-		return nil
-	}
-	return sub
-}
-
-// checkUnknown rejects keys not consumed by the schema.
-func (d *decoder) checkUnknown(m map[string]any, path string, known ...string) {
-	if d.err != nil {
-		return
+// decodeStruct fills the struct v from the mapping m. Every field names
+// its key with a `key:"..."` tag, so the schema is the struct declaration.
+// Unknown keys are reported first (the lexicographically first one, for a
+// deterministic message); fields then decode in declaration order, so the
+// first error follows the schema rather than the document. A null or
+// absent scalar or list keeps its zero value; a null section is an error.
+func decodeStruct(m map[string]any, v reflect.Value, path string) error {
+	t := v.Type()
+	keys := make([]string, t.NumField())
+	for i := range keys {
+		keys[i] = t.Field(i).Tag.Get("key")
 	}
 	var unknown []string
 	for k := range m {
-		found := false
-		for _, want := range known {
-			if k == want {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if !slices.Contains(keys, k) {
 			unknown = append(unknown, k)
 		}
 	}
 	if len(unknown) > 0 {
-		// Report the lexicographically first for a deterministic message.
-		first := unknown[0]
-		for _, k := range unknown[1:] {
-			if k < first {
-				first = k
-			}
-		}
 		where := path
 		if where == "" {
 			where = "the top level"
 		}
-		d.fail("", "unknown field %q in %s", first, where)
+		return fmt.Errorf("scenario: unknown field %q in %s", slices.Min(unknown), where)
 	}
+	for i, key := range keys {
+		x, ok := m[key]
+		if !ok || x == nil && t.Field(i).Type.Kind() != reflect.Struct {
+			continue
+		}
+		if err := decodeValue(x, v.Field(i), joinPath(path, key)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-func (d *decoder) str(m map[string]any, path, key string) string {
-	v, ok := m[key]
-	if !ok || v == nil || d.err != nil {
-		return ""
-	}
-	s, ok := v.(string)
-	if !ok {
-		d.fail(joinPath(path, key), "want a string, got %s", typeName(v))
-		return ""
-	}
-	return s
-}
-
-func (d *decoder) integer(m map[string]any, path, key string) int {
-	v, ok := m[key]
-	if !ok || v == nil || d.err != nil {
-		return 0
-	}
-	i, ok := v.(int64)
-	if !ok {
-		d.fail(joinPath(path, key), "want an integer, got %s", typeName(v))
-		return 0
-	}
-	return int(i)
-}
-
-func (d *decoder) int64(m map[string]any, path, key string) int64 {
-	v, ok := m[key]
-	if !ok || v == nil || d.err != nil {
-		return 0
-	}
-	i, ok := v.(int64)
-	if !ok {
-		d.fail(joinPath(path, key), "want an integer, got %s", typeName(v))
-		return 0
-	}
-	return i
-}
-
-func (d *decoder) float(m map[string]any, path, key string) float64 {
-	v, ok := m[key]
-	if !ok || v == nil || d.err != nil {
-		return 0
-	}
-	switch x := v.(type) {
-	case float64:
-		return x
-	case int64:
-		return float64(x)
-	default:
-		d.fail(joinPath(path, key), "want a number, got %s", typeName(v))
-		return 0
-	}
-}
-
-func (d *decoder) boolean(m map[string]any, path, key string) bool {
-	v, ok := m[key]
-	if !ok || v == nil || d.err != nil {
-		return false
-	}
-	b, ok := v.(bool)
-	if !ok {
-		d.fail(joinPath(path, key), "want true or false, got %s", typeName(v))
-		return false
-	}
-	return b
-}
-
-func (d *decoder) intList(m map[string]any, path, key string) []int {
-	v, ok := m[key]
-	if !ok || v == nil || d.err != nil {
-		return nil
-	}
-	seq, ok := v.([]any)
-	if !ok {
-		d.fail(joinPath(path, key), "want a list of integers, got %s", typeName(v))
-		return nil
-	}
-	out := make([]int, len(seq))
-	for i, e := range seq {
-		n, ok := e.(int64)
-		if !ok {
-			d.fail(fmt.Sprintf("%s[%d]", joinPath(path, key), i), "want an integer, got %s", typeName(e))
+// decodeValue stores the generic value x into v, checking its type.
+func decodeValue(x any, v reflect.Value, path string) error {
+	want := ""
+	switch v.Kind() {
+	case reflect.Struct:
+		if m, ok := x.(map[string]any); ok {
+			return decodeStruct(m, v, path)
+		}
+		want = "a mapping"
+	case reflect.String:
+		if s, ok := x.(string); ok {
+			v.SetString(s)
 			return nil
 		}
-		out[i] = int(n)
-	}
-	return out
-}
-
-func (d *decoder) decodeRoot(m map[string]any, sc *Scenario) {
-	d.checkUnknown(m, "",
-		"name", "description", "seed", "topology", "protocol", "engine",
-		"limits", "recovery", "adversary", "experiment", "events", "assertions")
-	sc.Name = d.str(m, "", "name")
-	sc.Description = d.str(m, "", "description")
-	sc.Seed = d.int64(m, "", "seed")
-
-	if t := d.section(m, "", "topology"); t != nil {
-		d.checkUnknown(t, "topology",
-			"nodes", "channels_per_node", "min_overlap", "total_channels",
-			"generator", "labels", "dynamic", "jam_strategy", "jam_budget")
-		sc.Topology = Topology{
-			Nodes:           d.integer(t, "topology", "nodes"),
-			ChannelsPerNode: d.integer(t, "topology", "channels_per_node"),
-			MinOverlap:      d.integer(t, "topology", "min_overlap"),
-			TotalChannels:   d.integer(t, "topology", "total_channels"),
-			Generator:       d.str(t, "topology", "generator"),
-			Labels:          d.str(t, "topology", "labels"),
-			Dynamic:         d.boolean(t, "topology", "dynamic"),
-			JamStrategy:     d.str(t, "topology", "jam_strategy"),
-			JamBudget:       d.integer(t, "topology", "jam_budget"),
-		}
-	}
-	if p := d.section(m, "", "protocol"); p != nil {
-		d.checkUnknown(p, "protocol",
-			"name", "source", "payload", "aggregate", "rounds", "rumors",
-			"max_slots", "curve")
-		sc.Protocol = Protocol{
-			Name:      d.str(p, "protocol", "name"),
-			Source:    d.integer(p, "protocol", "source"),
-			Payload:   d.str(p, "protocol", "payload"),
-			Aggregate: d.str(p, "protocol", "aggregate"),
-			Rounds:    d.integer(p, "protocol", "rounds"),
-			Rumors:    d.integer(p, "protocol", "rumors"),
-			MaxSlots:  d.integer(p, "protocol", "max_slots"),
-			Curve:     d.boolean(p, "protocol", "curve"),
-		}
-	}
-	if e := d.section(m, "", "engine"); e != nil {
-		d.checkUnknown(e, "engine", "shards", "sparse", "parallel", "repeat", "check", "trace")
-		sc.Engine = Engine{
-			Shards:   d.integer(e, "engine", "shards"),
-			Sparse:   d.boolean(e, "engine", "sparse"),
-			Parallel: d.integer(e, "engine", "parallel"),
-			Repeat:   d.integer(e, "engine", "repeat"),
-			Check:    d.boolean(e, "engine", "check"),
-			Trace:    d.str(e, "engine", "trace"),
-		}
-	}
-	if l := d.section(m, "", "limits"); l != nil {
-		d.checkUnknown(l, "limits", "deadline", "max_slots")
-		sc.Limits = Limits{
-			Deadline: d.str(l, "limits", "deadline"),
-			MaxSlots: d.integer(l, "limits", "max_slots"),
-		}
-	}
-	if r := d.section(m, "", "recovery"); r != nil {
-		d.checkUnknown(r, "recovery", "enabled", "outage_rate", "outage_duration", "max_retries")
-		sc.Recovery = Recovery{
-			Enabled:        d.boolean(r, "recovery", "enabled"),
-			OutageRate:     d.float(r, "recovery", "outage_rate"),
-			OutageDuration: d.integer(r, "recovery", "outage_duration"),
-			MaxRetries:     d.integer(r, "recovery", "max_retries"),
-		}
-	}
-	if a := d.section(m, "", "adversary"); a != nil {
-		d.checkUnknown(a, "adversary", "strategy", "energy", "per_slot")
-		sc.Adversary = Adversary{
-			Strategy: d.str(a, "adversary", "strategy"),
-			Energy:   d.integer(a, "adversary", "energy"),
-			PerSlot:  d.integer(a, "adversary", "per_slot"),
-		}
-	}
-	if x := d.section(m, "", "experiment"); x != nil {
-		d.checkUnknown(x, "experiment", "id", "trials", "quick")
-		sc.Experiment = Experiment{
-			ID:     d.str(x, "experiment", "id"),
-			Trials: d.integer(x, "experiment", "trials"),
-			Quick:  d.boolean(x, "experiment", "quick"),
-		}
-	}
-	sc.Events = d.decodeEvents(m)
-	sc.Assertions = d.decodeAssertions(m)
-}
-
-func (d *decoder) decodeEvents(m map[string]any) []Event {
-	v, ok := m["events"]
-	if !ok || v == nil || d.err != nil {
-		return nil
-	}
-	seq, ok := v.([]any)
-	if !ok {
-		d.fail("events", "want a list, got %s", typeName(v))
-		return nil
-	}
-	out := make([]Event, 0, len(seq))
-	for i, e := range seq {
-		path := fmt.Sprintf("events[%d]", i)
-		em, ok := e.(map[string]any)
-		if !ok {
-			d.fail(path, "want a mapping, got %s", typeName(e))
+		want = "a string"
+	case reflect.Int, reflect.Int64:
+		if i, ok := x.(int64); ok {
+			v.SetInt(i)
 			return nil
 		}
-		d.checkUnknown(em, path,
-			"kind", "at", "until", "rate", "duration", "group", "nodes",
-			"strategy", "budget")
-		out = append(out, Event{
-			Kind:     d.str(em, path, "kind"),
-			At:       d.integer(em, path, "at"),
-			Until:    d.integer(em, path, "until"),
-			Rate:     d.float(em, path, "rate"),
-			Duration: d.integer(em, path, "duration"),
-			Group:    d.integer(em, path, "group"),
-			Nodes:    d.intList(em, path, "nodes"),
-			Strategy: d.str(em, path, "strategy"),
-			Budget:   d.integer(em, path, "budget"),
-		})
-		if d.err != nil {
+		want = "an integer"
+	case reflect.Float64:
+		switch n := x.(type) {
+		case float64:
+			v.SetFloat(n)
+			return nil
+		case int64:
+			v.SetFloat(float64(n))
 			return nil
 		}
-	}
-	return out
-}
-
-func (d *decoder) decodeAssertions(m map[string]any) []Assertion {
-	v, ok := m["assertions"]
-	if !ok || v == nil || d.err != nil {
-		return nil
-	}
-	seq, ok := v.([]any)
-	if !ok {
-		d.fail("assertions", "want a list, got %s", typeName(v))
-		return nil
-	}
-	out := make([]Assertion, 0, len(seq))
-	for i, e := range seq {
-		path := fmt.Sprintf("assertions[%d]", i)
-		am, ok := e.(map[string]any)
-		if !ok {
-			d.fail(path, "want a mapping, got %s", typeName(e))
+		want = "a number"
+	case reflect.Bool:
+		if b, ok := x.(bool); ok {
+			v.SetBool(b)
 			return nil
 		}
-		d.checkUnknown(am, path, "kind", "slots", "value", "min_contributors")
-		out = append(out, Assertion{
-			Kind:            d.str(am, path, "kind"),
-			Slots:           d.integer(am, path, "slots"),
-			Value:           d.int64(am, path, "value"),
-			MinContributors: d.integer(am, path, "min_contributors"),
-		})
-		if d.err != nil {
+		want = "true or false"
+	case reflect.Slice:
+		if seq, ok := x.([]any); ok {
+			v.Set(reflect.MakeSlice(v.Type(), len(seq), len(seq)))
+			for i, e := range seq {
+				if err := decodeValue(e, v.Index(i), fmt.Sprintf("%s[%d]", path, i)); err != nil {
+					return err
+				}
+			}
 			return nil
 		}
+		want = "a list"
+		if v.Type().Elem().Kind() == reflect.Int {
+			want = "a list of integers"
+		}
 	}
-	return out
+	return fmt.Errorf("scenario: %s: want %s, got %s", path, want, typeName(x))
 }
 
 func joinPath(path, key string) string {

@@ -1,6 +1,9 @@
 package scenario
 
 import (
+	"encoding/json"
+	"os"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -118,6 +121,51 @@ func TestParseRejects(t *testing.T) {
 			"# only a comment\n",
 			`scenario: empty document`,
 		},
+		{
+			"null section",
+			"name: x\ntopology:\n",
+			`scenario: topology: want a mapping, got null`,
+		},
+		{
+			"scalar event",
+			"events:\n  - 3\n",
+			`scenario: events[0]: want a mapping, got an integer`,
+		},
+		{
+			"scalar where integer list expected",
+			"events:\n  - kind: blackout\n    nodes: 3\n",
+			`scenario: events[0].nodes: want a list of integers, got an integer`,
+		},
+		{
+			"string where number expected",
+			"recovery:\n  outage_rate: high\n",
+			`scenario: recovery.outage_rate: want a number, got a string`,
+		},
+		{
+			"float where int64 expected",
+			"assertions:\n  - kind: value-equals\n    value: 1.5\n",
+			`scenario: assertions[0].value: want an integer, got a number`,
+		},
+		{
+			"unknown field beside a mistyped one",
+			"topology:\n  nodes: many\n  bogus: 1\n",
+			`scenario: unknown field "bogus" in topology`,
+		},
+		{
+			"unknown top-level field beside a mistyped one",
+			"name: 7\nbogus: 1\n",
+			`scenario: unknown field "bogus" in the top level`,
+		},
+		{
+			"first error in schema order, not document order",
+			"seed: x\nname: 7\n",
+			`scenario: name: want a string, got an integer`,
+		},
+		{
+			"first error in schema order, JSON",
+			`{"seed": "x", "name": 7}`,
+			`scenario: name: want a string, got an integer`,
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -205,5 +253,44 @@ func TestParseScalars(t *testing.T) {
 	}
 	if want := `say "hi #1"`; sc.Protocol.Payload != want {
 		t.Errorf("Payload = %q, want %q", sc.Protocol.Payload, want)
+	}
+	// Null or empty scalars and lists decode to zero values, and a float
+	// field takes an integer.
+	sc, err = Parse([]byte("seed: ~\nrecovery:\n  outage_rate: 0\nevents:\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sc.Seed != 0 || sc.Recovery.OutageRate != 0.0 || sc.Events != nil {
+		t.Errorf("Seed, OutageRate, Events = %d, %v, %#v; want 0, 0, nil", sc.Seed, sc.Recovery.OutageRate, sc.Events)
+	}
+}
+
+// TestLibraryJSONEquivalence: every committed scenario's parse tree,
+// re-encoded as JSON, decodes to the same Scenario as the YAML file.
+func TestLibraryJSONEquivalence(t *testing.T) {
+	for _, f := range scenarioFiles(t) {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fromYAML, err := Parse(data)
+		if err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		tree, err := parseYAML(data)
+		if err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		doc, err := json.Marshal(tree)
+		if err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		fromJSON, err := Parse(doc)
+		if err != nil {
+			t.Fatalf("%s as JSON: %v\n%s", f, err, doc)
+		}
+		if !reflect.DeepEqual(fromYAML, fromJSON) {
+			t.Fatalf("%s: YAML and JSON decode differently:\n%#v\nvs\n%#v", f, fromYAML, fromJSON)
+		}
 	}
 }

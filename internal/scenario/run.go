@@ -70,9 +70,10 @@ func (sc *Scenario) Execute(out io.Writer) (*Outcome, error) {
 
 // ExecuteContext is Execute under an interrupt context. The Limits
 // section layers on top of ctx: a limits.deadline wraps it with a
-// timeout, limits.max_slots tightens the slot budget. Context checks
-// happen at slot boundaries only and consume no randomness, so a run
-// that completes is byte-identical to the same run without a context.
+// timeout, limits.max_slots caps every runner's slot budget (sessions,
+// which have none, reject it). Context checks happen at slot boundaries
+// only and consume no randomness, so a run that completes is
+// byte-identical to the same run without a context.
 func (sc *Scenario) ExecuteContext(ctx context.Context, out io.Writer) (*Outcome, error) {
 	ctx, cancel, err := sc.limitContext(ctx)
 	if err != nil {
@@ -90,11 +91,8 @@ func (sc *Scenario) ExecuteContext(ctx context.Context, out io.Writer) (*Outcome
 		net.Nodes(), net.ChannelsPerNode(), net.MinOverlap(), net.TotalChannels(), net.Dynamic())
 	fmt.Fprintf(out, "theory:  COGCAST slot bound = %d\n", net.SlotBound(0))
 
-	budget := sc.Protocol.MaxSlots
-	if budget == 0 {
-		budget = 64 * net.SlotBound(0)
-	}
-	budget = sc.capSlots(budget)
+	auto := 64 * net.SlotBound(0)
+	budget := sc.slotBudget(auto)
 	if sc.Engine.Repeat > 1 {
 		if sc.Engine.Trace != "" {
 			return nil, fmt.Errorf("-trace records a single run; drop -repeat")
@@ -235,7 +233,7 @@ func (sc *Scenario) ExecuteContext(ctx context.Context, out io.Writer) (*Outcome
 		for i := range sources {
 			sources[i] = crn.NodeID((i * net.Nodes()) / sc.Protocol.Rumors)
 		}
-		res, err := net.Gossip(sources, sc.Seed, 0)
+		res, err := net.Gossip(sources, sc.Seed, sc.slotBudget(auto*(1+sc.Protocol.Rumors)))
 		if err != nil {
 			return nil, err
 		}
@@ -243,7 +241,7 @@ func (sc *Scenario) ExecuteContext(ctx context.Context, out io.Writer) (*Outcome
 			sc.Protocol.Rumors, net.Nodes(), res.Slots, res.Complete)
 		oc.Slots, oc.AllInformed = res.Slots, res.Complete
 	case "rendezvous":
-		slots, done, err := net.RendezvousBroadcast(crn.NodeID(sc.Protocol.Source), sc.Protocol.Payload, sc.Seed, 128*budget)
+		slots, done, err := net.RendezvousBroadcast(crn.NodeID(sc.Protocol.Source), sc.Protocol.Payload, sc.Seed, sc.slotBudget(128*auto))
 		if err != nil {
 			return nil, err
 		}
@@ -251,14 +249,14 @@ func (sc *Scenario) ExecuteContext(ctx context.Context, out io.Writer) (*Outcome
 		oc.Slots, oc.AllInformed = slots, done
 	case "rendezvous-agg":
 		inputs := make([]int64, net.Nodes())
-		slots, done, err := net.RendezvousAggregate(crn.NodeID(sc.Protocol.Source), inputs, sc.Seed, 1024*budget)
+		slots, done, err := net.RendezvousAggregate(crn.NodeID(sc.Protocol.Source), inputs, sc.Seed, sc.slotBudget(1024*auto))
 		if err != nil {
 			return nil, err
 		}
 		fmt.Fprintf(out, "rendezvous aggregation: %d slots, complete: %v\n", slots, done)
 		oc.Slots, oc.AllInformed = slots, done
 	case "hop":
-		slots, done, err := net.HoppingTogether(crn.NodeID(sc.Protocol.Source), sc.Protocol.Payload, sc.Seed, 64*net.TotalChannels())
+		slots, done, err := net.HoppingTogether(crn.NodeID(sc.Protocol.Source), sc.Protocol.Payload, sc.Seed, sc.slotBudget(64*net.TotalChannels()))
 		if err != nil {
 			return nil, err
 		}
@@ -284,12 +282,13 @@ func (sc *Scenario) broadcastOptions(ctx context.Context, seed int64, budget int
 
 // aggregateOptions builds a cogcomp or session run's options from the
 // scenario, for the single run and every -repeat repetition alike.
-// Sessions ignore the slot budget, recovery and adversary settings, which
-// Validate admits only for cogcomp; fault events never meet -repeat.
+// Sessions reject a slot budget and ignore recovery and adversary
+// settings, which Validate admits only for cogcomp; fault events never
+// meet -repeat.
 func (sc *Scenario) aggregateOptions(ctx context.Context, seed int64) crn.AggregateOptions {
 	opts := crn.AggregateOptions{
 		Source: crn.NodeID(sc.Protocol.Source), Func: sc.Protocol.Aggregate, Seed: seed,
-		MaxSlots: sc.capSlots(sc.Protocol.MaxSlots),
+		MaxSlots: sc.slotBudget(0),
 		Check:    sc.Engine.Check, Recover: sc.Recovery.Enabled, OutageRate: sc.Recovery.OutageRate,
 		Shards: sc.Engine.Shards, Sparse: sc.Engine.Sparse,
 		Context: ctx,
@@ -410,9 +409,15 @@ func (sc *Scenario) limitContext(ctx context.Context) (context.Context, context.
 	return ctx, cancel, nil
 }
 
-// capSlots combines a slot budget with limits.max_slots: the smallest
-// nonzero value wins (0 keeps the library default).
-func (sc *Scenario) capSlots(budget int) int {
+// slotBudget is the slot budget a runner receives: protocol.max_slots
+// when set, else the runner's automatic budget auto, capped by
+// limits.max_slots. The smallest nonzero value wins; with auto 0 (the
+// library picks the budget) a limit replaces the library's budget.
+func (sc *Scenario) slotBudget(auto int) int {
+	budget := sc.Protocol.MaxSlots
+	if budget == 0 {
+		budget = auto
+	}
 	if m := sc.Limits.MaxSlots; m > 0 && (budget == 0 || m < budget) {
 		return m
 	}

@@ -30,73 +30,76 @@ package scenario
 // and Protocol, then Normalize and Validate.
 type Scenario struct {
 	// Name identifies the scenario (reports, catalog, CI matrix).
-	Name string
+	Name string `key:"name"`
 	// Description is a one-line human summary.
-	Description string
+	Description string `key:"description"`
 	// Seed roots all randomness; identical scenarios reproduce identical
 	// output. Defaults to 1 (the cogsim flag default).
-	Seed int64
+	Seed int64 `key:"seed"`
 	// Topology declares the network.
-	Topology Topology
+	Topology Topology `key:"topology"`
 	// Protocol declares what runs over it.
-	Protocol Protocol
+	Protocol Protocol `key:"protocol"`
 	// Engine carries execution options that never change results.
-	Engine Engine
+	Engine Engine `key:"engine"`
 	// Limits bounds the run's wall-clock time and slot budget.
-	Limits Limits
+	Limits Limits `key:"limits"`
 	// Recovery configures the crash-restart supervisor (cogcomp only).
-	Recovery Recovery
+	Recovery Recovery `key:"recovery"`
 	// Adversary configures a reactive (adaptive) adversary over the run.
-	Adversary Adversary
+	Adversary Adversary `key:"adversary"`
 	// Experiment configures an experiment-suite run; only valid (and
 	// required) when Protocol.Name is "experiment".
-	Experiment Experiment
+	Experiment Experiment `key:"experiment"`
 	// Events is the timed schedule of faults and adversary moves.
-	Events []Event
+	Events []Event `key:"events"`
 	// Assertions are the postconditions checked after the run.
-	Assertions []Assertion
+	Assertions []Assertion `key:"assertions"`
 }
 
 // Topology declares the network a scenario builds.
 type Topology struct {
 	// Nodes is n, ChannelsPerNode c, MinOverlap k, TotalChannels C
 	// (0 = 3c, matching the cogsim -C default).
-	Nodes, ChannelsPerNode, MinOverlap, TotalChannels int
+	Nodes           int `key:"nodes"`
+	ChannelsPerNode int `key:"channels_per_node"`
+	MinOverlap      int `key:"min_overlap"`
+	TotalChannels   int `key:"total_channels"`
 	// Generator selects the assignment generator: "full", "partitioned",
 	// "shared-core", "random-pool", "pairwise", or "jammed" (the
 	// Theorem 18 jamming reduction).
-	Generator string
+	Generator string `key:"generator"`
 	// Labels is the channel-label model: "local" (default) or "global".
-	Labels string
+	Labels string `key:"labels"`
 	// Dynamic re-draws channel sets every slot (SharedCore semantics).
-	Dynamic bool
+	Dynamic bool `key:"dynamic"`
 	// JamStrategy and JamBudget configure the "jammed" generator: the
 	// adversary strategy ("none", "random", "sweep", "block", "split") and
 	// its per-node per-slot budget of jammed channels.
-	JamStrategy string
-	JamBudget   int
+	JamStrategy string `key:"jam_strategy"`
+	JamBudget   int    `key:"jam_budget"`
 }
 
 // Protocol declares what runs over the network.
 type Protocol struct {
 	// Name is one of "cogcast", "cogcomp", "session", "gossip",
 	// "rendezvous", "rendezvous-agg", "hop", or "experiment".
-	Name string
+	Name string `key:"name"`
 	// Source is the initiating node (default 0).
-	Source int
+	Source int `key:"source"`
 	// Payload is the broadcast message (default "INIT").
-	Payload string
+	Payload string `key:"payload"`
 	// Aggregate selects the cogcomp/session aggregate: "sum" (default),
 	// "count", "min", "max", "stats", or "collect".
-	Aggregate string
+	Aggregate string `key:"aggregate"`
 	// Rounds is the session protocol's reporting-round count (default 3).
-	Rounds int
+	Rounds int `key:"rounds"`
 	// Rumors is the gossip protocol's rumor count (default 4).
-	Rumors int
+	Rumors int `key:"rumors"`
 	// MaxSlots bounds the run; 0 means the automatic budget.
-	MaxSlots int
+	MaxSlots int `key:"max_slots"`
 	// Curve prints the informed-count sparkline for cogcast.
-	Curve bool
+	Curve bool `key:"curve"`
 }
 
 // Engine carries execution options. None of them changes results: repeat
@@ -106,20 +109,20 @@ type Protocol struct {
 type Engine struct {
 	// Shards splits each slot's protocol scan across goroutines
 	// (default 1 = serial).
-	Shards int
+	Shards int `key:"shards"`
 	// Sparse enables event-driven stepping: dormant nodes are skipped
 	// instead of scanned every slot (sim.WithSparse). Results are
 	// byte-identical either way, checked and traced runs included;
 	// dynamic/jammed runs silently step densely.
-	Sparse bool
+	Sparse bool `key:"sparse"`
 	// Parallel bounds workers for repeated runs (0 = GOMAXPROCS).
-	Parallel int
+	Parallel int `key:"parallel"`
 	// Repeat runs that many independent seeded repetitions (default 1).
-	Repeat int
+	Repeat int `key:"repeat"`
 	// Check attaches the invariant oracle to every run.
-	Check bool
+	Check bool `key:"check"`
 	// Trace writes a JSONL event trace of a single run to this path.
-	Trace string
+	Trace string `key:"trace"`
 }
 
 // Limits bounds a run's real time and slot budget. Zero values disable a
@@ -131,25 +134,25 @@ type Limits struct {
 	// "2m"). When exceeded, the run is interrupted at the next slot
 	// boundary and Execute returns a deadline-exceeded error carrying the
 	// slots completed so far.
-	Deadline string
+	Deadline string `key:"deadline"`
 	// MaxSlots caps the slot budget. It combines with protocol.max_slots
 	// (and the automatic budget) by taking the smallest nonzero value.
-	MaxSlots int
+	MaxSlots int `key:"max_slots"`
 }
 
 // Recovery configures the crash-restart supervisor for cogcomp runs.
 type Recovery struct {
 	// Enabled routes the aggregation through the recovery supervisor.
-	Enabled bool
+	Enabled bool `key:"enabled"`
 	// OutageRate injects whole-run random churn: each unprotected node
 	// starts an outage with this per-slot probability.
-	OutageRate float64
+	OutageRate float64 `key:"outage_rate"`
 	// OutageDuration is each injected outage's length in slots
 	// (default 10).
-	OutageDuration int
+	OutageDuration int `key:"outage_duration"`
 	// MaxRetries bounds per-epoch re-executions before the run degrades
 	// (0 = library default).
-	MaxRetries int
+	MaxRetries int `key:"max_retries"`
 }
 
 // Adversary configures a reactive adversary (package adversary): a
@@ -161,26 +164,26 @@ type Adversary struct {
 	// ("busiest", "follower", "hunter") drive cogcast's jammed reduction;
 	// crash-capable ones ("hunter", "crasher", "oblivious") feed the
 	// recovery supervisor; "none" is the inert control.
-	Strategy string
+	Strategy string `key:"strategy"`
 	// Energy is the total reserve: one unit per jammed channel per slot,
 	// one unit per node held down per slot. Zero leaves the adversary
 	// inert (the run is byte-identical to the control).
-	Energy int
+	Energy int `key:"energy"`
 	// PerSlot caps actions scheduled per slot (default 2). On jammed
 	// topologies it doubles as the reduction's kJam, so 2*per_slot must
 	// stay below channels_per_node.
-	PerSlot int
+	PerSlot int `key:"per_slot"`
 }
 
 // Experiment configures a run of the E1–E28 experiment suite.
 type Experiment struct {
 	// ID names the experiment, e.g. "E26".
-	ID string
+	ID string `key:"id"`
 	// Trials is the repetition count per parameter point (0 = suite
 	// default).
-	Trials int
+	Trials int `key:"trials"`
 	// Quick shrinks sweeps to the CI-sized grids.
-	Quick bool
+	Quick bool `key:"quick"`
 }
 
 // Event kinds.
@@ -206,25 +209,25 @@ const (
 // apply; Validate rejects combinations the kind does not use.
 type Event struct {
 	// Kind is one of the Ev* constants.
-	Kind string
+	Kind string `key:"kind"`
 	// At is the slot a point event fires (jam-switch, assignment-flip) or
 	// a windowed event starts (outages, blackout).
-	At int
+	At int `key:"at"`
 	// Until ends a windowed event's slot window [At, Until); 0 leaves it
 	// open-ended (blackout requires an explicit Until).
-	Until int
+	Until int `key:"until"`
 	// Rate is the per-slot outage-start probability (outage kinds).
-	Rate float64
+	Rate float64 `key:"rate"`
 	// Duration is each outage's length in slots (outage kinds, default 10).
-	Duration int
+	Duration int `key:"duration"`
 	// Group is the correlated-outage block size (default 8).
-	Group int
+	Group int `key:"group"`
 	// Nodes lists the blacked-out nodes (blackout).
-	Nodes []int
+	Nodes []int `key:"nodes"`
 	// Strategy and Budget are the jammer strategy and per-node budget a
 	// jam-switch switches to.
-	Strategy string
-	Budget   int
+	Strategy string `key:"strategy"`
+	Budget   int    `key:"budget"`
 }
 
 // Assertion kinds.
@@ -256,13 +259,13 @@ const (
 // Assertion is one postcondition. Kind selects which fields apply.
 type Assertion struct {
 	// Kind is one of the As* constants.
-	Kind string
+	Kind string `key:"kind"`
 	// Slots is the completed-by bound.
-	Slots int
+	Slots int `key:"slots"`
 	// Value is the bound or expected value for max-* and value-equals.
-	Value int64
+	Value int64 `key:"value"`
 	// MinContributors is the degraded-census floor.
-	MinContributors int
+	MinContributors int `key:"min_contributors"`
 }
 
 // Normalize fills defaults in place, so that Emit renders the canonical

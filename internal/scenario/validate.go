@@ -155,6 +155,9 @@ func (sc *Scenario) validateProtocol() error {
 	if p.MaxSlots < 0 {
 		return fmt.Errorf("scenario: protocol.max_slots: %d out of range (want >= 0)", p.MaxSlots)
 	}
+	if p.MaxSlots != 0 && p.Name == "session" {
+		return fmt.Errorf("scenario: protocol.max_slots: not supported for session runs (sessions have no slot budget)")
+	}
 	if p.Curve && p.Name != "cogcast" {
 		return fmt.Errorf("scenario: protocol.curve: supports cogcast, not %q", p.Name)
 	}
@@ -180,6 +183,14 @@ func (sc *Scenario) validateLimits() error {
 	}
 	if l.MaxSlots < 0 {
 		return fmt.Errorf("scenario: limits.max_slots: %d out of range (want >= 0)", l.MaxSlots)
+	}
+	if l.MaxSlots != 0 {
+		switch sc.Protocol.Name {
+		case "session":
+			return fmt.Errorf("scenario: limits.max_slots: not supported for session runs (sessions have no slot budget)")
+		case "experiment":
+			return fmt.Errorf("scenario: limits.max_slots: not supported for experiment runs (experiments set their own budgets)")
+		}
 	}
 	return nil
 }
@@ -494,6 +505,9 @@ func (sc *Scenario) validateExperiment() error {
 	}
 	if len(sc.Assertions) != 0 {
 		return fmt.Errorf("scenario: assertions: not supported for experiment runs (experiments carry their own verdict notes)")
+	}
+	if sc.Protocol.MaxSlots != 0 {
+		return fmt.Errorf("scenario: protocol.max_slots: not supported for experiment runs (experiments set their own budgets)")
 	}
 	if sc.Engine.Trace != "" {
 		return fmt.Errorf("scenario: engine.trace: not supported for experiment runs")

@@ -212,6 +212,25 @@ func TestValidateRejects(t *testing.T) {
 		{"unknown experiment", func() *Scenario {
 			return &Scenario{Name: "t", Protocol: Protocol{Name: "experiment"}, Experiment: Experiment{ID: "E99"}}
 		}, `scenario: experiment.id: unknown experiment "E99"`},
+		{"session slot budget", func() *Scenario {
+			sc := base()
+			sc.Protocol.Name, sc.Protocol.MaxSlots = "session", 5
+			return sc
+		}, `scenario: protocol.max_slots: not supported for session runs (sessions have no slot budget)`},
+		{"session slot cap", func() *Scenario {
+			sc := base()
+			sc.Protocol.Name, sc.Limits.MaxSlots = "session", 7
+			return sc
+		}, `scenario: limits.max_slots: not supported for session runs (sessions have no slot budget)`},
+		{"experiment slot cap", func() *Scenario {
+			sc := &Scenario{Name: "t", Protocol: Protocol{Name: "experiment"}, Experiment: Experiment{ID: "E1"}}
+			sc.Limits.MaxSlots = 3
+			return sc
+		}, `scenario: limits.max_slots: not supported for experiment runs (experiments set their own budgets)`},
+		{"experiment slot budget", func() *Scenario {
+			sc := &Scenario{Name: "t", Protocol: Protocol{Name: "experiment", MaxSlots: 3}, Experiment: Experiment{ID: "E1"}}
+			return sc
+		}, `scenario: protocol.max_slots: not supported for experiment runs (experiments set their own budgets)`},
 		{"experiment section off-protocol", func() *Scenario {
 			sc := base()
 			sc.Experiment = Experiment{ID: "E1"}

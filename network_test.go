@@ -149,3 +149,97 @@ func FuzzNetworkSpec(f *testing.F) {
 		}
 	})
 }
+
+// FuzzNetworkConstructors builds networks from bounded arbitrary parameters
+// with every constructor FuzzNetworkSpec does not reach: jammed networks
+// with one to three jammer phases, reactive jammed networks and
+// primary-user networks, each running a checked Broadcast and a Gossip,
+// plus a checked AggregateRounds session on a static Spec network. A
+// constructor may reject its input, but nothing may panic and no built
+// network may fail a run. A one-phase NewJammedNetworkPhases must also
+// broadcast exactly like NewJammedNetwork with the same arguments. The seed
+// corpus lives in testdata/fuzz/FuzzNetworkConstructors.
+func FuzzNetworkConstructors(f *testing.F) {
+	jammers := []string{"none", "random", "sweep", "block", "split", "bogus"}
+	reactive := []string{"none", "busiest", "follower", "hunter", "crasher", "bogus"}
+	funcs := []string{"sum", "count", "min", "max", "stats", "collect"}
+	f.Fuzz(func(t *testing.T, kind, rawN, rawC, strategy, budget uint8, phases []byte, energy uint16, pilots, pBusy, pFree, miss, rawRounds uint8, sparse bool, seed int64) {
+		n, c := int(rawN)%41, int(rawC)%17
+		rounds := 1 + int(rawRounds)%3
+		var (
+			net *crn.Network
+			err error
+		)
+		switch kind % 4 {
+		case 0:
+			jp := []crn.JamPhase{{Strategy: jammers[int(strategy)%len(jammers)], Budget: int(budget) % 9}}
+			for i := 0; i+2 < len(phases) && len(jp) < 3; i += 3 {
+				jp = append(jp, crn.JamPhase{
+					FromSlot: jp[len(jp)-1].FromSlot + int(phases[i])%40,
+					Strategy: jammers[int(phases[i+1])%len(jammers)],
+					Budget:   int(phases[i+2]) % 9,
+				})
+			}
+			net, err = crn.NewJammedNetworkPhases(n, c, jp, seed)
+			if len(jp) == 1 {
+				one, oneErr := crn.NewJammedNetwork(n, c, jp[0].Budget, jp[0].Strategy, seed)
+				if (err == nil) != (oneErr == nil) {
+					t.Fatalf("%+v: NewJammedNetworkPhases err %v, NewJammedNetwork err %v", jp, err, oneErr)
+				}
+				if err == nil {
+					opts := crn.BroadcastOptions{Payload: "m", Seed: seed, MaxSlots: 500}
+					a, aErr := net.Broadcast(opts)
+					b, bErr := one.Broadcast(opts)
+					if aErr != nil || bErr != nil || !reflect.DeepEqual(a, b) {
+						t.Fatalf("%+v: one phase broadcasts %+v (%v), NewJammedNetwork %+v (%v)", jp, a, aErr, b, bErr)
+					}
+				}
+			}
+		case 1:
+			net, err = crn.NewReactiveJammedNetwork(n, c, reactive[int(strategy)%len(reactive)],
+				crn.AdversaryBudget{PerSlot: int(budget) % 5, Total: int(energy) % 500}, seed)
+		case 2:
+			net, err = crn.NewPrimaryUserNetwork(crn.PrimaryUserSpec{
+				Nodes: n, Channels: c, Pilots: int(pilots) % 5,
+				PBusy: float64(pBusy) / 250, PFree: float64(pFree) / 250, MissProb: float64(miss) / 250,
+				Seed: seed,
+			})
+		default:
+			net, err = crn.NewNetwork(crn.Spec{
+				Nodes: n, ChannelsPerNode: c, MinOverlap: 1 + int(budget)%max(c, 1),
+				Topology: crn.SharedCore, Seed: seed,
+			})
+			if err != nil {
+				return
+			}
+			in := make([][]int64, rounds)
+			for r := range in {
+				in[r] = make([]int64, n)
+				for i := range in[r] {
+					in[r][i] = int64(r*100 + i)
+				}
+			}
+			if _, err := net.AggregateRounds(in, crn.AggregateOptions{
+				Func: funcs[int(strategy)%len(funcs)], Seed: seed, Check: true, Sparse: sparse,
+			}); err != nil {
+				t.Fatalf("n=%d c=%d: AggregateRounds: %v", n, c, err)
+			}
+			return
+		}
+		if err != nil {
+			return
+		}
+		if _, err := net.Broadcast(crn.BroadcastOptions{
+			Payload: "m", Seed: seed, MaxSlots: 500, Check: true, Sparse: sparse,
+		}); err != nil {
+			t.Fatalf("n=%d c=%d kind %d: Broadcast: %v", n, c, kind%4, err)
+		}
+		sources := make([]crn.NodeID, rounds)
+		for i := range sources {
+			sources[i] = crn.NodeID(i * n / rounds)
+		}
+		if _, err := net.Gossip(sources, seed, 500); err != nil {
+			t.Fatalf("n=%d c=%d kind %d: Gossip: %v", n, c, kind%4, err)
+		}
+	})
+}
