@@ -64,12 +64,12 @@ func TestReinitMatchesNew(t *testing.T) {
 		t.Fatal(err)
 	}
 	view := sim.View(asn, 1)
-	used := cogcast.New(view, false, nil, 1, cogcast.WithRecording())
+	used := cogcast.New(view, false, nil, 1, cogcast.WithRecording(8))
 	for s := 0; s < 50; s++ {
 		used.Step(s)
 	}
-	used.Reinit(view, true, "p", 9, cogcast.WithRecording())
-	fresh := cogcast.New(view, true, "p", 9, cogcast.WithRecording())
+	used.Reinit(view, true, "p", 9, cogcast.WithRecording(8))
+	fresh := cogcast.New(view, true, "p", 9, cogcast.WithRecording(8))
 	for s := 0; s < 50; s++ {
 		a, b := used.Step(s), fresh.Step(s)
 		if a.Op != b.Op || a.Channel != b.Channel {

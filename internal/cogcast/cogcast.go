@@ -14,6 +14,7 @@ package cogcast
 import (
 	"math"
 	"math/rand"
+	"slices"
 
 	"github.com/cogradio/crn/internal/rng"
 	"github.com/cogradio/crn/internal/sim"
@@ -63,7 +64,9 @@ type Node struct {
 	horizon int
 	steps   int
 
-	record  bool
+	// record is the recording capacity hint (WithRecording); zero means
+	// the node keeps no action log.
+	record  int
 	records []SlotRecord
 
 	// lastAction is the pending record for the slot being resolved; Deliver
@@ -84,9 +87,11 @@ func WithHorizon(slots int) Option {
 }
 
 // WithRecording makes the node keep a SlotRecord per slot, as COGCOMP's
-// phase one requires.
-func WithRecording() Option {
-	return func(n *Node) { n.record = true }
+// phase one requires. slots is the expected log length: the first recorded
+// append sizes the log to it, so a phase of that many slots fills the log
+// without regrowing it. Values below 1 still enable recording.
+func WithRecording(slots int) Option {
+	return func(n *Node) { n.record = max(slots, 1) }
 }
 
 // New creates a COGCAST node. If source is true the node starts informed
@@ -141,10 +146,20 @@ func (n *Node) Step(slot int) sim.Action {
 	} else {
 		act = sim.Listen(ch)
 	}
-	if n.record {
-		n.records = append(n.records, SlotRecord{Op: act.Op, Channel: ch})
+	if n.record > 0 {
+		n.appendRecord(SlotRecord{Op: act.Op, Channel: ch})
 	}
 	return act
+}
+
+// appendRecord appends one entry to the action log, first growing the log
+// to the recording hint if its backing is smaller (fresh, or reused from a
+// shorter trial).
+func (n *Node) appendRecord(rec SlotRecord) {
+	if cap(n.records) < n.record {
+		n.records = slices.Grow(n.records, n.record-len(n.records))
+	}
+	n.records = append(n.records, rec)
 }
 
 // Deliver implements sim.Protocol.
@@ -164,11 +179,11 @@ func (n *Node) Deliver(slot int, ev sim.Event) {
 		n.parent = ev.From
 		n.informedSlot = slot
 		n.informedLocal = ev.Channel
-		if n.record && slot == n.lastSlot {
+		if n.record > 0 && slot == n.lastSlot {
 			n.records[len(n.records)-1].FirstInformed = true
 		}
 	case sim.EvSendSucceeded:
-		if n.record && slot == n.lastSlot {
+		if n.record > 0 && slot == n.lastSlot {
 			n.records[len(n.records)-1].SendSucceeded = true
 		}
 	case sim.EvSendFailed:
@@ -216,11 +231,11 @@ func (n *Node) Records() []SlotRecord { return n.records }
 // rewind replay a faulty phase one: a missed slot rewinds to "no role".
 // No-op unless recording is enabled.
 func (n *Node) MissSlot(slot int) {
-	if !n.record {
+	if n.record == 0 {
 		return
 	}
 	n.lastSlot = slot
-	n.records = append(n.records, SlotRecord{Op: sim.OpIdle})
+	n.appendRecord(SlotRecord{Op: sim.OpIdle})
 }
 
 // SlotBound returns the protocol's theoretical run length

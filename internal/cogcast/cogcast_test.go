@@ -165,7 +165,7 @@ func TestRecording(t *testing.T) {
 	nodes := make([]*cogcast.Node, n)
 	protos := make([]sim.Protocol, n)
 	for i := range nodes {
-		nodes[i] = cogcast.New(sim.View(asn, sim.NodeID(i)), i == 0, "x", 8, cogcast.WithRecording(), cogcast.WithHorizon(50))
+		nodes[i] = cogcast.New(sim.View(asn, sim.NodeID(i)), i == 0, "x", 8, cogcast.WithRecording(50), cogcast.WithHorizon(50))
 		protos[i] = nodes[i]
 	}
 	eng, err := sim.NewEngine(asn, protos, 8)

@@ -32,12 +32,6 @@ import (
 	"github.com/cogradio/crn/internal/sim"
 )
 
-// rosterEntry is one observed phase-two success on the node's channel.
-type rosterEntry struct {
-	id sim.NodeID
-	r  int
-}
-
 // medCluster is a cluster on the mediator's channel, with full membership
 // (reconstructed from the phase-two roster).
 type medCluster struct {
@@ -81,13 +75,16 @@ type Node struct {
 	ch0      int // local channel index of the informed channel
 	parent   sim.NodeID
 
-	// Phase two state. rosterSeen is a NodeID-indexed bitmap mirroring
-	// roster membership: the census delivers Θ(m²) entries per channel
-	// (m = channel members), so the duplicate check must not scan the
-	// roster per delivery.
+	// Phase two state. The roster is the set of held bits over the arena's
+	// log for the node's physical channel phys (see census): the census
+	// delivers Θ(m²) entries per channel (m = channel members), so a node
+	// keeps one bit per entry instead of a copy of it. censusWire is the
+	// node's boxed census entry, built once when phase two begins.
 	censusDone bool
-	roster     []rosterEntry
-	rosterSeen []uint64
+	cen        *census
+	phys       int
+	held       []uint64
+	censusWire sim.Message
 
 	// Derived at the start of phase three.
 	p3init      bool
@@ -101,13 +98,14 @@ type Node struct {
 	// Phase four state.
 	p4init       bool
 	acc          aggfunc.Value
-	idx          int        // current cluster being collected
-	got          int        // values received for collected[idx]
-	pendingAck   sim.NodeID // sender to ack in slot three
-	pendingAckCh int        // local channel the pending ack goes out on
-	announced    int        // r' heard (or self-announced) this step
-	ownSent      bool       // this node's value was acked by its parent
-	medIdx       int        // current mediator cluster
+	valueWire    sim.Message // boxed valueMsg for acc; nil once acc changes
+	idx          int         // current cluster being collected
+	got          int         // values received for collected[idx]
+	pendingAck   sim.NodeID  // sender to ack in slot three
+	pendingAckCh int         // local channel the pending ack goes out on
+	announced    int         // r' heard (or self-announced) this step
+	ownSent      bool        // this node's value was acked by its parent
+	medIdx       int         // current mediator cluster
 	medAcked     map[sim.NodeID]bool
 	// mergedFrom records every sender whose value this node merged, across
 	// the whole round. A duplicate value (resent because the sender missed
@@ -138,27 +136,21 @@ type Node struct {
 
 var _ sim.Protocol = (*Node)(nil)
 
-// New creates a COGCOMP node. All nodes must agree on n (the network size)
-// and phase1Len (computed with PhaseOneLength). input is the node's datum;
-// f the associative aggregate to compute. The source initiates the
-// broadcast and ultimately holds the network-wide aggregate.
-func New(view sim.NodeView, source bool, n, phase1Len int, input int64, f aggfunc.Func, seed int64) *Node {
-	nd := &Node{}
-	nd.Reinit(view, source, n, phase1Len, input, f, seed)
-	return nd
-}
-
-// Reinit re-initializes the node exactly as New would, but reuses the
-// embedded COGCAST node (including its random source and record log) and the
-// phase-state slice backings, so trial arenas can rebuild a network without
-// per-node allocations. A reinitialized node is draw-for-draw identical to a
-// fresh one.
-func (nd *Node) Reinit(view sim.NodeView, source bool, n, phase1Len int, input int64, f aggfunc.Func, seed int64) {
+// reinit (re)initializes the node for one execution, storing its census
+// roster in cen. All nodes must agree on n (the network size) and phase1Len
+// (computed with PhaseOneLength). input is the node's datum; f the
+// associative aggregate to compute. The source initiates the broadcast and
+// ultimately holds the network-wide aggregate. The embedded COGCAST node
+// (including its random source and record log) and the phase-state slice
+// backings are reused, so trial arenas rebuild a network without per-node
+// allocations; a reinitialized node is draw-for-draw identical to a fresh
+// one.
+func (nd *Node) reinit(view sim.NodeView, source bool, n, phase1Len int, input int64, f aggfunc.Func, seed int64, cen *census) {
 	cast := nd.cast
 	if cast == nil {
-		cast = cogcast.New(view, source, initPayload{}, seed, cogcast.WithRecording())
+		cast = cogcast.New(view, source, initPayload{}, seed, cogcast.WithRecording(phase1Len))
 	} else {
-		cast.Reinit(view, source, initPayload{}, seed, cogcast.WithRecording())
+		cast.Reinit(view, source, initPayload{}, seed, cogcast.WithRecording(phase1Len))
 	}
 	*nd = Node{
 		id:          view.ID(),
@@ -177,8 +169,8 @@ func (nd *Node) Reinit(view sim.NodeView, source bool, n, phase1Len int, input i
 		parent:      sim.None,
 		pendingAck:  sim.None,
 		announced:   -1,
-		roster:      nd.roster[:0],
-		rosterSeen:  nd.rosterSeen[:0],
+		cen:         cen,
+		held:        nd.held[:0],
 		medClusters: nd.medClusters[:0],
 		collected:   nd.collected[:0],
 		mergedFrom:  nd.mergedFrom[:0],
@@ -253,10 +245,17 @@ func (nd *Node) initPhase2() {
 	nd.r0 = nd.cast.InformedSlot()
 	nd.ch0 = nd.cast.InformedChannel()
 	nd.parent = nd.cast.Parent()
-	if !nd.source && !nd.informed {
+	switch {
+	case nd.source:
+	case !nd.informed:
 		// The w.h.p. event failed for this node: it cannot participate in
 		// aggregation. Withdraw; the run will be reported incomplete.
 		nd.done = true
+	default:
+		// The physical channel behind ch0 names the census log the node's
+		// roster bits index; a static assignment never remaps it.
+		nd.phys = nd.cen.asn.ChannelSet(nd.id, 0)[nd.ch0]
+		nd.censusWire = censusMsg{ID: nd.id, R: nd.r0}
 	}
 }
 
@@ -272,7 +271,7 @@ func (nd *Node) stepPhase2(slot int) sim.Action {
 		return sim.Idle()
 	}
 	if !nd.censusDone {
-		return sim.Broadcast(nd.ch0, censusMsg{ID: nd.id, R: nd.r0})
+		return sim.Broadcast(nd.ch0, nd.censusWire)
 	}
 	// Census done: pure listening until the rewind. The park is quiet —
 	// every census broadcast on the channel is still delivered (the roster
@@ -285,32 +284,6 @@ func (nd *Node) stepPhase2(slot int) sim.Action {
 		return sim.ParkListenQuiet(nd.ch0, k)
 	}
 	return sim.Listen(nd.ch0)
-}
-
-// inRoster reports whether the node already holds a census entry for id.
-// Classically every id succeeds exactly once, so the lookup never finds a
-// duplicate; under recovery a re-run census replays entries the node may
-// already hold.
-func (nd *Node) inRoster(id sim.NodeID) bool {
-	w := int(id) >> 6
-	return w < len(nd.rosterSeen) && nd.rosterSeen[w]&(1<<(uint(id)&63)) != 0
-}
-
-// addRoster appends a census entry and marks its id in the membership
-// bitmap. The bitmap is sized lazily on first use per trial, reusing the
-// backing kept by Reinit.
-func (nd *Node) addRoster(id sim.NodeID, r int) {
-	if len(nd.rosterSeen) == 0 {
-		words := (nd.n + 63) >> 6
-		if cap(nd.rosterSeen) < words {
-			nd.rosterSeen = make([]uint64, words)
-		} else {
-			nd.rosterSeen = nd.rosterSeen[:words]
-			clear(nd.rosterSeen)
-		}
-	}
-	nd.roster = append(nd.roster, rosterEntry{id: id, r: r})
-	nd.rosterSeen[int(id)>>6] |= 1 << (uint(id) & 63)
 }
 
 func (nd *Node) deliverPhase2(ev sim.Event) {
@@ -337,41 +310,22 @@ func (nd *Node) initPhase3() {
 	if nd.source || !nd.informed {
 		return
 	}
-	// Cluster size: entries in the roster sharing this node's informed slot
-	// (the node's own successful census is in the roster too).
-	byR := make(map[int][]sim.NodeID)
-	rmax := -1
-	for _, e := range nd.roster {
-		byR[e.r] = append(byR[e.r], e.id)
-		if e.r > rmax {
-			rmax = e.r
+	// One pass over the roster: the cluster size counts the entries sharing
+	// this node's informed slot (its own successful census is among them),
+	// and the election needs the latest slot rmax and its smallest id.
+	rmax, minID := -1, sim.None
+	nd.eachHeld(func(e rosterEntry) {
+		if e.r == nd.r0 {
+			nd.clusterSize++
 		}
-	}
-	nd.clusterSize = len(byR[nd.r0])
+		if e.r > rmax || (e.r == rmax && e.id < minID) {
+			rmax, minID = e.r, e.id
+		}
+	})
 	// Mediator: smallest id in the latest cluster on this channel.
-	if nd.r0 == rmax {
-		min := nd.id
-		for _, id := range byR[rmax] {
-			if id < min {
-				min = id
-			}
-		}
-		nd.isMediator = min == nd.id
-	}
+	nd.isMediator = nd.r0 == rmax && nd.id <= minID
 	if nd.isMediator {
-		rs := make([]int, 0, len(byR))
-		for r := range byR {
-			rs = append(rs, r)
-		}
-		sort.Sort(sort.Reverse(sort.IntSlice(rs)))
-		for _, r := range rs {
-			members := make(map[sim.NodeID]bool, len(byR[r]))
-			for _, id := range byR[r] {
-				members[id] = true
-			}
-			nd.medClusters = append(nd.medClusters, medCluster{r: r, members: members})
-		}
-		nd.medAcked = make(map[sim.NodeID]bool)
+		nd.buildClusters(nil)
 	}
 }
 
@@ -564,6 +518,7 @@ func (nd *Node) resetRound(r int) {
 		input = nd.rounds[r]
 	}
 	nd.acc = nd.f.Leaf(nd.id, input)
+	nd.valueWire = nil
 }
 
 func (nd *Node) stepPhase4(slot int) sim.Action {
@@ -609,11 +564,13 @@ func (nd *Node) stepPhase4(slot int) sim.Action {
 			return nd.wait(slot, nd.collected[nd.idx].ch)
 		}
 		if !nd.ownSent && nd.announced == nd.r0 {
-			msg := valueMsg{R: nd.r0, Sender: nd.id, Agg: nd.acc}
+			if nd.valueWire == nil {
+				nd.valueWire = valueMsg{R: nd.r0, Sender: nd.id, Agg: nd.acc}
+			}
 			if size := nd.f.Size(nd.acc); size > nd.maxMsgSize {
 				nd.maxMsgSize = size
 			}
-			return sim.Broadcast(nd.ch0, msg)
+			return sim.Broadcast(nd.ch0, nd.valueWire)
 		}
 		return nd.wait(slot, nd.ch0)
 	default:
@@ -685,6 +642,7 @@ func (nd *Node) deliverPhase4(slot int, ev sim.Event) {
 				nd.pendingAckCh = nd.collected[i].ch
 			} else if i == nd.idx {
 				nd.acc = nd.f.Merge(nd.acc, m.Agg)
+				nd.valueWire = nil
 				nd.got++
 				nd.mergedFrom = append(nd.mergedFrom, m.Sender)
 				nd.mergesTotal++
@@ -849,18 +807,13 @@ func (nd *Node) RetryRewind(base int) {
 // retry budget is exhausted).
 func (nd *Node) Withdraw() { nd.done = true }
 
-// DropRosterEntry removes a pruned peer from the node's census roster.
-// Only meaningful before phase three derives cluster structure from it.
+// DropRosterEntry removes a pruned peer from the node's census roster by
+// clearing the node's bit for it; the channel log and every other node's
+// bits are untouched. Only meaningful before phase three derives cluster
+// structure from it.
 func (nd *Node) DropRosterEntry(id sim.NodeID) {
-	out := nd.roster[:0]
-	for _, e := range nd.roster {
-		if e.id != id {
-			out = append(out, e)
-		}
-	}
-	nd.roster = out
-	if w := int(id) >> 6; w < len(nd.rosterSeen) {
-		nd.rosterSeen[w] &^= 1 << (uint(id) & 63)
+	if p := nd.rosterPos(id); p >= 0 && p>>6 < len(nd.held) {
+		nd.held[p>>6] &^= 1 << (uint(p) & 63)
 	}
 }
 
@@ -909,28 +862,7 @@ func (nd *Node) Demote() {
 // skip reports members the supervisor has pruned. Either may be nil.
 func (nd *Node) AssumeMediator(acked, skip func(sim.NodeID) bool) {
 	nd.isMediator = true
-	nd.medClusters = nd.medClusters[:0]
-	byR := make(map[int][]sim.NodeID)
-	for _, e := range nd.roster {
-		if skip != nil && skip(e.id) {
-			continue
-		}
-		byR[e.r] = append(byR[e.r], e.id)
-	}
-	rs := make([]int, 0, len(byR))
-	for r := range byR {
-		rs = append(rs, r)
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(rs)))
-	for _, r := range rs {
-		members := make(map[sim.NodeID]bool, len(byR[r]))
-		for _, id := range byR[r] {
-			members[id] = true
-		}
-		nd.medClusters = append(nd.medClusters, medCluster{r: r, members: members})
-	}
-	nd.medIdx = 0
-	nd.medAcked = make(map[sim.NodeID]bool)
+	nd.buildClusters(skip)
 	for nd.medIdx < len(nd.medClusters) {
 		cl := nd.medClusters[nd.medIdx]
 		for id := range cl.members {
@@ -998,11 +930,10 @@ func (nd *Node) InformedChannel() int {
 }
 
 // RosterSnapshot calls f for every entry in the node's census roster, in
-// roster order.
+// the order of its channel's log (the order entries were first delivered on
+// the channel), which may differ from the order this node heard them.
 func (nd *Node) RosterSnapshot(f func(id sim.NodeID, r int)) {
-	for _, e := range nd.roster {
-		f(e.id, e.r)
-	}
+	nd.eachHeld(func(e rosterEntry) { f(e.id, e.r) })
 }
 
 // CollectedSnapshot calls f for every cluster the node informed, in

@@ -1,6 +1,7 @@
 package cogcomp
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/cogradio/crn/internal/aggfunc"
@@ -9,14 +10,36 @@ import (
 )
 
 // newTestNode builds a node with a minimal real view (the embedded COGCAST
-// node needs one) whose phase-derived fields tests then set directly.
+// node needs one) and a census of its own, whose phase-derived fields tests
+// then set directly.
 func newTestNode(t *testing.T, id sim.NodeID, n, l int) *Node {
+	t.Helper()
+	return newTestNodes(t, n, l, id)[0]
+}
+
+// newTestNodes builds nodes ids over one network of n nodes, sharing one
+// census as an arena's nodes do.
+func newTestNodes(t *testing.T, n, l int, ids ...sim.NodeID) []*Node {
 	t.Helper()
 	asn, err := assign.FullOverlap(n, 4, assign.LocalLabels, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return New(sim.View(asn, id), id == 0, n, l, 0, aggfunc.Sum{}, 1)
+	cen := new(census)
+	cen.reset(asn)
+	nodes := make([]*Node, len(ids))
+	for i, id := range ids {
+		nodes[i] = new(Node)
+		nodes[i].reinit(sim.View(asn, id), id == 0, n, l, 0, aggfunc.Sum{}, 1, cen)
+	}
+	return nodes
+}
+
+// setRoster gives the node the census entries es, as hearing them would.
+func setRoster(nd *Node, es []rosterEntry) {
+	for _, e := range es {
+		nd.addRoster(e.id, e.r)
+	}
 }
 
 func TestPhaseBoundaries(t *testing.T) {
@@ -47,10 +70,10 @@ func TestCensusDerivation(t *testing.T) {
 	nd.p2init = true
 	nd.informed = true
 	nd.r0 = 3
-	nd.roster = []rosterEntry{
+	setRoster(nd, []rosterEntry{
 		{id: 5, r: 3}, {id: 7, r: 3}, {id: 2, r: 3},
 		{id: 4, r: 6}, {id: 9, r: 6},
-	}
+	})
 	nd.initPhase3()
 	if nd.clusterSize != 3 {
 		t.Errorf("clusterSize = %d, want 3", nd.clusterSize)
@@ -68,7 +91,7 @@ func TestMediatorElectionSmallestIDInLatestCluster(t *testing.T) {
 	// Node 4: in the latest cluster (r=6), smallest id -> mediator.
 	nd := newTestNode(t, 4, 12, 8)
 	nd.p2init, nd.informed, nd.r0 = true, true, 6
-	nd.roster = append([]rosterEntry(nil), roster...)
+	setRoster(nd, roster)
 	nd.initPhase3()
 	if !nd.isMediator {
 		t.Error("node 4 should be mediator")
@@ -87,7 +110,7 @@ func TestMediatorElectionSmallestIDInLatestCluster(t *testing.T) {
 	// Node 9: same cluster but larger id -> not mediator.
 	nd9 := newTestNode(t, 9, 12, 8)
 	nd9.p2init, nd9.informed, nd9.r0 = true, true, 6
-	nd9.roster = append([]rosterEntry(nil), roster...)
+	setRoster(nd9, roster)
 	nd9.initPhase3()
 	if nd9.isMediator {
 		t.Error("node 9 should not be mediator (node 4 is smaller)")
@@ -177,5 +200,72 @@ func TestPhaseOneLengthMatchesCogcastBound(t *testing.T) {
 	}
 	if PhaseOneLength(1, 4, 2, 1) != 1 {
 		t.Error("degenerate single-node length should be 1")
+	}
+}
+
+// TestCensusLogSharedByChannel pins the census storage model: the nodes on
+// a channel share one log, each holds only the entries it heard, a replayed
+// broadcast fills a listener's hole without logging the entry twice, and
+// DropRosterEntry clears only the caller's bit.
+func TestCensusLogSharedByChannel(t *testing.T) {
+	nodes := newTestNodes(t, 12, 8, 3, 6, 8, 10)
+	a, src, b, other := nodes[0], nodes[1], nodes[2], nodes[3]
+	for i, nd := range nodes {
+		nd.p2init, nd.informed, nd.r0 = true, true, i+2
+		nd.censusWire = censusMsg{ID: nd.id, R: nd.r0}
+	}
+	other.phys = 1 // a different physical channel, with a log of its own
+	roster := func(nd *Node) []rosterEntry {
+		var out []rosterEntry
+		nd.RosterSnapshot(func(id sim.NodeID, r int) { out = append(out, rosterEntry{id: id, r: r}) })
+		return out
+	}
+	// src's census broadcast succeeds; a hears it, b is down and misses it.
+	act := src.stepPhase2(9)
+	src.deliverPhase2(sim.Event{Kind: sim.EvSendSucceeded, From: src.id, Msg: act.Msg})
+	a.deliverPhase2(sim.Event{Kind: sim.EvReceived, From: src.id, Msg: act.Msg})
+	other.deliverPhase2(sim.Event{Kind: sim.EvSendSucceeded, From: other.id, Msg: other.censusWire})
+	want := []rosterEntry{{id: 6, r: 3}}
+	if got := roster(a); !slices.Equal(got, want) {
+		t.Fatalf("a's roster = %v, want %v", got, want)
+	}
+	if got := roster(b); len(got) != 0 {
+		t.Fatalf("b missed the broadcast but holds %v", got)
+	}
+
+	// The supervisor replays the channel's census: src re-broadcasts, and
+	// this time both listeners hear it.
+	src.ResetCensus()
+	if src.CensusDone() {
+		t.Fatal("ResetCensus left the census done")
+	}
+	act = src.stepPhase2(30)
+	if act.Op != sim.OpBroadcast {
+		t.Fatalf("reset node %v, want a census broadcast", act.Op)
+	}
+	src.deliverPhase2(sim.Event{Kind: sim.EvSendSucceeded, From: src.id, Msg: act.Msg})
+	a.deliverPhase2(sim.Event{Kind: sim.EvReceived, From: src.id, Msg: act.Msg})
+	b.deliverPhase2(sim.Event{Kind: sim.EvReceived, From: src.id, Msg: act.Msg})
+	for _, nd := range []*Node{a, b, src} {
+		if got := roster(nd); !slices.Equal(got, want) {
+			t.Fatalf("node %d roster after replay = %v, want %v", nd.id, got, want)
+		}
+	}
+	if log := a.cen.logs[a.phys]; len(log) != 1 {
+		t.Fatalf("channel log = %v, want the entry logged once", log)
+	}
+
+	// Dropping an entry is one node's business, and an id logged on another
+	// channel is not in this node's roster at all.
+	a.DropRosterEntry(other.id)
+	a.DropRosterEntry(src.id)
+	if got := roster(a); len(got) != 0 {
+		t.Errorf("a's roster after drop = %v, want empty", got)
+	}
+	if got := roster(b); !slices.Equal(got, want) {
+		t.Errorf("b's roster after a's drop = %v, want %v", got, want)
+	}
+	if got := roster(other); !slices.Equal(got, []rosterEntry{{id: 10, r: 5}}) {
+		t.Errorf("other channel's roster = %v", got)
 	}
 }

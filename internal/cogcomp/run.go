@@ -92,13 +92,15 @@ type Result struct {
 }
 
 // Arena holds the reusable pieces of a COGCOMP execution — nodes (each with
-// its embedded COGCAST node), the protocol slice, and the engine — so
-// repeated trials run without rebuilding them. The zero value is ready to
-// use; a warm arena's runs are byte-identical to the package-level Run and
-// RunRounds. Arenas are not safe for concurrent use: parallel trial runners
-// keep one per worker.
+// its embedded COGCAST node), the census logs their rosters index, the
+// protocol slice, and the engine — so repeated trials run without
+// rebuilding them. Every Node is built by an arena. The zero value is ready
+// to use; a warm arena's runs are byte-identical to the package-level Run
+// and RunRounds. Arenas are not safe for concurrent use: parallel trial
+// runners keep one per worker.
 type Arena struct {
 	nodes    []*Node
+	cen      census
 	protos   []sim.Protocol
 	eng      *sim.Engine
 	engOpts  []sim.Option
@@ -116,11 +118,12 @@ func (a *Arena) build(asn sim.Assignment, source sim.NodeID, n, l int, input fun
 	}
 	a.nodes = a.nodes[:n]
 	a.protos = a.protos[:n]
+	a.cen.reset(asn)
 	for i := range a.nodes {
 		if a.nodes[i] == nil {
 			a.nodes[i] = &Node{}
 		}
-		a.nodes[i].Reinit(sim.View(asn, sim.NodeID(i)), sim.NodeID(i) == source, n, l, input(i), f, seed)
+		a.nodes[i].reinit(sim.View(asn, sim.NodeID(i)), sim.NodeID(i) == source, n, l, input(i), f, seed, &a.cen)
 		if wrap == nil {
 			a.protos[i] = a.nodes[i]
 		} else {

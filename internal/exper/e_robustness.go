@@ -109,26 +109,18 @@ func runE20(cfg Config) ([]*Table, error) {
 				want += inputs[i]
 			}
 			l := cogcomp.PhaseOneLength(n, c, k, cogcast.DefaultKappa)
-			compNodes := make([]*cogcomp.Node, n)
-			compProtos := make([]sim.Protocol, n)
-			for i := range compNodes {
-				compNodes[i] = cogcomp.New(sim.View(asn, sim.NodeID(i)), i == 0, n, l, inputs[i], aggfunc.Sum{}, ts)
-				compProtos[i] = faults.Wrap(compNodes[i], sim.NodeID(i), schedule, faults.WithTrace(cfg.Trace))
-			}
-			ceng, err := sim.NewEngine(asn, compProtos, ts)
-			if err != nil {
+			res, err := a.comp.RunWith(asn, 0, inputs, ts, cogcomp.Config{MaxSlots: 20 * (2*l + n)},
+				func(id sim.NodeID, nd *cogcomp.Node) sim.Protocol {
+					return faults.Wrap(nd, id, schedule, faults.WithTrace(cfg.Trace))
+				})
+			switch {
+			case errors.Is(err, sim.ErrMaxSlots):
+				out.stalled = true
+			case err != nil && !errors.Is(err, cogcomp.ErrIncomplete):
 				return out, err
-			}
-			if _, err := ceng.Run(20 * (2*l + n)); err != nil {
-				if errors.Is(err, sim.ErrMaxSlots) {
-					out.stalled = true
-					return out, nil
-				}
-				return out, err
-			}
-			if compNodes[0].Aggregate() == aggfunc.Value(want) {
+			case res.Value == aggfunc.Value(want):
 				out.exact = true
-			} else {
+			default:
 				out.corrupted = true
 			}
 			return out, nil

@@ -202,23 +202,15 @@ func TestCogcompBrittleUnderFaults(t *testing.T) {
 			t.Fatal(err)
 		}
 		l := cogcomp.PhaseOneLength(n, 8, 2, cogcast.DefaultKappa)
-		nodes := make([]*cogcomp.Node, n)
-		protos := make([]sim.Protocol, n)
-		for i := range nodes {
-			nodes[i] = cogcomp.New(sim.View(asn, sim.NodeID(i)), i == 0, n, l, inputs[i], aggfunc.Sum{}, seed)
-			protos[i] = faults.Wrap(nodes[i], sim.NodeID(i), schedule)
-		}
-		eng, err := sim.NewEngine(asn, protos, seed)
-		if err != nil {
+		res, err := new(cogcomp.Arena).RunWith(asn, 0, inputs, seed, cogcomp.Config{MaxSlots: 20 * (2*l + n)},
+			func(id sim.NodeID, nd *cogcomp.Node) sim.Protocol { return faults.Wrap(nd, id, schedule) })
+		switch {
+		case errors.Is(err, sim.ErrMaxSlots):
+			return nil, true
+		case err != nil && !errors.Is(err, cogcomp.ErrIncomplete):
 			t.Fatal(err)
 		}
-		if _, err := eng.Run(20 * (2*l + n)); err != nil {
-			if errors.Is(err, sim.ErrMaxSlots) {
-				return nil, true
-			}
-			t.Fatal(err)
-		}
-		return nodes[0].Aggregate(), false
+		return res.Value, false
 	}
 
 	deviated := 0
