@@ -86,7 +86,9 @@ func TestRunSlotShardedAllocFree(t *testing.T) {
 // holds at every requested shard count: sparse execution forces the scan
 // serial (Shards() == 1), and the discarded shard machinery must not leak
 // per-slot cost back in. It also holds with a ring-buffered trace recorder
-// and the invariant oracle observing, which keep the engine sparse.
+// and the invariant oracle observing, which keep the engine sparse, on the
+// idle round-robin and on its listening variant (censusListener), whose
+// slots report thousands of parked listeners.
 func TestRunSlotSparseAllocFree(t *testing.T) {
 	const n, c = 4096, 16
 	asn, err := assign.SharedCore(n, c, 4, 48, assign.LocalLabels, 1)
@@ -96,11 +98,16 @@ func TestRunSlotSparseAllocFree(t *testing.T) {
 	type mode struct {
 		shards   int
 		observed bool
+		listen   bool
 	}
-	for _, m := range []mode{{1, false}, {2, false}, {4, false}, {8, false}, {1, true}} {
+	for _, m := range []mode{{1, false, false}, {2, false, false}, {4, false, false}, {8, false, false}, {1, true, false}, {1, true, true}} {
 		protos := make([]sim.Protocol, n)
 		for i := range protos {
-			protos[i] = &censusNode{id: i, n: n}
+			if m.listen {
+				protos[i] = &censusListener{censusNode{id: i, n: n}}
+			} else {
+				protos[i] = &censusNode{id: i, n: n}
+			}
 		}
 		opts := []sim.Option{sim.WithSparse(), sim.WithShards(m.shards)}
 		ck := new(invariant.Checker)

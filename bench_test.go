@@ -16,6 +16,7 @@ import (
 	"github.com/cogradio/crn/internal/cogcomp"
 	"github.com/cogradio/crn/internal/exper"
 	"github.com/cogradio/crn/internal/games"
+	"github.com/cogradio/crn/internal/invariant"
 	"github.com/cogradio/crn/internal/metrics"
 	"github.com/cogradio/crn/internal/sim"
 )
@@ -158,27 +159,53 @@ func (cn *censusNode) Step(slot int) sim.Action {
 func (cn *censusNode) Deliver(int, sim.Event) {}
 func (cn *censusNode) Done() bool             { return false }
 
+// censusListener is censusNode with listening waits: between its turns a
+// node quiet-parks listening on its first channel (sim.ParkListenQuiet),
+// as COGCOMP's census listeners do. Every broadcast reaches the nodes
+// parked on the broadcaster's physical channel without re-waking them, and
+// an observed slot reports them as ChannelOutcome.Parked.
+type censusListener struct{ censusNode }
+
+func (cl *censusListener) Step(slot int) sim.Action {
+	turn := slot % cl.n
+	if turn == cl.id {
+		return sim.Broadcast(0, cl.id)
+	}
+	return sim.ParkListenQuiet(0, (cl.id-turn+cl.n)%cl.n-1)
+}
+
 // BenchmarkEngineSlotSparse measures the event-driven engine on the
 // dormancy-heavy workload it exists for: the census round-robin above, where
 // dense stepping scans all n nodes every slot while sparse stepping pops a
-// couple of wakes off the queue. The per-slot gap between the two sub-
-// benchmarks is the Θ(n) census factor itself; both are warm, and the
-// sparse variant must stay alloc-free (pinned by TestRunSlotSparseAllocFree).
+// couple of wakes off the queue. The per-slot gap between the first two
+// sub-benchmarks is the Θ(n) census factor itself. sparse-checked runs the
+// listening round-robin (censusListener) under the invariant oracle, which
+// checks each park once, when it starts. All are warm, and the sparse variants must stay alloc-free (pinned by
+// TestRunSlotSparseAllocFree).
 func BenchmarkEngineSlotSparse(b *testing.B) {
 	const n, c = 100_000, 16
 	asn, err := assign.SharedCore(n, c, 4, 48, assign.LocalLabels, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, mode := range []string{"dense", "sparse"} {
+	for _, mode := range []string{"dense", "sparse", "sparse-checked"} {
 		b.Run(mode, func(b *testing.B) {
 			var opts []sim.Option
-			if mode == "sparse" {
+			if mode != "dense" {
 				opts = append(opts, sim.WithSparse())
+			}
+			ck := new(invariant.Checker)
+			if mode == "sparse-checked" {
+				ck.Reset(asn, sim.UniformWinner)
+				opts = append(opts, sim.WithObserver(ck))
 			}
 			protos := make([]sim.Protocol, n)
 			for i := range protos {
-				protos[i] = &censusNode{id: i, n: n}
+				if mode == "sparse-checked" {
+					protos[i] = &censusListener{censusNode{id: i, n: n}}
+				} else {
+					protos[i] = &censusNode{id: i, n: n}
+				}
 			}
 			eng, err := sim.NewEngine(asn, protos, 1, opts...)
 			if err != nil {
@@ -197,6 +224,9 @@ func BenchmarkEngineSlotSparse(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "slots/s")
+			if err := ck.Err(); err != nil {
+				b.Fatalf("oracle violation: %v", err)
+			}
 		})
 	}
 }

@@ -140,7 +140,7 @@ func (f *follower) Observe(_ int, outcomes []sim.ChannelOutcome) {
 	f.hits = f.hits[:0]
 	for _, out := range outcomes {
 		if out.Winner != sim.None && out.Channel < len(f.audience) {
-			f.audience[out.Channel] = len(out.Listeners) + 1
+			f.audience[out.Channel] = len(out.Listeners) + len(out.Parked) + 1
 			f.hits = append(f.hits, out.Channel)
 		}
 	}

@@ -15,6 +15,17 @@
 // pooled across runs). A bug in the engine's dense scratch bookkeeping or
 // in assign's bitmap sets therefore cannot hide itself from the oracle.
 //
+// Stepped participants (broadcasters and Listeners) are re-derived in every
+// slot. Parked listeners (ChannelOutcome.Parked) are checked when a park
+// starts: the checker keeps its own copy of each channel's last reported
+// parked list and of the channel each node is parked on, diffs every
+// changed list against its copy, and scans ChannelSet once per arrival.
+// Parks exist only under a sim.Fixed assignment, whose sets never change,
+// so the membership holds for the whole park; a parked list under any
+// other assignment is itself a violation. A park must be the node's only
+// radio: a node parked on two channels, or stepped while parked, is
+// reported.
+//
 // Checking is opt-in and zero-cost when disabled: nothing is attached to
 // the engine, so the untraced slot path remains the pinned zero-allocation
 // loop. When enabled, a warm Checker's OnSlot allocates only on the
@@ -23,6 +34,7 @@ package invariant
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/cogradio/crn/internal/sim"
 	"github.com/cogradio/crn/internal/stats"
@@ -39,10 +51,19 @@ type Checker struct {
 	model   sim.CollisionModel
 	n       int
 	numChan int
+	fixed   bool // sim.Fixed(asn): the only assignments that may report parks
 
 	lastSlot int
 	stamp    int
 	nodeSeen []int // stamp when the node last participated in a slot
+
+	// Parks as last reported, kept apart from the engine's own lists and
+	// allocated on the first non-empty Parked, so dense runs pay nothing.
+	parked    [][]sim.NodeID // channel -> copy of its last Parked list
+	parkedOn  []int32        // node -> 1 + channel it is parked on, 0 = none
+	parkSeen  []int          // channel -> stamp of the last slot reporting it
+	parkTouch []int          // channels with a non-empty copy
+	changed   []int          // outcomes whose Parked differs from the copy (scratch)
 
 	// tally[b][pos] counts contended channels with b broadcasters whose
 	// winner sat at position pos of the ascending broadcaster list. Under
@@ -63,11 +84,31 @@ func (c *Checker) Reset(asn sim.Assignment, model sim.CollisionModel) {
 	c.model = model
 	c.n = asn.Nodes()
 	c.numChan = asn.Channels()
+	c.fixed = sim.Fixed(asn)
 	c.lastSlot = -1
 	c.firstErr = nil
 	c.violations = 0
 	if short := c.n - len(c.nodeSeen); short > 0 {
 		c.nodeSeen = append(c.nodeSeen, make([]int, short)...)
+	}
+	for _, ch := range c.parkTouch {
+		c.depart(ch)
+		c.parked[ch] = c.parked[ch][:0]
+	}
+	c.parkTouch = c.parkTouch[:0]
+	if c.parkedOn != nil {
+		c.growParked()
+	}
+}
+
+// growParked sizes the park state to the current run's nodes and channels.
+func (c *Checker) growParked() {
+	if short := c.n - len(c.parkedOn); short > 0 {
+		c.parkedOn = append(c.parkedOn, make([]int32, short)...)
+	}
+	if short := c.numChan - len(c.parked); short > 0 {
+		c.parked = append(c.parked, make([][]sim.NodeID, short)...)
+		c.parkSeen = append(c.parkSeen, make([]int, short)...)
 	}
 }
 
@@ -83,6 +124,7 @@ func (c *Checker) OnSlot(slot int, outcomes []sim.ChannelOutcome) {
 	}
 	c.lastSlot = slot
 	c.stamp++
+	c.checkParks(slot, outcomes)
 	prevCh := -1
 	for i := range outcomes {
 		o := &outcomes[i]
@@ -94,7 +136,7 @@ func (c *Checker) OnSlot(slot int, outcomes []sim.ChannelOutcome) {
 			c.failf("slot %d: channel %d outside [0,%d)", slot, o.Channel, c.numChan)
 			continue
 		}
-		if len(o.Broadcasters) == 0 && len(o.Listeners) == 0 {
+		if len(o.Broadcasters) == 0 && len(o.Listeners) == 0 && len(o.Parked) == 0 {
 			c.failf("slot %d: channel %d reported with no participants", slot, o.Channel)
 		}
 		winnerPos := -1
@@ -136,10 +178,120 @@ func (c *Checker) OnSlot(slot int, outcomes []sim.ChannelOutcome) {
 	}
 }
 
-// checkParticipant verifies one node's appearance on a channel: id in
-// range, lists ascending, one radio per node per slot, and — re-derived
-// independently from the assignment — the physical channel really is in
-// the node's channel set for this slot.
+// checkParks applies the slot's parked lists to the checker's copies
+// before any stepped participant is checked. Every departure — from a
+// changed list, or from a channel that dropped out of the report, whose
+// parks all ended — is applied before any arrival, so a node that leaves
+// one park and starts another in the same slot is not taken for a node on
+// two channels.
+func (c *Checker) checkParks(slot int, outcomes []sim.ChannelOutcome) {
+	c.changed = c.changed[:0]
+	for i := range outcomes {
+		o := &outcomes[i]
+		if o.Channel < 0 || o.Channel >= c.numChan {
+			continue // reported by OnSlot
+		}
+		if len(o.Parked) == 0 && (c.parkedOn == nil || len(c.parked[o.Channel]) == 0) {
+			continue
+		}
+		if !c.fixed {
+			c.failf("slot %d: channel %d reports %d parked listeners under an assignment that is not fixed",
+				slot, o.Channel, len(o.Parked))
+			continue
+		}
+		if c.parkedOn == nil {
+			c.growParked()
+		}
+		c.parkSeen[o.Channel] = c.stamp
+		if slices.Equal(c.parked[o.Channel], o.Parked) {
+			continue
+		}
+		c.depart(o.Channel)
+		c.changed = append(c.changed, i)
+	}
+	keep := c.parkTouch[:0]
+	for _, ch := range c.parkTouch {
+		if c.parkSeen[ch] != c.stamp {
+			c.depart(ch)
+			c.parked[ch] = c.parked[ch][:0]
+		}
+		if len(c.parked[ch]) > 0 {
+			keep = append(keep, ch)
+		}
+	}
+	c.parkTouch = keep
+	for _, i := range c.changed {
+		c.arrive(slot, outcomes[i].Channel, outcomes[i].Parked)
+	}
+}
+
+// depart ends every park in the checker's copy of channel ch. The copy
+// itself stays until arrive diffs the new list against it.
+func (c *Checker) depart(ch int) {
+	for _, id := range c.parked[ch] {
+		if c.parkedOn[id] == int32(ch)+1 {
+			c.parkedOn[id] = 0
+		}
+	}
+}
+
+// arrive validates channel ch's new parked list pk and makes it the
+// checker's copy. Ids must be in range and strictly ascending; a node
+// must be parked nowhere else; and a node not in the old copy starts its
+// park here, so its channel set must hold ch.
+func (c *Checker) arrive(slot, ch int, pk []sim.NodeID) {
+	prev := sim.NodeID(-1)
+	for _, id := range pk {
+		if id < 0 || int(id) >= c.n {
+			c.failf("slot %d: channel %d parked listener %d outside [0,%d)", slot, ch, id, c.n)
+			c.parked[ch] = c.parked[ch][:0]
+			return
+		}
+		if id <= prev {
+			c.failf("slot %d: channel %d parked listeners out of ascending order (%d after %d)", slot, ch, id, prev)
+			c.parked[ch] = c.parked[ch][:0]
+			return
+		}
+		prev = id
+	}
+	old, j := c.parked[ch], 0
+	for _, id := range pk {
+		for j < len(old) && old[j] < id {
+			j++
+		}
+		if on := c.parkedOn[id]; on != 0 {
+			c.failf("slot %d: node %d parked on channel %d while parked on channel %d", slot, id, ch, on-1)
+		}
+		c.parkedOn[id] = int32(ch) + 1
+		if j < len(old) && old[j] == id {
+			continue // the park goes on
+		}
+		if !c.inSet(id, slot, ch) {
+			c.failf("slot %d: node %d parked on physical channel %d outside its %d-channel set",
+				slot, id, ch, len(c.asn.ChannelSet(id, slot)))
+		}
+	}
+	if len(old) == 0 && len(pk) > 0 {
+		c.parkTouch = append(c.parkTouch, ch)
+	}
+	c.parked[ch] = append(old[:0], pk...)
+}
+
+// inSet reports whether physical channel ch is in node id's channel set
+// for the slot, scanning ChannelSet.
+func (c *Checker) inSet(id sim.NodeID, slot, ch int) bool {
+	for _, p := range c.asn.ChannelSet(id, slot) {
+		if p == ch {
+			return true
+		}
+	}
+	return false
+}
+
+// checkParticipant verifies one stepped node's appearance on a channel: id
+// in range, lists ascending, one radio per node per slot (which rules out
+// a park), and — re-derived independently from the assignment — the
+// physical channel really is in the node's channel set for this slot.
 func (c *Checker) checkParticipant(slot, ch int, id sim.NodeID, prev *sim.NodeID) {
 	if id < 0 || int(id) >= c.n {
 		c.failf("slot %d: channel %d participant %d outside [0,%d)", slot, ch, id, c.n)
@@ -153,16 +305,12 @@ func (c *Checker) checkParticipant(slot, ch int, id sim.NodeID, prev *sim.NodeID
 		c.failf("slot %d: node %d participates on two channels in one slot", slot, id)
 	}
 	c.nodeSeen[id] = c.stamp
-	set := c.asn.ChannelSet(id, slot)
-	ok := false
-	for _, p := range set {
-		if p == ch {
-			ok = true
-			break
-		}
+	if c.parkedOn != nil && c.parkedOn[id] != 0 {
+		c.failf("slot %d: node %d stepped on channel %d while parked on channel %d", slot, id, ch, c.parkedOn[id]-1)
 	}
-	if !ok {
-		c.failf("slot %d: node %d used physical channel %d outside its %d-channel set", slot, id, ch, len(set))
+	if !c.inSet(id, slot, ch) {
+		c.failf("slot %d: node %d used physical channel %d outside its %d-channel set",
+			slot, id, ch, len(c.asn.ChannelSet(id, slot)))
 	}
 }
 

@@ -1,6 +1,7 @@
 package invariant_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -429,5 +430,132 @@ func TestStreamForwarding(t *testing.T) {
 	}
 	if s.Violations() != 1 {
 		t.Errorf("violations = %d, want 1", s.Violations())
+	}
+}
+
+// parked is an outcome whose only listeners are the parked ids pk.
+func parked(ch int, pk ...int) sim.ChannelOutcome {
+	return sim.ChannelOutcome{Channel: ch, Winner: sim.None, Parked: ids(pk...)}
+}
+
+// outsideSet returns a physical channel of asn that node u does not hold.
+func outsideSet(t *testing.T, asn sim.Assignment, u sim.NodeID) int {
+	t.Helper()
+	for ch := 0; ch < asn.Channels(); ch++ {
+		if !slices.Contains(asn.ChannelSet(u, 0), ch) {
+			return ch
+		}
+	}
+	t.Fatalf("node %d holds every channel", u)
+	return -1
+}
+
+// TestCheckerParks feeds hand-built streams of parked listeners to a
+// checker over static assignments. A park is checked when it starts, so
+// every fault must be caught whether it shows in the park's first slot or
+// in a later one, when the channel's parked list is unchanged.
+func TestCheckerParks(t *testing.T) {
+	full, err := assign.FullOverlap(4, 3, assign.LocalLabels, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := assign.Partitioned(4, 2, 1, assign.LocalLabels, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dyn, err := assign.NewDynamic(4, 2, 1, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	violations := []struct {
+		name string
+		asn  sim.Assignment
+		feed func(c *invariant.Checker)
+		want string
+	}{
+		{"parked on two channels", full, func(c *invariant.Checker) {
+			c.OnSlot(0, []sim.ChannelOutcome{parked(0, 1), parked(2, 1)})
+		}, "while parked on channel 0"},
+		{"parked on a second channel later", full, func(c *invariant.Checker) {
+			c.OnSlot(0, []sim.ChannelOutcome{parked(2, 1)})
+			c.OnSlot(1, []sim.ChannelOutcome{parked(0, 1), parked(2, 1)})
+		}, "while parked on channel"},
+		{"stepped while parked, first slot", full, func(c *invariant.Checker) {
+			c.OnSlot(0, []sim.ChannelOutcome{parked(0, 1), out(1, sim.None, nil, ids(1))})
+		}, "stepped on channel 1 while parked on channel 0"},
+		{"stepped while parked, later slot", full, func(c *invariant.Checker) {
+			c.OnSlot(0, []sim.ChannelOutcome{parked(2, 1)})
+			c.OnSlot(1, []sim.ChannelOutcome{out(0, 1, ids(1), nil), parked(2, 1)})
+		}, "stepped on channel 0 while parked on channel 2"},
+		{"stepped and parked on one channel", full, func(c *invariant.Checker) {
+			c.OnSlot(0, []sim.ChannelOutcome{{Channel: 0, Winner: sim.None, Listeners: ids(1), Parked: ids(1)}})
+		}, "while parked"},
+		{"parked list out of order", full, func(c *invariant.Checker) {
+			c.OnSlot(0, []sim.ChannelOutcome{parked(0, 2, 1)})
+		}, "ascending"},
+		{"parked id out of range", full, func(c *invariant.Checker) {
+			c.OnSlot(0, []sim.ChannelOutcome{parked(0, 9)})
+		}, "parked listener 9 outside"},
+		{"arrival outside its set", part, func(c *invariant.Checker) {
+			c.OnSlot(0, []sim.ChannelOutcome{parked(outsideSet(t, part, 1), 1)})
+		}, "outside its"},
+		{"parked under a dynamic assignment", dyn, func(c *invariant.Checker) {
+			c.OnSlot(0, []sim.ChannelOutcome{parked(0, 1)})
+		}, "not fixed"},
+	}
+	for _, tc := range violations {
+		t.Run(tc.name, func(t *testing.T) {
+			var c invariant.Checker
+			c.Reset(tc.asn, sim.UniformWinner)
+			tc.feed(&c)
+			err := c.Err()
+			if err == nil {
+				t.Fatal("violation not detected")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("error %q does not mention %q", err, tc.want)
+			}
+		})
+	}
+
+	clean := []struct {
+		name string
+		feed func(c *invariant.Checker)
+	}{
+		// Node 1 leaves channel 2 for channel 0 in slot 1: the arrival is
+		// reported before the departure, on a lower channel.
+		{"departure and arrival in one slot", func(c *invariant.Checker) {
+			c.OnSlot(0, []sim.ChannelOutcome{parked(2, 1, 2)})
+			c.OnSlot(1, []sim.ChannelOutcome{parked(0, 1), parked(2, 2)})
+			c.OnSlot(2, []sim.ChannelOutcome{out(0, 2, ids(2), nil), parked(2, 1)})
+		}},
+		// Channel 2 drops out of the report in slot 1: its parks ended, so
+		// its former listeners may step or park elsewhere.
+		{"channel drops out of the report", func(c *invariant.Checker) {
+			c.OnSlot(0, []sim.ChannelOutcome{parked(2, 1, 3)})
+			c.OnSlot(1, []sim.ChannelOutcome{out(1, 1, ids(1), ids(3))})
+			c.OnSlot(2, []sim.ChannelOutcome{parked(0, 3), parked(2, 1)})
+		}},
+		// A parked list that empties while its channel stays reported.
+		{"list empties on a reported channel", func(c *invariant.Checker) {
+			c.OnSlot(0, []sim.ChannelOutcome{parked(1, 0, 2)})
+			c.OnSlot(1, []sim.ChannelOutcome{out(1, 0, ids(0), ids(2))})
+		}},
+	}
+	for _, tc := range clean {
+		t.Run(tc.name, func(t *testing.T) {
+			var c invariant.Checker
+			c.Reset(full, sim.UniformWinner)
+			tc.feed(&c)
+			if err := c.Err(); err != nil {
+				t.Fatalf("clean stream flagged: %v", err)
+			}
+			// The parks must not leak into a fresh run either.
+			c.Reset(full, sim.UniformWinner)
+			c.OnSlot(0, []sim.ChannelOutcome{out(0, 1, ids(1, 2, 3), ids(0))})
+			if err := c.Err(); err != nil {
+				t.Fatalf("parks survived Reset: %v", err)
+			}
+		})
 	}
 }

@@ -30,7 +30,7 @@ var _ sim.Observer = (*Collector)(nil)
 func (c *Collector) OnSlot(_ int, outcomes []sim.ChannelOutcome) {
 	c.AddSlot()
 	for _, oc := range outcomes {
-		c.AddChannel(len(oc.Broadcasters), len(oc.Listeners))
+		c.AddChannel(len(oc.Broadcasters), len(oc.Listeners)+len(oc.Parked))
 	}
 }
 

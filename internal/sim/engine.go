@@ -16,9 +16,10 @@ import (
 var ErrMaxSlots = errors.New("sim: slot budget exhausted before all nodes terminated")
 
 // ChannelOutcome describes what happened on one physical channel during one
-// slot. It is produced only when an Observer is attached. The Broadcasters
-// and Listeners slices alias the engine's per-slot scratch: they are valid
-// only for the duration of the OnSlot call and must be copied to be kept.
+// slot. It is produced only when an Observer is attached. The Broadcasters,
+// Listeners and Parked slices alias the engine's per-slot scratch: they are
+// valid only for the duration of the OnSlot call and must be copied to be
+// kept. Every node list is ascending.
 type ChannelOutcome struct {
 	// Channel is the physical channel index.
 	Channel int
@@ -27,15 +28,26 @@ type ChannelOutcome struct {
 	// Winner is the broadcaster whose message was received, or None if the
 	// channel carried no transmission.
 	Winner NodeID
-	// Listeners lists all nodes that listened on the channel.
+	// Listeners lists the nodes that were stepped this slot and listened
+	// on the channel.
 	Listeners []NodeID
+	// Parked lists the listeners a sparse engine did not step because they
+	// are parked on the channel (Action.Sleep). It is disjoint from
+	// Listeners and always empty on a dense engine; Listeners ∪ Parked is
+	// the listener set a dense engine reports as Listeners. On a channel
+	// with broadcasters it is the parked set the deliveries reached. A
+	// parked list changes only when a park starts or ends, which lets an
+	// observer check a park once instead of in every slot.
+	Parked []NodeID
 }
 
 // Observer receives a per-slot report of all channels that saw activity
-// (at least one broadcaster or listener). Outcomes are sorted by channel.
-// The outcomes slice and the node slices inside each ChannelOutcome are
-// engine-owned scratch, reused on the next slot: they are only valid for
-// the duration of the call and must be copied to be retained.
+// (at least one broadcaster, listener or parked listener). Outcomes are
+// sorted by channel. The outcomes slice and the node slices inside each
+// ChannelOutcome are engine-owned scratch, reused on the next slot: they
+// are only valid for the duration of the call and must be copied to be
+// retained. An observer that counts listeners counts
+// len(Listeners)+len(Parked).
 type Observer interface {
 	OnSlot(slot int, outcomes []ChannelOutcome)
 }
@@ -376,10 +388,11 @@ func (e *Engine) RunSlot() error {
 // fail, and they and every listener receive the winner's message. Under
 // AllDelivered every broadcaster succeeds, every listener receives every
 // message, and the first broadcaster is reported as the winner. Under
-// sparse stepping a channel's listeners are its live bucket merged with the
+// sparse stepping deliveries reach a channel's live bucket merged with the
 // listeners parked there, and the parked ones that heard something are
-// re-woken; an observed sparse slot also reports the channels whose only
-// listeners are parked, as the dense scan would have bucketed them.
+// re-woken; an observed sparse slot reports the parked listeners apart
+// from the stepped ones, and also the channels whose only listeners are
+// parked, as the dense scan would have bucketed them.
 func (e *Engine) resolveChannels(slot int) {
 	var outcomes []ChannelOutcome
 	if e.obs != nil {
@@ -388,17 +401,21 @@ func (e *Engine) resolveChannels(slot int) {
 			e.touchParked(slot)
 		}
 	}
-	e.sp.lscratch = e.sp.lscratch[:0]
 	for ch := 0; ch <= e.maxCh; ch++ {
 		if !e.touched[ch] {
 			continue
 		}
-		bs, ls := e.bcast[ch], e.listen[ch]
+		bs, live := e.bcast[ch], e.listen[ch]
+		var pk []NodeID
 		if e.sp.on && (len(bs) > 0 || e.obs != nil) {
-			ls = e.mergedListeners(ch, e.compactParked(slot, ch))
+			pk = e.compactParked(slot, ch)
 		}
 		winner := None
 		if len(bs) > 0 {
+			ls := live
+			if len(pk) > 0 {
+				ls = e.mergedListeners(live, pk)
+			}
 			switch e.collisions {
 			case AllDelivered:
 				// Footnote-3 semantics: every message goes through.
@@ -430,7 +447,7 @@ func (e *Engine) resolveChannels(slot int) {
 				}
 			}
 			if e.sp.on {
-				e.wakeParked(ch, ls)
+				e.wakeParked(ls)
 			}
 		}
 		if e.obs != nil {
@@ -438,7 +455,8 @@ func (e *Engine) resolveChannels(slot int) {
 				Channel:      ch,
 				Broadcasters: bs,
 				Winner:       winner,
-				Listeners:    ls,
+				Listeners:    live,
+				Parked:       pk,
 			})
 		}
 	}

@@ -2,6 +2,7 @@ package sim_test
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -67,16 +68,18 @@ func (s *scripted) Done() bool { return false }
 // violation-free outcome stream. The script is then replayed unobserved on
 // two shards, where every node's delivery log must match the observed dense
 // run's, and under sparse stepping with its own oracle attached, where the
-// delivery logs and the per-slot outcome stream must both match — parked
-// listeners included — so one target drives the shared scan and resolver
-// through all three stepping modes.
+// delivery logs and the per-slot outcome stream must both match — each
+// sparse channel's Listeners ∪ Parked against the dense Listeners — so one
+// target drives the shared scan and resolver through all three stepping
+// modes. Dense runs must report no parked listener, and sparse Parked lists
+// must be ascending and disjoint from Listeners.
 func FuzzEngineSlot(f *testing.F) {
 	f.Add(uint8(8), uint8(3), int64(1), []byte("\x02\x05\x08\x0b\x0e\x11\x14\x17"))
 	f.Add(uint8(4), uint8(2), int64(7), []byte{2, 2, 2, 2, 1, 1, 1, 1})
 	f.Add(uint8(12), uint8(4), int64(42), []byte("mixed traffic with listeners and idles"))
 	f.Add(uint8(2), uint8(1), int64(3), []byte{255, 254, 253, 252, 0, 1, 2})
 	// Two nodes park listening on different physical channels, so one slot
-	// reports two channels whose merged listener lists must both stay valid
+	// reports two channels whose parked lists must both stay valid
 	// until the observer has run.
 	f.Add(uint8(4), uint8(2), int64(7), []byte("00\xa6\xa6"))
 	f.Fuzz(func(t *testing.T, rawN, rawC uint8, seed int64, script []byte) {
@@ -118,18 +121,24 @@ func FuzzEngineSlot(f *testing.F) {
 		}
 		// observed runs the script under a fresh oracle and returns its
 		// delivery logs and the outcome stream the oracle saw.
-		observed := func(opts ...sim.Option) (*sim.Engine, string, string) {
+		observed := func(opts ...sim.Option) (*sim.Engine, string, *outcomeLog) {
 			ck := new(invariant.Checker)
 			ck.Reset(asn, sim.UniformWinner)
-			var outs outcomeLog
-			eng, logs := run(append(opts, sim.WithObserver(sim.Tee(ck, &outs)))...)
+			outs := new(outcomeLog)
+			eng, logs := run(append(opts, sim.WithObserver(sim.Tee(ck, outs)))...)
 			if err := ck.Err(); err != nil {
 				t.Fatalf("oracle violation (%d total) on n=%d c=%d seed=%d script=%q: %v",
 					ck.Violations(), n, c, seed, script, err)
 			}
-			return eng, logs, outs.String()
+			if outs.err != nil {
+				t.Fatal(outs.err)
+			}
+			return eng, logs, outs
 		}
 		_, dense, denseOuts := observed()
+		if denseOuts.parked != 0 {
+			t.Fatalf("dense engine reported %d parked listeners", denseOuts.parked)
+		}
 		sharded, got := run(sim.WithShards(2))
 		if sharded.Shards() != 2 {
 			t.Fatalf("Shards() = %d, want 2", sharded.Shards())
@@ -144,20 +153,41 @@ func FuzzEngineSlot(f *testing.F) {
 		if got != dense {
 			t.Fatalf("sparse diverged from the observed dense run:\n--- sparse ---\n%s--- dense ---\n%s", got, dense)
 		}
-		if gotOuts != denseOuts {
+		if gotOuts.String() != denseOuts.String() {
 			t.Fatalf("sparse outcome stream diverged from dense:\n--- sparse ---\n%s--- dense ---\n%s", gotOuts, denseOuts)
 		}
 	})
 }
 
 // outcomeLog is an observer that renders every slot's channel outcomes,
-// one line per slot.
-type outcomeLog struct{ strings.Builder }
+// one line per slot, listing each channel's listeners as the sorted union
+// of Listeners and Parked: the set a dense engine reports as Listeners. It
+// counts parked entries and records the first Parked list that is not
+// ascending or meets Listeners.
+type outcomeLog struct {
+	strings.Builder
+	parked int
+	err    error
+	ls     []sim.NodeID
+}
 
 func (l *outcomeLog) OnSlot(slot int, outcomes []sim.ChannelOutcome) {
 	fmt.Fprintf(l, "%d:", slot)
 	for _, o := range outcomes {
-		fmt.Fprintf(l, " ch%d b%v w%d l%v", o.Channel, o.Broadcasters, o.Winner, o.Listeners)
+		l.parked += len(o.Parked)
+		for i := 1; i < len(o.Parked); i++ {
+			if o.Parked[i] <= o.Parked[i-1] && l.err == nil {
+				l.err = fmt.Errorf("slot %d: channel %d parked list %v not ascending", slot, o.Channel, o.Parked)
+			}
+		}
+		l.ls = append(append(l.ls[:0], o.Listeners...), o.Parked...)
+		slices.Sort(l.ls)
+		for i := 1; i < len(l.ls); i++ {
+			if l.ls[i] == l.ls[i-1] && l.err == nil {
+				l.err = fmt.Errorf("slot %d: channel %d node %d both stepped and parked", slot, o.Channel, l.ls[i])
+			}
+		}
+		fmt.Fprintf(l, " ch%d b%v w%d l%v", o.Channel, o.Broadcasters, o.Winner, l.ls)
 	}
 	l.WriteByte('\n')
 }

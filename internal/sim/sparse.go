@@ -58,13 +58,14 @@ type sparseState struct {
 	parkedAt    []int   // per node: slot of the last parkListen
 	parkedQuiet []bool  // per node: the park is delivery-proof (Action.Quiet)
 
-	heap        []int64   // binary min-heap of packed wake entries
-	newlyParked []int32   // listeners parked this slot, committed after phase B
-	parked      [][]int32 // phys channel -> parked listeners (sorted unless dirty)
-	parkedDirty []bool    // phys channel -> parked list needs sorting
-	parkedSeen  []bool    // phys channel -> appears in parkedTouched
-	parkedTouch []int     // channels with parked entries since Reset
-	lscratch    []NodeID  // merged live+parked listener scratch
+	heap        []int64    // binary min-heap of packed wake entries
+	newlyParked []int32    // listeners parked this slot, committed after phase B
+	parked      [][]NodeID // phys channel -> parked listeners (exact unless stale or dirty)
+	parkedDirty []bool     // phys channel -> parked list needs sorting
+	parkedStale []bool     // phys channel -> a listed node was woken or retired
+	parkedSeen  []bool     // phys channel -> appears in parkedTouched
+	parkedTouch []int      // channels with parked entries since Reset
+	lscratch    []NodeID   // merged live+parked listener scratch
 }
 
 // Sparse reports whether event-driven stepping is engaged: WithSparse was
@@ -129,6 +130,7 @@ func (e *Engine) resetSparse() {
 	for _, ch := range sp.parkedTouch {
 		sp.parked[ch] = sp.parked[ch][:0]
 		sp.parkedDirty[ch] = false
+		sp.parkedStale[ch] = false
 		sp.parkedSeen[ch] = false
 	}
 	sp.parkedTouch = sp.parkedTouch[:0]
@@ -141,8 +143,9 @@ func (e *Engine) resetSparse() {
 func (e *Engine) growParked(n int) {
 	sp := &e.sp
 	if short := n - len(sp.parked); short > 0 {
-		sp.parked = append(sp.parked, make([][]int32, short)...)
+		sp.parked = append(sp.parked, make([][]NodeID, short)...)
 		sp.parkedDirty = append(sp.parkedDirty, make([]bool, short)...)
+		sp.parkedStale = append(sp.parkedStale, make([]bool, short)...)
 		sp.parkedSeen = append(sp.parkedSeen, make([]bool, short)...)
 	}
 }
@@ -226,28 +229,16 @@ func (e *Engine) scanSparse(slot int) error {
 
 // wakeParked runs after a channel's deliveries to its listeners ls (live
 // and parked, as mergedListeners built them): every parked listener that
-// heard something is re-woken unless its park is quiet.
-func (e *Engine) wakeParked(ch int, ls []NodeID) {
+// heard something is re-woken unless its park is quiet. The channel's
+// parked list is left as it was, so the observer sees the pre-delivery
+// parked set; the wakes (and any retirement a delivery caused) mark it
+// stale, and the next compactParked drops them.
+func (e *Engine) wakeParked(ls []NodeID) {
 	sp := &e.sp
 	for _, l := range ls {
 		if sp.parkedPhys[l] >= 0 && !sp.parkedQuiet[l] {
 			e.wakeNode(int32(l))
 		}
-	}
-	// Every non-quiet parked entry was just woken and stale entries were
-	// already compacted away; only quiet parks survive the deliveries. A
-	// delivery can still retire a quiet node (Done flipped in Deliver), so
-	// the filter also drops retirements — the dense engine would not listen
-	// for it next slot either.
-	lst := sp.parked[ch][:0]
-	for _, v := range sp.parked[ch] {
-		if sp.parkedPhys[v] == int32(ch) && !sp.retired[v] {
-			lst = append(lst, v)
-		}
-	}
-	sp.parked[ch] = lst
-	if len(lst) == 0 {
-		sp.parkedDirty[ch] = false
 	}
 }
 
@@ -268,6 +259,7 @@ func (e *Engine) sparseDelivered(id NodeID) {
 func (e *Engine) retireNode(v int32) {
 	e.sp.retired[v] = true
 	e.sp.notDone--
+	e.staleParked(v)
 }
 
 // wakeNode returns a dormant node to the stepped set: its pending timer is
@@ -275,9 +267,18 @@ func (e *Engine) retireNode(v int32) {
 // again from the next scan on.
 func (e *Engine) wakeNode(v int32) {
 	sp := &e.sp
+	e.staleParked(v)
 	sp.parkedPhys[v] = -1
 	sp.wakeAt[v] = -1
 	sp.woken = append(sp.woken, v)
+}
+
+// staleParked marks the parked list of v's channel, if v is parked, for
+// compaction: v's entry there is about to stop being live.
+func (e *Engine) staleParked(v int32) {
+	if ch := e.sp.parkedPhys[v]; ch >= 0 {
+		e.sp.parkedStale[ch] = true
+	}
 }
 
 // parkIdle parks an idle node until its hint expires (or forever: an idle
@@ -319,14 +320,14 @@ func (e *Engine) commitParked() {
 			continue
 		}
 		lst := sp.parked[ch]
-		if len(lst) > 0 && lst[len(lst)-1] > v {
+		if len(lst) > 0 && lst[len(lst)-1] > NodeID(v) {
 			sp.parkedDirty[ch] = true
 		}
 		if !sp.parkedSeen[ch] {
 			sp.parkedSeen[ch] = true
 			sp.parkedTouch = append(sp.parkedTouch, int(ch))
 		}
-		sp.parked[ch] = append(lst, v)
+		sp.parked[ch] = append(lst, NodeID(v))
 	}
 	sp.newlyParked = sp.newlyParked[:0]
 }
@@ -337,12 +338,14 @@ func (e *Engine) commitParked() {
 // channel leaves the old entry behind). An entry is live only if the park
 // predates this slot: a node whose timer expired and that re-parked on the
 // same channel this very slot is in the live listen bucket — it was stepped
-// — and its old entry must not double-deliver. Returns the live, sorted,
-// duplicate-free list.
-func (e *Engine) compactParked(slot, ch int) []int32 {
+// — and its old entry must not double-deliver. Every way an entry stops
+// being live goes through wakeNode or retireNode, which mark the list
+// stale, so a list that is neither stale nor dirty is returned untouched.
+// Returns the live, sorted, duplicate-free list.
+func (e *Engine) compactParked(slot, ch int) []NodeID {
 	sp := &e.sp
 	lst := sp.parked[ch]
-	if len(lst) == 0 {
+	if !sp.parkedStale[ch] && !sp.parkedDirty[ch] {
 		return lst
 	}
 	w := 0
@@ -355,8 +358,8 @@ func (e *Engine) compactParked(slot, ch int) []int32 {
 	lst = lst[:w]
 	if sp.parkedDirty[ch] {
 		slices.Sort(lst)
-		sp.parkedDirty[ch] = false
 	}
+	sp.parkedStale[ch], sp.parkedDirty[ch] = false, false
 	w = 0
 	for i, v := range lst {
 		if i > 0 && v == lst[i-1] {
@@ -385,29 +388,22 @@ func (e *Engine) touchParked(slot int) {
 // compacted parked list in ascending node order — exactly the order the
 // dense bucket would have held, since a dense scan appends listeners in
 // node order and the two sets are disjoint (a parked node is not stepped,
-// so it is never in the live bucket). Each channel's list is appended
-// after the previous one in lscratch, which resolveChannels resets once per
-// slot, so every list stays valid until the observer has seen the slot; a
-// slot holds at most n listeners, lscratch's capacity.
-func (e *Engine) mergedListeners(ch int, pk []int32) []NodeID {
-	live := e.listen[ch]
-	if len(pk) == 0 {
-		return live
-	}
-	out := e.sp.lscratch
-	start := len(out)
+// so it is never in the live bucket). Only deliveries need the merged
+// list; it lives in lscratch (capacity n) until the next channel's merge.
+func (e *Engine) mergedListeners(live, pk []NodeID) []NodeID {
+	out := e.sp.lscratch[:0]
 	i, j := 0, 0
 	for i < len(live) || j < len(pk) {
-		if j >= len(pk) || (i < len(live) && live[i] < NodeID(pk[j])) {
+		if j >= len(pk) || (i < len(live) && live[i] < pk[j]) {
 			out = append(out, live[i])
 			i++
 		} else {
-			out = append(out, NodeID(pk[j]))
+			out = append(out, pk[j])
 			j++
 		}
 	}
 	e.sp.lscratch = out
-	return out[start:len(out):len(out)]
+	return out
 }
 
 // pushWake queues a timer wake. Re-parking with an unchanged wake slot

@@ -23,7 +23,7 @@ func NewRecorder(sink Sink) *Recorder { return &Recorder{sink: sink} }
 // OnSlot implements sim.Observer.
 func (r *Recorder) OnSlot(slot int, outcomes []sim.ChannelOutcome) {
 	for _, oc := range outcomes {
-		r.sink.Emit(ChannelEvent(slot, oc.Channel, int(oc.Winner), len(oc.Broadcasters), len(oc.Listeners)))
+		r.sink.Emit(ChannelEvent(slot, oc.Channel, int(oc.Winner), len(oc.Broadcasters), len(oc.Listeners)+len(oc.Parked)))
 	}
 	r.sink.Emit(SlotEvent(slot, len(outcomes)))
 }
