@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt-check scenario-check bench-check chaos check bench bench-engine baseline baseline-quick baseline-scale fuzz cover clean
+.PHONY: all build test race vet fmt-check scenario-check bench-check chaos check bench bench-engine baseline baseline-quick baseline-scale fuzz cover identity clean
 
 # Per-target fuzzing budget for `make fuzz`.
 FUZZTIME ?= 30s
@@ -115,6 +115,14 @@ cover:
 	echo "total coverage: $$total% (threshold $(COVER_THRESHOLD)%)"; \
 	awk "BEGIN {exit !($$total >= $(COVER_THRESHOLD))}" || \
 		{ echo "coverage $$total% below threshold $(COVER_THRESHOLD)%"; exit 1; }
+
+# Byte-identity against another revision: builds cogbench and cogsim from
+# BASE and from the working tree and cmp's their tables and traces (see
+# scripts/identity.sh and TESTING.md). Not part of `check`: some changes
+# alter output bytes on purpose.
+identity:
+	@test -n "$(BASE)" || { echo "usage: make identity BASE=<rev>"; exit 2; }
+	scripts/identity.sh $(BASE)
 
 clean:
 	$(GO) clean ./...

@@ -64,19 +64,16 @@ func TestReinitMatchesNew(t *testing.T) {
 		t.Fatal(err)
 	}
 	view := sim.View(asn, 1)
-	used := cogcast.New(view, false, nil, 1, cogcast.WithRecording(8))
+	used := cogcast.New(view, false, nil, 1)
 	for s := 0; s < 50; s++ {
 		used.Step(s)
 	}
-	used.Reinit(view, true, "p", 9, cogcast.WithRecording(8))
-	fresh := cogcast.New(view, true, "p", 9, cogcast.WithRecording(8))
+	used.Reinit(view, true, "p", 9)
+	fresh := cogcast.New(view, true, "p", 9)
 	for s := 0; s < 50; s++ {
 		a, b := used.Step(s), fresh.Step(s)
 		if a.Op != b.Op || a.Channel != b.Channel {
 			t.Fatalf("slot %d: reinit action (%v,%d) != fresh (%v,%d)", s, a.Op, a.Channel, b.Op, b.Channel)
 		}
-	}
-	if len(used.Records()) != len(fresh.Records()) {
-		t.Fatalf("record count %d != %d", len(used.Records()), len(fresh.Records()))
 	}
 }

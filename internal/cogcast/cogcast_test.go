@@ -156,92 +156,6 @@ func TestEachNodeInformedExactlyOnce(t *testing.T) {
 	}
 }
 
-func TestRecording(t *testing.T) {
-	const n = 10
-	asn, err := assign.FullOverlap(n, 3, assign.LocalLabels, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nodes := make([]*cogcast.Node, n)
-	protos := make([]sim.Protocol, n)
-	for i := range nodes {
-		nodes[i] = cogcast.New(sim.View(asn, sim.NodeID(i)), i == 0, "x", 8, cogcast.WithRecording(50), cogcast.WithHorizon(50))
-		protos[i] = nodes[i]
-	}
-	eng, err := sim.NewEngine(asn, protos, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.Run(60); err != nil {
-		t.Fatal(err)
-	}
-	for i, nd := range nodes {
-		recs := nd.Records()
-		if len(recs) != 50 {
-			t.Fatalf("node %d recorded %d slots, want 50", i, len(recs))
-		}
-		firstInformedCount := 0
-		for s, r := range recs {
-			switch r.Op {
-			case sim.OpListen:
-				if r.SendSucceeded {
-					t.Errorf("node %d slot %d: listen marked SendSucceeded", i, s)
-				}
-				if r.FirstInformed {
-					firstInformedCount++
-					if s != nd.InformedSlot() {
-						t.Errorf("node %d: FirstInformed at slot %d but InformedSlot=%d", i, s, nd.InformedSlot())
-					}
-					if r.Channel != nd.InformedChannel() {
-						t.Errorf("node %d: informed channel mismatch %d vs %d", i, r.Channel, nd.InformedChannel())
-					}
-				}
-			case sim.OpBroadcast:
-				if r.FirstInformed {
-					t.Errorf("node %d slot %d: broadcast marked FirstInformed", i, s)
-				}
-			}
-		}
-		if i == 0 && firstInformedCount != 0 {
-			t.Errorf("source recorded FirstInformed")
-		}
-		if i != 0 && nd.Informed() && firstInformedCount != 1 {
-			t.Errorf("node %d recorded %d FirstInformed slots, want 1", i, firstInformedCount)
-		}
-		// After being informed, every slot must be a broadcast.
-		for s := range recs {
-			if nd.InformedSlot() >= 0 && s > nd.InformedSlot() && recs[s].Op != sim.OpBroadcast {
-				t.Errorf("node %d slot %d: informed node listened", i, s)
-			}
-			if i != 0 && (nd.InformedSlot() < 0 || s <= nd.InformedSlot()) && s != nd.InformedSlot() && recs[s].Op != sim.OpListen {
-				t.Errorf("node %d slot %d: uninformed node broadcast", i, s)
-			}
-		}
-	}
-}
-
-func TestHorizonTermination(t *testing.T) {
-	asn, err := assign.FullOverlap(4, 2, assign.LocalLabels, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	protos := make([]sim.Protocol, 4)
-	for i := range protos {
-		protos[i] = cogcast.New(sim.View(asn, sim.NodeID(i)), i == 0, "x", 9, cogcast.WithHorizon(7))
-	}
-	eng, err := sim.NewEngine(asn, protos, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slots, err := eng.Run(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if slots != 7 {
-		t.Errorf("ran %d slots, want exactly the 7-slot horizon", slots)
-	}
-}
-
 func TestTrajectoryMonotone(t *testing.T) {
 	asn, err := assign.FullOverlap(32, 4, assign.LocalLabels, 10)
 	if err != nil {

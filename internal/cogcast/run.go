@@ -138,9 +138,8 @@ func EngineOptions(dst []sim.Option, asn sim.Assignment, cfg RunConfig, ck **inv
 	return dst, nil
 }
 
-// build (re)initializes n nodes and the engine for one trial. nodeOpts apply
-// to every node (COGCOMP passes WithRecording).
-func (a *Arena) build(asn sim.Assignment, source sim.NodeID, payload sim.Message, seed int64, engOpts []sim.Option, nodeOpts ...Option) error {
+// build (re)initializes n nodes and the engine for one trial.
+func (a *Arena) build(asn sim.Assignment, source sim.NodeID, payload sim.Message, seed int64, engOpts []sim.Option) error {
 	n := asn.Nodes()
 	if cap(a.nodes) < n {
 		a.nodes = append(a.nodes[:cap(a.nodes)], make([]*Node, n-cap(a.nodes))...)
@@ -152,7 +151,7 @@ func (a *Arena) build(asn sim.Assignment, source sim.NodeID, payload sim.Message
 		if a.nodes[i] == nil {
 			a.nodes[i] = &Node{}
 		}
-		a.nodes[i].Reinit(sim.View(asn, sim.NodeID(i)), sim.NodeID(i) == source, payload, seed, nodeOpts...)
+		a.nodes[i].Reinit(sim.View(asn, sim.NodeID(i)), sim.NodeID(i) == source, payload, seed)
 		a.protos[i] = a.nodes[i]
 	}
 	if a.eng == nil {

@@ -4,9 +4,11 @@
 //
 // The protocol has four phases, all driven off the global slot number:
 //
-//	Phase 1 [0, l):        COGCAST disseminates INIT; each node records its
-//	                       full action log. The "first informed by" relation
-//	                       implicitly builds a distribution tree.
+//	Phase 1 [0, l):        COGCAST disseminates INIT; each node logs the
+//	                       slots phase three replays: its won broadcasts
+//	                       and the listen that informed it. The "first
+//	                       informed by" relation implicitly builds a
+//	                       distribution tree.
 //	Phase 2 [l, l+n):      census. Each non-source node broadcasts ⟨id, r⟩
 //	                       on the channel where it was informed until it
 //	                       succeeds, then listens. Everyone on a channel
@@ -39,6 +41,13 @@ type medCluster struct {
 	members map[sim.NodeID]bool
 }
 
+// act is one entry of a node's phase-one log: a slot phase three replays.
+type act struct {
+	pos int  // phase-one log position (see Node.pos)
+	ch  int  // local channel index used
+	won bool // a won broadcast; otherwise the listen that informed the node
+}
+
 // infCluster is a cluster this node informed (learned in phase three).
 type infCluster struct {
 	r    int // phase-one slot in which the cluster was informed
@@ -56,6 +65,15 @@ type Node struct {
 	input  int64
 
 	cast *cogcast.Node
+
+	// Phase-one log. pos counts the phase-one slots the node stepped or
+	// missed (MissSlot); a plain outage does neither, so pos trails the
+	// slot number by the node's down slots. acts holds, in ascending pos,
+	// the slots phase three replays, and cur is the rewind's cursor into
+	// it (see seek).
+	pos  int
+	acts []act
+	cur  int
 
 	p2start, p3start, p4start int
 
@@ -141,16 +159,16 @@ var _ sim.Protocol = (*Node)(nil)
 // (computed with PhaseOneLength). input is the node's datum; f the
 // associative aggregate to compute. The source initiates the broadcast and
 // ultimately holds the network-wide aggregate. The embedded COGCAST node
-// (including its random source and record log) and the phase-state slice
-// backings are reused, so trial arenas rebuild a network without per-node
-// allocations; a reinitialized node is draw-for-draw identical to a fresh
-// one.
+// (including its random source) and the slice backings, the phase-one log's
+// among them, are reused, so trial arenas rebuild a network without
+// per-node allocations; a reinitialized node is draw-for-draw identical to
+// a fresh one.
 func (nd *Node) reinit(view sim.NodeView, source bool, n, phase1Len int, input int64, f aggfunc.Func, seed int64, cen *census) {
 	cast := nd.cast
 	if cast == nil {
-		cast = cogcast.New(view, source, initPayload{}, seed, cogcast.WithRecording(phase1Len))
+		cast = cogcast.New(view, source, initPayload{}, seed)
 	} else {
-		cast.Reinit(view, source, initPayload{}, seed, cogcast.WithRecording(phase1Len))
+		cast.Reinit(view, source, initPayload{}, seed)
 	}
 	*nd = Node{
 		id:          view.ID(),
@@ -170,6 +188,7 @@ func (nd *Node) reinit(view sim.NodeView, source bool, n, phase1Len int, input i
 		pendingAck:  sim.None,
 		announced:   -1,
 		cen:         cen,
+		acts:        nd.acts[:0],
 		held:        nd.held[:0],
 		medClusters: nd.medClusters[:0],
 		collected:   nd.collected[:0],
@@ -195,6 +214,7 @@ func (nd *Node) Step(slot int) sim.Action {
 	}
 	switch {
 	case slot < nd.p2start:
+		nd.pos++
 		return nd.cast.Step(slot)
 	case slot < nd.p3start:
 		nd.initPhase2()
@@ -212,7 +232,7 @@ func (nd *Node) Step(slot int) sim.Action {
 func (nd *Node) Deliver(slot int, ev sim.Event) {
 	switch {
 	case slot < nd.p2start:
-		nd.cast.Deliver(slot, ev)
+		nd.deliverPhase1(slot, ev)
 	case slot < nd.p3start:
 		nd.deliverPhase2(ev)
 	case slot < nd.p4start:
@@ -233,6 +253,18 @@ func (nd *Node) Done() bool { return nd.done }
 // message, mutated no state and drawn no randomness. The setting survives
 // Reinit.
 func (nd *Node) SetDormant(on bool) { nd.dormant = on }
+
+// --- Phase 1: COGCAST -------------------------------------------------------
+
+// deliverPhase1 hands the outcome to COGCAST and logs the slot if phase three
+// replays it: a won broadcast, or the listen that first informed the node.
+func (nd *Node) deliverPhase1(slot int, ev sim.Event) {
+	was := nd.cast.Informed()
+	nd.cast.Deliver(slot, ev)
+	if won := ev.Kind == sim.EvSendSucceeded; won || nd.cast.Informed() != was {
+		nd.acts = append(nd.acts, act{pos: nd.pos - 1, ch: ev.Channel, won: won})
+	}
+}
 
 // --- Phase 2: census -------------------------------------------------------
 
@@ -307,6 +339,7 @@ func (nd *Node) initPhase3() {
 		return
 	}
 	nd.p3init = true
+	nd.cur = len(nd.acts)
 	if nd.source || !nd.informed {
 		return
 	}
@@ -339,52 +372,56 @@ func (nd *Node) rewoundSlot(slot int) int {
 }
 
 func (nd *Node) stepPhase3(slot int) sim.Action {
-	j := nd.rewoundSlot(slot)
-	recs := nd.cast.Records()
-	if j < 0 || j >= len(recs) {
-		return nd.idleRewind(slot, j)
-	}
-	rec := recs[j]
+	a, ok := nd.seek(nd.rewoundSlot(slot))
 	switch {
-	case rec.Op == sim.OpBroadcast && rec.SendSucceeded:
-		// This node informed cluster (j, ch) — if the cluster is nonempty
-		// its members report their size now.
-		return sim.Listen(rec.Channel)
-	case rec.Op == sim.OpListen && rec.FirstInformed:
-		return sim.Broadcast(rec.Channel, rewindMsg{R: nd.r0, Size: nd.clusterSize})
+	case !ok:
+		// A roleless node would retune to the rewound channel; staying off
+		// the air is observably identical and cheaper.
+		return nd.idleRewind(slot)
+	case a.won:
+		// This node informed the cluster of the rewound slot and channel —
+		// if the cluster is nonempty its members report their size now.
+		return sim.Listen(a.ch)
 	default:
-		// Every other node retunes to the rewound channel but has no role;
-		// staying off the air is observably identical and cheaper.
-		return nd.idleRewind(slot, j)
+		return sim.Broadcast(a.ch, rewindMsg{R: nd.r0, Size: nd.clusterSize})
 	}
 }
 
+// seek moves the rewind cursor to phase-one position j and returns the log
+// entry there, if the node acted at j. Afterwards acts[:cur] holds exactly
+// the entries at or before j. The rewind visits positions in descending
+// order, so between resets (initPhase3, RetryRewind) the cursor only moves
+// down and walks the log once.
+func (nd *Node) seek(j int) (act, bool) {
+	for nd.cur > 0 && nd.acts[nd.cur-1].pos > j {
+		nd.cur--
+	}
+	if nd.cur > 0 && nd.acts[nd.cur-1].pos == j {
+		return nd.acts[nd.cur-1], true
+	}
+	return act{}, false
+}
+
 // idleRewind is a roleless phase-three slot: pure idling, so it carries a
-// dormancy hint spanning the gap to the node's next acting rewound record.
-func (nd *Node) idleRewind(slot, j int) sim.Action {
+// dormancy hint spanning the gap to the node's next acting rewound slot.
+func (nd *Node) idleRewind(slot int) sim.Action {
 	if nd.dormant {
-		if k := nd.rewindGap(slot, j); k > 0 {
+		if k := nd.rewindGap(slot); k > 0 {
 			return sim.Sleep(k)
 		}
 	}
 	return sim.Idle()
 }
 
-// rewindGap returns how many upcoming phase-three slots (after slot, whose
-// rewound index is j) are roleless for this node: the rewind plays the log
-// backwards, so the next acting slot replays the nearest earlier record in
-// which the node successfully broadcast or was first informed. With no
-// acting record left the gap runs to phase four — the waking Step then runs
-// initPhase4, so the hint must not cross that boundary.
-func (nd *Node) rewindGap(slot, j int) int {
-	recs := nd.cast.Records()
+// rewindGap returns how many upcoming phase-three slots (after slot, which
+// seek has just found roleless) are roleless too: the rewind plays the log
+// backwards, so the next acting slot replays acts[cur-1], the nearest
+// earlier entry. With no entry left the gap runs to phase four — the waking
+// Step then runs initPhase4, so the hint must not cross that boundary.
+func (nd *Node) rewindGap(slot int) int {
 	wake := nd.p4start
-	for jj := min(j, len(recs)) - 1; jj >= 0; jj-- {
-		rec := recs[jj]
-		if (rec.Op == sim.OpBroadcast && rec.SendSucceeded) || (rec.Op == sim.OpListen && rec.FirstInformed) {
-			wake = nd.p3base + (nd.p2start - 1 - jj)
-			break
-		}
+	if nd.cur > 0 {
+		wake = nd.p3base + (nd.p2start - 1 - nd.acts[nd.cur-1].pos)
 	}
 	return wake - slot - 1
 }
@@ -397,9 +434,8 @@ func (nd *Node) deliverPhase3(slot int, ev sim.Event) {
 	if !ok {
 		return
 	}
-	j := nd.rewoundSlot(slot)
-	recs := nd.cast.Records()
-	if j < 0 || j >= len(recs) {
+	a, ok := nd.seek(nd.rewoundSlot(slot))
+	if !ok {
 		return
 	}
 	// An informer creates at most one cluster per phase-one slot, so r is a
@@ -411,7 +447,7 @@ func (nd *Node) deliverPhase3(slot int, ev sim.Event) {
 			return
 		}
 	}
-	nd.collected = append(nd.collected, infCluster{r: m.R, ch: recs[j].Channel, size: m.Size})
+	nd.collected = append(nd.collected, infCluster{r: m.R, ch: a.ch, size: m.Size})
 }
 
 // --- Phase 4: mediated convergecast -----------------------------------------
@@ -730,21 +766,22 @@ func (nd *Node) hasMerged(id sim.NodeID) bool {
 }
 
 // MissSlot records that the node was down (crashed) for slot: during phase
-// one the action log is padded so the phase-three rewind stays slot-aligned.
-// Later phases are event-driven and need no padding.
+// one it advances the log position, so the phase-three rewind stays
+// slot-aligned and replays the missed slot as idle. Later phases are
+// event-driven and need no accounting.
 func (nd *Node) MissSlot(slot int) {
 	if slot < nd.p2start {
-		nd.cast.MissSlot(slot)
+		nd.pos++
 	}
 }
 
 // Restart recovers the node's state as a crash-restart at slot would.
 // The durability model (DESIGN.md §7) is WAL-before-use: every protocol
-// fact — the phase-one action log, census roster entries, collected
+// fact — the phase-one log, census roster entries, collected
 // clusters, phase-four merges — is logged to stable storage before the
 // node acts on it, so all of them survive a crash (the state is a few
 // dozen words; a real node would fsync it). What a crash loses is
-// availability (the slots spent down, padded by MissSlot) and the
+// availability (the slots spent down, counted by MissSlot) and the
 // transient acknowledgement that the node's own census entry got
 // through: a node restarting mid-census conservatively re-broadcasts it
 // until a fresh success, which deliverPhase2's dedup makes a no-op on
@@ -801,6 +838,7 @@ func (nd *Node) ResetCensus() {
 func (nd *Node) RetryRewind(base int) {
 	nd.p3base = base
 	nd.p4start = base + nd.p2start
+	nd.cur = len(nd.acts)
 }
 
 // Withdraw removes the node from the protocol (recovery pruning after the

@@ -196,10 +196,10 @@ type Crasher struct {
 }
 
 // Restartable is the contract crash-restart faults need from a protocol:
-// MissSlot records a slot the node was down for (so slot-aligned state
-// such as COGCOMP's phase-one action log stays consistent), and Restart
-// wipes whatever state the protocol's durability model declares volatile
-// at the given slot. cogcomp.Node implements it.
+// MissSlot records a slot the node was down for (so slot-aligned state,
+// such as the phase-one position COGCOMP's rewind replays by, stays
+// aligned), and Restart wipes whatever state the protocol's durability
+// model declares volatile at the given slot. cogcomp.Node implements it.
 type Restartable interface {
 	MissSlot(slot int)
 	Restart(slot int)

@@ -10,8 +10,8 @@
 // model is WAL-before-use — every protocol fact survives a crash; what a
 // crash costs is the slots spent down:
 //
-//	epoch 1  broadcast   the phase-one action log (a WAL; missed slots
-//	                     are padded so the rewind stays slot-aligned)
+//	epoch 1  broadcast   the phase-one log (a WAL; missed slots are
+//	                     counted so the rewind stays slot-aligned)
 //	epoch 2  census      roster entries, logged on receipt; a restart
 //	                     only loses the transient sent-successfully bit,
 //	                     so the node re-announces (peers dedup)
@@ -333,8 +333,8 @@ func (r *run) informedCount() int {
 }
 
 // epoch1 runs phase one, extending the window while nodes remain
-// uninformed. The action log is the WAL: crashed nodes pad missed slots
-// and resume recording, so the eventual rewind stays slot-aligned.
+// uninformed. The phase-one log is the WAL: crashed nodes count missed
+// slots and resume logging, so the eventual rewind stays slot-aligned.
 func (r *run) epoch1() error {
 	r.emit(trace.PhaseEvent(0, 1, r.l))
 	r.emit(trace.EpochEvent(0, 1, r.l))

@@ -1,0 +1,51 @@
+#!/usr/bin/env bash
+# identity.sh BASE: check that cogbench and cogsim built from the working
+# tree print the same bytes as the ones built from revision BASE.
+#
+# Both CLIs are built twice, from an export of BASE in a temporary directory
+# and from the working tree, and each pair runs this matrix:
+#
+#   cogbench -quick -check
+#   cogbench -exp E20,E26,E27,E30 -trace FILE      (tables and JSONL trace)
+#   cogbench -exp E29 -quick -sparse -check
+#   cogsim -protocol cogcomp -n 2000 -sparse -check -trace FILE
+#
+# Only the wall-clock lines "[E… finished in …]" and the "trace: wrote
+# <path>" line are stripped before cmp. The exit status is non-zero if any
+# output differs. Run it as `make identity BASE=<rev>`; it is not part of
+# `make check`, because some changes alter output bytes on purpose.
+set -euo pipefail
+
+base=${1:?usage: identity.sh BASE}
+root=$(git rev-parse --show-toplevel)
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+
+mkdir -p "$tmp/src" "$tmp/base" "$tmp/new"
+git -C "$root" archive "$base" | tar -x -C "$tmp/src"
+for side in base new; do
+	src=$root
+	[ "$side" = base ] && src=$tmp/src
+	(cd "$src" && go build -o "$tmp/$side/" ./cmd/cogbench ./cmd/cogsim)
+done
+
+for side in base new; do
+	d=$tmp/$side
+	echo "running $side" >&2
+	"$d/cogbench" -quick -check >"$d/quick.txt"
+	"$d/cogbench" -exp E20,E26,E27,E30 -trace "$d/exp.jsonl" >"$d/exp.txt"
+	"$d/cogbench" -exp E29 -quick -sparse -check >"$d/e29.txt"
+	"$d/cogsim" -protocol cogcomp -n 2000 -sparse -check -trace "$d/sim.jsonl" >"$d/sim.txt"
+done
+
+strip() { grep -v -e '^\[E[0-9]* finished in .*\]$' -e '^trace: wrote ' "$1" || true; }
+status=0
+for f in quick.txt exp.txt exp.jsonl e29.txt sim.txt sim.jsonl; do
+	if cmp -s <(strip "$tmp/base/$f") <(strip "$tmp/new/$f"); then
+		echo "same    $f"
+	else
+		echo "DIFFERS $f"
+		status=1
+	fi
+done
+exit $status
