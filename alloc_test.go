@@ -87,8 +87,10 @@ func TestRunSlotShardedAllocFree(t *testing.T) {
 // serial (Shards() == 1), and the discarded shard machinery must not leak
 // per-slot cost back in. It also holds with a ring-buffered trace recorder
 // and the invariant oracle observing, which keep the engine sparse, on the
-// idle round-robin and on its listening variant (censusListener), whose
-// slots report thousands of parked listeners.
+// idle round-robin, on its listening variant (censusListener), whose
+// slots report thousands of parked listeners, and on the contention
+// variant (censusStander), whose standing broadcasters are merged into
+// their channels each slot and served deaf.
 func TestRunSlotSparseAllocFree(t *testing.T) {
 	const n, c = 4096, 16
 	asn, err := assign.SharedCore(n, c, 4, 48, assign.LocalLabels, 1)
@@ -99,13 +101,19 @@ func TestRunSlotSparseAllocFree(t *testing.T) {
 		shards   int
 		observed bool
 		listen   bool
+		stand    bool
 	}
-	for _, m := range []mode{{1, false, false}, {2, false, false}, {4, false, false}, {8, false, false}, {1, true, false}, {1, true, true}} {
+	modes := []mode{{1, false, false, false}, {2, false, false, false}, {4, false, false, false}, {8, false, false, false},
+		{1, true, false, false}, {1, true, true, false}, {1, false, false, true}, {1, true, false, true}}
+	for _, m := range modes {
 		protos := make([]sim.Protocol, n)
 		for i := range protos {
-			if m.listen {
+			switch {
+			case m.stand:
+				protos[i] = &censusStander{msg: i, won: -1}
+			case m.listen:
 				protos[i] = &censusListener{censusNode{id: i, n: n}}
-			} else {
+			default:
 				protos[i] = &censusNode{id: i, n: n}
 			}
 		}
@@ -125,7 +133,7 @@ func TestRunSlotSparseAllocFree(t *testing.T) {
 		if got := eng.Shards(); got != 1 {
 			t.Fatalf("%+v: sparse engine reports %d shards, want 1 (forced serial)", m, got)
 		}
-		for i := 0; i < 8; i++ { // warm scratch and fill the wake-queue
+		for i := 0; i < 2*standPeriod; i++ { // warm scratch, the wake-queue and the stand groups
 			if err := eng.RunSlot(); err != nil {
 				t.Fatal(err)
 			}
@@ -139,7 +147,7 @@ func TestRunSlotSparseAllocFree(t *testing.T) {
 			t.Errorf("steady-state sparse RunSlot (%+v) allocates %.2f objects/slot, want 0", m, allocs)
 		}
 		if err := ck.Err(); err != nil {
-			t.Fatalf("oracle violation on a healthy run: %v", err)
+			t.Fatalf("%+v: oracle violation on a healthy run: %v", m, err)
 		}
 	}
 }

@@ -174,13 +174,51 @@ func (cl *censusListener) Step(slot int) sim.Action {
 	return sim.ParkListenQuiet(0, (cl.id-turn+cl.n)%cl.n-1)
 }
 
+// standPeriod is censusStander's period in slots.
+const standPeriod = 16
+
+// censusStander mimics COGCOMP's census contention: at the start of each
+// standPeriod-slot period every node stands on its first local channel
+// (sim.Stand), awaiting and carrying one wake key, until it wins, and
+// quiet-parks after its win until the period ends. While a channel has
+// standers one of them wins each slot, which arms the rest for the next,
+// so the engine merges each channel's group into its broadcasters every
+// slot without stepping it. The node implements sim.CatchUpper, so its
+// stands and parks are served deaf.
+type censusStander struct {
+	msg    sim.Message // the node's id, boxed once
+	won    int         // the last period the node won in
+	caught int         // slots reported by CatchUp
+}
+
+func (cs *censusStander) Step(slot int) sim.Action {
+	period := slot / standPeriod
+	k := (period+1)*standPeriod - 1 - slot
+	if cs.won == period {
+		return sim.ParkListenQuiet(0, k)
+	}
+	return sim.Stand(0, cs.msg, 1, k).Keyed(1)
+}
+
+func (cs *censusStander) Deliver(slot int, ev sim.Event) {
+	if ev.Kind == sim.EvSendSucceeded {
+		cs.won = slot / standPeriod
+	}
+}
+
+func (cs *censusStander) CatchUp(from, to int) { cs.caught += to - from }
+func (cs *censusStander) Done() bool           { return false }
+
 // BenchmarkEngineSlotSparse measures the event-driven engine on the
 // dormancy-heavy workload it exists for: the census round-robin above, where
 // dense stepping scans all n nodes every slot while sparse stepping pops a
 // couple of wakes off the queue. The per-slot gap between the first two
 // sub-benchmarks is the Θ(n) census factor itself. sparse-checked runs the
 // listening round-robin (censusListener) under the invariant oracle, which
-// checks each park once, when it starts. All are warm, and the sparse variants must stay alloc-free (pinned by
+// checks each park once, when it starts. sparse-stand runs the contention
+// workload (censusStander), whose standing broadcasters the engine merges
+// into their channels instead of stepping them. All are warm, and the
+// sparse variants must stay alloc-free (pinned by
 // TestRunSlotSparseAllocFree).
 func BenchmarkEngineSlotSparse(b *testing.B) {
 	const n, c = 100_000, 16
@@ -188,7 +226,7 @@ func BenchmarkEngineSlotSparse(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, mode := range []string{"dense", "sparse", "sparse-checked"} {
+	for _, mode := range []string{"dense", "sparse", "sparse-checked", "sparse-stand"} {
 		b.Run(mode, func(b *testing.B) {
 			var opts []sim.Option
 			if mode != "dense" {
@@ -201,9 +239,12 @@ func BenchmarkEngineSlotSparse(b *testing.B) {
 			}
 			protos := make([]sim.Protocol, n)
 			for i := range protos {
-				if mode == "sparse-checked" {
+				switch mode {
+				case "sparse-checked":
 					protos[i] = &censusListener{censusNode{id: i, n: n}}
-				} else {
+				case "sparse-stand":
+					protos[i] = &censusStander{msg: i, won: -1}
+				default:
 					protos[i] = &censusNode{id: i, n: n}
 				}
 			}

@@ -26,6 +26,16 @@ type rewindMsg struct {
 	Size int
 }
 
+// censusKey is the wake key every census message carries: a census win
+// re-arms the channel's standing contenders (see Node.stepPhase2).
+const censusKey sim.WakeKey = 1
+
+// announceKey is the wake key of the announcement of cluster r: its win
+// re-arms the cluster's standing senders (see Node.send). Phase-one slots
+// are non-negative, so announcement keys start above censusKey, and no key
+// is sim.NoKey.
+func announceKey(r int) sim.WakeKey { return sim.WakeKey(r) + censusKey + 1 }
+
 // announceMsg is slot one of a phase-four step: the channel's mediator
 // announces that cluster (r', c) should send now.
 type announceMsg struct {

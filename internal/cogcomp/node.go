@@ -234,7 +234,7 @@ func (nd *Node) Deliver(slot int, ev sim.Event) {
 	case slot < nd.p2start:
 		nd.deliverPhase1(slot, ev)
 	case slot < nd.p3start:
-		nd.deliverPhase2(ev)
+		nd.deliverPhase2(slot, ev)
 	case slot < nd.p4start:
 		nd.deliverPhase3(slot, ev)
 	default:
@@ -303,32 +303,53 @@ func (nd *Node) stepPhase2(slot int) sim.Action {
 		return sim.Idle()
 	}
 	if !nd.censusDone {
-		return sim.Broadcast(nd.ch0, nd.censusWire)
+		// A contender re-sends the same entry every slot until it wins,
+		// whatever it hears, so it stands, bounded by the rewind. Every
+		// census message carries the census key, and while contenders are
+		// left on the channel one of their entries wins each slot, which
+		// re-arms the rest for the next.
+		if k := nd.p3start - 1 - slot; nd.dormant && k > 0 {
+			return sim.Stand(nd.ch0, nd.censusWire, censusKey, k).Keyed(censusKey)
+		}
+		return sim.Broadcast(nd.ch0, nd.censusWire).Keyed(censusKey)
 	}
 	// Census done: pure listening until the rewind. The park is quiet —
-	// every census broadcast on the channel is still delivered (the roster
-	// keeps filling) but none of it changes this node's behavior before
-	// phase three, so the engine need not re-step it per delivery. Without
-	// the quiet flag the drain would re-wake the channel's whole audience
-	// every slot, making sparse census Θ(n·m) in steps instead of Θ(m²)
-	// in deliveries.
+	// every census broadcast on the channel still reaches the roster, but
+	// none of it changes this node's behavior before phase three, so the
+	// engine need not re-step it per delivery. Without the quiet flag the
+	// drain would re-wake the channel's whole audience every slot, making
+	// sparse census Θ(n·m) in steps instead of Θ(m²) in deliveries.
 	if k := nd.p3start - 1 - slot; nd.dormant && k > 0 {
 		return sim.ParkListenQuiet(nd.ch0, k)
 	}
 	return sim.Listen(nd.ch0)
 }
 
-func (nd *Node) deliverPhase2(ev sim.Event) {
+func (nd *Node) deliverPhase2(slot int, ev sim.Event) {
 	switch ev.Kind {
 	case sim.EvSendSucceeded:
 		nd.censusDone = true
 		if !nd.inRoster(nd.id) {
-			nd.addRoster(nd.id, nd.r0)
+			nd.addRoster(nd.id, nd.r0, slot)
 		}
 	case sim.EvSendFailed, sim.EvReceived:
 		if m, ok := ev.Msg.(censusMsg); ok && !nd.inRoster(m.ID) {
-			nd.addRoster(m.ID, m.R)
+			nd.addRoster(m.ID, m.R, slot)
 		}
+	}
+}
+
+// CatchUp implements sim.CatchUpper. A sparse engine serves the node deaf
+// while it stands or sits in a quiet park, and reports the slots it
+// skipped here. In the census that is every delivery of a stand or of the
+// quiet park after it, and each would have held one entry of the channel's
+// log: a winner always receives its own success and logs its entry in its
+// winning slot, so the node holds the entries logged in [from, to). In
+// phase four only a sender's stand is deaf, and every delivery it skips is
+// inert (see send). No other phase stands or parks quietly.
+func (nd *Node) CatchUp(from, to int) {
+	if from < nd.p3start && to > nd.p2start {
+		nd.holdSlots(max(from, nd.p2start), min(to, nd.p3start))
 	}
 }
 
@@ -348,11 +369,12 @@ func (nd *Node) initPhase3() {
 	// and the election needs the latest slot rmax and its smallest id.
 	rmax, minID := -1, sim.None
 	nd.eachHeld(func(e rosterEntry) {
-		if e.r == nd.r0 {
+		r, id := int(e.r), sim.NodeID(e.id)
+		if r == nd.r0 {
 			nd.clusterSize++
 		}
-		if e.r > rmax || (e.r == rmax && e.id < minID) {
-			rmax, minID = e.r, e.id
+		if r > rmax || (r == rmax && id < minID) {
+			rmax, minID = r, id
 		}
 	})
 	// Mediator: smallest id in the latest cluster on this channel.
@@ -589,7 +611,7 @@ func (nd *Node) stepPhase4(slot int) sim.Action {
 		if nd.mediatorActive() {
 			r := nd.medClusters[nd.medIdx].r
 			nd.announced = r
-			return sim.Broadcast(nd.ch0, announceMsg{R: r})
+			return sim.Broadcast(nd.ch0, announceMsg{R: r}).Keyed(announceKey(r))
 		}
 		if receiver {
 			return nd.wait(slot, nd.collected[nd.idx].ch)
@@ -606,7 +628,7 @@ func (nd *Node) stepPhase4(slot int) sim.Action {
 			if size := nd.f.Size(nd.acc); size > nd.maxMsgSize {
 				nd.maxMsgSize = size
 			}
-			return sim.Broadcast(nd.ch0, nd.valueWire)
+			return nd.send(slot)
 		}
 		return nd.wait(slot, nd.ch0)
 	default:
@@ -627,6 +649,47 @@ func (nd *Node) stepPhase4(slot int) sim.Action {
 // roundBoundary returns the first slot of the next session round.
 func (nd *Node) roundBoundary() int {
 	return nd.p4start + 3*nd.roundSteps*(nd.round+1)
+}
+
+// send returns a sender's value broadcast in sub-slot one of a step that
+// announced its cluster. A sender that is not a mediator stands on it,
+// awaiting its cluster's announcement key, until its value wins or, in a
+// session, the round ends. Dense stepping would have it listen on ch0 in
+// every slot of the stand but one: sub-slot one after the announcement of
+// its cluster, where it re-sends the same valueWire, because ownSent stays
+// false until its parent acks a value of its own, which needs a win, and
+// acc only changes by merging a value of the cluster at collected[idx],
+// and a sender has collected every cluster. Its skipped Steps would only
+// refresh stepInRound, which only the source reads, and run startStep,
+// which finds pendingAck clear, the cluster pointer past the end and
+// ownSent false, and resets announced (see below). The deliveries a deaf
+// stander skips are inert too:
+//
+//   - EvSendFailed in sub-slot one: deliverPhase4 ignores every
+//     sub-slot-one event but a received value;
+//   - a value of another cluster: it only matters to a node that informed
+//     that cluster, and then only as a resend, which re-arms an ack. A
+//     value's winner is woken, listens for its parent's ack, the only
+//     broadcast on the channel in sub-slot two, and stops sending, so
+//     without faults no value is resent; a fault wrapper strips the stand;
+//   - an ack naming another node: it sets ownSent only for its own id, and
+//     the ack stream feeds only an active mediator, which never stands;
+//   - an announcement: it only sets announced, which the stand makes no
+//     Step read before startStep resets it — sub-slot two, where a won
+//     stand resumes, reads pendingAck and the cluster pointer, and a
+//     bound that expires lands on a round boundary, where resetRound
+//     resets it.
+func (nd *Node) send(slot int) sim.Action {
+	if nd.dormant && !nd.isMediator {
+		k := sim.Forever
+		if nd.roundSteps > 0 {
+			k = nd.roundBoundary() - slot - 1
+		}
+		if k > 0 {
+			return sim.Stand(nd.ch0, nd.valueWire, announceKey(nd.r0), k)
+		}
+	}
+	return sim.Broadcast(nd.ch0, nd.valueWire)
 }
 
 // wait returns the Listen action for a phase-four holding pattern, carrying
@@ -971,7 +1034,7 @@ func (nd *Node) InformedChannel() int {
 // the order of its channel's log (the order entries were first delivered on
 // the channel), which may differ from the order this node heard them.
 func (nd *Node) RosterSnapshot(f func(id sim.NodeID, r int)) {
-	nd.eachHeld(func(e rosterEntry) { f(e.id, e.r) })
+	nd.eachHeld(func(e rosterEntry) { f(sim.NodeID(e.id), int(e.r)) })
 }
 
 // CollectedSnapshot calls f for every cluster the node informed, in

@@ -38,7 +38,7 @@ func newTestNodes(t *testing.T, n, l int, ids ...sim.NodeID) []*Node {
 // setRoster gives the node the census entries es, as hearing them would.
 func setRoster(nd *Node, es []rosterEntry) {
 	for _, e := range es {
-		nd.addRoster(e.id, e.r)
+		nd.addRoster(sim.NodeID(e.id), int(e.r), int(e.slot))
 	}
 }
 
@@ -217,14 +217,14 @@ func TestCensusLogSharedByChannel(t *testing.T) {
 	other.phys = 1 // a different physical channel, with a log of its own
 	roster := func(nd *Node) []rosterEntry {
 		var out []rosterEntry
-		nd.RosterSnapshot(func(id sim.NodeID, r int) { out = append(out, rosterEntry{id: id, r: r}) })
+		nd.RosterSnapshot(func(id sim.NodeID, r int) { out = append(out, rosterEntry{id: int32(id), r: int32(r)}) })
 		return out
 	}
 	// src's census broadcast succeeds; a hears it, b is down and misses it.
 	act := src.stepPhase2(9)
-	src.deliverPhase2(sim.Event{Kind: sim.EvSendSucceeded, From: src.id, Msg: act.Msg})
-	a.deliverPhase2(sim.Event{Kind: sim.EvReceived, From: src.id, Msg: act.Msg})
-	other.deliverPhase2(sim.Event{Kind: sim.EvSendSucceeded, From: other.id, Msg: other.censusWire})
+	src.deliverPhase2(9, sim.Event{Kind: sim.EvSendSucceeded, From: src.id, Msg: act.Msg})
+	a.deliverPhase2(9, sim.Event{Kind: sim.EvReceived, From: src.id, Msg: act.Msg})
+	other.deliverPhase2(9, sim.Event{Kind: sim.EvSendSucceeded, From: other.id, Msg: other.censusWire})
 	want := []rosterEntry{{id: 6, r: 3}}
 	if got := roster(a); !slices.Equal(got, want) {
 		t.Fatalf("a's roster = %v, want %v", got, want)
@@ -243,9 +243,9 @@ func TestCensusLogSharedByChannel(t *testing.T) {
 	if act.Op != sim.OpBroadcast {
 		t.Fatalf("reset node %v, want a census broadcast", act.Op)
 	}
-	src.deliverPhase2(sim.Event{Kind: sim.EvSendSucceeded, From: src.id, Msg: act.Msg})
-	a.deliverPhase2(sim.Event{Kind: sim.EvReceived, From: src.id, Msg: act.Msg})
-	b.deliverPhase2(sim.Event{Kind: sim.EvReceived, From: src.id, Msg: act.Msg})
+	src.deliverPhase2(30, sim.Event{Kind: sim.EvSendSucceeded, From: src.id, Msg: act.Msg})
+	a.deliverPhase2(30, sim.Event{Kind: sim.EvReceived, From: src.id, Msg: act.Msg})
+	b.deliverPhase2(30, sim.Event{Kind: sim.EvReceived, From: src.id, Msg: act.Msg})
 	for _, nd := range []*Node{a, b, src} {
 		if got := roster(nd); !slices.Equal(got, want) {
 			t.Fatalf("node %d roster after replay = %v, want %v", nd.id, got, want)

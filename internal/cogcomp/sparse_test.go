@@ -7,8 +7,10 @@ import (
 
 	"github.com/cogradio/crn/internal/aggfunc"
 	"github.com/cogradio/crn/internal/assign"
+	"github.com/cogradio/crn/internal/cogcast"
 	"github.com/cogradio/crn/internal/cogcomp"
 	"github.com/cogradio/crn/internal/invariant"
+	"github.com/cogradio/crn/internal/sim"
 	"github.com/cogradio/crn/internal/trace"
 )
 
@@ -128,5 +130,106 @@ func TestSparseSessionMatchesDense(t *testing.T) {
 					want.Values[r], want.Complete[r], want.FinishSteps[r])
 			}
 		}
+	}
+}
+
+// TestSparseStandsAudited runs COGCOMP's census and convergecast stands
+// under the wake-queue oracle: every node is wrapped by an
+// invariant.WakeChecker, which forwards CatchUp, so the oracle sees each
+// stand and quiet park served deaf and audits the engine's wakes, stand
+// groups and catch-up ranges from outside, while the result must still
+// match the dense run's.
+func TestSparseStandsAudited(t *testing.T) {
+	for trial := 0; trial < 3; trial++ {
+		seed := int64(70 + trial)
+		asn, err := assign.SharedCore(48, 6, 2, 12, assign.LocalLabels, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs := trialInputs(asn.Nodes(), int64(trial))
+		want, err := cogcomp.Run(asn, 0, inputs, seed, cogcomp.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wake := new(invariant.WakeChecker)
+		wake.Reset(asn.Nodes(), sim.UniformWinner)
+		cfg := cogcomp.Config{Sparse: true, Check: true, Observer: wake}
+		got, err := new(cogcomp.Arena).RunWith(asn, 0, inputs, seed, cfg,
+			func(id sim.NodeID, nd *cogcomp.Node) sim.Protocol { return wake.Wrap(id, nd) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := wake.Err(); err != nil {
+			t.Fatalf("trial %d: wake oracle (%d violations): %v", trial, wake.WakeViolations(), err)
+		}
+		if !invariant.AggEqual(got.Value, want.Value) || got.TotalSlots != want.TotalSlots {
+			t.Fatalf("trial %d: audited sparse run (%v, %d slots) != dense (%v, %d slots)",
+				trial, got.Value, got.TotalSlots, want.Value, want.TotalSlots)
+		}
+	}
+}
+
+// workCounter wraps a node and counts its Step and Deliver calls in the
+// census window and in phase four, forwarding CatchUp so the engine still
+// serves the node deaf.
+type workCounter struct {
+	p       *cogcomp.Node
+	windows *phaseWindows
+}
+
+// phaseWindows holds the census window [p2, p3) and phase four's start p4,
+// and the calls counted in them.
+type phaseWindows struct {
+	p2, p3, p4 int
+	calls      int
+}
+
+func (w *phaseWindows) count(slot int) {
+	if (slot >= w.p2 && slot < w.p3) || slot >= w.p4 {
+		w.calls++
+	}
+}
+
+func (c workCounter) Step(slot int) sim.Action {
+	c.windows.count(slot)
+	return c.p.Step(slot)
+}
+
+func (c workCounter) Deliver(slot int, ev sim.Event) {
+	c.windows.count(slot)
+	c.p.Deliver(slot, ev)
+}
+
+func (c workCounter) Done() bool           { return c.p.Done() }
+func (c workCounter) CatchUp(from, to int) { c.p.CatchUp(from, to) }
+
+// TestSparseContentionWorkScales pins the work of the census and the
+// convergecast, not their wall: on E29's shape (c = 16, k = 4, C = 48)
+// the Step and Deliver calls of phases two and four must grow by less
+// than ×2.5 from n = 4000 to n = 8000. Contenders that were stepped and
+// delivered to on every attempt grew them ×3.3 per doubling — the
+// Θ(Σm²) of m contenders per channel; standing contenders served deaf are
+// touched once per stand and once per win. Smaller n is no test: there
+// phase four's plain parks dominate.
+func TestSparseContentionWorkScales(t *testing.T) {
+	work := func(n int) int {
+		asn, err := assign.SharedCore(n, 16, 4, 48, assign.LocalLabels, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := cogcomp.PhaseOneLength(n, 16, 4, cogcast.DefaultKappa)
+		w := &phaseWindows{p2: l, p3: l + n, p4: 2*l + n}
+		_, err = new(cogcomp.Arena).RunWith(asn, 0, trialInputs(n, 0), 1, cogcomp.Config{Sparse: true},
+			func(_ sim.NodeID, nd *cogcomp.Node) sim.Protocol { return workCounter{p: nd, windows: w} })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w.calls
+	}
+	small, large := work(4000), work(8000)
+	growth := float64(large) / float64(small)
+	t.Logf("phases two and four: %d calls at n=4000, %d at n=8000 (×%.2f)", small, large, growth)
+	if growth >= 2.5 {
+		t.Errorf("phases two and four grew ×%.2f from n=4000 to n=8000, want < ×2.5", growth)
 	}
 }

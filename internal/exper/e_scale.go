@@ -155,11 +155,13 @@ func init() {
 // divide the modes: the engine's per-slot scan (Θ(n) dense vs O(awake)
 // sparse — BenchmarkEngineSlotSparse isolates it at three to four orders of
 // magnitude on the census's dormant window) and the protocol's own Θ(m²)
-// census/collection traffic, which both modes must deliver; end-to-end the
-// reference machine measures ~3x per pair (dense 6.8s vs sparse 2.2s at
-// n=8000; 116s vs 38s at n=32000), and only sparse stepping carries the
-// sweep to n=100000 — dense extrapolates to ~20 minutes at its measured
-// n=32000 rate of 330 slots/sec. Config.Check and Config.Trace observe the
+// census/collection contention, which dense stepping pays in Steps and
+// deliveries while sparse stepping keeps contenders standing (sim.Stand)
+// and serves them deaf; end-to-end a 2-core box measures ~14x per pair at
+// n=8000 (dense 5.4s vs sparse 0.38s) and ~50x at n=32000 (111s vs 2.2s),
+// and only sparse stepping carries the sweep to n=100000 — dense
+// extrapolates to ~20 minutes at its measured n=32000 rate of 330
+// slots/sec. Config.Check and Config.Trace observe the
 // sparse rows as they run, so -check verifies the sparse-only point slot by
 // slot too.
 func runE29(cfg Config) ([]*Table, error) {

@@ -22,25 +22,66 @@ import (
 //     unless its promise was quiet (sim.ParkListenQuiet), in which case
 //     deliveries leave the schedule untouched and the promise runs to its
 //     expiry,
+//   - a stander (sim.Stand) is not stepped before it wins or its bound
+//     expires, and it is among its channel's Broadcasters exactly in the
+//     slots after a message carrying its awaited key won there — the
+//     checker takes each winner's message key from the winner's last
+//     recorded action, not from the engine,
+//   - a node that implements sim.CatchUpper and stands or parks quietly is
+//     served deaf: from the slot of that action it gets no delivery but a
+//     winning one, and before its next Step or its winning delivery in
+//     slot t it gets exactly one CatchUp(from, t), from being that slot,
+//     unless it won in that very slot,
 //   - retirement is final: a node whose own Done reported true at the end
 //     of a slot is never stepped or delivered to again.
 //
 // Like Checker it shares no code or state with the engine: it sees only the
 // public Protocol and Observer interfaces, so bookkeeping bugs in the wake
-// heap or the parked lists surface as violations. It checks sparse runs
-// only — a dense engine steps every node every slot, hints or not. OnSlot
-// is O(n), which is fine for the test workloads the checker exists for.
+// heap, the parked lists or the stand groups surface as violations. It
+// checks sparse runs only — a dense engine steps every node every slot,
+// hints or not — under the collision model given to Reset: under
+// sim.AllDelivered a stand is a plain broadcast and no node is deaf. OnSlot is O(n), which is fine for the test workloads the
+// checker exists for.
 type WakeChecker struct {
 	protos []sim.Protocol // the wrapped protocols, by node
+	keyed  bool           // the model is sim.UniformWinner: stands and deaf service are on
 
 	retired   []bool
-	retireDay []int  // slot the node retired in (valid when retired)
-	expect    []int  // slot the node must next be stepped at; never = delivery-only
-	stepped   []int  // last slot the node was stepped, -1 initially
-	quiet     []bool // current promise is delivery-proof (Action.Quiet)
+	retireDay []int        // slot the node retired in (valid when retired)
+	expect    []int        // slot the node must next be stepped at; never = delivery-only
+	stepped   []int        // last slot the node was stepped, -1 initially
+	quiet     []bool       // current promise is delivery-proof (quiet park or stand)
+	last      []sim.Action // the node's last action, for its message key
+
+	// Stands: standAt is the slot of the node's current stand, -1 if it
+	// does not stand; standCh is its physical channel, read from the stand
+	// slot's Broadcasters; wonAt is the slot a stand was won in.
+	standAt []int
+	standCh []int
+	wonAt   []int
+	// The slot's broadcasters, and the (channel, key) pairs whose winning
+	// message armed the standers awaiting key there for the next slot.
+	bcastAt   []int
+	bcastCh   []int
+	armed     map[armKey]bool
+	armedNext map[armKey]bool
+
+	// Deaf service: catcher marks CatchUpper nodes; deafFrom is the slot a
+	// node has been served deaf since (-1 = hearing); caughtTo is the end
+	// of a CatchUp received and not yet followed by a Step or win (-1 =
+	// none).
+	catcher  []bool
+	deafFrom []int
+	caughtTo []int
 
 	violations int
 	firstErr   error
+}
+
+// armKey is a channel and a wake key.
+type armKey struct {
+	ch  int
+	key sim.WakeKey
 }
 
 var _ sim.Observer = (*WakeChecker)(nil)
@@ -48,9 +89,11 @@ var _ sim.Observer = (*WakeChecker)(nil)
 // never marks a node woken only by deliveries (Sleep >= sim.Forever).
 const never = math.MaxInt
 
-// Reset prepares the checker for one run over n nodes: every node is
-// expected awake at slot 0. Wrap every node afterwards.
-func (w *WakeChecker) Reset(n int) {
+// Reset prepares the checker for one run over n nodes under collision
+// model m: every node is expected awake at slot 0. Wrap every node
+// afterwards.
+func (w *WakeChecker) Reset(n int, m sim.CollisionModel) {
+	w.keyed = m == sim.UniformWinner
 	if cap(w.retired) < n {
 		w.protos = make([]sim.Protocol, n)
 		w.retired = make([]bool, n)
@@ -58,6 +101,15 @@ func (w *WakeChecker) Reset(n int) {
 		w.expect = make([]int, n)
 		w.stepped = make([]int, n)
 		w.quiet = make([]bool, n)
+		w.last = make([]sim.Action, n)
+		w.standAt = make([]int, n)
+		w.standCh = make([]int, n)
+		w.wonAt = make([]int, n)
+		w.bcastAt = make([]int, n)
+		w.bcastCh = make([]int, n)
+		w.catcher = make([]bool, n)
+		w.deafFrom = make([]int, n)
+		w.caughtTo = make([]int, n)
 	}
 	w.protos = w.protos[:n]
 	w.retired = w.retired[:n]
@@ -65,27 +117,51 @@ func (w *WakeChecker) Reset(n int) {
 	w.expect = w.expect[:n]
 	w.stepped = w.stepped[:n]
 	w.quiet = w.quiet[:n]
+	w.last = w.last[:n]
+	w.standAt = w.standAt[:n]
+	w.standCh = w.standCh[:n]
+	w.wonAt = w.wonAt[:n]
+	w.bcastAt = w.bcastAt[:n]
+	w.bcastCh = w.bcastCh[:n]
+	w.catcher = w.catcher[:n]
+	w.deafFrom = w.deafFrom[:n]
+	w.caughtTo = w.caughtTo[:n]
 	for i := 0; i < n; i++ {
 		w.protos[i] = nil
 		w.retired[i] = false
 		w.expect[i] = 0
 		w.stepped[i] = -1
 		w.quiet[i] = false
+		w.last[i] = sim.Action{}
+		w.standAt[i] = -1
+		w.wonAt[i] = -1
+		w.bcastAt[i] = -1
+		w.catcher[i] = false
+		w.deafFrom[i] = -1
+		w.caughtTo[i] = -1
 	}
+	w.armed = make(map[armKey]bool)
+	w.armedNext = make(map[armKey]bool)
 	w.violations = 0
 	w.firstErr = nil
 }
 
 // Wrap interposes the checker between the engine and node id's protocol p,
 // which must be in its initial state: a node already done is retired
-// before slot 0. id must lie in the range given to Reset.
+// before slot 0. id must lie in the range given to Reset. The wrapper
+// implements sim.CatchUpper exactly when p does.
 func (w *WakeChecker) Wrap(id sim.NodeID, p sim.Protocol) sim.Protocol {
 	w.protos[id] = p
 	if p.Done() {
 		w.retired[id] = true
 		w.retireDay[id] = -1
 	}
-	return wakeProbe{w: w, id: id, p: p}
+	q := wakeProbe{w: w, id: id, p: p}
+	if _, ok := p.(sim.CatchUpper); ok {
+		w.catcher[id] = true
+		return catchUpProbe{q}
+	}
+	return q
 }
 
 // wakeProbe reports node id's steps and deliveries to the checker.
@@ -96,17 +172,55 @@ type wakeProbe struct {
 }
 
 func (q wakeProbe) Step(slot int) sim.Action {
+	q.w.caughtUp(slot, q.id, "stepped")
 	act := q.p.Step(slot)
 	q.w.onStep(slot, q.id, act)
 	return act
 }
 
 func (q wakeProbe) Deliver(slot int, ev sim.Event) {
+	q.w.beforeDeliver(slot, q.id, ev)
 	q.p.Deliver(slot, ev)
-	q.w.onDeliver(slot, q.id)
+	q.w.onDeliver(slot, q.id, ev)
 }
 
 func (q wakeProbe) Done() bool { return q.p.Done() }
+
+// catchUpProbe is wakeProbe for a protocol that implements sim.CatchUpper.
+type catchUpProbe struct{ wakeProbe }
+
+func (q catchUpProbe) CatchUp(from, to int) {
+	q.w.onCatchUp(q.id, from, to)
+	q.p.(sim.CatchUpper).CatchUp(from, to)
+}
+
+// onCatchUp checks that a catch-up reaches a deaf node and starts where
+// its deaf service started.
+func (w *WakeChecker) onCatchUp(node sim.NodeID, from, to int) {
+	v := int(node)
+	switch {
+	case w.deafFrom[v] < 0:
+		w.failf("node %d caught up on [%d, %d) but was not served deaf", node, from, to)
+	case from != w.deafFrom[v] || to <= from:
+		w.failf("node %d caught up on [%d, %d), deaf since slot %d", node, from, to, w.deafFrom[v])
+	}
+	w.deafFrom[v] = -1
+	w.caughtTo[v] = to
+}
+
+// caughtUp checks that node's deaf service, if any, ended with a catch-up
+// to slot, where it is stepped or wins; what names the event.
+func (w *WakeChecker) caughtUp(slot int, node sim.NodeID, what string) {
+	v := int(node)
+	if from := w.deafFrom[v]; from >= 0 && from < slot {
+		w.failf("slot %d: deaf node %d %s without catching up from slot %d", slot, node, what, from)
+	}
+	if to := w.caughtTo[v]; to >= 0 && to != slot {
+		w.failf("slot %d: node %d %s after catching up to slot %d", slot, node, what, to)
+	}
+	w.deafFrom[v] = -1
+	w.caughtTo[v] = -1
+}
 
 // onStep checks that the stepped node is exactly due.
 func (w *WakeChecker) onStep(slot int, node sim.NodeID, act sim.Action) {
@@ -121,9 +235,18 @@ func (w *WakeChecker) onStep(slot int, node sim.NodeID, act sim.Action) {
 		w.failf("slot %d: node %d stepped late (was due at slot %d)", slot, node, exp)
 	}
 	w.stepped[v] = slot
-	w.quiet[v] = act.Op == sim.OpListen && act.Sleep > 0 && act.Quiet
+	w.last[v] = act
+	stand := w.keyed && act.Op == sim.OpBroadcast && act.Sleep > 0 && act.Await != sim.NoKey
+	w.quiet[v] = stand || act.Op == sim.OpListen && act.Sleep > 0 && act.Quiet
+	w.standAt[v] = -1
+	if stand {
+		w.standAt[v] = slot
+	}
+	if w.quiet[v] && w.catcher[v] && w.keyed {
+		w.deafFrom[v] = slot
+	}
 	switch {
-	case act.Op == sim.OpBroadcast || act.Sleep <= 0:
+	case (act.Op == sim.OpBroadcast && !stand) || act.Sleep <= 0:
 		w.expect[v] = slot + 1
 	case act.Sleep >= sim.Forever:
 		w.expect[v] = never
@@ -132,16 +255,39 @@ func (w *WakeChecker) onStep(slot int, node sim.NodeID, act sim.Action) {
 	}
 }
 
+// beforeDeliver checks that a node served deaf is delivered to only when
+// it wins, after catching up.
+func (w *WakeChecker) beforeDeliver(slot int, node sim.NodeID, ev sim.Event) {
+	v := int(node)
+	if ev.Kind == sim.EvSendSucceeded {
+		if w.deafFrom[v] >= 0 || w.caughtTo[v] >= 0 {
+			w.caughtUp(slot, node, "won")
+		}
+		return
+	}
+	if w.deafFrom[v] >= 0 {
+		w.failf("slot %d: node %d served deaf since slot %d got a %v delivery", slot, node, w.deafFrom[v], ev.Kind)
+	}
+	if w.caughtTo[v] >= 0 {
+		w.failf("slot %d: node %d caught up to slot %d but neither stepped nor won", slot, node, w.caughtTo[v])
+		w.caughtTo[v] = -1
+	}
+}
+
 // onDeliver checks that a delivery re-wakes its target for the next slot —
 // unless the target's current promise is quiet, which the delivery leaves
-// untouched — and that no node is delivered to after its retirement slot
-// (its final action resolves that slot, exactly as the dense engine
-// resolves it).
-func (w *WakeChecker) onDeliver(slot int, node sim.NodeID) {
+// untouched, or it stands and does not win — and that no node is
+// delivered to after its retirement slot (its final action resolves that
+// slot, exactly as the dense engine resolves it). A won stand ends.
+func (w *WakeChecker) onDeliver(slot int, node sim.NodeID, ev sim.Event) {
 	v := int(node)
 	if w.retired[v] {
 		w.failf("slot %d: delivery to node %d retired in slot %d", slot, node, w.retireDay[v])
 		return
+	}
+	if w.standAt[v] >= 0 && ev.Kind == sim.EvSendSucceeded {
+		w.wonAt[v] = slot
+		w.quiet[v] = false
 	}
 	if w.quiet[v] && slot < w.expect[v] {
 		return
@@ -150,8 +296,23 @@ func (w *WakeChecker) onDeliver(slot int, node sim.NodeID) {
 }
 
 // OnSlot implements sim.Observer: every node that was due this slot must
-// have been stepped, and a node whose Done now reports true retires.
-func (w *WakeChecker) OnSlot(slot int, _ []sim.ChannelOutcome) {
+// have been stepped, every stander must broadcast exactly when its key
+// won its channel in the previous slot, and a node whose Done now reports
+// true retires.
+func (w *WakeChecker) OnSlot(slot int, outcomes []sim.ChannelOutcome) {
+	clear(w.armedNext)
+	for _, o := range outcomes {
+		for _, b := range o.Broadcasters {
+			if b >= 0 && int(b) < len(w.protos) {
+				w.bcastAt[b], w.bcastCh[b] = slot, o.Channel
+			}
+		}
+		if o.Winner >= 0 && int(o.Winner) < len(w.protos) {
+			if key := w.last[o.Winner].Key; key != sim.NoKey {
+				w.armedNext[armKey{o.Channel, key}] = true
+			}
+		}
+	}
 	for v, p := range w.protos {
 		if w.retired[v] {
 			continue
@@ -160,10 +321,34 @@ func (w *WakeChecker) OnSlot(slot int, _ []sim.ChannelOutcome) {
 			w.failf("slot %d: awake node %d skipped by the sparse scan", slot, v)
 			w.expect[v] = slot + 1
 		}
+		if at := w.standAt[v]; at == slot {
+			w.standCh[v] = w.bcastCh[v]
+		} else if at >= 0 {
+			w.checkStander(slot, v)
+		}
+		if w.wonAt[v] == slot {
+			w.standAt[v] = -1
+		}
 		if p.Done() {
 			w.retired[v] = true
 			w.retireDay[v] = slot
 		}
+	}
+	w.armed, w.armedNext = w.armedNext, w.armed
+}
+
+// checkStander checks that stander v, not stepped this slot, broadcast on
+// its channel exactly if its key won there in the previous slot.
+func (w *WakeChecker) checkStander(slot, v int) {
+	want := w.armed[armKey{w.standCh[v], w.last[v].Await}]
+	got := w.bcastAt[v] == slot
+	switch {
+	case want && !got:
+		w.failf("slot %d: stander %d missing from channel %d's broadcasters after its key won there", slot, v, w.standCh[v])
+	case !want && got:
+		w.failf("slot %d: stander %d broadcast on channel %d without its key winning there", slot, v, w.bcastCh[v])
+	case got && w.bcastCh[v] != w.standCh[v]:
+		w.failf("slot %d: stander %d broadcast on channel %d, stands on channel %d", slot, v, w.bcastCh[v], w.standCh[v])
 	}
 }
 

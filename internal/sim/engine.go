@@ -35,9 +35,12 @@ type ChannelOutcome struct {
 	// are parked on the channel (Action.Sleep). It is disjoint from
 	// Listeners and always empty on a dense engine; Listeners ∪ Parked is
 	// the listener set a dense engine reports as Listeners. On a channel
-	// with broadcasters it is the parked set the deliveries reached. A
-	// parked list changes only when a park starts or ends, which lets an
-	// observer check a park once instead of in every slot.
+	// with broadcasters it is the parked set the deliveries reached, deaf
+	// nodes (CatchUpper) included. A standing broadcaster (Stand) is
+	// parked in every slot but those in which its group broadcasts, where
+	// it is among Broadcasters instead. A parked list changes only when a
+	// park or stand starts or ends or a stand group broadcasts, which lets
+	// an observer check a park once instead of in every slot.
 	Parked []NodeID
 }
 
@@ -368,6 +371,9 @@ func (e *Engine) RunSlot() error {
 	if err != nil {
 		return err
 	}
+	if e.sp.on {
+		e.mergeStands()
+	}
 
 	// Phase B. Fast path: with no broadcaster anywhere there is no feedback
 	// to deliver, and with no observer there is nothing to report — skip
@@ -390,14 +396,21 @@ func (e *Engine) RunSlot() error {
 // message, and the first broadcaster is reported as the winner. Under
 // sparse stepping deliveries reach a channel's live bucket merged with the
 // listeners parked there, and the parked ones that heard something are
-// re-woken; an observed sparse slot reports the parked listeners apart
-// from the stepped ones, and also the channels whose only listeners are
-// parked, as the dense scan would have bucketed them.
+// re-woken; standers broadcasting this slot count as broadcasters, not as
+// parked listeners; deaf nodes are left out of both delivery lists, so the
+// delivery loops are the dense engine's own. An observed sparse slot
+// reports the parked listeners apart from the stepped ones, and also the
+// channels whose only listeners are parked, as the dense scan would have
+// bucketed them.
 func (e *Engine) resolveChannels(slot int) {
 	var outcomes []ChannelOutcome
+	sparse := e.sp.on
+	if sparse {
+		e.sp.pscratch = e.sp.pscratch[:0]
+	}
 	if e.obs != nil {
 		outcomes = e.outScratch[:0]
-		if e.sp.on {
+		if sparse {
 			e.touchParked(slot)
 		}
 	}
@@ -407,14 +420,15 @@ func (e *Engine) resolveChannels(slot int) {
 		}
 		bs, live := e.bcast[ch], e.listen[ch]
 		var pk []NodeID
-		if e.sp.on && (len(bs) > 0 || e.obs != nil) {
-			pk = e.compactParked(slot, ch)
+		if sparse && (len(bs) > 0 || e.obs != nil) {
+			pk = e.unarmed(ch, e.compactParked(slot, ch))
 		}
 		winner := None
 		if len(bs) > 0 {
 			ls := live
-			if len(pk) > 0 {
-				ls = e.mergedListeners(live, pk)
+			deaf := sparse && e.sp.deafHere[ch]
+			if len(pk) > 0 || deaf {
+				ls = e.hearingListeners(live, pk)
 			}
 			switch e.collisions {
 			case AllDelivered:
@@ -433,7 +447,11 @@ func (e *Engine) resolveChannels(slot int) {
 			default:
 				winner = bs[e.rand.Intn(len(bs))]
 				msg := e.acts[winner].Msg
-				for _, b := range bs {
+				hear := bs
+				if deaf {
+					hear = e.hearingBroadcasters(bs, winner, slot)
+				}
+				for _, b := range hear {
 					kind := EvSendFailed
 					if b == winner {
 						kind = EvSendSucceeded
@@ -446,8 +464,8 @@ func (e *Engine) resolveChannels(slot int) {
 					e.delivered(l)
 				}
 			}
-			if e.sp.on {
-				e.wakeParked(ls)
+			if sparse {
+				e.wakeParked(ch, ls, winner)
 			}
 		}
 		if e.obs != nil {

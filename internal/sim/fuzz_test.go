@@ -12,24 +12,47 @@ import (
 )
 
 // scripted is a protocol driven entirely by fuzz bytes: node id's action
-// in each slot is decoded from script[slot*n+id]. A listen byte with its
-// top bit set parks: the node holds that listen for the next (b>>4)&7
-// slots, ignoring its script, unless a delivery arrives. The hold ends at
-// an absolute slot, so the Sleep hint it carries honours the Action.Sleep
-// contract. It never terminates — the fuzz body runs a fixed number of
-// slots — and logs every delivery.
+// in each slot is decoded from script[slot*n+id]. A byte with its top bit
+// set and k = (b>>4)&7 > 0 holds its action for the next k slots,
+// ignoring the script: a listen parks (quietly if bit 3 is set), a
+// broadcast stands, awaiting wake key 1 or 2 (bit 3). Every broadcast
+// carries the key (b>>2)&3, so some carry none. A park ends on a delivery
+// unless it is quiet; a stand ends on a win, and in its other slots the
+// node listens unless the message that won its channel in the previous
+// slot carried its key, as Stand promises. Each hold ends at an absolute
+// slot, so the Sleep hint it carries honours its contract. A catching
+// node's deaf holds (stands and quiet parks) also end before the run's
+// last slot, so it is caught up before its log is compared; a deaf hold
+// that would not is a plain action instead. The node never terminates —
+// the fuzz body runs slots slots — and logs every delivery. Every winner
+// records its win in the run's winLog.
 type scripted struct {
 	script   []byte
 	id, n, c int
+	slots    int
+	catches  bool // wrapped as catching, so its stands and quiet parks are deaf
+	asn      sim.Assignment
+	wins     winLog
 	hold     sim.Action
 	holdEnd  int // first slot after the hold; the hold is over when slot >= holdEnd
+	lastWin  int // slot of the last win heard, and its message's key
+	lastKey  sim.WakeKey
 	log      []string
 }
+
+// winLog maps a physical channel and slot to the winning event there.
+type winLog map[[2]int]sim.Event
+
+// keyOf is the wake key a scripted message carries.
+func keyOf(msg sim.Message) sim.WakeKey { return sim.WakeKey(msg.(int)>>2) & 3 }
 
 func (s *scripted) Step(slot int) sim.Action {
 	if slot < s.holdEnd {
 		act := s.hold
 		act.Sleep = s.holdEnd - 1 - slot
+		if act.Op == sim.OpBroadcast && !(s.lastWin == slot-1 && s.lastKey == act.Await) {
+			return sim.Listen(act.Channel)
+		}
 		return act
 	}
 	idx := slot*s.n + s.id
@@ -38,41 +61,98 @@ func (s *scripted) Step(slot int) sim.Action {
 	}
 	b := s.script[idx]
 	ch := int(b/3) % s.c
+	k := int(b>>4) & 7
+	deaf := s.catches && (b%3 == 2 || b&8 != 0)
+	hold := b&0x80 != 0 && k > 0 && !(deaf && slot+k+1 >= s.slots)
 	switch b % 3 {
 	case 0:
 		return sim.Idle()
 	case 1:
-		if k := int(b>>4) & 7; b&0x80 != 0 && k > 0 {
-			s.hold, s.holdEnd = sim.ParkListen(ch, k), slot+k+1
-			return s.hold
+		if !hold {
+			return sim.Listen(ch)
 		}
-		return sim.Listen(ch)
+		s.hold, s.holdEnd = sim.ParkListen(ch, k), slot+k+1
+		if b&8 != 0 {
+			s.hold = sim.ParkListenQuiet(ch, k)
+		}
+		return s.hold
 	default:
-		return sim.Broadcast(ch, int(b))
+		act := sim.Broadcast(ch, int(b)).Keyed(keyOf(int(b)))
+		if !hold {
+			return act
+		}
+		s.hold = sim.Stand(ch, int(b), 1+sim.WakeKey(b>>3)&1, k).Keyed(act.Key)
+		s.holdEnd = slot + k + 1
+		return s.hold
 	}
 }
 
 func (s *scripted) Deliver(slot int, ev sim.Event) {
-	s.holdEnd = 0
+	if ev.Kind == sim.EvSendSucceeded {
+		s.wins[[2]int{s.asn.ChannelSet(sim.NodeID(s.id), slot)[ev.Channel], slot}] = ev
+	}
+	switch {
+	case slot >= s.holdEnd:
+	case s.hold.Op == sim.OpBroadcast:
+		if ev.Kind == sim.EvSendSucceeded {
+			s.holdEnd = 0
+		}
+	case !s.hold.Quiet:
+		s.holdEnd = 0
+	}
+	s.record(slot, ev)
+}
+
+func (s *scripted) record(slot int, ev sim.Event) {
+	s.lastWin, s.lastKey = slot, keyOf(ev.Msg)
 	s.log = append(s.log, fmt.Sprintf("%d/%v/%d/%v/%d", slot, ev.Kind, ev.From, ev.Msg, ev.Channel))
 }
 
 func (s *scripted) Done() bool { return false }
 
+// catching is scripted with a CatchUp: served deaf through its stands and
+// quiet parks, it rebuilds the deliveries it missed from the run's winLog
+// — a loss in its stand's first slot and in every slot its key armed, a
+// reception otherwise — so its log must match the dense run's.
+type catching struct{ *scripted }
+
+func (c catching) CatchUp(from, to int) {
+	set := c.asn.ChannelSet(sim.NodeID(c.id), from)
+	phys := set[c.hold.Channel]
+	for t := from; t < to; t++ {
+		ev, ok := c.wins[[2]int{phys, t}]
+		if !ok {
+			continue
+		}
+		ev.Kind, ev.Channel = sim.EvReceived, c.hold.Channel
+		if c.hold.Op == sim.OpBroadcast {
+			prev, armed := c.wins[[2]int{phys, t - 1}]
+			if t == from || (armed && keyOf(prev.Msg) == c.hold.Await) {
+				ev.Kind = sim.EvSendFailed
+			}
+		}
+		c.record(t, ev)
+	}
+}
+
 // FuzzEngineSlot drives the engine with adversarial broadcast/listen
-// patterns decoded from raw bytes and re-verifies every slot with the
+// patterns decoded from raw bytes — parks, quiet parks and keyed stands
+// among them, half the nodes serving catch-ups — under either collision
+// model (the top bit of rawC selects AllDelivered, where a stand is a plain
+// broadcast and no node is deaf), and re-verifies every slot with the
 // invariant oracle: channels resolve in ascending physical order, every
 // participant's physical channel is in its set, each node uses one radio
-// per slot, and every contended channel has exactly one winner drawn from
-// its broadcasters. Any script the engine accepts must produce a
-// violation-free outcome stream. The script is then replayed unobserved on
-// two shards, where every node's delivery log must match the observed dense
-// run's, and under sparse stepping with its own oracle attached, where the
-// delivery logs and the per-slot outcome stream must both match — each
-// sparse channel's Listeners ∪ Parked against the dense Listeners — so one
-// target drives the shared scan and resolver through all three stepping
-// modes. Dense runs must report no parked listener, and sparse Parked lists
-// must be ascending and disjoint from Listeners.
+// per slot, and every contended channel has the winners its model allows,
+// drawn from its broadcasters. Any script the engine accepts must produce
+// a violation-free outcome stream. The script is then replayed unobserved
+// on two shards, where every node's delivery log must match the observed
+// dense run's, and under sparse stepping with its own oracle and the wake
+// oracle attached, where the delivery logs (a catching node's rebuilt ones
+// included) and the per-slot outcome stream must both match — each sparse
+// channel's Listeners ∪ Parked against the dense Listeners — so one target
+// drives the shared scan and resolver through all three stepping modes.
+// Dense runs must report no parked listener, and sparse Parked lists must
+// be ascending and disjoint from Listeners.
 func FuzzEngineSlot(f *testing.F) {
 	f.Add(uint8(8), uint8(3), int64(1), []byte("\x02\x05\x08\x0b\x0e\x11\x14\x17"))
 	f.Add(uint8(4), uint8(2), int64(7), []byte{2, 2, 2, 2, 1, 1, 1, 1})
@@ -80,101 +160,167 @@ func FuzzEngineSlot(f *testing.F) {
 	f.Add(uint8(2), uint8(1), int64(3), []byte{255, 254, 253, 252, 0, 1, 2})
 	// Two nodes park listening on different physical channels, so one slot
 	// reports two channels whose parked lists must both stay valid
-	// until the observer has run.
-	f.Add(uint8(4), uint8(2), int64(7), []byte("00\xa6\xa6"))
+	// until the observer has run (TestEngineSlotSeedParksTwoChannels).
+	f.Add(parkSeed.rawN, parkSeed.rawC, parkSeed.seed, parkSeed.script)
+	// Six nodes stand on one channel at once, so a group of five is armed
+	// by every win until the last stander wins.
+	f.Add(uint8(4), uint8(0), int64(6), []byte("\xda\xda\xda\xda\xda\xda"+strings.Repeat("\x01", 24)))
+	// Four nodes on one channel stand with keys 1 and 2 and quiet-park,
+	// so keyed wins arm groups while catching nodes are served deaf.
+	f.Add(uint8(2), uint8(0), int64(5), standSeed)
+	// The same stands and quiet parks under AllDelivered, where every
+	// stander is stepped again and every catching node hears.
+	f.Add(uint8(2), uint8(0x80|5), int64(5), standSeed)
 	f.Fuzz(func(t *testing.T, rawN, rawC uint8, seed int64, script []byte) {
-		n := 2 + int(rawN)%31 // [2, 32] nodes
-		c := 1 + int(rawC)%7  // [1, 7] channels per node
-		// SharedCore is deterministic construction (RandomPool's rejection
-		// sampling may legitimately fail to find a draw at low overlap).
-		asn, err := assign.SharedCore(n, c, 1, 2*c, assign.LocalLabels, seed)
-		if err != nil {
-			t.Fatalf("SharedCore(%d, %d) rejected valid parameters: %v", n, c, err)
-		}
-		slots := len(script)/n + 2 // run past the script into all-idle slots
-		if slots > 64 {
-			slots = 64
-		}
-		// run executes the script under opts and returns the engine and
-		// every node's delivery log.
-		run := func(opts ...sim.Option) (*sim.Engine, string) {
-			protos := make([]sim.Protocol, n)
-			recs := make([]*scripted, n)
-			for i := range protos {
-				recs[i] = &scripted{script: script, id: i, n: n, c: c}
-				protos[i] = recs[i]
-			}
-			eng, err := sim.NewEngine(asn, protos, seed, opts...)
-			if err != nil {
-				t.Fatalf("engine rejected a valid setup: %v", err)
-			}
-			for s := 0; s < slots; s++ {
-				if err := eng.RunSlot(); err != nil {
-					t.Fatalf("slot %d: %v", s, err)
-				}
-			}
-			var sb strings.Builder
-			for i, r := range recs {
-				fmt.Fprintf(&sb, "node %d: %s\n", i, strings.Join(r.log, ","))
-			}
-			return eng, sb.String()
-		}
-		// observed runs the script under a fresh oracle and returns its
-		// delivery logs and the outcome stream the oracle saw.
-		observed := func(opts ...sim.Option) (*sim.Engine, string, *outcomeLog) {
-			ck := new(invariant.Checker)
-			ck.Reset(asn, sim.UniformWinner)
-			outs := new(outcomeLog)
-			eng, logs := run(append(opts, sim.WithObserver(sim.Tee(ck, outs)))...)
-			if err := ck.Err(); err != nil {
-				t.Fatalf("oracle violation (%d total) on n=%d c=%d seed=%d script=%q: %v",
-					ck.Violations(), n, c, seed, script, err)
-			}
-			if outs.err != nil {
-				t.Fatal(outs.err)
-			}
-			return eng, logs, outs
-		}
-		_, dense, denseOuts := observed()
-		if denseOuts.parked != 0 {
-			t.Fatalf("dense engine reported %d parked listeners", denseOuts.parked)
-		}
-		sharded, got := run(sim.WithShards(2))
-		if sharded.Shards() != 2 {
-			t.Fatalf("Shards() = %d, want 2", sharded.Shards())
-		}
-		if got != dense {
-			t.Fatalf("2 shards diverged from the observed dense run:\n--- sharded ---\n%s--- dense ---\n%s", got, dense)
-		}
-		sparse, got, gotOuts := observed(sim.WithSparse())
-		if !sparse.Sparse() {
-			t.Fatal("WithSparse did not engage on a static assignment")
-		}
-		if got != dense {
-			t.Fatalf("sparse diverged from the observed dense run:\n--- sparse ---\n%s--- dense ---\n%s", got, dense)
-		}
-		if gotOuts.String() != denseOuts.String() {
-			t.Fatalf("sparse outcome stream diverged from dense:\n--- sparse ---\n%s--- dense ---\n%s", gotOuts, denseOuts)
-		}
+		checkEngineSlot(t, rawN, rawC, seed, script)
 	})
+}
+
+// parkSeed is FuzzEngineSlot's two-channel park seed.
+var parkSeed = struct {
+	rawN, rawC uint8
+	seed       int64
+	script     []byte
+}{4, 2, 7, []byte("00\xa6\xa6")}
+
+// standSeed is FuzzEngineSlot's script of four nodes standing and
+// quiet-parking on one channel.
+var standSeed = []byte("\xaa\xaa\xac\xac\x08\x01\x08\x01\xaa\x02\xaa\x02\x01\x01\x01\x01\xac\xaa\xac\xaa\x02\x01\x02\x01\x08\x08\x01\x01\x01\x01\x01\x01")
+
+// TestEngineSlotSeedParksTwoChannels pins what parkSeed is for: its sparse
+// run reports parked listeners on two channels in one slot.
+func TestEngineSlotSeedParksTwoChannels(t *testing.T) {
+	outs := checkEngineSlot(t, parkSeed.rawN, parkSeed.rawC, parkSeed.seed, parkSeed.script)
+	if outs.parkedChannels < 2 {
+		t.Fatalf("parked listeners on at most %d channel(s) per slot, want 2:\n%s", outs.parkedChannels, outs)
+	}
+}
+
+// checkEngineSlot is FuzzEngineSlot's body; it returns the sparse run's
+// outcome stream.
+func checkEngineSlot(t *testing.T, rawN, rawC uint8, seed int64, script []byte) *outcomeLog {
+	n := 2 + int(rawN)%31 // [2, 32] nodes
+	c := 1 + int(rawC)%7  // [1, 7] channels per node
+	model := sim.UniformWinner
+	if rawC&0x80 != 0 {
+		model = sim.AllDelivered
+	}
+	// SharedCore is deterministic construction (RandomPool's rejection
+	// sampling may legitimately fail to find a draw at low overlap).
+	asn, err := assign.SharedCore(n, c, 1, 2*c, assign.LocalLabels, seed)
+	if err != nil {
+		t.Fatalf("SharedCore(%d, %d) rejected valid parameters: %v", n, c, err)
+	}
+	slots := len(script)/n + 2 // run past the script into all-idle slots
+	if slots > 64 {
+		slots = 64
+	}
+	// run executes the script under opts, behind the wake oracle when
+	// wake is non-nil, and returns the engine and every node's delivery
+	// log.
+	run := func(wake *invariant.WakeChecker, opts ...sim.Option) (*sim.Engine, string) {
+		protos := make([]sim.Protocol, n)
+		recs := make([]*scripted, n)
+		wins := winLog{}
+		if wake != nil {
+			wake.Reset(n, model)
+		}
+		for i := range protos {
+			recs[i] = &scripted{script: script, id: i, n: n, c: c, slots: slots, asn: asn, wins: wins, lastWin: -2, catches: i%2 == 1}
+			protos[i] = recs[i]
+			if recs[i].catches {
+				protos[i] = catching{recs[i]}
+			}
+			if wake != nil {
+				protos[i] = wake.Wrap(sim.NodeID(i), protos[i])
+			}
+		}
+		eng, err := sim.NewEngine(asn, protos, seed, append(opts, sim.WithCollisionModel(model))...)
+		if err != nil {
+			t.Fatalf("engine rejected a valid setup: %v", err)
+		}
+		for s := 0; s < slots; s++ {
+			if err := eng.RunSlot(); err != nil {
+				t.Fatalf("slot %d: %v", s, err)
+			}
+		}
+		var sb strings.Builder
+		for i, r := range recs {
+			fmt.Fprintf(&sb, "node %d: %s\n", i, strings.Join(r.log, ","))
+		}
+		return eng, sb.String()
+	}
+	// observed runs the script under a fresh oracle, and the wake
+	// oracle when wake is non-nil, and returns its delivery logs and
+	// the outcome stream the oracle saw.
+	observed := func(wake *invariant.WakeChecker, opts ...sim.Option) (*sim.Engine, string, *outcomeLog) {
+		ck := new(invariant.Checker)
+		ck.Reset(asn, model)
+		outs := new(outcomeLog)
+		obs := sim.Tee(ck, outs)
+		if wake != nil {
+			obs = sim.Tee(obs, wake)
+		}
+		eng, logs := run(wake, append(opts, sim.WithObserver(obs))...)
+		if err := ck.Err(); err != nil {
+			t.Fatalf("oracle violation (%d total) on n=%d c=%d seed=%d script=%q: %v",
+				ck.Violations(), n, c, seed, script, err)
+		}
+		if wake != nil && wake.Err() != nil {
+			t.Fatalf("wake oracle violation (%d total) on n=%d c=%d seed=%d script=%q: %v",
+				wake.WakeViolations(), n, c, seed, script, wake.Err())
+		}
+		if outs.err != nil {
+			t.Fatal(outs.err)
+		}
+		return eng, logs, outs
+	}
+	_, dense, denseOuts := observed(nil)
+	if denseOuts.parked != 0 {
+		t.Fatalf("dense engine reported %d parked listeners", denseOuts.parked)
+	}
+	sharded, got := run(nil, sim.WithShards(2))
+	if sharded.Shards() != 2 {
+		t.Fatalf("Shards() = %d, want 2", sharded.Shards())
+	}
+	if got != dense {
+		t.Fatalf("2 shards diverged from the observed dense run:\n--- sharded ---\n%s--- dense ---\n%s", got, dense)
+	}
+	sparse, got, gotOuts := observed(new(invariant.WakeChecker), sim.WithSparse())
+	if !sparse.Sparse() {
+		t.Fatal("WithSparse did not engage on a static assignment")
+	}
+	if got != dense {
+		t.Fatalf("sparse diverged from the observed dense run:\n--- sparse ---\n%s--- dense ---\n%s", got, dense)
+	}
+	if gotOuts.String() != denseOuts.String() {
+		t.Fatalf("sparse outcome stream diverged from dense:\n--- sparse ---\n%s--- dense ---\n%s", gotOuts, denseOuts)
+	}
+	return gotOuts
 }
 
 // outcomeLog is an observer that renders every slot's channel outcomes,
 // one line per slot, listing each channel's listeners as the sorted union
 // of Listeners and Parked: the set a dense engine reports as Listeners. It
 // counts parked entries and records the first Parked list that is not
-// ascending or meets Listeners.
+// ascending or meets Listeners, and the most channels that reported
+// parked listeners in one slot.
 type outcomeLog struct {
 	strings.Builder
-	parked int
-	err    error
-	ls     []sim.NodeID
+	parked         int
+	parkedChannels int
+	err            error
+	ls             []sim.NodeID
 }
 
 func (l *outcomeLog) OnSlot(slot int, outcomes []sim.ChannelOutcome) {
 	fmt.Fprintf(l, "%d:", slot)
+	chans := 0
 	for _, o := range outcomes {
 		l.parked += len(o.Parked)
+		if len(o.Parked) > 0 {
+			chans++
+		}
 		for i := 1; i < len(o.Parked); i++ {
 			if o.Parked[i] <= o.Parked[i-1] && l.err == nil {
 				l.err = fmt.Errorf("slot %d: channel %d parked list %v not ascending", slot, o.Channel, o.Parked)
@@ -189,5 +335,6 @@ func (l *outcomeLog) OnSlot(slot int, outcomes []sim.ChannelOutcome) {
 		}
 		fmt.Fprintf(l, " ch%d b%v w%d l%v", o.Channel, o.Broadcasters, o.Winner, l.ls)
 	}
+	l.parkedChannels = max(l.parkedChannels, chans)
 	l.WriteByte('\n')
 }

@@ -14,6 +14,14 @@ package sim
 //     there reaches them through the same node-ascending order the dense
 //     bucket would have produced, and re-wakes them eagerly — the next
 //     slot steps them again.
+//   - Standing broadcasters (Stand) sit in their channel's parked list and
+//     in a group per wake key. In the slot after a message carrying the
+//     key wins the channel, the group joins the channel's broadcasters in
+//     node order, exactly where dense stepping would have bucketed them,
+//     so the tie-break draw and the winner do not change.
+//   - A CatchUpper node that stands or sits in a quiet park is served
+//     deaf: its deliveries are skipped and reported as one slot range
+//     before its next Step or its winning delivery.
 //
 // When the mode engages is Engine.configure's call. The wake queue is a
 // binary min-heap over packed (slot, node) entries plus per-channel
@@ -66,6 +74,34 @@ type sparseState struct {
 	parkedSeen  []bool     // phys channel -> appears in parkedTouched
 	parkedTouch []int      // channels with parked entries since Reset
 	lscratch    []NodeID   // merged live+parked listener scratch
+	bscratch    []NodeID   // broadcasters that hear this channel (scratch)
+
+	// Stands and deaf service. A stander is also a quiet parked listener
+	// on its channel (parkedPhys, parked), so only the key-specific parts
+	// live here.
+	standKey []WakeKey      // per node: key its stand awaits, NoKey = not standing
+	deafFrom []int          // per node: first slot served deaf, -1 = hearing
+	stands   [][]standGroup // phys channel -> one group per awaited key
+	arms     []arm          // keyed wins of this slot, armed for the next
+	armKey   []WakeKey      // phys channel -> key of the group broadcasting now, NoKey = none
+	armedNow []int          // channels with armKey set
+	pscratch []NodeID       // this slot's parked lists without their armed standers
+	deafHere []bool         // phys channel -> a deaf node may be in this slot's buckets
+	deafChs  []int          // channels with deafHere set
+}
+
+// standGroup is one channel's standers awaiting key, ascending. An empty
+// group keeps its backing and is reused for the next key.
+type standGroup struct {
+	key WakeKey
+	ids []NodeID
+}
+
+// arm records that a message carrying key won channel ch, so ch's group
+// for key broadcasts in the next slot.
+type arm struct {
+	ch  int
+	key WakeKey
 }
 
 // Sparse reports whether event-driven stepping is engaged: WithSparse was
@@ -94,6 +130,8 @@ func (e *Engine) resetSparse() {
 	}
 	if cap(sp.lscratch) < n {
 		sp.lscratch = make([]NodeID, 0, n)
+		sp.bscratch = make([]NodeID, 0, n)
+		sp.pscratch = make([]NodeID, 0, n)
 	}
 	if cap(sp.retired) < n {
 		sp.retired = make([]bool, n)
@@ -102,6 +140,8 @@ func (e *Engine) resetSparse() {
 		sp.parkedPhys = make([]int32, n)
 		sp.parkedAt = make([]int, n)
 		sp.parkedQuiet = make([]bool, n)
+		sp.standKey = make([]WakeKey, n)
+		sp.deafFrom = make([]int, n)
 	}
 	sp.retired = sp.retired[:n]
 	sp.wakeAt = sp.wakeAt[:n]
@@ -109,6 +149,8 @@ func (e *Engine) resetSparse() {
 	sp.parkedPhys = sp.parkedPhys[:n]
 	sp.parkedAt = sp.parkedAt[:n]
 	sp.parkedQuiet = sp.parkedQuiet[:n]
+	sp.standKey = sp.standKey[:n]
+	sp.deafFrom = sp.deafFrom[:n]
 	sp.awake = sp.awake[:0]
 	sp.woken = sp.woken[:0]
 	sp.newlyParked = sp.newlyParked[:0]
@@ -126,14 +168,26 @@ func (e *Engine) resetSparse() {
 		sp.parkedPhys[i] = -1
 		sp.parkedAt[i] = -1
 		sp.parkedQuiet[i] = false
+		sp.standKey[i] = NoKey
+		sp.deafFrom[i] = -1
 	}
+	// commitParked lists every channel with stand groups in parkedTouch.
 	for _, ch := range sp.parkedTouch {
+		for i := range sp.stands[ch] {
+			sp.stands[ch][i].ids = sp.stands[ch][i].ids[:0]
+		}
 		sp.parked[ch] = sp.parked[ch][:0]
 		sp.parkedDirty[ch] = false
 		sp.parkedStale[ch] = false
 		sp.parkedSeen[ch] = false
 	}
 	sp.parkedTouch = sp.parkedTouch[:0]
+	for _, ch := range sp.armedNow {
+		sp.armKey[ch] = NoKey
+	}
+	sp.armedNow = sp.armedNow[:0]
+	sp.arms = sp.arms[:0]
+	e.clearDeafHere()
 	e.growParked(len(e.bcast))
 }
 
@@ -147,6 +201,9 @@ func (e *Engine) growParked(n int) {
 		sp.parkedDirty = append(sp.parkedDirty, make([]bool, short)...)
 		sp.parkedStale = append(sp.parkedStale, make([]bool, short)...)
 		sp.parkedSeen = append(sp.parkedSeen, make([]bool, short)...)
+		sp.stands = append(sp.stands, make([][]standGroup, short)...)
+		sp.armKey = append(sp.armKey, make([]WakeKey, short)...)
+		sp.deafHere = append(sp.deafHere, make([]bool, short)...)
 	}
 }
 
@@ -159,6 +216,7 @@ func (e *Engine) growParked(n int) {
 // overall — error strings match the dense scan's.
 func (e *Engine) scanSparse(slot int) error {
 	sp := &e.sp
+	e.clearDeafHere()
 	for len(sp.heap) > 0 {
 		top := sp.heap[0]
 		if int(top>>wakeNodeBits) > slot {
@@ -195,6 +253,9 @@ func (e *Engine) scanSparse(slot int) error {
 			e.retireNode(v)
 			continue
 		}
+		if sp.deafFrom[v] >= 0 {
+			e.catchUp(NodeID(v), slot)
+		}
 		act := p.Step(slot)
 		e.acts[v] = act
 		// Done flipping inside Step retires the node now, but its action
@@ -214,6 +275,9 @@ func (e *Engine) scanSparse(slot int) error {
 		}
 		switch {
 		case !live:
+		case e.standing(&act):
+			sp.standKey[v] = act.Await
+			e.parkListen(v, phys, slot, act.Sleep, true)
 		case act.Sleep <= 0 || act.Op == OpBroadcast:
 			next = append(next, v)
 		case act.Op == OpIdle:
@@ -228,17 +292,25 @@ func (e *Engine) scanSparse(slot int) error {
 }
 
 // wakeParked runs after a channel's deliveries to its listeners ls (live
-// and parked, as mergedListeners built them): every parked listener that
-// heard something is re-woken unless its park is quiet. The channel's
-// parked list is left as it was, so the observer sees the pre-delivery
-// parked set; the wakes (and any retirement a delivery caused) mark it
-// stale, and the next compactParked drops them.
-func (e *Engine) wakeParked(ls []NodeID) {
+// and parked, as hearingListeners built them): every parked listener that
+// heard something is re-woken unless its park is quiet, and a standing
+// winner ends its stand. The channel's parked list is left as it was, so
+// the observer sees the pre-delivery parked set; the wakes (and any
+// retirement a delivery caused) mark it stale, and the next compactParked
+// drops them. A winning message that carries a wake key arms the
+// channel's group for that key for the next slot.
+func (e *Engine) wakeParked(ch int, ls []NodeID, winner NodeID) {
 	sp := &e.sp
 	for _, l := range ls {
 		if sp.parkedPhys[l] >= 0 && !sp.parkedQuiet[l] {
 			e.wakeNode(int32(l))
 		}
+	}
+	if sp.standKey[winner] != NoKey {
+		e.wakeNode(int32(winner))
+	}
+	if key := e.acts[winner].Key; key != NoKey {
+		sp.arms = append(sp.arms, arm{ch: ch, key: key})
 	}
 }
 
@@ -260,6 +332,7 @@ func (e *Engine) retireNode(v int32) {
 	e.sp.retired[v] = true
 	e.sp.notDone--
 	e.staleParked(v)
+	e.leaveStand(v)
 }
 
 // wakeNode returns a dormant node to the stepped set: its pending timer is
@@ -268,6 +341,7 @@ func (e *Engine) retireNode(v int32) {
 func (e *Engine) wakeNode(v int32) {
 	sp := &e.sp
 	e.staleParked(v)
+	e.leaveStand(v)
 	sp.parkedPhys[v] = -1
 	sp.wakeAt[v] = -1
 	sp.woken = append(sp.woken, v)
@@ -294,12 +368,19 @@ func (e *Engine) parkIdle(v int32, slot, k int) {
 // parkListen parks a listening node on its physical channel. This slot it
 // is still in the live listen bucket (it was stepped); the parked entry
 // takes effect afterwards, which commitParked arranges — unless a delivery
-// this very slot wakes it first.
+// this very slot wakes it first. A stand parks the same way, quiet, with
+// standKey already set: it is a parked listener that broadcasts when its
+// group is armed. Under UniformWinner a quiet park or stand of a
+// CatchUpper is deaf from this very slot on.
 func (e *Engine) parkListen(v int32, phys, slot, k int, quiet bool) {
 	sp := &e.sp
 	sp.parkedPhys[v] = int32(phys)
 	sp.parkedAt[v] = slot
 	sp.parkedQuiet[v] = quiet
+	if _, ok := e.nodes[v].(CatchUpper); quiet && ok && e.collisions == UniformWinner {
+		sp.deafFrom[v] = slot
+		e.markDeafHere(phys)
+	}
 	sp.newlyParked = append(sp.newlyParked, v)
 	if k >= Forever {
 		sp.wakeAt[v] = -1
@@ -309,9 +390,11 @@ func (e *Engine) parkListen(v int32, phys, slot, k int, quiet bool) {
 }
 
 // commitParked moves this slot's survivors from newlyParked into their
-// channels' parked lists. Scan order makes same-slot appends
-// node-ascending; a smaller id landing after a bigger one (parks from an
-// earlier slot) marks the list for lazy sorting.
+// channels' parked lists, and standers into their groups too. Scan order
+// makes same-slot appends node-ascending; a smaller id landing after a
+// bigger one (parks from an earlier slot) marks the list for lazy sorting.
+// An unobserved engine keeps deaf nodes off the lists. Every committed
+// channel joins parkedTouch, which Reset clears.
 func (e *Engine) commitParked() {
 	sp := &e.sp
 	for _, v := range sp.newlyParked {
@@ -319,17 +402,185 @@ func (e *Engine) commitParked() {
 		if ch < 0 { // woken again before the slot ended
 			continue
 		}
-		lst := sp.parked[ch]
-		if len(lst) > 0 && lst[len(lst)-1] > NodeID(v) {
-			sp.parkedDirty[ch] = true
+		if key := sp.standKey[v]; key != NoKey {
+			g := e.group(int(ch), key, true)
+			if i := len(g.ids); i == 0 || g.ids[i-1] < NodeID(v) {
+				g.ids = append(g.ids, NodeID(v))
+			} else {
+				i, _ = slices.BinarySearch(g.ids, NodeID(v))
+				g.ids = slices.Insert(g.ids, i, NodeID(v))
+			}
 		}
 		if !sp.parkedSeen[ch] {
 			sp.parkedSeen[ch] = true
 			sp.parkedTouch = append(sp.parkedTouch, int(ch))
 		}
+		if sp.deafFrom[v] >= 0 && e.obs == nil {
+			// Only deliveries and the observer read parked lists, and a
+			// deaf node gets no delivery its stand group does not route.
+			continue
+		}
+		lst := sp.parked[ch]
+		if len(lst) > 0 && lst[len(lst)-1] > NodeID(v) {
+			sp.parkedDirty[ch] = true
+		}
 		sp.parked[ch] = append(lst, NodeID(v))
 	}
 	sp.newlyParked = sp.newlyParked[:0]
+}
+
+// group returns channel ch's stand group for key, or nil if there is none
+// and create is false. A new key reuses an empty group's backing.
+func (e *Engine) group(ch int, key WakeKey, create bool) *standGroup {
+	gs := e.sp.stands[ch]
+	free := -1
+	for i := range gs {
+		if gs[i].key == key {
+			return &gs[i]
+		}
+		if free < 0 && len(gs[i].ids) == 0 {
+			free = i
+		}
+	}
+	if !create {
+		return nil
+	}
+	if free < 0 {
+		gs = append(gs, standGroup{})
+		free = len(gs) - 1
+		e.sp.stands[ch] = gs
+	}
+	gs[free].key = key
+	return &gs[free]
+}
+
+// leaveStand ends v's stand, if any: v leaves its channel's group. A stand
+// still pending in newlyParked is in no group yet, and commitParked will
+// skip it, because every caller also clears the park.
+func (e *Engine) leaveStand(v int32) {
+	sp := &e.sp
+	key := sp.standKey[v]
+	if key == NoKey {
+		return
+	}
+	sp.standKey[v] = NoKey
+	if g := e.group(int(sp.parkedPhys[v]), key, false); g != nil {
+		if i, ok := slices.BinarySearch(g.ids, NodeID(v)); ok {
+			g.ids = slices.Delete(g.ids, i, i+1)
+		}
+	}
+}
+
+// mergeStands runs after the scan: every group armed by the previous
+// slot's keyed wins joins its channel's broadcasters. Stepped broadcasters
+// and standers are disjoint and both ascending, so an in-place merge from
+// the back yields the bucket a dense scan would have filled, in its order.
+func (e *Engine) mergeStands() {
+	sp := &e.sp
+	for _, ch := range sp.armedNow {
+		sp.armKey[ch] = NoKey
+	}
+	sp.armedNow = sp.armedNow[:0]
+	for _, a := range sp.arms {
+		g := e.group(a.ch, a.key, false)
+		if g == nil || len(g.ids) == 0 {
+			continue
+		}
+		sp.armKey[a.ch] = a.key
+		sp.armedNow = append(sp.armedNow, a.ch)
+		e.markDeafHere(a.ch)
+		e.touch(a.ch)
+		e.broadcasts += len(g.ids)
+		bs := e.bcast[a.ch]
+		i, j := len(bs)-1, len(g.ids)-1
+		bs = append(bs, g.ids...)
+		for k := len(bs) - 1; j >= 0; k-- {
+			if i >= 0 && bs[i] > g.ids[j] {
+				bs[k] = bs[i]
+				i--
+			} else {
+				bs[k] = g.ids[j]
+				j--
+			}
+		}
+		e.bcast[a.ch] = bs
+	}
+	sp.arms = sp.arms[:0]
+}
+
+// unarmed returns channel ch's parked list pk without the standers that
+// broadcast this slot, in this slot's pscratch, which outlives the channel
+// because the observer reads every channel's list at the end of the slot.
+func (e *Engine) unarmed(ch int, pk []NodeID) []NodeID {
+	sp := &e.sp
+	if sp.armKey[ch] == NoKey {
+		return pk
+	}
+	start := len(sp.pscratch)
+	for _, v := range pk {
+		if sp.standKey[v] != sp.armKey[ch] {
+			sp.pscratch = append(sp.pscratch, v)
+		}
+	}
+	return sp.pscratch[start:len(sp.pscratch):len(sp.pscratch)]
+}
+
+// hearingBroadcasters returns the broadcasters of a channel that get a
+// delivery this slot, in bscratch: all but the deaf losers. A deaf winner
+// is caught up first.
+func (e *Engine) hearingBroadcasters(bs []NodeID, winner NodeID, slot int) []NodeID {
+	sp := &e.sp
+	out := sp.bscratch[:0]
+	for _, b := range bs {
+		if sp.deafFrom[b] >= 0 {
+			if b != winner {
+				continue
+			}
+			e.catchUp(b, slot)
+		}
+		out = append(out, b)
+	}
+	sp.bscratch = out
+	return out
+}
+
+// standing reports whether act is a stand this engine honours: only
+// UniformWinner's single winner needs one (see Stand).
+func (e *Engine) standing(act *Action) bool {
+	return act.Op == OpBroadcast && act.Sleep > 0 && act.Await != NoKey && e.collisions == UniformWinner
+}
+
+// markDeafHere notes that a node served deaf may sit in channel ch's
+// buckets this slot — a stand or quiet park that starts here, or an armed
+// group — so its deliveries must go through hearingListeners and
+// hearingBroadcasters. Elsewhere the live buckets are delivered to as they
+// are, without a copy.
+func (e *Engine) markDeafHere(ch int) {
+	sp := &e.sp
+	if !sp.deafHere[ch] {
+		sp.deafHere[ch] = true
+		sp.deafChs = append(sp.deafChs, ch)
+	}
+}
+
+// clearDeafHere forgets the previous slot's markDeafHere channels.
+func (e *Engine) clearDeafHere() {
+	sp := &e.sp
+	for _, ch := range sp.deafChs {
+		sp.deafHere[ch] = false
+	}
+	sp.deafChs = sp.deafChs[:0]
+}
+
+// catchUp ends node id's deaf service before its Step or winning delivery
+// in slot: it reports the slots it was skipped in, [deafFrom, slot), which
+// is empty only for a stand won in its own slot.
+func (e *Engine) catchUp(id NodeID, slot int) {
+	from := e.sp.deafFrom[id]
+	e.sp.deafFrom[id] = -1
+	if from < slot {
+		e.nodes[id].(CatchUpper).CatchUp(from, slot)
+	}
 }
 
 // compactParked drops stale entries (nodes no longer parked here) from a
@@ -384,25 +635,31 @@ func (e *Engine) touchParked(slot int) {
 	}
 }
 
-// mergedListeners merges the live listen bucket with the channel's
+// hearingListeners merges the live listen bucket with the channel's
 // compacted parked list in ascending node order — exactly the order the
 // dense bucket would have held, since a dense scan appends listeners in
 // node order and the two sets are disjoint (a parked node is not stepped,
-// so it is never in the live bucket). Only deliveries need the merged
-// list; it lives in lscratch (capacity n) until the next channel's merge.
-func (e *Engine) mergedListeners(live, pk []NodeID) []NodeID {
-	out := e.sp.lscratch[:0]
+// so it is never in the live bucket) — and leaves out the nodes served
+// deaf. Only deliveries need the list; it lives in lscratch (capacity n)
+// until the next channel's merge.
+func (e *Engine) hearingListeners(live, pk []NodeID) []NodeID {
+	sp := &e.sp
+	out := sp.lscratch[:0]
 	i, j := 0, 0
 	for i < len(live) || j < len(pk) {
+		var v NodeID
 		if j >= len(pk) || (i < len(live) && live[i] < pk[j]) {
-			out = append(out, live[i])
+			v = live[i]
 			i++
 		} else {
-			out = append(out, pk[j])
+			v = pk[j]
 			j++
 		}
+		if sp.deafFrom[v] < 0 {
+			out = append(out, v)
+		}
 	}
-	e.sp.lscratch = out
+	sp.lscratch = out
 	return out
 }
 

@@ -69,8 +69,9 @@ func (n *drowsyNode) fresh() sim.Action {
 		// the log, even Done) but never void the promise.
 		return sim.ParkListenQuiet(n.rand.Intn(n.c), 1+n.rand.Intn(6))
 	case 3:
-		// A dormancy hint on a broadcast must be ignored by the engine: the
-		// node stays awake and is stepped again next slot in both modes.
+		// A dormancy hint on a broadcast that awaits no wake key must be
+		// ignored by the engine: it is not a stand, so the node stays
+		// awake and is stepped again next slot in both modes.
 		act := sim.Broadcast(n.rand.Intn(n.c), n.id*100000+n.draws)
 		act.Sleep = 3
 		return act
@@ -100,11 +101,12 @@ func (n *drowsyNode) Done() bool {
 		(n.doneHeard > 0 && n.received >= n.doneHeard)
 }
 
-// wakeChecked returns a wake-queue oracle interposed on every node of
-// nodes, in place; attach it as the engine's observer.
-func wakeChecked(nodes []sim.Protocol) *invariant.WakeChecker {
+// wakeChecked returns a wake-queue oracle for collision model model,
+// interposed on every node of nodes, in place; attach it as the engine's
+// observer.
+func wakeChecked(nodes []sim.Protocol, model sim.CollisionModel) *invariant.WakeChecker {
 	wake := new(invariant.WakeChecker)
-	wake.Reset(len(nodes))
+	wake.Reset(len(nodes), model)
 	for i, p := range nodes {
 		nodes[i] = wake.Wrap(sim.NodeID(i), p)
 	}
@@ -134,7 +136,7 @@ func drowsyTrace(t *testing.T, asnFn func(t *testing.T) sim.Assignment, n, c, sl
 	opts := []sim.Option{sim.WithCollisionModel(model)}
 	var wake *invariant.WakeChecker
 	if sparse {
-		wake = wakeChecked(nodes)
+		wake = wakeChecked(nodes, model)
 		opts = append(opts, sim.WithSparse(), sim.WithObserver(wake))
 	}
 	eng := newEngine(t, asn, nodes, 7, opts...)
@@ -231,7 +233,7 @@ func TestSparseForeverPark(t *testing.T) {
 		var opts []sim.Option
 		var wake *invariant.WakeChecker
 		if sparse {
-			wake = wakeChecked(nodes)
+			wake = wakeChecked(nodes, sim.UniformWinner)
 			opts = append(opts, sim.WithSparse(), sim.WithObserver(wake))
 		}
 		eng := newEngine(t, asn, nodes, 11, opts...)
@@ -346,5 +348,56 @@ func TestSparseAllDoneRetirement(t *testing.T) {
 	}
 	if sparseS != dense {
 		t.Errorf("sparse AllDone at slot %d, dense at slot %d", sparseS, dense)
+	}
+}
+
+// TestSparseStandsResetLikeFresh reuses one sparse engine, unobserved,
+// across scripts full of stands and quiet parks of catching nodes, which
+// an unobserved engine lists nowhere but in their stand groups: after a
+// Reset, stand groups, armed channels and deaf service left by the
+// previous run must not leak, so every run's delivery logs match a fresh
+// engine's.
+func TestSparseStandsResetLikeFresh(t *testing.T) {
+	const n, c, slots = 12, 2, 40
+	asn, err := assign.SharedCore(n, c, 1, 2*c, assign.LocalLabels, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(eng *sim.Engine, script []byte) string {
+		protos := make([]sim.Protocol, n)
+		recs := make([]*scripted, n)
+		wins := winLog{}
+		for i := range protos {
+			// Holds may outlast the run, so the next Reset meets live
+			// stand groups and deaf nodes.
+			recs[i] = &scripted{script: script, id: i, n: n, c: c, slots: 1 << 20, asn: asn, wins: wins, lastWin: -2}
+			protos[i] = catching{recs[i]}
+		}
+		if err := eng.Reset(asn, protos, 9, sim.WithSparse()); err != nil {
+			t.Fatal(err)
+		}
+		for s := 0; s < slots; s++ {
+			if err := eng.RunSlot(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var sb strings.Builder
+		for i, r := range recs {
+			fmt.Fprintf(&sb, "node %d: %s\n", i, strings.Join(r.log, ","))
+		}
+		return sb.String()
+	}
+	reused := new(sim.Engine)
+	r := rand.New(rand.NewSource(4))
+	for trial := 0; trial < 6; trial++ {
+		script := make([]byte, n*slots)
+		for i := range script {
+			// Holds only: stands and quiet parks, on one of two channels.
+			script[i] = byte(r.Intn(256)) | 0x88
+		}
+		want := run(new(sim.Engine), script)
+		if got := run(reused, script); got != want {
+			t.Fatalf("trial %d: reused engine diverged from a fresh one:\n--- reused ---\n%s--- fresh ---\n%s", trial, got, want)
+		}
 	}
 }

@@ -63,17 +63,29 @@ type Message any
 // hint to skip those Step calls — parking listeners on their channel so
 // deliveries still reach them and re-wake them eagerly — while the dense
 // engine ignores it entirely, which is what keeps sparse and dense
-// executions byte-identical. Hints on OpBroadcast actions are ignored (a
-// broadcaster always gets feedback, so it can never be dormant).
+// executions byte-identical. On an OpBroadcast action the hint means
+// nothing unless Await names a wake key, which makes the broadcast a
+// standing one (see Stand); a plain broadcaster always gets feedback, so
+// it is stepped again in the next slot.
+//
+// The field order packs Op, Quiet and Key into one word, so the wake keys
+// do not grow the engine's per-node action buffer.
 type Action struct {
-	Op      Op
-	Channel int
-	Msg     Message
-	Sleep   int
+	Op Op
 	// Quiet strengthens a listen hint (see ParkListenQuiet): deliveries are
 	// still handed to the node but do not re-wake it. Meaningless without a
 	// positive Sleep on an OpListen action; the dense engine ignores it.
 	Quiet bool
+	// Key is the wake key the broadcast message carries (see WakeKey):
+	// when it wins its channel, the nodes standing there on Key broadcast
+	// again in the next slot. NoKey wakes no one.
+	Key     WakeKey
+	Channel int
+	Msg     Message
+	Sleep   int
+	// Await is the wake key a standing broadcast waits for (see Stand).
+	// NoKey, the zero value, makes a broadcast plain.
+	Await WakeKey
 }
 
 // Forever is the Sleep value for an open-ended dormancy hint: the node
@@ -81,6 +93,15 @@ type Action struct {
 // with Sleep >= Forever is only re-stepped if the slot budget ends first (a
 // parked listener is re-woken by any broadcast on its channel).
 const Forever = 1 << 30
+
+// WakeKey names a class of messages that standing broadcasters wait for
+// (Action.Key, Action.Await). Protocols choose their own keys; every key
+// but NoKey is a real one.
+type WakeKey uint32
+
+// NoKey is the zero WakeKey: a message that carries it wakes no stander,
+// and a broadcast that awaits it is not a stand.
+const NoKey WakeKey = 0
 
 // Idle returns the action of a node that has terminated or sleeps this slot.
 func Idle() Action { return Action{Op: OpIdle} }
@@ -107,7 +128,10 @@ func ParkListen(ch, k int) Action { return Action{Op: OpListen, Channel: ch, Sle
 // is the hint for drain patterns — a node that collects a long stream of
 // messages while its own behavior stays a fixed listen (COGCOMP's census
 // roster fill) — where eager re-wakes would re-step the whole audience
-// every slot. A delivery that flips the node's Done still retires it.
+// every slot. A delivery that flips the node's Done still retires it. A
+// protocol that implements CatchUpper is not delivered to at all while it
+// sits in a quiet park: the engine reports the skipped slots in one
+// CatchUp call instead.
 func ParkListenQuiet(ch, k int) Action {
 	return Action{Op: OpListen, Channel: ch, Sleep: k, Quiet: true}
 }
@@ -115,6 +139,34 @@ func ParkListenQuiet(ch, k int) Action {
 // Broadcast returns the action of broadcasting msg on local channel ch.
 func Broadcast(ch int, msg Message) Action {
 	return Action{Op: OpBroadcast, Channel: ch, Msg: msg}
+}
+
+// Stand returns a standing broadcast of msg on local channel ch: the node
+// broadcasts now and promises that, until it wins or k slots pass, its
+// Step would return Listen(ch) — except in the slot after a message
+// carrying wake key key wins that channel (it is the channel's reported
+// winner), where Step would return this same broadcast. Deliveries
+// meanwhile change none of those actions, and the skipped Steps draw no
+// randomness. A sparse engine keeps standers per channel and key, never
+// steps them, and merges a group into its channel's broadcasters in the
+// slot after its key wins; the winner is woken and stepped in the next
+// slot, and a stand whose bound runs out is stepped again. A protocol that
+// implements CatchUpper is served deaf while it stands: only its winning
+// delivery reaches it, after one CatchUp call for the skipped slots. The
+// dense engine ignores the promise and steps the node every slot, and so
+// does a sparse engine under AllDelivered, whose wins need no stand. With
+// key NoKey the broadcast is plain. The broadcast's own message carries no
+// key; set Key for that (COGCOMP's census contenders wait for the very key
+// they send).
+func Stand(ch int, msg Message, key WakeKey, k int) Action {
+	return Action{Op: OpBroadcast, Channel: ch, Msg: msg, Sleep: k, Await: key}
+}
+
+// Keyed returns the action with its message carrying wake key key (see
+// Action.Key).
+func (a Action) Keyed(key WakeKey) Action {
+	a.Key = key
+	return a
 }
 
 // EventKind classifies feedback delivered to a node after a slot resolves.
@@ -171,6 +223,22 @@ type Protocol interface {
 	Deliver(slot int, ev Event)
 	// Done reports whether the node has terminated.
 	Done() bool
+}
+
+// CatchUpper is an optional Protocol interface for nodes that can rebuild
+// the deliveries they missed from state shared outside the radio (COGCOMP
+// re-reads its channel's census log). A sparse engine serves such a node
+// deaf while it stands (Stand) or sits in a quiet park (ParkListenQuiet):
+// it skips every delivery to the node except a winning one and, before the
+// node's next Step or that winning delivery, calls CatchUp once with the
+// skipped slots. A protocol that does not implement it is delivered to as
+// usual; neither the dense engine nor a sparse one under AllDelivered ever
+// calls it.
+type CatchUpper interface {
+	// CatchUp reports that the node spent slots [from, to) tuned to the
+	// channel of its stand or park without seeing a delivery: it must end
+	// up in the state those slots' deliveries would have left it in.
+	CatchUp(from, to int)
 }
 
 // Assignment describes which physical channels each node may use in each
