@@ -77,6 +77,42 @@ func TestRunSlotShardedAllocFree(t *testing.T) {
 	}
 }
 
+// TestRunSlotPartitionedAllocFree extends the pin to the many-channel
+// regime BenchmarkEngineSlotPartitioned measures: on the partitioned
+// topology C grows with n, so a slot's actions spread over thousands of
+// channels and sort in more than one digit, and a warm slot still
+// allocates nothing, serial or sharded.
+func TestRunSlotPartitionedAllocFree(t *testing.T) {
+	const n, c, k = 5000, 16, 4
+	asn, err := assign.Partitioned(n, c, k, assign.LocalLabels, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	protos := make([]sim.Protocol, n)
+	for i := range protos {
+		protos[i] = cogcast.New(sim.View(asn, sim.NodeID(i)), true, "m", 1)
+	}
+	for _, shards := range []int{1, 2} {
+		eng, err := sim.NewEngine(asn, protos, 1, sim.WithShards(shards))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 8; i++ {
+			if err := eng.RunSlot(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if err := eng.RunSlot(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("steady-state partitioned RunSlot with %d shards allocates %.2f objects/slot, want 0", shards, allocs)
+		}
+	}
+}
+
 // TestRunSlotSparseAllocFree pins the wake-queue's zero-allocation
 // property: once the heap, awake set and listen buckets are pre-sized at
 // Reset, a steady-state event-driven slot pops wakes, steps the awake few,

@@ -103,20 +103,41 @@ func BenchmarkEngineSlot(b *testing.B) {
 // scale regime E28 sweeps — serial and at several shard counts. On a
 // multi-core machine the sharded variants should approach a per-core
 // speedup of phase A (the protocol scan dominates at this size); on one
-// core they pin that sharding costs nearly nothing. All variants are warm:
-// scratch, shard accumulators and goroutine bodies are built before the
-// timer starts.
+// core they pin that sharding costs nearly nothing.
 func BenchmarkEngineSlotLarge(b *testing.B) {
 	const n, c = 100_000, 16
 	asn, err := assign.SharedCore(n, c, 4, 48, assign.LocalLabels, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
+	benchInformedSlots(b, asn, 1, 2, 4, 8)
+}
+
+// BenchmarkEngineSlotPartitioned measures one steady-state slot in the
+// many-channel regime of broadcast-large and E28: the partitioned topology
+// at n = 5·10⁴ (c = 16, k = 4, so C = 600004 and most channels are one
+// node's own), serial and at two shards. Each slot's actions land on tens
+// of thousands of distinct channels, so resolution cost per used channel,
+// not per advertised one, is what this measures.
+func BenchmarkEngineSlotPartitioned(b *testing.B) {
+	const n, c, k = 50_000, 16, 4
+	asn, err := assign.Partitioned(n, c, k, assign.LocalLabels, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchInformedSlots(b, asn, 1, 2)
+}
+
+// benchInformedSlots runs one sub-benchmark per shard count over informed
+// COGCAST nodes on asn. All variants are warm: scratch, shard accumulators
+// and goroutine bodies are built before the timer starts.
+func benchInformedSlots(b *testing.B, asn *assign.Static, shardCounts ...int) {
+	n := asn.Nodes()
 	protos := make([]sim.Protocol, n)
 	for i := range protos {
 		protos[i] = cogcast.New(sim.View(asn, sim.NodeID(i)), true, "m", 1)
 	}
-	for _, shards := range []int{1, 2, 4, 8} {
+	for _, shards := range shardCounts {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			eng, err := sim.NewEngine(asn, protos, 1, sim.WithShards(shards))
 			if err != nil {

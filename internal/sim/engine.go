@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -78,21 +80,16 @@ type Engine struct {
 	ctx  context.Context // slot-boundary interrupt check; nil = never
 
 	// Per-slot scratch, reused across slots so a steady-state RunSlot does
-	// not allocate. bcast and listen are dense, indexed by physical channel
-	// and sized to asn.Channels() up front (grown on demand should an
-	// assignment hand out a larger index). touched marks the channels used
-	// this slot and active lists them so reset is O(active), not O(C);
-	// maxCh is the highest of them and broadcasts counts the slot's
-	// broadcasters. Resolution scans physical channels in ascending index
-	// order — the same deterministic order the previous sorted-map
-	// implementation produced.
+	// not allocate, and sized by nodes, never by channels. sortActions sorts
+	// the entries phase A filed (shardScan.file) stably into ids, keys[i]
+	// being the key of ids[i], so every channel's broadcasters and then its
+	// listeners are adjacent runs in node order. cnt, off and spill are the
+	// radix sort's histogram, bucket offsets and intermediate passes.
 	acts       []Action
-	bcast      [][]NodeID // physical channel -> broadcasters
-	listen     [][]NodeID // physical channel -> listeners
-	touched    []bool     // physical channel -> used this slot
-	active     []int      // physical channels touched this slot (unordered)
-	maxCh      int        // highest channel touched this slot; -1 if none
-	broadcasts int
+	ids        []NodeID
+	keys       []uint32
+	cnt, off   [radix]uint32
+	spill      [2][]uint64
 	outScratch []ChannelOutcome
 
 	// Dense phase-A scan. shards is the count requested via WithShards;
@@ -114,26 +111,28 @@ type Engine struct {
 	sp        sparseState
 }
 
-// shardScan is the per-shard scratch of the dense phase-A scan: the node
-// range [lo, hi), the pending (node, physical channel, op) triples collected
-// in node-ascending order, and the shard's first error. pend is kept across
-// slots so the steady state appends into pre-grown backing.
+// shardScan is the per-shard scratch of phase A: the node range [lo, hi),
+// the entries filed in node order (see file), their largest key, their
+// broadcaster count, the shard's first error and the histogram of the
+// entries' low key digit. It is O(nodes/shard) however many channels the
+// assignment has.
 type shardScan struct {
 	lo, hi int
-	pend   []pendingAct
+	pend   []uint64
+	maxKey uint64
+	bcasts int
 	err    error
+	cnt    [radix]uint32
 }
 
-// pendingAct records one non-idle action discovered by a shard, to be merged
-// into the global per-channel buckets serially. Buffering flat triples
-// instead of per-shard dense buckets keeps shard scratch O(nodes/shard)
-// rather than O(channels) — partitioned assignments make C grow with n, and
-// a per-shard dense copy would multiply that by the shard count.
-type pendingAct struct {
-	node NodeID
-	phys int
-	op   Op
-}
+// Entry keys are sorted digitBits at a time; a key is phys<<1 | isListen
+// and must fit 32 bits, so physical channels stop at maxPhys.
+const (
+	digitBits = 8
+	radix     = 1 << digitBits
+	digitMask = radix - 1
+	maxPhys   = 1<<31 - 1
+)
 
 // slotsExecuted counts every slot executed by any engine in the process; see
 // SlotsExecuted.
@@ -221,8 +220,8 @@ func NewEngine(asn Assignment, nodes []Protocol, seed int64, opts ...Option) (*E
 // Reset re-initializes the engine over a new assignment, protocol set and
 // seed, exactly as NewEngine would — observer and collision model return to
 // their defaults before opts apply, and the tie-break stream restarts at the
-// derived seed — but the dense per-channel scratch, action buffer and
-// generator source are kept, so a trial arena resetting an engine between
+// derived seed — but the action buffer, the sort scratch and the generator
+// source are kept, so a trial arena resetting an engine between
 // trials allocates nothing once the scratch has grown to the largest shape
 // seen. Executions after a Reset are byte-identical to those of a fresh
 // engine.
@@ -238,9 +237,6 @@ func (e *Engine) Reset(asn Assignment, nodes []Protocol, seed int64, opts ...Opt
 			return fmt.Errorf("sim: protocol for node %d is nil", i)
 		}
 	}
-	// Clear buckets left by a previous run before any reshaping: active
-	// indexes the old scratch.
-	e.touchReset()
 	e.asn = asn
 	e.nodes = nodes
 	if e.rand == nil {
@@ -256,13 +252,9 @@ func (e *Engine) Reset(asn Assignment, nodes []Protocol, seed int64, opts ...Opt
 	e.sparseReq = false
 	if cap(e.acts) < len(nodes) {
 		e.acts = make([]Action, len(nodes))
+		e.ids, e.keys = make([]NodeID, len(nodes)), make([]uint32, len(nodes))
 	}
 	e.acts = e.acts[:len(nodes)]
-	c := asn.Channels()
-	e.growScratch(c)
-	if cap(e.active) < c {
-		e.active = make([]int, 0, c)
-	}
 	for _, opt := range opts {
 		opt(e)
 	}
@@ -307,7 +299,7 @@ func (e *Engine) configure() {
 		sc := &e.shardAcc[i]
 		sc.lo, sc.hi = i*n/s, (i+1)*n/s
 		if cap(sc.pend) < sc.hi-sc.lo {
-			sc.pend = make([]pendingAct, 0, sc.hi-sc.lo)
+			sc.pend = make([]uint64, 0, sc.hi-sc.lo)
 		}
 		if i > 0 && e.shardFns[i] == nil {
 			e.shardFns[i] = func() {
@@ -358,10 +350,9 @@ func (e *Engine) RunSlot() error {
 	e.slot++
 	slotsExecuted.Add(1)
 
-	// Phase A: collect actions and bucket nodes by physical channel, in node
+	// Phase A: collect actions and file them as keyed entries, in node
 	// order at any shard count. The sparse scan steps only awake nodes;
-	// phase B merges the parked listeners back in.
-	e.touchReset()
+	// phase B merges the armed standers and parked listeners back in.
 	var err error
 	if e.sp.on {
 		err = e.scanSparse(slot)
@@ -377,8 +368,13 @@ func (e *Engine) RunSlot() error {
 
 	// Phase B. Fast path: with no broadcaster anywhere there is no feedback
 	// to deliver, and with no observer there is nothing to report — skip
-	// channel resolution entirely.
-	if e.broadcasts > 0 || e.obs != nil {
+	// sorting and channel resolution entirely.
+	bcasts := 0
+	for i := range e.shardAcc {
+		bcasts += e.shardAcc[i].bcasts
+	}
+	if bcasts > 0 || e.obs != nil {
+		e.sortActions()
 		e.resolveChannels(slot)
 	}
 	if e.sp.on {
@@ -387,23 +383,24 @@ func (e *Engine) RunSlot() error {
 	return nil
 }
 
-// resolveChannels is phase B and the engine's one resolver: it resolves
-// the touched channels in deterministic ascending physical order under the
-// collision model and reports them to the observer. Under UniformWinner one
-// broadcaster, drawn uniformly from the engine stream, succeeds; the others
-// fail, and they and every listener receive the winner's message. Under
-// AllDelivered every broadcaster succeeds, every listener receives every
-// message, and the first broadcaster is reported as the winner. Under
-// sparse stepping deliveries reach a channel's live bucket merged with the
-// listeners parked there, and the parked ones that heard something are
-// re-woken; standers broadcasting this slot count as broadcasters, not as
-// parked listeners; deaf nodes are left out of both delivery lists, so the
-// delivery loops are the dense engine's own. An observed sparse slot
-// reports the parked listeners apart from the stepped ones, and also the
-// channels whose only listeners are parked, as the dense scan would have
-// bucketed them.
+// resolveChannels is phase B and the engine's one resolver: it walks the
+// sorted channel runs in ascending physical order, resolves each channel
+// under the collision model and reports them to the observer. Under
+// UniformWinner one broadcaster, drawn uniformly from the engine stream,
+// succeeds; the others fail, and they and every listener receive the
+// winner's message. Under AllDelivered every broadcaster succeeds, every
+// listener receives every message, and the first broadcaster is reported
+// as the winner. Under sparse stepping deliveries reach a channel's live
+// listeners merged with the listeners parked there, and the parked ones
+// that heard something are re-woken; standers broadcasting this slot are
+// merged into the broadcasters, not counted as parked listeners; deaf
+// nodes are left out of both delivery lists, so the delivery loops are the
+// dense engine's own. An observed sparse slot reports the parked listeners
+// apart from the stepped ones, and walks the channels whose only listeners
+// are parked too, in order, as the dense scan would have filed them.
 func (e *Engine) resolveChannels(slot int) {
 	var outcomes []ChannelOutcome
+	var pt []int
 	sparse := e.sp.on
 	if sparse {
 		e.sp.pscratch = e.sp.pscratch[:0]
@@ -411,17 +408,33 @@ func (e *Engine) resolveChannels(slot int) {
 	if e.obs != nil {
 		outcomes = e.outScratch[:0]
 		if sparse {
-			e.touchParked(slot)
+			slices.Sort(e.sp.parkedTouch)
+			pt = e.sp.parkedTouch
 		}
 	}
-	for ch := 0; ch <= e.maxCh; ch++ {
-		if !e.touched[ch] {
-			continue
+	ids, keys := e.ids, e.keys
+	for i := 0; i < len(keys) || len(pt) > 0; {
+		ch := -1
+		if i < len(keys) {
+			ch = int(keys[i] >> 1)
 		}
-		bs, live := e.bcast[ch], e.listen[ch]
+		if len(pt) > 0 && (ch < 0 || pt[0] <= ch) {
+			ch = pt[0]
+			pt = pt[1:]
+		}
+		j, k := i, i // broadcast keys are even and sort first
+		for ; k < len(keys) && keys[k]>>1 == uint32(ch); k++ {
+			j += int(^keys[k] & 1)
+		}
+		bs, live := ids[i:j:j], ids[j:k:k]
+		i = k
 		var pk []NodeID
 		if sparse && (len(bs) > 0 || e.obs != nil) {
-			pk = e.unarmed(ch, e.compactParked(slot, ch))
+			pk = e.compactParked(slot, ch)
+			if len(bs)+len(live)+len(pk) == 0 {
+				continue // a parked-touched channel nobody is parked on any more
+			}
+			pk = e.armed(ch, bs, pk)
 		}
 		winner := None
 		if len(bs) > 0 {
@@ -528,16 +541,15 @@ func (e *Engine) RunWhile(maxSlots int, cond func() bool) (int, error) {
 }
 
 // scanShards is the dense phase-A scan. Each shard steps its contiguous
-// node range into a private pend list — shards 1.. on their own goroutines,
-// shard 0 (the whole scan when serial) on the caller's — and the lists are
-// then merged into the per-channel buckets in shard-ascending order.
-// Because shard ranges partition [0, n) in order and each shard appends in
-// node order, the buckets, the active-channel sequence and maxCh do not
-// depend on the shard count, and phase B (including its RNG draws) observes
-// no difference. A shard stops at its first failing node, so the first
-// failing shard holds the lowest failing node and the serial scan's error;
-// nodes past it in later shards may already have stepped, but scan errors
-// are fatal to the run so no caller observes the difference.
+// node range into a private entry list — shards 1.. on their own
+// goroutines, shard 0 (the whole scan when serial) on the caller's — and
+// sortActions reads the lists in shard order. Shard ranges partition
+// [0, n) in order and each shard files in node order, so the sorted entries
+// and phase B (its RNG draws included) do not depend on the shard count. A
+// shard stops at its first failing node, so the first failing shard holds
+// the lowest failing node and the serial scan's error; nodes past it in
+// later shards may already have stepped, but scan errors are fatal to the
+// run so no caller observes the difference.
 func (e *Engine) scanShards(slot int) error {
 	e.scanSlot = slot
 	for i := 1; i < len(e.shardAcc); i++ {
@@ -551,22 +563,15 @@ func (e *Engine) scanShards(slot int) error {
 			return err
 		}
 	}
-	for i := range e.shardAcc {
-		for _, pa := range e.shardAcc[i].pend {
-			e.bucket(pa.node, pa.phys, pa.op)
-		}
-	}
 	return nil
 }
 
-// scanShard steps the nodes of one shard, buffering non-idle actions as
-// flat (node, phys, op) triples. It writes only shard-private state and
-// distinct e.acts elements, so shards never contend; the pend header lives
-// in a local until the scan ends, because neighbouring shardScans may share
-// a cache line.
+// scanShard steps the nodes of one shard and files their non-idle actions.
+// It writes only shard-private state and distinct e.acts elements, so
+// shards never contend, and neighbouring shardScans' fields are a
+// histogram apart.
 func (e *Engine) scanShard(sc *shardScan, slot int) {
-	pend := sc.pend[:0]
-	sc.err = nil
+	sc.begin()
 	for i, hi := sc.lo, sc.hi; i < hi; i++ {
 		p := e.nodes[i]
 		if p.Done() {
@@ -581,11 +586,10 @@ func (e *Engine) scanShard(sc *shardScan, slot int) {
 		phys, err := e.physChannel(NodeID(i), slot, act)
 		if err != nil {
 			sc.err = err
-			break
+			return
 		}
-		pend = append(pend, pendingAct{node: NodeID(i), phys: phys, op: act.Op})
+		sc.file(NodeID(i), phys, act.Op)
 	}
-	sc.pend = pend
 }
 
 // physChannel validates node id's non-idle action and maps its local
@@ -601,59 +605,105 @@ func (e *Engine) physChannel(id NodeID, slot int, act Action) (int, error) {
 	if phys < 0 {
 		return 0, fmt.Errorf("sim: slot %d: assignment mapped node %d to negative physical channel %d", slot, id, phys)
 	}
+	if phys > maxPhys {
+		return 0, fmt.Errorf("sim: slot %d: assignment mapped node %d to physical channel %d above %d", slot, id, phys, maxPhys)
+	}
 	if act.Op != OpListen && act.Op != OpBroadcast {
 		return 0, fmt.Errorf("sim: slot %d: node %d produced invalid op %d", slot, id, act.Op)
 	}
 	return phys, nil
 }
 
-// bucket files a validated action of node id on physical channel phys.
-// Callers insert in node-ascending order, which is the order resolution
-// delivers in.
-func (e *Engine) bucket(id NodeID, phys int, op Op) {
-	if phys >= len(e.bcast) {
-		e.growScratch(phys + 1)
-	}
-	e.touch(phys)
+// begin empties the shard's entries and the histogram slots they reached.
+func (sc *shardScan) begin() {
+	clear(sc.cnt[:min(sc.maxKey, digitMask)+1])
+	sc.pend, sc.maxKey, sc.bcasts, sc.err = sc.pend[:0], 0, 0, nil
+}
+
+// file appends node id's validated action on physical channel phys as the
+// entry key<<32 | id, keyed phys<<1 for a broadcast and phys<<1|1 for a
+// listen. Callers file in node order, which sorting keeps within a key.
+func (sc *shardScan) file(id NodeID, phys int, op Op) {
+	key := uint64(phys) << 1
 	if op == OpListen {
-		e.listen[phys] = append(e.listen[phys], id)
+		key |= 1
 	} else {
-		e.bcast[phys] = append(e.bcast[phys], id)
-		e.broadcasts++
+		sc.bcasts++
+	}
+	sc.maxKey = max(sc.maxKey, key)
+	sc.cnt[key&digitMask]++
+	sc.pend = append(sc.pend, key<<32|uint64(id))
+}
+
+// sortActions sorts the slot's entries stably by key into ids and keys: a
+// least-significant-digit radix sort with a pass per digitBits of the
+// largest key, the first scattering the shard lists in shard order by
+// their summed histograms, each counting the next digit, the last writing
+// ids and keys. A slot of a handful of entries, typically a sparse one, is
+// insertion-sorted instead, which skips the walks over every bucket.
+func (e *Engine) sortActions() {
+	var maxKey uint64
+	m := 0
+	for i := range e.shardAcc {
+		maxKey = max(maxKey, e.shardAcc[i].maxKey)
+		m += len(e.shardAcc[i].pend)
+	}
+	e.ids, e.keys = e.ids[:m], e.keys[:m]
+	if m <= 16 {
+		n := 0
+		for i := range e.shardAcc {
+			for _, ent := range e.shardAcc[i].pend {
+				j := n
+				for ; j > 0 && e.keys[j-1] > uint32(ent>>32); j-- {
+					e.keys[j], e.ids[j] = e.keys[j-1], e.ids[j-1]
+				}
+				e.keys[j], e.ids[j] = uint32(ent>>32), NodeID(uint32(ent))
+				n++
+			}
+		}
+		return
+	}
+	for i := range e.shardAcc {
+		for d, c := range e.shardAcc[i].cnt[:min(maxKey, digitMask)+1] {
+			e.cnt[d] += c
+		}
+	}
+	passes := max(1, (bits.Len64(maxKey)+digitBits-1)/digitBits)
+	for p := 0; p < passes; p++ {
+		shift, sum := uint(p*digitBits), uint32(0)
+		for d := range min(maxKey>>shift, digitMask) + 1 {
+			e.off[d], sum, e.cnt[d] = sum, sum+e.cnt[d], 0
+		}
+		var dst []uint64
+		if p < passes-1 {
+			if cap(e.spill[p%2]) < m {
+				e.spill[p%2] = make([]uint64, len(e.nodes))
+			}
+			dst = e.spill[p%2][:m]
+		}
+		if p == 0 {
+			for i := range e.shardAcc {
+				e.scatter(e.shardAcc[i].pend, dst, 32+shift)
+			}
+		} else {
+			e.scatter(e.spill[(p-1)%2][:m], dst, 32+shift)
+		}
 	}
 }
 
-// touch marks physical channel phys as used this slot, so resolution
-// visits it and the next slot's touchReset clears it.
-func (e *Engine) touch(phys int) {
-	if !e.touched[phys] {
-		e.touched[phys] = true
-		e.active = append(e.active, phys)
-		e.maxCh = max(e.maxCh, phys)
+// scatter moves src's entries to their offsets by the digit at shift: into
+// dst, counting the next digit, or, when dst is nil, into ids and keys.
+func (e *Engine) scatter(src, dst []uint64, shift uint) {
+	off, cnt, ids, keys := &e.off, &e.cnt, e.ids, e.keys
+	for _, ent := range src {
+		d := ent >> shift & digitMask
+		at := off[d]
+		off[d] = at + 1
+		if dst == nil {
+			ids[at], keys[at] = NodeID(uint32(ent)), uint32(ent>>32)
+		} else {
+			dst[at] = ent
+			cnt[ent>>(shift+digitBits)&digitMask]++
+		}
 	}
-}
-
-// growScratch extends the dense per-channel scratch to cover at least n
-// physical channels — taken at Reset time and when an assignment hands out
-// an index at or above the asn.Channels() it advertised at construction.
-func (e *Engine) growScratch(n int) {
-	if short := n - len(e.bcast); short > 0 {
-		e.bcast = append(e.bcast, make([][]NodeID, short)...)
-		e.listen = append(e.listen, make([][]NodeID, short)...)
-		e.touched = append(e.touched, make([]bool, short)...)
-	}
-	if e.sp.on {
-		e.growParked(len(e.bcast))
-	}
-}
-
-func (e *Engine) touchReset() {
-	for _, ch := range e.active {
-		e.touched[ch] = false
-		e.bcast[ch] = e.bcast[ch][:0]
-		e.listen[ch] = e.listen[ch][:0]
-	}
-	e.active = e.active[:0]
-	e.maxCh = -1
-	e.broadcasts = 0
 }

@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"runtime"
 	"testing"
 
 	"github.com/cogradio/crn/internal/sim"
@@ -148,7 +149,8 @@ func (a *underAdvertised) ChannelSet(n sim.NodeID, _ int) []int { return a.sets[
 
 // TestGrowScratchPastAdvertisedChannels drives an assignment past its
 // advertised Channels() and checks that delivery on the oversized physical
-// index still works — covering growScratch's single-resize path.
+// index still works: the engine's scratch is sized by nodes, so an index
+// past the advertised count needs no resize.
 func TestGrowScratchPastAdvertisedChannels(t *testing.T) {
 	const high = 100 // far above the advertised channel count of 2
 	asn := &underAdvertised{claim: 2, sets: [][]int{{0, high}, {0, high}}}
@@ -163,5 +165,53 @@ func TestGrowScratchPastAdvertisedChannels(t *testing.T) {
 	}
 	if len(sender.events) != 1 || sender.events[0].Kind != sim.EvSendSucceeded {
 		t.Fatalf("sender events = %+v, want one EvSendSucceeded", sender.events)
+	}
+}
+
+// spreadNode broadcasts a constant message on a slot-dependent local
+// channel in one slot of three and listens in the others, allocating
+// nothing itself.
+type spreadNode struct{ id int }
+
+func (s *spreadNode) Step(slot int) sim.Action {
+	ch := (s.id + slot) % 4
+	if (s.id+slot)%3 == 0 {
+		return sim.Broadcast(ch, "m")
+	}
+	return sim.Listen(ch)
+}
+
+func (s *spreadNode) Deliver(int, sim.Event) {}
+func (s *spreadNode) Done() bool             { return false }
+
+// TestDenseScratchIsPerNode pins that a dense engine's scratch grows with
+// its nodes, not with the assignment's channels: NewEngine and eight slots
+// over C = 10⁶ channels and n = 1000 nodes, spread over the whole channel
+// range, allocate fewer bytes than a bound that depends on n alone.
+func TestDenseScratchIsPerNode(t *testing.T) {
+	const n, channels = 1000, 1_000_000
+	asn := &edgeSets{sets: make([][]int, n), total: channels}
+	protos := make([]sim.Protocol, n)
+	for i := range protos {
+		for j := range 4 {
+			asn.sets[i] = append(asn.sets[i], (i*4+j)*(channels/(4*n)))
+		}
+		protos[i] = &spreadNode{id: i}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	e, err := sim.NewEngine(asn, protos, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 8 {
+		if err := e.RunSlot(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	const bound = 64<<10 + 256*n
+	if got := after.TotalAlloc - before.TotalAlloc; got > bound {
+		t.Errorf("NewEngine and 8 slots over %d channels allocated %d B, want at most %d B (n = %d)", channels, got, bound, n)
 	}
 }

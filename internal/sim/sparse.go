@@ -12,12 +12,12 @@ package sim
 //     stream advance exactly as they would densely.
 //   - Parked listeners stay in their channel's delivery set: any broadcast
 //     there reaches them through the same node-ascending order the dense
-//     bucket would have produced, and re-wakes them eagerly — the next
-//     slot steps them again.
+//     run would have held, and re-wakes them eagerly — the next slot
+//     steps them again.
 //   - Standing broadcasters (Stand) sit in their channel's parked list and
 //     in a group per wake key. In the slot after a message carrying the
 //     key wins the channel, the group joins the channel's broadcasters in
-//     node order, exactly where dense stepping would have bucketed them,
+//     node order, exactly where dense stepping would have filed them,
 //     so the tie-break draw and the winner do not change.
 //   - A CatchUpper node that stands or sits in a quiet park is served
 //     deaf: its deliveries are skipped and reported as one slot range
@@ -86,7 +86,7 @@ type sparseState struct {
 	armKey   []WakeKey      // phys channel -> key of the group broadcasting now, NoKey = none
 	armedNow []int          // channels with armKey set
 	pscratch []NodeID       // this slot's parked lists without their armed standers
-	deafHere []bool         // phys channel -> a deaf node may be in this slot's buckets
+	deafHere []bool         // phys channel -> a deaf node may be in this slot's runs
 	deafChs  []int          // channels with deafHere set
 }
 
@@ -188,12 +188,12 @@ func (e *Engine) resetSparse() {
 	sp.armedNow = sp.armedNow[:0]
 	sp.arms = sp.arms[:0]
 	e.clearDeafHere()
-	e.growParked(len(e.bcast))
+	e.growParked(e.asn.Channels())
 }
 
-// growParked extends the per-channel parked-listener scratch alongside the
-// dense channel scratch. Kept separate from growScratch so dense engines
-// over huge channel spaces pay nothing for it.
+// growParked extends the per-channel sparse state to cover at least n
+// physical channels, past asn.Channels() should an assignment hand out a
+// larger index. Dense engines keep no per-channel state.
 func (e *Engine) growParked(n int) {
 	sp := &e.sp
 	if short := n - len(sp.parked); short > 0 {
@@ -209,13 +209,15 @@ func (e *Engine) growParked(n int) {
 
 // scanSparse is the event-driven phase-A scan: merge the standing awake
 // list with this slot's re-woken nodes in ascending node order and step
-// exactly those, validating and bucketing as the dense scan does. Dormant
+// exactly those, validating and filing as the dense scan does. Dormant
 // nodes were validated when they parked and their (unchanged, per the
 // Sleep contract) actions stay valid under a Fixed assignment, so
 // the first failing node among awake nodes is the first failing node
 // overall — error strings match the dense scan's.
 func (e *Engine) scanSparse(slot int) error {
 	sp := &e.sp
+	sc := &e.shardAcc[0]
+	sc.begin()
 	e.clearDeafHere()
 	for len(sp.heap) > 0 {
 		top := sp.heap[0]
@@ -271,7 +273,10 @@ func (e *Engine) scanSparse(slot int) error {
 			if phys, err = e.physChannel(NodeID(v), slot, act); err != nil {
 				return err
 			}
-			e.bucket(NodeID(v), phys, act.Op)
+			if phys >= len(sp.parked) {
+				e.growParked(phys + 1)
+			}
+			sc.file(NodeID(v), phys, act.Op)
 		}
 		switch {
 		case !live:
@@ -366,7 +371,7 @@ func (e *Engine) parkIdle(v int32, slot, k int) {
 }
 
 // parkListen parks a listening node on its physical channel. This slot it
-// is still in the live listen bucket (it was stepped); the parked entry
+// is still in the live listen run (it was stepped); the parked entry
 // takes effect afterwards, which commitParked arranges — unless a delivery
 // this very slot wakes it first. A stand parks the same way, quiet, with
 // standKey already set: it is a parked listener that broadcasts when its
@@ -472,11 +477,11 @@ func (e *Engine) leaveStand(v int32) {
 }
 
 // mergeStands runs after the scan: every group armed by the previous
-// slot's keyed wins joins its channel's broadcasters. Stepped broadcasters
-// and standers are disjoint and both ascending, so an in-place merge from
-// the back yields the bucket a dense scan would have filled, in its order.
+// slot's keyed wins is filed as broadcasters of its channel, after the
+// stepped ones, and armed merges the two in the channel's sorted run.
 func (e *Engine) mergeStands() {
 	sp := &e.sp
+	sc := &e.shardAcc[0]
 	for _, ch := range sp.armedNow {
 		sp.armKey[ch] = NoKey
 	}
@@ -489,36 +494,39 @@ func (e *Engine) mergeStands() {
 		sp.armKey[a.ch] = a.key
 		sp.armedNow = append(sp.armedNow, a.ch)
 		e.markDeafHere(a.ch)
-		e.touch(a.ch)
-		e.broadcasts += len(g.ids)
-		bs := e.bcast[a.ch]
-		i, j := len(bs)-1, len(g.ids)-1
-		bs = append(bs, g.ids...)
-		for k := len(bs) - 1; j >= 0; k-- {
-			if i >= 0 && bs[i] > g.ids[j] {
-				bs[k] = bs[i]
-				i--
-			} else {
-				bs[k] = g.ids[j]
-				j--
-			}
+		for _, v := range g.ids {
+			sc.file(v, a.ch, OpBroadcast)
 		}
-		e.bcast[a.ch] = bs
 	}
 	sp.arms = sp.arms[:0]
 }
 
-// unarmed returns channel ch's parked list pk without the standers that
-// broadcast this slot, in this slot's pscratch, which outlives the channel
-// because the observer reads every channel's list at the end of the slot.
-func (e *Engine) unarmed(ch int, pk []NodeID) []NodeID {
+// armed applies the stand group broadcasting on channel ch, if any, to its
+// broadcasters bs and parked list pk. Stepped broadcasters and standers are
+// disjoint, both ascending, and sorted in that order, so an in-place merge
+// from the back yields the run a dense scan would have filed. The returned
+// pk lacks the standers and lives in this slot's pscratch, which outlives
+// the channel because the observer reads every list at the end of the slot.
+func (e *Engine) armed(ch int, bs, pk []NodeID) []NodeID {
 	sp := &e.sp
-	if sp.armKey[ch] == NoKey {
+	key := sp.armKey[ch]
+	if key == NoKey {
 		return pk
+	}
+	g := e.group(ch, key, false).ids
+	i, j := len(bs)-len(g)-1, len(g)-1
+	for k := len(bs) - 1; j >= 0; k-- {
+		if i >= 0 && bs[i] > g[j] {
+			bs[k] = bs[i]
+			i--
+		} else {
+			bs[k] = g[j]
+			j--
+		}
 	}
 	start := len(sp.pscratch)
 	for _, v := range pk {
-		if sp.standKey[v] != sp.armKey[ch] {
+		if sp.standKey[v] != key {
 			sp.pscratch = append(sp.pscratch, v)
 		}
 	}
@@ -551,9 +559,9 @@ func (e *Engine) standing(act *Action) bool {
 }
 
 // markDeafHere notes that a node served deaf may sit in channel ch's
-// buckets this slot — a stand or quiet park that starts here, or an armed
+// runs this slot — a stand or quiet park that starts here, or an armed
 // group — so its deliveries must go through hearingListeners and
-// hearingBroadcasters. Elsewhere the live buckets are delivered to as they
+// hearingBroadcasters. Elsewhere the live runs are delivered to as they
 // are, without a copy.
 func (e *Engine) markDeafHere(ch int) {
 	sp := &e.sp
@@ -588,7 +596,7 @@ func (e *Engine) catchUp(id NodeID, slot int) {
 // removes duplicates (a timer wake followed by a re-park on the same
 // channel leaves the old entry behind). An entry is live only if the park
 // predates this slot: a node whose timer expired and that re-parked on the
-// same channel this very slot is in the live listen bucket — it was stepped
+// same channel this very slot is in the live listen run — it was stepped
 // — and its old entry must not double-deliver. Every way an entry stops
 // being live goes through wakeNode or retireNode, which mark the list
 // stale, so a list that is neither stale nor dirty is returned untouched.
@@ -624,22 +632,11 @@ func (e *Engine) compactParked(slot, ch int) []NodeID {
 	return lst
 }
 
-// touchParked marks every channel that holds live parked listeners as used
-// this slot, so an observed slot reports a channel whose only listeners are
-// parked, exactly as the dense scan would have bucketed them.
-func (e *Engine) touchParked(slot int) {
-	for _, ch := range e.sp.parkedTouch {
-		if len(e.compactParked(slot, ch)) > 0 {
-			e.touch(ch)
-		}
-	}
-}
-
-// hearingListeners merges the live listen bucket with the channel's
+// hearingListeners merges the live listen run with the channel's
 // compacted parked list in ascending node order — exactly the order the
-// dense bucket would have held, since a dense scan appends listeners in
+// dense run would have held, since a dense scan appends listeners in
 // node order and the two sets are disjoint (a parked node is not stepped,
-// so it is never in the live bucket) — and leaves out the nodes served
+// so it is never in the live run) — and leaves out the nodes served
 // deaf. Only deliveries need the list; it lives in lscratch (capacity n)
 // until the next channel's merge.
 func (e *Engine) hearingListeners(live, pk []NodeID) []NodeID {
