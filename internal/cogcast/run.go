@@ -59,10 +59,11 @@ type RunConfig struct {
 	// 0 or 1 means serial.
 	Shards int
 	// Sparse enables event-driven stepping (sim.WithSparse). COGCAST nodes
-	// draw a channel every slot, so they never declare dormancy; what the
-	// sparse engine still buys here is exact done-node retirement and an
-	// O(1) AllDone. The big wins belong to protocols with quiescent phases
-	// (COGCOMP's census, the hopping baseline). Byte-identical either way.
+	// draw a channel every slot and never finish, so they never declare
+	// dormancy: a sparse engine still steps every node every slot, and only
+	// differs in running its scan on one shard whatever Shards asks. The
+	// wins belong to protocols with quiescent phases (COGCOMP's census, the
+	// hopping baseline). Byte-identical either way.
 	Sparse bool
 	// Context, when non-nil, is checked at every slot boundary
 	// (sim.WithContext): a done context stops the run with a

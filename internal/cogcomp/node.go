@@ -55,7 +55,9 @@ type infCluster struct {
 	size int
 }
 
-// Node is one COGCOMP participant. It implements sim.Protocol.
+// Node is one COGCOMP participant. It implements sim.Protocol. Its idle
+// and holding-pattern actions carry dormancy hints in every engine mode:
+// each honours the Action.Sleep contract, and a dense engine ignores them.
 type Node struct {
 	id     sim.NodeID
 	n      int
@@ -135,11 +137,6 @@ type Node struct {
 	maxMsgSize int
 	done       bool
 
-	// dormant enables dormancy hints on the node's idle and holding-pattern
-	// actions (see SetDormant). Off by default: hints cost a few branches
-	// and only a sparse engine consumes them.
-	dormant bool
-
 	// Multi-round session state (see session.go). roundSteps == 0 means the
 	// classic single-round protocol.
 	rounds        []int64 // per-round inputs; index 0 == input
@@ -178,7 +175,6 @@ func (nd *Node) reinit(view sim.NodeView, source bool, n, phase1Len int, input i
 		f:           f,
 		input:       input,
 		cast:        cast,
-		dormant:     nd.dormant,
 		p2start:     phase1Len,
 		p3start:     phase1Len + n,
 		p3base:      phase1Len + n,
@@ -245,15 +241,6 @@ func (nd *Node) Deliver(slot int, ev sim.Event) {
 // Done implements sim.Protocol.
 func (nd *Node) Done() bool { return nd.done }
 
-// SetDormant enables (or disables) dormancy hints on the node's idle and
-// holding-pattern actions, for consumption by a sparse engine
-// (sim.WithSparse). Hints never change the node's visible behavior — a
-// dense engine ignores them — and every hint honors the Action.Sleep
-// contract: the skipped Steps would have returned the same op, channel and
-// message, mutated no state and drawn no randomness. The setting survives
-// Reinit.
-func (nd *Node) SetDormant(on bool) { nd.dormant = on }
-
 // --- Phase 1: COGCAST -------------------------------------------------------
 
 // deliverPhase1 hands the outcome to COGCAST and logs the slot if phase three
@@ -297,10 +284,7 @@ func (nd *Node) stepPhase2(slot int) sim.Action {
 		// through the rest of the window is pure, so it carries a hint up
 		// to (not across) the phase boundary — the waking Step runs
 		// initPhase3.
-		if k := nd.p3start - 1 - slot; nd.dormant && k > 0 {
-			return sim.Sleep(k)
-		}
-		return sim.Idle()
+		return sim.Sleep(nd.p3start - 1 - slot)
 	}
 	if !nd.censusDone {
 		// A contender re-sends the same entry every slot until it wins,
@@ -308,10 +292,7 @@ func (nd *Node) stepPhase2(slot int) sim.Action {
 		// census message carries the census key, and while contenders are
 		// left on the channel one of their entries wins each slot, which
 		// re-arms the rest for the next.
-		if k := nd.p3start - 1 - slot; nd.dormant && k > 0 {
-			return sim.Stand(nd.ch0, nd.censusWire, censusKey, k).Keyed(censusKey)
-		}
-		return sim.Broadcast(nd.ch0, nd.censusWire).Keyed(censusKey)
+		return sim.Stand(nd.ch0, nd.censusWire, censusKey, nd.p3start-1-slot).Keyed(censusKey)
 	}
 	// Census done: pure listening until the rewind. The park is quiet —
 	// every census broadcast on the channel still reaches the roster, but
@@ -319,10 +300,7 @@ func (nd *Node) stepPhase2(slot int) sim.Action {
 	// engine need not re-step it per delivery. Without the quiet flag the
 	// drain would re-wake the channel's whole audience every slot, making
 	// sparse census Θ(n·m) in steps instead of Θ(m²) in deliveries.
-	if k := nd.p3start - 1 - slot; nd.dormant && k > 0 {
-		return sim.ParkListenQuiet(nd.ch0, k)
-	}
-	return sim.Listen(nd.ch0)
+	return sim.ParkListenQuiet(nd.ch0, nd.p3start-1-slot)
 }
 
 func (nd *Node) deliverPhase2(slot int, ev sim.Event) {
@@ -398,8 +376,9 @@ func (nd *Node) stepPhase3(slot int) sim.Action {
 	switch {
 	case !ok:
 		// A roleless node would retune to the rewound channel; staying off
-		// the air is observably identical and cheaper.
-		return nd.idleRewind(slot)
+		// the air is observably identical and cheaper. Idling is pure, so
+		// the hint spans the gap to the node's next acting rewound slot.
+		return sim.Sleep(nd.rewindGap(slot))
 	case a.won:
 		// This node informed the cluster of the rewound slot and channel —
 		// if the cluster is nonempty its members report their size now.
@@ -422,17 +401,6 @@ func (nd *Node) seek(j int) (act, bool) {
 		return nd.acts[nd.cur-1], true
 	}
 	return act{}, false
-}
-
-// idleRewind is a roleless phase-three slot: pure idling, so it carries a
-// dormancy hint spanning the gap to the node's next acting rewound slot.
-func (nd *Node) idleRewind(slot int) sim.Action {
-	if nd.dormant {
-		if k := nd.rewindGap(slot); k > 0 {
-			return sim.Sleep(k)
-		}
-	}
-	return sim.Idle()
 }
 
 // rewindGap returns how many upcoming phase-three slots (after slot, which
@@ -593,10 +561,7 @@ func (nd *Node) stepPhase4(slot int) sim.Action {
 		if nd.roundFinished {
 			// Idle until the next round boundary, whose Step runs
 			// resetRound — the hint must wake the node exactly there.
-			if k := nd.roundBoundary() - slot - 1; nd.dormant && k > 0 {
-				return sim.Sleep(k)
-			}
-			return sim.Idle()
+			return sim.Sleep(nd.holdBound(slot))
 		}
 	}
 	if sub == 0 {
@@ -680,16 +645,10 @@ func (nd *Node) roundBoundary() int {
 //     bound that expires lands on a round boundary, where resetRound
 //     resets it.
 func (nd *Node) send(slot int) sim.Action {
-	if nd.dormant && !nd.isMediator {
-		k := sim.Forever
-		if nd.roundSteps > 0 {
-			k = nd.roundBoundary() - slot - 1
-		}
-		if k > 0 {
-			return sim.Stand(nd.ch0, nd.valueWire, announceKey(nd.r0), k)
-		}
+	if nd.isMediator {
+		return sim.Broadcast(nd.ch0, nd.valueWire)
 	}
-	return sim.Broadcast(nd.ch0, nd.valueWire)
+	return sim.Stand(nd.ch0, nd.valueWire, announceKey(nd.r0), nd.holdBound(slot))
 }
 
 // wait returns the Listen action for a phase-four holding pattern, carrying
@@ -702,15 +661,21 @@ func (nd *Node) send(slot int) sim.Action {
 // the phase-four schedule and always run dense, and a pending ack breaks
 // the pattern on the next sub-slot, so neither parks.
 func (nd *Node) wait(slot, ch int) sim.Action {
-	if nd.dormant && !nd.isMediator && nd.pendingAck == sim.None {
-		if nd.roundSteps == 0 {
-			return sim.ParkListen(ch, sim.Forever)
-		}
-		if k := nd.roundBoundary() - slot - 1; k > 0 {
-			return sim.ParkListen(ch, k)
-		}
+	if nd.isMediator || nd.pendingAck != sim.None {
+		return sim.Listen(ch)
 	}
-	return sim.Listen(ch)
+	return sim.ParkListen(ch, nd.holdBound(slot))
+}
+
+// holdBound returns how long a phase-four hint may last from slot on:
+// open-ended in the classic single-round protocol, and up to (not across)
+// the next round boundary in a session, whose resetRound is a real state
+// change.
+func (nd *Node) holdBound(slot int) int {
+	if nd.roundSteps == 0 {
+		return sim.Forever
+	}
+	return nd.roundBoundary() - slot - 1
 }
 
 func (nd *Node) deliverPhase4(slot int, ev sim.Event) {

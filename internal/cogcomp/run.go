@@ -48,11 +48,12 @@ type Config struct {
 	// goroutines (sim.WithShards). Results are byte-identical at any value;
 	// 0 or 1 means serial.
 	Shards int
-	// Sparse enables event-driven stepping (sim.WithSparse): nodes emit
-	// dormancy hints and the engine scans only awake nodes, which collapses
-	// the census window's Θ(n²) node-steps to O(events). Executions are
-	// byte-identical to dense runs, Trace and Check included; the engine
-	// silently runs dense when the assignment is not sim.Fixed.
+	// Sparse enables event-driven stepping (sim.WithSparse): the engine
+	// honours the dormancy hints nodes always emit and scans only awake
+	// nodes, which collapses the census window's Θ(n²) node-steps to
+	// O(events). Executions are byte-identical to dense runs, Trace and
+	// Check included; the engine silently runs dense when the assignment
+	// is not sim.Fixed.
 	Sparse bool
 	// Context, when non-nil, is checked at every slot boundary
 	// (sim.WithContext): a done context stops the run with a
@@ -178,14 +179,6 @@ func (a *Arena) Prepare(asn sim.Assignment, source sim.NodeID, inputs []int64, s
 	if err := a.build(asn, source, n, l, func(i int) int64 { return inputs[i] }, f, seed, a.engOpts, wrap); err != nil {
 		return nil, nil, 0, err
 	}
-	// Emit dormancy hints only when the engine actually engaged sparse
-	// stepping (the request may have been gated off by an assignment that
-	// is not sim.Fixed); hints are inert under a dense engine but cost a few
-	// branches per Step.
-	dormant := a.eng.Sparse()
-	for _, nd := range a.nodes {
-		nd.SetDormant(dormant)
-	}
 	return a.nodes, a.eng, l, nil
 }
 
@@ -210,12 +203,30 @@ func (a *Arena) RunWith(asn sim.Assignment, source sim.NodeID, inputs []int64, s
 	if maxSlots == 0 {
 		maxSlots = DefaultMaxSlots(n, l)
 	}
-	var total int
-	if cfg.Trace == nil {
-		total, err = eng.Run(maxSlots)
-	} else {
-		total, err = runTraced(eng, maxSlots, l, n, cfg.Trace)
+	// A traced run emits each phase event the moment the run crosses its
+	// nominal boundary (phases one to three have the fixed lengths l, n, l;
+	// phase four starts at 2l+n and runs to completion). Tiny networks may
+	// finish before a boundary, and then the remaining phase events are not
+	// emitted, matching the run's actual shape rather than the nominal one.
+	var phases []trace.Event
+	if cfg.Trace != nil {
+		phases = []trace.Event{
+			trace.PhaseEvent(0, 1, l),
+			trace.PhaseEvent(l, 2, n),
+			trace.PhaseEvent(l+n, 3, l),
+			trace.PhaseEvent(2*l+n, 4, 0),
+		}
 	}
+	total, err := eng.RunWhile(maxSlots, func() bool {
+		if eng.AllDone() {
+			return false
+		}
+		for len(phases) > 0 && eng.Slot() >= phases[0].Slot {
+			cfg.Trace.Emit(phases[0])
+			phases = phases[1:]
+		}
+		return true
+	})
 	if err != nil {
 		return nil, fmt.Errorf("cogcomp: %w (after %d slots; l=%d n=%d)", err, total, l, n)
 	}
@@ -308,33 +319,4 @@ func (a *Arena) CheckRun(res *Result, source sim.NodeID) error {
 // fresh one per call.
 func Run(asn sim.Assignment, source sim.NodeID, inputs []int64, seed int64, cfg Config) (*Result, error) {
 	return new(Arena).Run(asn, source, inputs, seed, cfg)
-}
-
-// runTraced mirrors eng.Run(maxSlots) slot by slot so phase-transition
-// events can be emitted the moment the run crosses the nominal phase
-// boundaries (phases one to three have the fixed lengths l, n, l; phase
-// four starts at 2l+n and runs to completion). Tiny networks may finish
-// before a boundary, in which case the remaining phase events are not
-// emitted — matching the run's actual shape rather than the nominal one.
-func runTraced(eng *sim.Engine, maxSlots, l, n int, sink trace.Sink) (int, error) {
-	boundaries := []trace.Event{
-		trace.PhaseEvent(0, 1, l),
-		trace.PhaseEvent(l, 2, n),
-		trace.PhaseEvent(l+n, 3, l),
-		trace.PhaseEvent(2*l+n, 4, 0),
-	}
-	next := 0
-	for !eng.AllDone() {
-		for next < len(boundaries) && eng.Slot() >= boundaries[next].Slot {
-			sink.Emit(boundaries[next])
-			next++
-		}
-		if eng.Slot() >= maxSlots {
-			return eng.Slot(), sim.ErrMaxSlots
-		}
-		if err := eng.RunSlot(); err != nil {
-			return eng.Slot(), err
-		}
-	}
-	return eng.Slot(), nil
 }

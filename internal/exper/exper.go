@@ -74,8 +74,8 @@ type Config struct {
 	// collapses COGCOMP's census window from Θ(n²) node-steps to O(events).
 	// Tables and traces are byte-identical either way, Trace and Check
 	// included, so the flag only moves wall-clock. The recovery supervisor
-	// (Recover) always runs dense: its fault wrappers void dormancy
-	// promises.
+	// (Recover) always runs dense: it rewrites node state between slots,
+	// which would break a parked node's promise.
 	Sparse bool
 	// Context, when non-nil, makes the experiment cancellable: the worker
 	// pool stops claiming new trials once it is done (surfacing a

@@ -75,8 +75,9 @@ const (
 //     budget covering the full retry schedule: every epoch re-executed to
 //     cogcomp.DefaultMaxSlots, plus the capped backoff gaps. Exhausting it
 //     does not fail the run: the supervisor gives up and reports Stalled.
-//   - Sparse is ignored: the supervisor always steps densely, because its
-//     crash wrappers void dormancy promises.
+//   - Sparse is ignored: the supervisor always steps densely, because it
+//     rewrites node state between slots (Hold, ResetCensus, MarkOwnSent,
+//     AssumeMediator), which would break the promise of a parked node.
 //   - Shards is forced to 1 when Schedule and Trace are both set: crashers
 //     emit fault and restart events from inside Step, and a sharded scan
 //     would interleave them nondeterministically in the trace.
@@ -188,8 +189,8 @@ func (a *Arena) Run(asn sim.Assignment, source sim.NodeID, inputs []int64, seed 
 		a.crashers = a.crashers[:0]
 	}
 	ccfg := cfg.Config
-	// Crash wrappers void dormancy promises, so supervised runs step
-	// densely.
+	// The supervisor rewrites node state between slots, which would break
+	// a parked node's promise, so supervised runs step densely.
 	ccfg.Sparse = false
 	if cfg.Schedule != nil && cfg.Trace != nil {
 		// Traced fault runs must stay serial: crashers emit fault/restart

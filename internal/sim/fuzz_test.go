@@ -171,6 +171,9 @@ func FuzzEngineSlot(f *testing.F) {
 	// The same stands and quiet parks under AllDelivered, where every
 	// stander is stepped again and every catching node hears.
 	f.Add(uint8(2), uint8(0x80|5), int64(5), standSeed)
+	// A stand group armed on a channel whose stepped broadcasters have
+	// higher ids than its stander (TestEngineSlotSeedArmsBelowStepped).
+	f.Add(armSeed.rawN, armSeed.rawC, armSeed.seed, armSeed.script)
 	f.Fuzz(func(t *testing.T, rawN, rawC uint8, seed int64, script []byte) {
 		checkEngineSlot(t, rawN, rawC, seed, script)
 	})
@@ -186,6 +189,27 @@ var parkSeed = struct {
 // standSeed is FuzzEngineSlot's script of four nodes standing and
 // quiet-parking on one channel.
 var standSeed = []byte("\xaa\xaa\xac\xac\x08\x01\x08\x01\xaa\x02\xaa\x02\x01\x01\x01\x01\xac\xaa\xac\xaa\x02\x01\x02\x01\x08\x08\x01\x01\x01\x01\x01\x01")
+
+// armSeed is FuzzEngineSlot's script of five nodes on one shared channel:
+// in slot 0 node 0 stands awaiting key 1 while nodes 2 and 4 broadcast
+// messages carrying key 1, and in slot 1, where node 0's script idles,
+// nodes 2 and 4 broadcast again.
+var armSeed = struct {
+	rawN, rawC uint8
+	seed       int64
+	script     []byte
+}{3, 0, 1, []byte("\xb0\x01\x05\x01\x05\x00\x01\x05\x01\x05\x01\x01\x01\x01\x01")}
+
+// TestEngineSlotSeedArmsBelowStepped pins what armSeed is for: one of
+// nodes 2 and 4 wins slot 0 with key 1, so in slot 1 node 0's stand group
+// joins the stepped broadcasters 2 and 4 and must be merged in front of
+// them, as a dense scan files it.
+func TestEngineSlotSeedArmsBelowStepped(t *testing.T) {
+	outs := checkEngineSlot(t, armSeed.rawN, armSeed.rawC, armSeed.seed, armSeed.script)
+	if slot1 := strings.Split(outs.String(), "\n")[1]; !strings.Contains(slot1, " b[0 2 4] ") {
+		t.Fatalf("slot 1 is %q, want node 0's armed stand among broadcasters [0 2 4]", slot1)
+	}
+}
 
 // TestEngineSlotSeedParksTwoChannels pins what parkSeed is for: its sparse
 // run reports parked listeners on two channels in one slot.

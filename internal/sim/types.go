@@ -56,7 +56,7 @@ type Message any
 // the node's assignment, so protocols can be written against local labels
 // only, exactly as the model prescribes.
 //
-// Sleep is an optional dormancy hint (see Forever). A non-zero Sleep on an
+// Sleep is an optional dormancy hint (see Forever). A positive Sleep on an
 // OpIdle or OpListen action promises: "absent any delivery to this node, my
 // next Sleep calls to Step would return exactly this action, mutate no
 // state, and draw no randomness." A sparse engine (WithSparse) uses the
@@ -66,7 +66,11 @@ type Message any
 // executions byte-identical. On an OpBroadcast action the hint means
 // nothing unless Await names a wake key, which makes the broadcast a
 // standing one (see Stand); a plain broadcaster always gets feedback, so
-// it is stepped again in the next slot.
+// it is stepped again in the next slot. A Sleep <= 0 promises nothing: the
+// action is the plain one, whatever Quiet and Await say, so a protocol may
+// pass a bound that has run down to zero or below straight to Sleep,
+// ParkListen, ParkListenQuiet or Stand (FuzzEngineSlot's scripted holds
+// issue Sleep = 0 in their last slot).
 //
 // The field order packs Op, Quiet and Key into one word, so the wake keys
 // do not grow the engine's per-node action buffer.
@@ -108,7 +112,7 @@ func Idle() Action { return Action{Op: OpIdle} }
 
 // Sleep returns an Idle action carrying a dormancy hint: the node promises
 // that, absent deliveries, its next k Steps would also return Idle with no
-// state change and no RNG draws.
+// state change and no RNG draws. With k <= 0 it acts as Idle().
 func Sleep(k int) Action { return Action{Op: OpIdle, Sleep: k} }
 
 // Listen returns the action of listening on local channel ch.
@@ -118,7 +122,7 @@ func Listen(ch int) Action { return Action{Op: OpListen, Channel: ch} }
 // promises that, absent deliveries, its next k Steps would also return
 // Listen(ch) with no state change and no RNG draws. A sparse engine keeps
 // the node tuned to the channel (any broadcast there is delivered and
-// re-wakes it) without stepping it.
+// re-wakes it) without stepping it. With k <= 0 it acts as Listen(ch).
 func ParkListen(ch, k int) Action { return Action{Op: OpListen, Channel: ch, Sleep: k} }
 
 // ParkListenQuiet is ParkListen with a stronger promise: deliveries may
@@ -131,7 +135,7 @@ func ParkListen(ch, k int) Action { return Action{Op: OpListen, Channel: ch, Sle
 // every slot. A delivery that flips the node's Done still retires it. A
 // protocol that implements CatchUpper is not delivered to at all while it
 // sits in a quiet park: the engine reports the skipped slots in one
-// CatchUp call instead.
+// CatchUp call instead. With k <= 0 it acts as Listen(ch).
 func ParkListenQuiet(ch, k int) Action {
 	return Action{Op: OpListen, Channel: ch, Sleep: k, Quiet: true}
 }
@@ -155,9 +159,9 @@ func Broadcast(ch int, msg Message) Action {
 // delivery reaches it, after one CatchUp call for the skipped slots. The
 // dense engine ignores the promise and steps the node every slot, and so
 // does a sparse engine under AllDelivered, whose wins need no stand. With
-// key NoKey the broadcast is plain. The broadcast's own message carries no
-// key; set Key for that (COGCOMP's census contenders wait for the very key
-// they send).
+// key NoKey or k <= 0 the broadcast is plain. The broadcast's own message
+// carries no key; set Key for that (COGCOMP's census contenders wait for
+// the very key they send).
 func Stand(ch int, msg Message, key WakeKey, k int) Action {
 	return Action{Op: OpBroadcast, Channel: ch, Msg: msg, Sleep: k, Await: key}
 }

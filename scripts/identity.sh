@@ -8,7 +8,9 @@
 #   cogbench -quick -check
 #   cogbench -exp E20,E26,E27,E30 -trace FILE      (tables and JSONL trace)
 #   cogbench -exp E29 -quick -sparse -check
+#   cogsim -protocol cogcomp -n 2000 -check -trace FILE
 #   cogsim -protocol cogcomp -n 2000 -sparse -check -trace FILE
+#   cogsim -protocol session -n 2000 -c 16 -k 4 -C 48 -check
 #   cogsim -protocol session -n 2000 -c 16 -k 4 -C 48 -sparse -check
 #   cogsim -protocol cogcomp -n 10000 -c 16 -k 4 -C 48 -sparse
 #
@@ -37,14 +39,16 @@ for side in base new; do
 	"$d/cogbench" -quick -check >"$d/quick.txt"
 	"$d/cogbench" -exp E20,E26,E27,E30 -trace "$d/exp.jsonl" >"$d/exp.txt"
 	"$d/cogbench" -exp E29 -quick -sparse -check >"$d/e29.txt"
+	"$d/cogsim" -protocol cogcomp -n 2000 -check -trace "$d/sim-dense.jsonl" >"$d/sim-dense.txt"
 	"$d/cogsim" -protocol cogcomp -n 2000 -sparse -check -trace "$d/sim.jsonl" >"$d/sim.txt"
+	"$d/cogsim" -protocol session -n 2000 -c 16 -k 4 -C 48 -check >"$d/session-dense.txt"
 	"$d/cogsim" -protocol session -n 2000 -c 16 -k 4 -C 48 -sparse -check >"$d/session.txt"
 	"$d/cogsim" -protocol cogcomp -n 10000 -c 16 -k 4 -C 48 -sparse >"$d/census.txt"
 done
 
 strip() { grep -v -e '^\[E[0-9]* finished in .*\]$' -e '^trace: wrote ' "$1" || true; }
 status=0
-for f in quick.txt exp.txt exp.jsonl e29.txt sim.txt sim.jsonl session.txt census.txt; do
+for f in quick.txt exp.txt exp.jsonl e29.txt sim-dense.txt sim-dense.jsonl sim.txt sim.jsonl session-dense.txt session.txt census.txt; do
 	if cmp -s <(strip "$tmp/base/$f") <(strip "$tmp/new/$f"); then
 		echo "same    $f"
 	else
