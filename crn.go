@@ -143,52 +143,44 @@ func NewNetwork(spec Spec) (*Network, error) {
 	if spec.Labels == GlobalLabels {
 		model = assign.GlobalLabels
 	}
-	if spec.Dynamic {
-		if len(spec.FlipSlots) > 0 {
-			return nil, errors.New("crn: Dynamic re-draws every slot already; drop FlipSlots")
-		}
-		if spec.Topology != SharedCore {
-			return nil, errors.New("crn: dynamic networks use SharedCore semantics; set Topology: SharedCore")
-		}
-		if spec.Labels == GlobalLabels {
-			return nil, errors.New("crn: dynamic networks re-draw sets per slot and only support local labels")
-		}
-		asn, err := assign.NewDynamic(spec.Nodes, spec.ChannelsPerNode, spec.MinOverlap, spec.TotalChannels, spec.Seed)
-		if err != nil {
-			return nil, err
-		}
-		return &Network{asn: asn}, nil
-	}
-	if len(spec.FlipSlots) > 0 {
-		if spec.Topology != SharedCore {
-			return nil, errors.New("crn: flipping networks use SharedCore semantics; set Topology: SharedCore")
-		}
-		if spec.Labels == GlobalLabels {
-			return nil, errors.New("crn: flipping networks re-draw sets at flip slots and only support local labels")
-		}
-		asn, err := assign.NewFlipping(spec.Nodes, spec.ChannelsPerNode, spec.MinOverlap, spec.TotalChannels, spec.Seed, spec.FlipSlots)
-		if err != nil {
-			return nil, err
-		}
-		return &Network{asn: asn}, nil
-	}
 	var (
 		asn sim.Assignment
 		err error
 	)
-	switch spec.Topology {
-	case FullOverlap:
-		asn, err = assign.FullOverlap(spec.Nodes, spec.ChannelsPerNode, model, spec.Seed)
-	case Partitioned:
-		asn, err = assign.Partitioned(spec.Nodes, spec.ChannelsPerNode, spec.MinOverlap, model, spec.Seed)
-	case SharedCore:
-		asn, err = assign.SharedCore(spec.Nodes, spec.ChannelsPerNode, spec.MinOverlap, spec.TotalChannels, model, spec.Seed)
-	case RandomPool:
-		asn, err = assign.RandomPool(spec.Nodes, spec.ChannelsPerNode, spec.MinOverlap, spec.TotalChannels, model, spec.Seed)
-	case PairwiseDedicated:
-		asn, err = assign.PairwiseDedicated(spec.Nodes, spec.ChannelsPerNode, spec.MinOverlap, model, spec.Seed)
-	default:
-		return nil, fmt.Errorf("crn: unknown topology %d", spec.Topology)
+	if spec.Dynamic || len(spec.FlipSlots) > 0 {
+		kind, when := "flipping", "at flip slots"
+		if spec.Dynamic {
+			if len(spec.FlipSlots) > 0 {
+				return nil, errors.New("crn: Dynamic re-draws every slot already; drop FlipSlots")
+			}
+			kind, when = "dynamic", "per slot"
+		}
+		if spec.Topology != SharedCore {
+			return nil, fmt.Errorf("crn: %s networks use SharedCore semantics; set Topology: SharedCore", kind)
+		}
+		if spec.Labels == GlobalLabels {
+			return nil, fmt.Errorf("crn: %s networks re-draw sets %s and only support local labels", kind, when)
+		}
+		if spec.Dynamic {
+			asn, err = assign.NewDynamic(spec.Nodes, spec.ChannelsPerNode, spec.MinOverlap, spec.TotalChannels, spec.Seed)
+		} else {
+			asn, err = assign.NewFlipping(spec.Nodes, spec.ChannelsPerNode, spec.MinOverlap, spec.TotalChannels, spec.Seed, spec.FlipSlots)
+		}
+	} else {
+		switch spec.Topology {
+		case FullOverlap:
+			asn, err = assign.FullOverlap(spec.Nodes, spec.ChannelsPerNode, model, spec.Seed)
+		case Partitioned:
+			asn, err = assign.Partitioned(spec.Nodes, spec.ChannelsPerNode, spec.MinOverlap, model, spec.Seed)
+		case SharedCore:
+			asn, err = assign.SharedCore(spec.Nodes, spec.ChannelsPerNode, spec.MinOverlap, spec.TotalChannels, model, spec.Seed)
+		case RandomPool:
+			asn, err = assign.RandomPool(spec.Nodes, spec.ChannelsPerNode, spec.MinOverlap, spec.TotalChannels, model, spec.Seed)
+		case PairwiseDedicated:
+			asn, err = assign.PairwiseDedicated(spec.Nodes, spec.ChannelsPerNode, spec.MinOverlap, model, spec.Seed)
+		default:
+			return nil, fmt.Errorf("crn: unknown topology %d", spec.Topology)
+		}
 	}
 	if err != nil {
 		return nil, err

@@ -51,11 +51,7 @@ func (b *Builder) reuse(n, c, totalChannels, k int) *Static {
 // rand returns the builder's generator re-seeded to the stream of
 // rng.New(seed, ids...).
 func (b *Builder) rand(seed int64, ids ...int64) *rand.Rand {
-	if b.r == nil {
-		b.r = rng.New(seed, ids...)
-	} else {
-		rng.Reseed(b.r, seed, ids...)
-	}
+	b.r = rng.Reseed(b.r, seed, ids...)
 	return b.r
 }
 

@@ -60,15 +60,9 @@ func New(view sim.NodeView, source bool, payload sim.Message, seed int64) *Node 
 // allocations. A reinitialized node's behavior is draw-for-draw identical to
 // a fresh one.
 func (n *Node) Reinit(view sim.NodeView, source bool, payload sim.Message, seed int64) {
-	r := n.rand
-	if r == nil {
-		r = rng.New(seed, int64(view.ID()), 0xca57)
-	} else {
-		rng.Reseed(r, seed, int64(view.ID()), 0xca57)
-	}
 	*n = Node{
 		view:         view,
-		rand:         r,
+		rand:         rng.Reseed(n.rand, seed, int64(view.ID()), 0xca57),
 		informed:     source,
 		payload:      payload,
 		parent:       sim.None,

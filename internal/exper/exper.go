@@ -170,11 +170,7 @@ func (a *arena) compRun(cfg Config, asn sim.Assignment, source sim.NodeID, input
 // arena. Callers that need several vectors alive at once (session rounds)
 // use the allocating package-level experInputs instead.
 func (a *arena) experInputs(n int, seed int64) []int64 {
-	if a.inRand == nil {
-		a.inRand = rng.New(seed, 0x1277)
-	} else {
-		rng.Reseed(a.inRand, seed, 0x1277)
-	}
+	a.inRand = rng.Reseed(a.inRand, seed, 0x1277)
 	if cap(a.in) < n {
 		a.in = make([]int64, n)
 	}

@@ -19,6 +19,7 @@ package jamming
 
 import (
 	"fmt"
+	"math/rand"
 
 	"github.com/cogradio/crn/internal/rng"
 	"github.com/cogradio/crn/internal/sim"
@@ -54,6 +55,8 @@ type Assignment struct {
 
 	cachedSlot int
 	cached     [][]int
+	blocked    []bool     // per-node jammed mask, all false between nodes
+	r          *rand.Rand // re-seeded per (slot, node); see fill
 	sink       trace.Sink
 }
 
@@ -74,7 +77,7 @@ func NewAssignment(n, c, kJam int, jammer Jammer, seed int64) (*Assignment, erro
 	if jammer == nil {
 		return nil, fmt.Errorf("jamming: nil jammer")
 	}
-	a := &Assignment{n: n, c: c, kJam: kJam, jammer: jammer, seed: seed, cachedSlot: -1}
+	a := &Assignment{n: n, c: c, kJam: kJam, jammer: jammer, seed: seed, cachedSlot: -1, blocked: make([]bool, c)}
 	a.cached = make([][]int, n)
 	for u := range a.cached {
 		a.cached[u] = make([]int, 0, c)
@@ -118,21 +121,22 @@ func (a *Assignment) fill(slot int) {
 			// guarantee; clamp to the budget rather than corrupt the model.
 			jammed = jammed[:a.kJam]
 		}
-		blocked := make(map[int]bool, len(jammed))
 		for _, ch := range jammed {
-			if ch >= 0 && ch < a.c {
-				blocked[ch] = true
+			if ch >= 0 && ch < a.c && !a.blocked[ch] {
+				a.blocked[ch] = true
+				jammedTotal++
 			}
 		}
-		jammedTotal += len(blocked)
 		set := a.cached[u][:0]
 		for ch := 0; ch < a.c; ch++ {
-			if !blocked[ch] {
+			if a.blocked[ch] {
+				a.blocked[ch] = false
+			} else {
 				set = append(set, ch)
 			}
 		}
-		r := rng.New(a.seed, int64(slot), int64(u), 0x1a3)
-		r.Shuffle(len(set), func(i, j int) { set[i], set[j] = set[j], set[i] })
+		a.r = rng.Reseed(a.r, a.seed, int64(slot), int64(u), 0x1a3)
+		a.r.Shuffle(len(set), func(i, j int) { set[i], set[j] = set[j], set[i] })
 		a.cached[u] = set
 	}
 	a.cachedSlot = slot
@@ -148,7 +152,8 @@ func (a *Assignment) fill(slot int) {
 type RandomJammer struct {
 	c, budget int
 	seed      int64
-	buf       []int
+	r         *rand.Rand // re-seeded per (slot, node)
+	perm      []int
 }
 
 var _ Jammer = (*RandomJammer)(nil)
@@ -156,7 +161,7 @@ var _ Jammer = (*RandomJammer)(nil)
 // NewRandomJammer builds a random jammer over c channels with the given
 // per-node budget.
 func NewRandomJammer(c, budget int, seed int64) *RandomJammer {
-	return &RandomJammer{c: c, budget: budget, seed: seed, buf: make([]int, budget)}
+	return &RandomJammer{c: c, budget: budget, seed: seed}
 }
 
 // Name implements Jammer.
@@ -164,10 +169,9 @@ func (*RandomJammer) Name() string { return "random" }
 
 // Jammed implements Jammer.
 func (j *RandomJammer) Jammed(slot int, node sim.NodeID) []int {
-	r := rng.New(j.seed, int64(slot), int64(node), 0x1a4)
-	idx := r.Perm(j.c)[:j.budget]
-	copy(j.buf, idx)
-	return j.buf
+	j.r = rng.Reseed(j.r, j.seed, int64(slot), int64(node), 0x1a4)
+	j.perm = rng.PermInto(j.r, j.perm, j.c)
+	return j.perm[:j.budget]
 }
 
 // SweepJammer jams a contiguous window that slides across the spectrum,

@@ -39,8 +39,6 @@ import (
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
-
-	"github.com/cogradio/crn/internal/backoff"
 )
 
 // DefaultWorkers is the worker count used when a caller passes workers <= 0:
@@ -86,23 +84,6 @@ func (e *CanceledError) Error() string {
 
 func (e *CanceledError) Unwrap() error { return e.Cause }
 
-type options struct {
-	retryPanics bool
-}
-
-// Option configures a Map or MapArena call.
-type Option func(*options)
-
-// RetryPanics makes the pool retry a panicking trial once on a freshly
-// built arena before reporting the TrialPanicError (the panic may have left
-// the old arena corrupted mid-update). The retry is paced by a
-// backoff.RetryGap worth of scheduler yields so transient runtime pressure
-// gets a beat to clear; a second panic is reported normally. Deterministic
-// trial closures panic deterministically, so for pure simulation workloads
-// this only delays the report — it exists for infra-flake containment in
-// long-running callers.
-func RetryPanics() Option { return func(o *options) { o.retryPanics = true } }
-
 // Map runs fn(i) for every i in [0, n) on at most workers goroutines and
 // returns the results indexed by i. workers <= 0 means DefaultWorkers();
 // workers == 1 runs inline on the calling goroutine with no pool at all.
@@ -118,10 +99,10 @@ func RetryPanics() Option { return func(o *options) { o.retryPanics = true } }
 // lowest-numbered failing trial — the same error a serial loop would have
 // surfaced first — wrapped with its index. All scheduled invocations still
 // run to completion first, so fn must not depend on early exit.
-func Map[T any](ctx context.Context, n, workers int, fn func(i int) (T, error), opts ...Option) ([]T, error) {
+func Map[T any](ctx context.Context, n, workers int, fn func(i int) (T, error)) ([]T, error) {
 	return MapArena(ctx, n, workers, func() struct{} { return struct{}{} }, func(i int, _ struct{}) (T, error) {
 		return fn(i)
-	}, opts...)
+	})
 }
 
 // MapArena is Map with a per-worker reusable scratch value: newArena runs
@@ -135,11 +116,7 @@ func Map[T any](ctx context.Context, n, workers int, fn func(i int) (T, error), 
 // arena) runs them, fn must treat the arena as layout-only scratch: all
 // randomness still derives from the trial index. Under that contract the
 // results are identical for every worker count, arena or not.
-func MapArena[T, A any](ctx context.Context, n, workers int, newArena func() A, fn func(i int, arena A) (T, error), opts ...Option) ([]T, error) {
-	var o options
-	for _, opt := range opts {
-		opt(&o)
-	}
+func MapArena[T, A any](ctx context.Context, n, workers int, newArena func() A, fn func(i int, arena A) (T, error)) ([]T, error) {
 	if n <= 0 {
 		return nil, nil
 	}
@@ -162,20 +139,7 @@ func MapArena[T, A any](ctx context.Context, n, workers int, newArena func() A, 
 				err = &TrialPanicError{Trial: i, Value: p, Stack: debug.Stack()}
 			}
 		}()
-		var ferr error
-		out[i], ferr = fn(i, arena)
-		return ferr
-	}
-	attempt := func(i int, arena *A) error {
-		err := runTrial(i, *arena)
-		var pe *TrialPanicError
-		if o.retryPanics && errors.As(err, &pe) {
-			for y := backoff.RetryGap(1, 0, 8); y > 0; y-- {
-				runtime.Gosched()
-			}
-			*arena = newArena()
-			err = runTrial(i, *arena)
-		}
+		out[i], err = fn(i, arena)
 		if err == nil {
 			finished.Add(1)
 		}
@@ -192,7 +156,7 @@ func MapArena[T, A any](ctx context.Context, n, workers int, newArena func() A, 
 			if ctx != nil && ctx.Err() != nil {
 				break
 			}
-			if err := attempt(i, &arena); err != nil && firstErr == nil {
+			if err := runTrial(i, arena); err != nil && firstErr == nil {
 				firstIdx, firstErr = i, err
 			}
 		}
@@ -227,7 +191,7 @@ func MapArena[T, A any](ctx context.Context, n, workers int, newArena func() A, 
 				if i >= n {
 					return
 				}
-				errs[i] = attempt(i, &arena)
+				errs[i] = runTrial(i, arena)
 			}
 		}()
 	}

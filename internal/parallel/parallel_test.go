@@ -182,34 +182,6 @@ func TestMapLowestPanicWins(t *testing.T) {
 	}
 }
 
-func TestMapRetryPanicsRecoversFlake(t *testing.T) {
-	// A trial that panics once and succeeds on retry completes the run.
-	var attempts atomic.Int64
-	got, err := parallel.Map(context.Background(), 4, 1, func(i int) (int, error) {
-		if i == 1 && attempts.Add(1) == 1 {
-			panic("transient fault")
-		}
-		return i, nil
-	}, parallel.RetryPanics())
-	if err != nil {
-		t.Fatalf("retryable panic not recovered: %v", err)
-	}
-	if got[1] != 1 {
-		t.Errorf("retried trial result = %d, want 1", got[1])
-	}
-	// A deterministic panic still fails after the one retry.
-	_, err = parallel.Map(context.Background(), 4, 1, func(i int) (int, error) {
-		if i == 1 {
-			panic("hard fault")
-		}
-		return i, nil
-	}, parallel.RetryPanics())
-	var pe *parallel.TrialPanicError
-	if !errors.As(err, &pe) || pe.Trial != 1 {
-		t.Fatalf("deterministic panic after retry: err = %v, want TrialPanicError at trial 1", err)
-	}
-}
-
 func TestMapPreCanceledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -70,13 +70,20 @@ type generator struct {
 }
 
 // Reseed re-seeds r so that its subsequent draws are exactly those of a
-// fresh New(seed, ids...). For a generator from New this costs O(1): the
-// source only records the seed, and each later draw computes the state words
-// it reads first. Reusing one generator this way lets trial arenas
-// regenerate per-trial state without allocating a new generator per entity
-// while keeping every stream byte-identical to the fresh path.
-func Reseed(r *rand.Rand, seed int64, ids ...int64) {
+// fresh New(seed, ids...), and returns r. A nil r is allowed: Reseed then
+// returns New(seed, ids...), so a caller keeping one generator across
+// regenerations writes g = Reseed(g, ...) with no first-use branch. For a
+// generator from New this costs O(1): the source only records the seed, and
+// each later draw computes the state words it reads first. Reusing one
+// generator this way lets trial arenas and per-slot re-draws regenerate
+// their streams without allocating a new generator per entity while keeping
+// every stream byte-identical to the fresh path.
+func Reseed(r *rand.Rand, seed int64, ids ...int64) *rand.Rand {
+	if r == nil {
+		return New(seed, ids...)
+	}
 	r.Seed(Derive(seed, ids...))
+	return r
 }
 
 // PermInto writes a pseudo-random permutation of [0, n) into dst (grown if

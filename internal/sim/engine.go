@@ -239,11 +239,7 @@ func (e *Engine) Reset(asn Assignment, nodes []Protocol, seed int64, opts ...Opt
 	}
 	e.asn = asn
 	e.nodes = nodes
-	if e.rand == nil {
-		e.rand = rng.New(seed, int64(len(nodes)), 0x5e5)
-	} else {
-		rng.Reseed(e.rand, seed, int64(len(nodes)), 0x5e5)
-	}
+	e.rand = rng.Reseed(e.rand, seed, int64(len(nodes)), 0x5e5)
 	e.collisions = UniformWinner
 	e.slot = 0
 	e.obs = nil
@@ -271,9 +267,8 @@ func (e *Engine) Reset(asn Assignment, nodes []Protocol, seed int64, opts ...Opt
 //   - Both modes need a Fixed assignment: shards call ChannelSet
 //     concurrently, and parked listeners cache the physical channel they
 //     parked on. Otherwise the engine steps densely and serially.
-//   - Sparse stepping also needs n < 2^22 (wake-heap entries pack the node
-//     id into 22 bits). Observers do not gate it: a sparse engine reports
-//     the same channel outcomes a dense one would.
+//   - Observers do not gate sparse stepping: a sparse engine reports the
+//     same channel outcomes a dense one would.
 //   - Shards clamp to [1, n], and engaged sparse stepping forces one: its
 //     wake bookkeeping is single-threaded, and with few awake nodes
 //     nothing is worth sharding.
@@ -284,7 +279,7 @@ func (e *Engine) Reset(asn Assignment, nodes []Protocol, seed int64, opts ...Opt
 func (e *Engine) configure() {
 	n := len(e.nodes)
 	fixed := Fixed(e.asn)
-	sparse := e.sparseReq && fixed && n < maxSparseNodes
+	sparse := e.sparseReq && fixed
 	s := max(1, min(e.shards, n))
 	if !fixed || sparse {
 		s = 1

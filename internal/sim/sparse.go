@@ -41,14 +41,6 @@ func WithSparse() Option {
 	return func(e *Engine) { e.sparseReq = true }
 }
 
-// Wake-heap entries pack (wake slot << wakeNodeBits) | node into an int64,
-// so heap order is slot-major with node-ascending ties — deterministic.
-const (
-	wakeNodeBits   = 22
-	wakeNodeMask   = 1<<wakeNodeBits - 1
-	maxSparseNodes = 1 << wakeNodeBits
-)
-
 // sparseState is the wake-queue bookkeeping of the event-driven scan. All
 // slices are pre-sized by resetSparse and reused across slots and Resets.
 type sparseState struct {
@@ -221,11 +213,11 @@ func (e *Engine) scanSparse(slot int) error {
 	e.clearDeafHere()
 	for len(sp.heap) > 0 {
 		top := sp.heap[0]
-		if int(top>>wakeNodeBits) > slot {
+		if int(top>>32) > slot {
 			break
 		}
 		e.popWake()
-		v := int32(top & wakeNodeMask)
+		v := int32(top) // the low 32 bits; see pushWake
 		if sp.pushed[v] == top {
 			sp.pushed[v] = -1
 		}
@@ -664,9 +656,15 @@ func (e *Engine) hearingListeners(live, pk []NodeID) []NodeID {
 // (the common drain-thrash pattern: woken by a delivery, re-parked toward
 // the same phase boundary) revalidates the entry already in the heap
 // instead of pushing a duplicate, keeping the heap O(parked).
+//
+// An entry packs (wakeSlot << 32) | v into an int64, so heap order is
+// slot-major with node-ascending ties — deterministic. Node ids are int32,
+// and a wake slot (the current slot plus a hint below Forever = 2³⁰) stays
+// below 2³¹ in any run shorter than 2³⁰ slots, so every entry is
+// non-negative.
 func (e *Engine) pushWake(v int32, wakeSlot int) {
 	sp := &e.sp
-	entry := int64(wakeSlot)<<wakeNodeBits | int64(v)
+	entry := int64(wakeSlot)<<32 | int64(v)
 	sp.wakeAt[v] = entry
 	if sp.pushed[v] == entry {
 		return

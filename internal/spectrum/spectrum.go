@@ -15,6 +15,7 @@ package spectrum
 
 import (
 	"fmt"
+	"math/rand"
 
 	"github.com/cogradio/crn/internal/rng"
 	"github.com/cogradio/crn/internal/sim"
@@ -35,6 +36,7 @@ type Model struct {
 
 	cachedSlot int
 	cached     [][]int
+	r          *rand.Rand // re-seeded per (slot, node); see fill
 }
 
 var _ sim.Assignment = (*Model)(nil)
@@ -161,8 +163,8 @@ func (m *Model) fill(slot int) {
 			}
 			set = append(set, ch)
 		}
-		r := rng.New(m.seed, int64(slot), int64(u), 0x5bee)
-		r.Shuffle(len(set), func(i, j int) { set[i], set[j] = set[j], set[i] })
+		m.r = rng.Reseed(m.r, m.seed, int64(slot), int64(u), 0x5bee)
+		m.r.Shuffle(len(set), func(i, j int) { set[i], set[j] = set[j], set[i] })
 		m.cached[u] = set
 	}
 	m.cachedSlot = slot

@@ -13,6 +13,7 @@
 #   cogsim -protocol session -n 2000 -c 16 -k 4 -C 48 -check
 #   cogsim -protocol session -n 2000 -c 16 -k 4 -C 48 -sparse -check
 #   cogsim -protocol cogcomp -n 10000 -c 16 -k 4 -C 48 -sparse
+#   cogsim run scenarios/*.yaml                     (each side's own library)
 #
 # Only the wall-clock lines "[E… finished in …]" and the "trace: wrote
 # <path>" line are stripped before cmp. The exit status is non-zero if any
@@ -35,6 +36,8 @@ done
 
 for side in base new; do
 	d=$tmp/$side
+	src=$root
+	[ "$side" = base ] && src=$tmp/src
 	echo "running $side" >&2
 	"$d/cogbench" -quick -check >"$d/quick.txt"
 	"$d/cogbench" -exp E20,E26,E27,E30 -trace "$d/exp.jsonl" >"$d/exp.txt"
@@ -44,11 +47,12 @@ for side in base new; do
 	"$d/cogsim" -protocol session -n 2000 -c 16 -k 4 -C 48 -check >"$d/session-dense.txt"
 	"$d/cogsim" -protocol session -n 2000 -c 16 -k 4 -C 48 -sparse -check >"$d/session.txt"
 	"$d/cogsim" -protocol cogcomp -n 10000 -c 16 -k 4 -C 48 -sparse >"$d/census.txt"
+	(cd "$src" && "$d/cogsim" run scenarios/*.yaml) >"$d/scenarios.txt"
 done
 
 strip() { grep -v -e '^\[E[0-9]* finished in .*\]$' -e '^trace: wrote ' "$1" || true; }
 status=0
-for f in quick.txt exp.txt exp.jsonl e29.txt sim-dense.txt sim-dense.jsonl sim.txt sim.jsonl session-dense.txt session.txt census.txt; do
+for f in quick.txt exp.txt exp.jsonl e29.txt sim-dense.txt sim-dense.jsonl sim.txt sim.jsonl session-dense.txt session.txt census.txt scenarios.txt; do
 	if cmp -s <(strip "$tmp/base/$f") <(strip "$tmp/new/$f"); then
 		echo "same    $f"
 	else
