@@ -295,11 +295,12 @@ func (nd *Node) stepPhase2(slot int) sim.Action {
 		return sim.Stand(nd.ch0, nd.censusWire, censusKey, nd.p3start-1-slot).Keyed(censusKey)
 	}
 	// Census done: pure listening until the rewind. The park is quiet —
-	// every census broadcast on the channel still reaches the roster, but
-	// none of it changes this node's behavior before phase three, so the
-	// engine need not re-step it per delivery. Without the quiet flag the
-	// drain would re-wake the channel's whole audience every slot, making
-	// sparse census Θ(n·m) in steps instead of Θ(m²) in deliveries.
+	// every census broadcast on the channel still reaches the roster,
+	// through CatchUp, but none of it changes this node's behavior before
+	// phase three, so the engine need not re-step it per delivery. Without
+	// the quiet flag the drain would re-wake the channel's whole audience
+	// every slot, making sparse census Θ(n·m) in steps instead of Θ(m²) in
+	// deliveries.
 	return sim.ParkListenQuiet(nd.ch0, nd.p3start-1-slot)
 }
 

@@ -17,21 +17,21 @@ import (
 //     again before the promise expires unless a delivery woke it,
 //   - no awake node is skipped: a node whose promise expires (or that never
 //     made one) is stepped at exactly the slot the dense engine would have
-//     stepped it,
-//   - every delivery wakes: a delivered node is stepped in the next slot —
-//     unless its promise was quiet (sim.ParkListenQuiet), in which case
-//     deliveries leave the schedule untouched and the promise runs to its
-//     expiry,
+//     stepped it, before any delivery reaches it in that slot,
+//   - one dormancy contract: a delivery wakes a parked node, or the node is
+//     deaf and catches up. A delivered node is stepped in the next slot.
+//     A node that implements sim.CatchUpper and stands or parks quietly
+//     under sim.UniformWinner is deaf: from the slot of that action it
+//     gets no delivery but a winning one, and before its next Step or its
+//     winning delivery in slot t it gets exactly one CatchUp(from, t),
+//     from being that slot, unless it won in that very slot; the CatchUp
+//     leaves it not done. Any other quiet park is a plain park, and any
+//     other stand a plain broadcast,
 //   - a stander (sim.Stand) is not stepped before it wins or its bound
 //     expires, and it is among its channel's Broadcasters exactly in the
 //     slots after a message carrying its awaited key won there — the
 //     checker takes each winner's message key from the winner's last
 //     recorded action, not from the engine,
-//   - a node that implements sim.CatchUpper and stands or parks quietly is
-//     served deaf: from the slot of that action it gets no delivery but a
-//     winning one, and before its next Step or its winning delivery in
-//     slot t it gets exactly one CatchUp(from, t), from being that slot,
-//     unless it won in that very slot,
 //   - retirement is final: a node whose own Done reported true at the end
 //     of a slot is never stepped or delivered to again.
 //
@@ -39,18 +39,16 @@ import (
 // public Protocol and Observer interfaces, so bookkeeping bugs in the wake
 // heap, the parked lists or the stand groups surface as violations. It
 // checks sparse runs only — a dense engine steps every node every slot,
-// hints or not — under the collision model given to Reset: under
-// sim.AllDelivered a stand is a plain broadcast and no node is deaf. OnSlot is O(n), which is fine for the test workloads the
-// checker exists for.
+// hints or not — under the collision model given to Reset. OnSlot is O(n),
+// which is fine for the test workloads the checker exists for.
 type WakeChecker struct {
 	protos []sim.Protocol // the wrapped protocols, by node
-	keyed  bool           // the model is sim.UniformWinner: stands and deaf service are on
+	keyed  bool           // the model is sim.UniformWinner: catchers hold deaf
 
 	retired   []bool
 	retireDay []int        // slot the node retired in (valid when retired)
 	expect    []int        // slot the node must next be stepped at; never = delivery-only
 	stepped   []int        // last slot the node was stepped, -1 initially
-	quiet     []bool       // current promise is delivery-proof (quiet park or stand)
 	last      []sim.Action // the node's last action, for its message key
 
 	// Stands: standAt is the slot of the node's current stand, -1 if it
@@ -100,7 +98,6 @@ func (w *WakeChecker) Reset(n int, m sim.CollisionModel) {
 		w.retireDay = make([]int, n)
 		w.expect = make([]int, n)
 		w.stepped = make([]int, n)
-		w.quiet = make([]bool, n)
 		w.last = make([]sim.Action, n)
 		w.standAt = make([]int, n)
 		w.standCh = make([]int, n)
@@ -116,7 +113,6 @@ func (w *WakeChecker) Reset(n int, m sim.CollisionModel) {
 	w.retireDay = w.retireDay[:n]
 	w.expect = w.expect[:n]
 	w.stepped = w.stepped[:n]
-	w.quiet = w.quiet[:n]
 	w.last = w.last[:n]
 	w.standAt = w.standAt[:n]
 	w.standCh = w.standCh[:n]
@@ -131,7 +127,6 @@ func (w *WakeChecker) Reset(n int, m sim.CollisionModel) {
 		w.retired[i] = false
 		w.expect[i] = 0
 		w.stepped[i] = -1
-		w.quiet[i] = false
 		w.last[i] = sim.Action{}
 		w.standAt[i] = -1
 		w.wonAt[i] = -1
@@ -192,6 +187,9 @@ type catchUpProbe struct{ wakeProbe }
 func (q catchUpProbe) CatchUp(from, to int) {
 	q.w.onCatchUp(q.id, from, to)
 	q.p.(sim.CatchUpper).CatchUp(from, to)
+	if q.p.Done() {
+		q.w.failf("node %d done after catching up on [%d, %d)", q.id, from, to)
+	}
 }
 
 // onCatchUp checks that a catch-up reaches a deaf node and starts where
@@ -236,13 +234,13 @@ func (w *WakeChecker) onStep(slot int, node sim.NodeID, act sim.Action) {
 	}
 	w.stepped[v] = slot
 	w.last[v] = act
-	stand := w.keyed && act.Op == sim.OpBroadcast && act.Sleep > 0 && act.Await != sim.NoKey
-	w.quiet[v] = stand || act.Op == sim.OpListen && act.Sleep > 0 && act.Quiet
+	deaf := w.catcher[v] && w.keyed && act.Sleep > 0
+	stand := deaf && act.Op == sim.OpBroadcast && act.Await != sim.NoKey
 	w.standAt[v] = -1
 	if stand {
 		w.standAt[v] = slot
 	}
-	if w.quiet[v] && w.catcher[v] && w.keyed {
+	if stand || deaf && act.Op == sim.OpListen && act.Quiet {
 		w.deafFrom[v] = slot
 	}
 	switch {
@@ -274,9 +272,8 @@ func (w *WakeChecker) beforeDeliver(slot int, node sim.NodeID, ev sim.Event) {
 	}
 }
 
-// onDeliver checks that a delivery re-wakes its target for the next slot —
-// unless the target's current promise is quiet, which the delivery leaves
-// untouched, or it stands and does not win — and that no node is
+// onDeliver checks that a delivery goes to a node that was stepped this
+// slot or is dormant, and wakes it for the next slot, and that no node is
 // delivered to after its retirement slot (its final action resolves that
 // slot, exactly as the dense engine resolves it). A won stand ends.
 func (w *WakeChecker) onDeliver(slot int, node sim.NodeID, ev sim.Event) {
@@ -285,12 +282,11 @@ func (w *WakeChecker) onDeliver(slot int, node sim.NodeID, ev sim.Event) {
 		w.failf("slot %d: delivery to node %d retired in slot %d", slot, node, w.retireDay[v])
 		return
 	}
+	if w.expect[v] <= slot && w.stepped[v] != slot {
+		w.failf("slot %d: awake node %d skipped by the sparse scan", slot, node)
+	}
 	if w.standAt[v] >= 0 && ev.Kind == sim.EvSendSucceeded {
 		w.wonAt[v] = slot
-		w.quiet[v] = false
-	}
-	if w.quiet[v] && slot < w.expect[v] {
-		return
 	}
 	w.expect[v] = slot + 1
 }

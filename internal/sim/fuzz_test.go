@@ -23,9 +23,12 @@ import (
 // slot, so the Sleep hint it carries honours its contract. A catching
 // node's deaf holds (stands and quiet parks) also end before the run's
 // last slot, so it is caught up before its log is compared; a deaf hold
-// that would not is a plain action instead. The node never terminates —
-// the fuzz body runs slots slots — and logs every delivery. Every winner
-// records its win in the run's winLog.
+// that would not is a plain action instead. A non-catching node keeps
+// issuing quiet holds, which a sparse engine serves as the plain action:
+// its quiet park as a park that deliveries wake, its stand as a broadcast
+// stepped every slot. The node never terminates — the fuzz body runs slots
+// slots — logs every delivery and records the slots it is stepped in.
+// Every winner records its win in the run's winLog.
 type scripted struct {
 	script   []byte
 	id, n, c int
@@ -38,6 +41,7 @@ type scripted struct {
 	lastWin  int // slot of the last win heard, and its message's key
 	lastKey  sim.WakeKey
 	log      []string
+	steps    []int
 }
 
 // winLog maps a physical channel and slot to the winning event there.
@@ -47,6 +51,7 @@ type winLog map[[2]int]sim.Event
 func keyOf(msg sim.Message) sim.WakeKey { return sim.WakeKey(msg.(int)>>2) & 3 }
 
 func (s *scripted) Step(slot int) sim.Action {
+	s.steps = append(s.steps, slot)
 	if slot < s.holdEnd {
 		act := s.hold
 		act.Sleep = s.holdEnd - 1 - slot
@@ -171,58 +176,79 @@ func FuzzEngineSlot(f *testing.F) {
 	// The same stands and quiet parks under AllDelivered, where every
 	// stander is stepped again and every catching node hears.
 	f.Add(uint8(2), uint8(0x80|5), int64(5), standSeed)
-	// A stand group armed on a channel whose stepped broadcasters have
-	// higher ids than its stander (TestEngineSlotSeedArmsBelowStepped).
+	// A non-catching stand, stepped as a plain broadcast, and a stand
+	// group armed on a channel whose stepped broadcasters have higher ids
+	// than its stander (TestEngineSlotSeedArmsBelowStepped).
 	f.Add(armSeed.rawN, armSeed.rawC, armSeed.seed, armSeed.script)
+	f.Add(armDeafSeed.rawN, armDeafSeed.rawC, armDeafSeed.seed, armDeafSeed.script)
 	f.Fuzz(func(t *testing.T, rawN, rawC uint8, seed int64, script []byte) {
 		checkEngineSlot(t, rawN, rawC, seed, script)
 	})
 }
 
 // parkSeed is FuzzEngineSlot's two-channel park seed.
-var parkSeed = struct {
-	rawN, rawC uint8
-	seed       int64
-	script     []byte
-}{4, 2, 7, []byte("00\xa6\xa6")}
+var parkSeed = seedScript{4, 2, 7, []byte("00\xa6\xa6")}
 
 // standSeed is FuzzEngineSlot's script of four nodes standing and
 // quiet-parking on one channel.
 var standSeed = []byte("\xaa\xaa\xac\xac\x08\x01\x08\x01\xaa\x02\xaa\x02\x01\x01\x01\x01\xac\xaa\xac\xaa\x02\x01\x02\x01\x08\x08\x01\x01\x01\x01\x01\x01")
 
-// armSeed is FuzzEngineSlot's script of five nodes on one shared channel:
-// in slot 0 node 0 stands awaiting key 1 while nodes 2 and 4 broadcast
-// messages carrying key 1, and in slot 1, where node 0's script idles,
-// nodes 2 and 4 broadcast again.
-var armSeed = struct {
+// seedScript is a committed FuzzEngineSlot input.
+type seedScript struct {
 	rawN, rawC uint8
 	seed       int64
 	script     []byte
-}{3, 0, 1, []byte("\xb0\x01\x05\x01\x05\x00\x01\x05\x01\x05\x01\x01\x01\x01\x01")}
+}
 
-// TestEngineSlotSeedArmsBelowStepped pins what armSeed is for: one of
-// nodes 2 and 4 wins slot 0 with key 1, so in slot 1 node 0's stand group
-// joins the stepped broadcasters 2 and 4 and must be merged in front of
-// them, as a dense scan files it.
+// armSeed is FuzzEngineSlot's script of five nodes on one shared channel:
+// in slot 0 node 0 stands awaiting key 1 while nodes 2 and 4 broadcast
+// messages carrying key 1, and in slot 1, where node 0's script idles,
+// nodes 2 and 4 broadcast again. Node 0 does not catch up, so its stand
+// is a plain broadcast, stepped every slot. armDeafSeed is the same with
+// the stand moved to node 1, which catches up and stands deaf.
+var (
+	armSeed     = seedScript{3, 0, 1, []byte("\xb0\x01\x05\x01\x05\x00\x01\x05\x01\x05\x01\x01\x01\x01\x01")}
+	armDeafSeed = seedScript{3, 0, 1, []byte("\x01\xb0\x05\x01\x05\x01\x00\x05\x01\x05\x01\x01\x01\x01\x01")}
+)
+
+// TestEngineSlotSeedArmsBelowStepped pins what armSeed and armDeafSeed are
+// for: one of nodes 2 and 4 wins slot 0 with key 1, so in slot 1 the
+// stander broadcasts again among the stepped broadcasters 2 and 4, in
+// front of them, as a dense scan files it. Node 0's stand is a stepped
+// broadcast; node 1's stand group is armed, merged in front of them and
+// not stepped in slot 1.
 func TestEngineSlotSeedArmsBelowStepped(t *testing.T) {
-	outs := checkEngineSlot(t, armSeed.rawN, armSeed.rawC, armSeed.seed, armSeed.script)
-	if slot1 := strings.Split(outs.String(), "\n")[1]; !strings.Contains(slot1, " b[0 2 4] ") {
-		t.Fatalf("slot 1 is %q, want node 0's armed stand among broadcasters [0 2 4]", slot1)
+	for _, tc := range []struct {
+		seed    seedScript
+		stander int
+		bs      string
+		stepped bool
+	}{
+		{armSeed, 0, " b[0 2 4] ", true},
+		{armDeafSeed, 1, " b[1 2 4] ", false},
+	} {
+		outs, recs := checkEngineSlot(t, tc.seed.rawN, tc.seed.rawC, tc.seed.seed, tc.seed.script)
+		if slot1 := strings.Split(outs.String(), "\n")[1]; !strings.Contains(slot1, tc.bs) {
+			t.Fatalf("slot 1 is %q, want node %d's stand among broadcasters%s", slot1, tc.stander, tc.bs)
+		}
+		if got := slices.Contains(recs[tc.stander].steps, 1); got != tc.stepped {
+			t.Fatalf("stander %d stepped in slot 1: %v, want %v (steps %v)", tc.stander, got, tc.stepped, recs[tc.stander].steps)
+		}
 	}
 }
 
 // TestEngineSlotSeedParksTwoChannels pins what parkSeed is for: its sparse
 // run reports parked listeners on two channels in one slot.
 func TestEngineSlotSeedParksTwoChannels(t *testing.T) {
-	outs := checkEngineSlot(t, parkSeed.rawN, parkSeed.rawC, parkSeed.seed, parkSeed.script)
+	outs, _ := checkEngineSlot(t, parkSeed.rawN, parkSeed.rawC, parkSeed.seed, parkSeed.script)
 	if outs.parkedChannels < 2 {
 		t.Fatalf("parked listeners on at most %d channel(s) per slot, want 2:\n%s", outs.parkedChannels, outs)
 	}
 }
 
 // checkEngineSlot is FuzzEngineSlot's body; it returns the sparse run's
-// outcome stream.
-func checkEngineSlot(t *testing.T, rawN, rawC uint8, seed int64, script []byte) *outcomeLog {
+// outcome stream and nodes.
+func checkEngineSlot(t *testing.T, rawN, rawC uint8, seed int64, script []byte) (*outcomeLog, []*scripted) {
 	n := 2 + int(rawN)%31 // [2, 32] nodes
 	c := 1 + int(rawC)%7  // [1, 7] channels per node
 	model := sim.UniformWinner
@@ -240,11 +266,12 @@ func checkEngineSlot(t *testing.T, rawN, rawC uint8, seed int64, script []byte) 
 		slots = 64
 	}
 	// run executes the script under opts, behind the wake oracle when
-	// wake is non-nil, and returns the engine and every node's delivery
-	// log.
+	// wake is non-nil, leaves its nodes in recs and returns the engine
+	// and every node's delivery log.
+	var recs []*scripted
 	run := func(wake *invariant.WakeChecker, opts ...sim.Option) (*sim.Engine, string) {
 		protos := make([]sim.Protocol, n)
-		recs := make([]*scripted, n)
+		recs = make([]*scripted, n)
 		wins := winLog{}
 		if wake != nil {
 			wake.Reset(n, model)
@@ -320,7 +347,7 @@ func checkEngineSlot(t *testing.T, rawN, rawC uint8, seed int64, script []byte) 
 	if gotOuts.String() != denseOuts.String() {
 		t.Fatalf("sparse outcome stream diverged from dense:\n--- sparse ---\n%s--- dense ---\n%s", gotOuts, denseOuts)
 	}
-	return gotOuts
+	return gotOuts, recs
 }
 
 // outcomeLog is an observer that renders every slot's channel outcomes,

@@ -73,9 +73,11 @@ func planned(id, slot, per int) sim.Action {
 }
 
 // planNode steps its plan and logs every delivery. With hints it parks
-// (quietly at even ids) and idles dormant for as long as its plan repeats
-// the same idle or listen, which keeps the Sleep contract: the plan does
-// not depend on deliveries, so a woken node resumes it unchanged.
+// (quietly at even ids, which a sparse engine serves as plain parks,
+// because planNode cannot catch up) and idles dormant for as long as its
+// plan repeats the same idle or listen, which keeps the Sleep contract:
+// the plan does not depend on deliveries, so a woken node resumes it
+// unchanged.
 type planNode struct {
 	id, per int
 	hints   bool

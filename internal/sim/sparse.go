@@ -10,18 +10,19 @@ package sim
 //   - Dormant nodes draw no RNG and change no state (the Action.Sleep
 //     contract), so the engine's tie-break stream and every per-node
 //     stream advance exactly as they would densely.
-//   - Parked listeners stay in their channel's delivery set: any broadcast
-//     there reaches them through the same node-ascending order the dense
-//     run would have held, and re-wakes them eagerly — the next slot
-//     steps them again.
-//   - Standing broadcasters (Stand) sit in their channel's parked list and
-//     in a group per wake key. In the slot after a message carrying the
-//     key wins the channel, the group joins the channel's broadcasters in
-//     node order, exactly where dense stepping would have filed them,
-//     so the tie-break draw and the winner do not change.
-//   - A CatchUpper node that stands or sits in a quiet park is served
-//     deaf: its deliveries are skipped and reported as one slot range
-//     before its next Step or its winning delivery.
+//   - One dormancy contract: a delivery wakes a parked node, or the node
+//     is deaf and catches up. A parked listener stays in its channel's
+//     delivery set, in the node order the dense run would have held, and
+//     a delivery there has the next slot step it again. A CatchUpper that
+//     stands or quiet-parks under UniformWinner is deaf: its deliveries
+//     are skipped and reported as one slot range before its next Step or
+//     its winning delivery. Any other quiet park is a plain park, and any
+//     other stand a stepped broadcast.
+//   - Standing broadcasters sit in a group per channel and wake key. In
+//     the slot after a message carrying the key wins the channel, the
+//     group joins the channel's broadcasters in node order, exactly where
+//     dense stepping would have filed them, so the tie-break draw and the
+//     winner do not change.
 //
 // When the mode engages is Engine.configure's call. The wake queue is a
 // binary min-heap over packed (slot, node) entries plus per-channel
@@ -34,9 +35,9 @@ import "slices"
 // dormancy hints and scans only awake nodes each slot. Executions are
 // byte-identical to the dense engine — transcripts, RNG draw order, error
 // strings and traces included — because dormant nodes neither act nor draw
-// randomness and every delivery re-wakes its target. The engine silently
-// falls back to dense stepping as Engine.configure describes; Sparse()
-// reports the effective mode.
+// randomness, and every delivery wakes its target or is caught up on
+// (CatchUpper). The engine silently falls back to dense stepping as
+// Engine.configure describes; Sparse() reports the effective mode.
 func WithSparse() Option {
 	return func(e *Engine) { e.sparseReq = true }
 }
@@ -51,12 +52,11 @@ type sparseState struct {
 	awakeNext []int32 // next slot's awake list (scratch)
 	woken     []int32 // ids re-woken this slot (timers + deliveries)
 
-	retired     []bool  // per node: Done observed (counted out of notDone)
-	wakeAt      []int64 // per node: pending heap entry, -1 = none
-	pushed      []int64 // per node: last entry pushed and not yet popped
-	parkedPhys  []int32 // per node: phys channel while park-listening, -1 = not parked
-	parkedAt    []int   // per node: slot of the last parkListen
-	parkedQuiet []bool  // per node: the park is delivery-proof (Action.Quiet)
+	retired    []bool  // per node: Done observed (counted out of notDone)
+	wakeAt     []int64 // per node: pending heap entry, -1 = none
+	pushed     []int64 // per node: last entry pushed and not yet popped
+	parkedPhys []int32 // per node: phys channel while park-listening, -1 = not parked
+	parkedAt   []int   // per node: slot of the last parkListen
 
 	heap        []int64    // binary min-heap of packed wake entries
 	newlyParked []int32    // listeners parked this slot, committed after phase B
@@ -68,7 +68,7 @@ type sparseState struct {
 	lscratch    []NodeID   // merged live+parked listener scratch
 	bscratch    []NodeID   // broadcasters that hear this channel (scratch)
 
-	// Stands and deaf service. A stander is also a quiet parked listener
+	// Stands and deaf service. A stander is also a deaf parked listener
 	// on its channel (parkedPhys, parked), so only the key-specific parts
 	// live here.
 	standKey []WakeKey      // per node: key its stand awaits, NoKey = not standing
@@ -131,7 +131,6 @@ func (e *Engine) resetSparse() {
 		sp.pushed = make([]int64, n)
 		sp.parkedPhys = make([]int32, n)
 		sp.parkedAt = make([]int, n)
-		sp.parkedQuiet = make([]bool, n)
 		sp.standKey = make([]WakeKey, n)
 		sp.deafFrom = make([]int, n)
 	}
@@ -140,7 +139,6 @@ func (e *Engine) resetSparse() {
 	sp.pushed = sp.pushed[:n]
 	sp.parkedPhys = sp.parkedPhys[:n]
 	sp.parkedAt = sp.parkedAt[:n]
-	sp.parkedQuiet = sp.parkedQuiet[:n]
 	sp.standKey = sp.standKey[:n]
 	sp.deafFrom = sp.deafFrom[:n]
 	sp.awake = sp.awake[:0]
@@ -159,7 +157,6 @@ func (e *Engine) resetSparse() {
 		sp.pushed[i] = -1
 		sp.parkedPhys[i] = -1
 		sp.parkedAt[i] = -1
-		sp.parkedQuiet[i] = false
 		sp.standKey[i] = NoKey
 		sp.deafFrom[i] = -1
 	}
@@ -272,7 +269,7 @@ func (e *Engine) scanSparse(slot int) error {
 		}
 		switch {
 		case !live:
-		case e.standing(&act):
+		case e.standing(v, &act):
 			sp.standKey[v] = act.Await
 			e.parkListen(v, phys, slot, act.Sleep, true)
 		case act.Sleep <= 0 || act.Op == OpBroadcast:
@@ -280,7 +277,7 @@ func (e *Engine) scanSparse(slot int) error {
 		case act.Op == OpIdle:
 			e.parkIdle(v, slot, act.Sleep)
 		default:
-			e.parkListen(v, phys, slot, act.Sleep, act.Quiet)
+			e.parkListen(v, phys, slot, act.Sleep, act.Quiet && e.holdsDeaf(v))
 		}
 	}
 	sp.awake, sp.awakeNext = next, sp.awake
@@ -289,17 +286,17 @@ func (e *Engine) scanSparse(slot int) error {
 }
 
 // wakeParked runs after a channel's deliveries to its listeners ls (live
-// and parked, as hearingListeners built them): every parked listener that
-// heard something is re-woken unless its park is quiet, and a standing
-// winner ends its stand. The channel's parked list is left as it was, so
-// the observer sees the pre-delivery parked set; the wakes (and any
-// retirement a delivery caused) mark it stale, and the next compactParked
-// drops them. A winning message that carries a wake key arms the
-// channel's group for that key for the next slot.
+// and parked, as hearingListeners built them, so none deaf): every parked
+// listener among them is re-woken, and a standing winner ends its stand.
+// The channel's parked list is left as it was, so the observer sees the
+// pre-delivery parked set; the wakes (and any retirement a delivery
+// caused) mark it stale, and the next compactParked drops them. A winning
+// message that carries a wake key arms the channel's group for that key
+// for the next slot.
 func (e *Engine) wakeParked(ch int, ls []NodeID, winner NodeID) {
 	sp := &e.sp
 	for _, l := range ls {
-		if sp.parkedPhys[l] >= 0 && !sp.parkedQuiet[l] {
+		if sp.parkedPhys[l] >= 0 {
 			e.wakeNode(int32(l))
 		}
 	}
@@ -365,16 +362,14 @@ func (e *Engine) parkIdle(v int32, slot, k int) {
 // parkListen parks a listening node on its physical channel. This slot it
 // is still in the live listen run (it was stepped); the parked entry
 // takes effect afterwards, which commitParked arranges — unless a delivery
-// this very slot wakes it first. A stand parks the same way, quiet, with
-// standKey already set: it is a parked listener that broadcasts when its
-// group is armed. Under UniformWinner a quiet park or stand of a
-// CatchUpper is deaf from this very slot on.
-func (e *Engine) parkListen(v int32, phys, slot, k int, quiet bool) {
+// this very slot wakes it first. A stand or quiet park that holdsDeaf
+// allows is deaf from this very slot on; a stand parks with standKey
+// already set, a parked listener that broadcasts when its group is armed.
+func (e *Engine) parkListen(v int32, phys, slot, k int, deaf bool) {
 	sp := &e.sp
 	sp.parkedPhys[v] = int32(phys)
 	sp.parkedAt[v] = slot
-	sp.parkedQuiet[v] = quiet
-	if _, ok := e.nodes[v].(CatchUpper); quiet && ok && e.collisions == UniformWinner {
+	if deaf {
 		sp.deafFrom[v] = slot
 		e.markDeafHere(phys)
 	}
@@ -526,8 +521,8 @@ func (e *Engine) armed(ch int, bs, pk []NodeID) []NodeID {
 }
 
 // hearingBroadcasters returns the broadcasters of a channel that get a
-// delivery this slot, in bscratch: all but the deaf losers. A deaf winner
-// is caught up first.
+// delivery this slot, in bscratch: all but the deaf losers, the standers
+// (armed or new) that did not win. A deaf winner is caught up first.
 func (e *Engine) hearingBroadcasters(bs []NodeID, winner NodeID, slot int) []NodeID {
 	sp := &e.sp
 	out := sp.bscratch[:0]
@@ -544,10 +539,16 @@ func (e *Engine) hearingBroadcasters(bs []NodeID, winner NodeID, slot int) []Nod
 	return out
 }
 
-// standing reports whether act is a stand this engine honours: only
-// UniformWinner's single winner needs one (see Stand).
-func (e *Engine) standing(act *Action) bool {
-	return act.Op == OpBroadcast && act.Sleep > 0 && act.Await != NoKey && e.collisions == UniformWinner
+// standing reports whether node v's act is a stand this engine honours,
+// which is one it can hold deaf (see Stand).
+func (e *Engine) standing(v int32, act *Action) bool {
+	return act.Op == OpBroadcast && act.Sleep > 0 && act.Await != NoKey && e.holdsDeaf(v)
+}
+
+// holdsDeaf reports whether node v's stands and quiet parks are deaf.
+func (e *Engine) holdsDeaf(v int32) bool {
+	_, ok := e.nodes[v].(CatchUpper)
+	return ok && e.collisions == UniformWinner
 }
 
 // markDeafHere notes that a node served deaf may sit in channel ch's

@@ -66,7 +66,8 @@ func (n *drowsyNode) fresh() sim.Action {
 		return sim.ParkListen(n.rand.Intn(n.c), 1+n.rand.Intn(6))
 	case 7:
 		// A quiet park: deliveries still mutate state (reception counters,
-		// the log, even Done) but never void the promise.
+		// the log, even Done) but never void the promise. The node cannot
+		// catch up, so a sparse engine serves it as a plain park.
 		return sim.ParkListenQuiet(n.rand.Intn(n.c), 1+n.rand.Intn(6))
 	case 3:
 		// A dormancy hint on a broadcast that awaits no wake key must be
@@ -86,7 +87,8 @@ func (n *drowsyNode) Deliver(slot int, ev sim.Event) {
 	// A delivery voids an outstanding promise — the engine woke us, and the
 	// contract says the next Step may change course — unless the promise was
 	// quiet, in which case the node keeps repeating its parked listen while
-	// its counters (and possibly Done) change underneath.
+	// its counters (and possibly Done) change underneath; woken all the same,
+	// it repeats that listen when stepped.
 	if !(slot <= n.pendingUntil && n.pending.Quiet) {
 		n.pendingUntil = -1
 	}

@@ -76,9 +76,9 @@ type Message any
 // do not grow the engine's per-node action buffer.
 type Action struct {
 	Op Op
-	// Quiet strengthens a listen hint (see ParkListenQuiet): deliveries are
-	// still handed to the node but do not re-wake it. Meaningless without a
-	// positive Sleep on an OpListen action; the dense engine ignores it.
+	// Quiet makes a listen hint a deaf hold for a CatchUpper under
+	// UniformWinner (see ParkListenQuiet); otherwise, and without a
+	// positive Sleep on an OpListen action, the engine ignores it.
 	Quiet bool
 	// Key is the wake key the broadcast message carries (see WakeKey):
 	// when it wins its channel, the nodes standing there on Key broadcast
@@ -126,16 +126,14 @@ func Listen(ch int) Action { return Action{Op: OpListen, Channel: ch} }
 func ParkListen(ch, k int) Action { return Action{Op: OpListen, Channel: ch, Sleep: k} }
 
 // ParkListenQuiet is ParkListen with a stronger promise: deliveries may
-// mutate the node's state (it still hears every broadcast on the channel)
-// but cannot change the actions its next k Steps would return, so the
-// engine keeps it parked through deliveries instead of re-waking it. This
-// is the hint for drain patterns — a node that collects a long stream of
-// messages while its own behavior stays a fixed listen (COGCOMP's census
-// roster fill) — where eager re-wakes would re-step the whole audience
-// every slot. A delivery that flips the node's Done still retires it. A
-// protocol that implements CatchUpper is not delivered to at all while it
-// sits in a quiet park: the engine reports the skipped slots in one
-// CatchUp call instead. With k <= 0 it acts as Listen(ch).
+// change the node's state but not the actions its next k Steps would
+// return. A sparse engine holds a CatchUpper's quiet park deaf under
+// UniformWinner (see CatchUpper): no delivery and no wake until it ends.
+// This is the hint for drain patterns — a node that collects a long
+// stream of messages while its own behavior stays a fixed listen
+// (COGCOMP's census roster fill) — where eager wakes would re-step the
+// whole audience every slot. For any other node it is ParkListen. With
+// k <= 0 it acts as Listen(ch).
 func ParkListenQuiet(ch, k int) Action {
 	return Action{Op: OpListen, Channel: ch, Sleep: k, Quiet: true}
 }
@@ -151,17 +149,15 @@ func Broadcast(ch int, msg Message) Action {
 // carrying wake key key wins that channel (it is the channel's reported
 // winner), where Step would return this same broadcast. Deliveries
 // meanwhile change none of those actions, and the skipped Steps draw no
-// randomness. A sparse engine keeps standers per channel and key, never
-// steps them, and merges a group into its channel's broadcasters in the
-// slot after its key wins; the winner is woken and stepped in the next
-// slot, and a stand whose bound runs out is stepped again. A protocol that
-// implements CatchUpper is served deaf while it stands: only its winning
-// delivery reaches it, after one CatchUp call for the skipped slots. The
-// dense engine ignores the promise and steps the node every slot, and so
-// does a sparse engine under AllDelivered, whose wins need no stand. With
-// key NoKey or k <= 0 the broadcast is plain. The broadcast's own message
-// carries no key; set Key for that (COGCOMP's census contenders wait for
-// the very key they send).
+// randomness. A sparse engine honours the stand of a CatchUpper under
+// UniformWinner, held deaf (see CatchUpper): it keeps standers per channel
+// and key, never steps them, and merges a group into its channel's
+// broadcasters in the slot after its key wins; the winner is stepped in
+// the next slot, and a stand whose bound runs out is stepped again. Any
+// other stand is a plain broadcast, stepped every slot as the dense engine
+// steps every stand. With key NoKey or k <= 0 the broadcast is plain. The
+// broadcast's own message carries no key; set Key for that (COGCOMP's
+// census contenders wait for the very key they send).
 func Stand(ch int, msg Message, key WakeKey, k int) Action {
 	return Action{Op: OpBroadcast, Channel: ch, Msg: msg, Sleep: k, Await: key}
 }
@@ -231,13 +227,15 @@ type Protocol interface {
 
 // CatchUpper is an optional Protocol interface for nodes that can rebuild
 // the deliveries they missed from state shared outside the radio (COGCOMP
-// re-reads its channel's census log). A sparse engine serves such a node
-// deaf while it stands (Stand) or sits in a quiet park (ParkListenQuiet):
-// it skips every delivery to the node except a winning one and, before the
-// node's next Step or that winning delivery, calls CatchUp once with the
-// skipped slots. A protocol that does not implement it is delivered to as
-// usual; neither the dense engine nor a sparse one under AllDelivered ever
-// calls it.
+// re-reads its channel's census log). A sparse engine keeps one dormancy
+// contract: a delivery wakes a parked node, or the node is deaf and
+// catches up. Only a CatchUpper under UniformWinner is held deaf, while it
+// stands (Stand) or sits in a quiet park (ParkListenQuiet): the engine
+// skips every delivery to it but a winning one and, before the node's next
+// Step or that win, calls CatchUp once with the skipped slots. CatchUp
+// must leave Done false: the engine reads a deaf node's Done only when it
+// steps it again, so deliveries that would finish the node cannot be
+// skipped.
 type CatchUpper interface {
 	// CatchUp reports that the node spent slots [from, to) tuned to the
 	// channel of its stand or park without seeing a delivery: it must end
