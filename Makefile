@@ -92,18 +92,20 @@ baseline-scale:
 	$(GO) run ./cmd/cogbench -exp E28,E29 -quick -parallel 1 -shards 4 -bench-out BENCH_scale_baseline.json > /dev/null
 
 # Run every native fuzz target for FUZZTIME each (go test allows one -fuzz
-# pattern per package invocation). Seed corpora live under each package's
-# testdata/fuzz/ and also run as plain tests in `make test`.
+# pattern per package invocation), minimizing each new input for at most
+# 1s: Go's default of 60s can spend a short budget minimizing instead of
+# fuzzing. Seed corpora live under each package's testdata/fuzz/ and also
+# run as plain tests in `make test`.
 fuzz:
-	$(GO) test -run NONE -fuzz FuzzBuilder -fuzztime $(FUZZTIME) ./internal/assign
-	$(GO) test -run NONE -fuzz FuzzEngineSlot -fuzztime $(FUZZTIME) ./internal/sim
-	$(GO) test -run NONE -fuzz FuzzRecovery -fuzztime $(FUZZTIME) ./internal/recover
-	$(GO) test -run NONE -fuzz FuzzJammer -fuzztime $(FUZZTIME) ./internal/jamming
-	$(GO) test -run NONE -fuzz FuzzTraceReader -fuzztime $(FUZZTIME) ./internal/trace
-	$(GO) test -run NONE -fuzz FuzzScenario -fuzztime $(FUZZTIME) ./internal/scenario
-	$(GO) test -run NONE -fuzz FuzzNetworkSpec -fuzztime $(FUZZTIME) .
-	$(GO) test -run NONE -fuzz FuzzNetworkConstructors -fuzztime $(FUZZTIME) .
-	$(GO) test -run NONE -fuzz FuzzSource -fuzztime $(FUZZTIME) ./internal/rng
+	$(GO) test -run NONE -fuzz FuzzBuilder -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/assign
+	$(GO) test -run NONE -fuzz FuzzEngineSlot -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/sim
+	$(GO) test -run NONE -fuzz FuzzRecovery -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/recover
+	$(GO) test -run NONE -fuzz FuzzJammer -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/jamming
+	$(GO) test -run NONE -fuzz FuzzTraceReader -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/trace
+	$(GO) test -run NONE -fuzz FuzzScenario -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/scenario
+	$(GO) test -run NONE -fuzz FuzzNetworkSpec -fuzztime $(FUZZTIME) -fuzzminimizetime 1s .
+	$(GO) test -run NONE -fuzz FuzzNetworkConstructors -fuzztime $(FUZZTIME) -fuzzminimizetime 1s .
+	$(GO) test -run NONE -fuzz FuzzSource -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/rng
 
 # Coverage gate: aggregate statement coverage across all packages must stay
 # above the threshold (see TESTING.md). Writes cover.out for inspection

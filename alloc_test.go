@@ -124,9 +124,11 @@ func TestRunSlotPartitionedAllocFree(t *testing.T) {
 // per-slot cost back in. It also holds with a ring-buffered trace recorder
 // and the invariant oracle observing, which keep the engine sparse, on the
 // idle round-robin, on its listening variant (censusListener), whose
-// slots report thousands of parked listeners, and on the contention
+// slots report thousands of parked listeners, on the contention
 // variant (censusStander), whose standing broadcasters are merged into
-// their channels each slot and served deaf.
+// their channels each slot and served deaf, and on COGCAST, whose
+// informed nodes broadcast quietly, so each channel's losers are left
+// out of its deliveries.
 func TestRunSlotSparseAllocFree(t *testing.T) {
 	const n, c = 4096, 16
 	asn, err := assign.SharedCore(n, c, 4, 48, assign.LocalLabels, 1)
@@ -138,13 +140,17 @@ func TestRunSlotSparseAllocFree(t *testing.T) {
 		observed bool
 		listen   bool
 		stand    bool
+		cast     bool
 	}
-	modes := []mode{{1, false, false, false}, {2, false, false, false}, {4, false, false, false}, {8, false, false, false},
-		{1, true, false, false}, {1, true, true, false}, {1, false, false, true}, {1, true, false, true}}
+	modes := []mode{{1, false, false, false, false}, {2, false, false, false, false}, {4, false, false, false, false},
+		{8, false, false, false, false}, {1, true, false, false, false}, {1, true, true, false, false},
+		{1, false, false, true, false}, {1, true, false, true, false}, {1, false, false, false, true}, {1, true, false, false, true}}
 	for _, m := range modes {
 		protos := make([]sim.Protocol, n)
 		for i := range protos {
 			switch {
+			case m.cast:
+				protos[i] = cogcast.New(sim.View(asn, sim.NodeID(i)), i%64 == 0, "m", 1)
 			case m.stand:
 				protos[i] = &censusStander{msg: i, won: -1}
 			case m.listen:

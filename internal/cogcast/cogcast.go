@@ -5,6 +5,12 @@
 // are informed, the faster the remainder is reached — completing in
 // O((c/k)·max{1,c/n}·lg n) slots w.h.p. (Theorem 4).
 //
+// An informed node broadcasts quietly (sim.BroadcastQuiet): it ignores
+// all feedback once it holds the message, so a sparse engine need not
+// hand it the winner's message when it loses. The paper's model delivers
+// that loss, and the dense engine still does; the node's state is the same
+// either way.
+//
 // A node reads no global parameter: the caller's slot budget (SlotBound)
 // decides when to stop, and the per-slot behavior depends on nothing but the
 // node's own channel set, which is why it tolerates dynamic channel
@@ -74,11 +80,12 @@ func (n *Node) Reinit(view sim.NodeView, source bool, payload sim.Message, seed 
 }
 
 // Step implements sim.Protocol: choose a uniform random channel; broadcast
-// if informed, listen otherwise.
+// if informed, listen otherwise. The broadcast is quiet, because Deliver
+// returns at once for an informed node: a loss teaches it nothing.
 func (n *Node) Step(slot int) sim.Action {
 	ch := n.rand.Intn(n.view.NumChannels(slot))
 	if n.informed {
-		return sim.Broadcast(ch, n.wire)
+		return sim.BroadcastQuiet(ch, n.wire)
 	}
 	return sim.Listen(ch)
 }

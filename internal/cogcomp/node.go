@@ -245,6 +245,9 @@ func (nd *Node) Done() bool { return nd.done }
 
 // deliverPhase1 hands the outcome to COGCAST and logs the slot if phase three
 // replays it: a won broadcast, or the listen that first informed the node.
+// A loss changes nothing here or in COGCAST, which is what lets phase
+// one's broadcasts be quiet (sim.BroadcastQuiet): a sparse engine skips
+// them.
 func (nd *Node) deliverPhase1(slot int, ev sim.Event) {
 	was := nd.cast.Informed()
 	nd.cast.Deliver(slot, ev)

@@ -170,18 +170,19 @@ func TestSparseStandsAudited(t *testing.T) {
 }
 
 // workCounter wraps a node and counts its Step and Deliver calls in the
-// census window and in phase four, forwarding CatchUp so the engine still
-// serves the node deaf.
+// census window and in phase four, and its phase-one losses, forwarding
+// CatchUp so the engine still serves the node deaf.
 type workCounter struct {
 	p       *cogcomp.Node
 	windows *phaseWindows
 }
 
 // phaseWindows holds the census window [p2, p3) and phase four's start p4,
-// and the calls counted in them.
+// the calls counted in them, and the EvSendFailed deliveries before p2.
 type phaseWindows struct {
 	p2, p3, p4 int
 	calls      int
+	lost       int
 }
 
 func (w *phaseWindows) count(slot int) {
@@ -197,6 +198,9 @@ func (c workCounter) Step(slot int) sim.Action {
 
 func (c workCounter) Deliver(slot int, ev sim.Event) {
 	c.windows.count(slot)
+	if ev.Kind == sim.EvSendFailed && slot < c.windows.p2 {
+		c.windows.lost++
+	}
 	c.p.Deliver(slot, ev)
 }
 
@@ -231,5 +235,40 @@ func TestSparseContentionWorkScales(t *testing.T) {
 	t.Logf("phases two and four: %d calls at n=4000, %d at n=8000 (×%.2f)", small, large, growth)
 	if growth >= 2.5 {
 		t.Errorf("phases two and four grew ×%.2f from n=4000 to n=8000, want < ×2.5", growth)
+	}
+}
+
+// TestSparsePhaseOneWaivesLosses pins the quiet broadcasts of phase one on
+// E29's shape: every phase-one broadcaster is an informed COGCAST node,
+// whose loss changes nothing, so a sparse engine delivers none of them
+// while the dense engine, which reads no hint, still delivers them all.
+// Both runs must reach the same result.
+func TestSparsePhaseOneWaivesLosses(t *testing.T) {
+	const n = 1000
+	asn, err := assign.SharedCore(n, 16, 4, 48, assign.LocalLabels, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := cogcomp.PhaseOneLength(n, 16, 4, cogcast.DefaultKappa)
+	run := func(sparse bool) (*cogcomp.Result, int) {
+		w := &phaseWindows{p2: l, p3: l + n, p4: 2*l + n}
+		res, err := new(cogcomp.Arena).RunWith(asn, 0, trialInputs(n, 0), 1, cogcomp.Config{Sparse: sparse},
+			func(_ sim.NodeID, nd *cogcomp.Node) sim.Protocol { return workCounter{p: nd, windows: w} })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, w.lost
+	}
+	want, dense := run(false)
+	got, sparse := run(true)
+	t.Logf("phase-one losses delivered: %d dense, %d sparse", dense, sparse)
+	if dense == 0 {
+		t.Fatal("dense phase one delivered no loss: the pin has nothing to waive")
+	}
+	if sparse != 0 {
+		t.Errorf("sparse phase one delivered %d losses, want 0", sparse)
+	}
+	if !invariant.AggEqual(got.Value, want.Value) || got.TotalSlots != want.TotalSlots {
+		t.Errorf("sparse run (%v, %d slots) != dense (%v, %d slots)", got.Value, got.TotalSlots, want.Value, want.TotalSlots)
 	}
 }

@@ -18,8 +18,9 @@ import (
 //   - no awake node is skipped: a node whose promise expires (or that never
 //     made one) is stepped at exactly the slot the dense engine would have
 //     stepped it, before any delivery reaches it in that slot,
-//   - one dormancy contract: a delivery wakes a parked node, or the node is
-//     deaf and catches up. A delivered node is stepped in the next slot.
+//   - one dormancy contract: a delivery wakes a parked node, or the node
+//     waived it — a quiet loser has nothing to learn, and a deaf node
+//     catches up. A delivered node is stepped in the next slot.
 //     A node that implements sim.CatchUpper and stands or parks quietly
 //     under sim.UniformWinner is deaf: from the slot of that action it
 //     gets no delivery but a winning one, and before its next Step or its
@@ -32,6 +33,16 @@ import (
 //     slots after a message carrying its awaited key won there — the
 //     checker takes each winner's message key from the winner's last
 //     recorded action, not from the engine,
+//   - every node hears what its channel's outcome says, and nothing
+//     else: under sim.UniformWinner each broadcaster gets
+//     EvSendSucceeded exactly if it is the reported winner, each losing
+//     broadcaster one EvSendFailed unless it broadcast quietly
+//     (sim.BroadcastQuiet) or is deaf, in which case none, and each
+//     listener, stepped or parked, one EvReceived unless it is deaf; under
+//     sim.AllDelivered each broadcaster gets one EvSendSucceeded and each
+//     listener one EvReceived per broadcaster. A quiet loser's Deliver
+//     would ignore the loss, so the dense engine's delivery of it changes
+//     nothing; the audit holds a sparse engine to skipping it,
 //   - retirement is final: a node whose own Done reported true at the end
 //     of a slot is never stepped or delivered to again.
 //
@@ -72,8 +83,18 @@ type WakeChecker struct {
 	deafFrom []int
 	caughtTo []int
 
+	// heard counts each node's deliveries in its last delivered slot, for
+	// OnSlot's audit against the outcome.
+	heard []heardCount
+
 	violations int
 	firstErr   error
+}
+
+// heardCount is the deliveries of each kind a node got in slot.
+type heardCount struct {
+	slot            int
+	win, fail, recv int
 }
 
 // armKey is a channel and a wake key.
@@ -107,6 +128,7 @@ func (w *WakeChecker) Reset(n int, m sim.CollisionModel) {
 		w.catcher = make([]bool, n)
 		w.deafFrom = make([]int, n)
 		w.caughtTo = make([]int, n)
+		w.heard = make([]heardCount, n)
 	}
 	w.protos = w.protos[:n]
 	w.retired = w.retired[:n]
@@ -122,6 +144,7 @@ func (w *WakeChecker) Reset(n int, m sim.CollisionModel) {
 	w.catcher = w.catcher[:n]
 	w.deafFrom = w.deafFrom[:n]
 	w.caughtTo = w.caughtTo[:n]
+	w.heard = w.heard[:n]
 	for i := 0; i < n; i++ {
 		w.protos[i] = nil
 		w.retired[i] = false
@@ -134,6 +157,7 @@ func (w *WakeChecker) Reset(n int, m sim.CollisionModel) {
 		w.catcher[i] = false
 		w.deafFrom[i] = -1
 		w.caughtTo[i] = -1
+		w.heard[i] = heardCount{slot: -1}
 	}
 	w.armed = make(map[armKey]bool)
 	w.armedNext = make(map[armKey]bool)
@@ -278,6 +302,18 @@ func (w *WakeChecker) beforeDeliver(slot int, node sim.NodeID, ev sim.Event) {
 // slot, exactly as the dense engine resolves it). A won stand ends.
 func (w *WakeChecker) onDeliver(slot int, node sim.NodeID, ev sim.Event) {
 	v := int(node)
+	h := &w.heard[v]
+	if h.slot != slot {
+		*h = heardCount{slot: slot}
+	}
+	switch ev.Kind {
+	case sim.EvSendSucceeded:
+		h.win++
+	case sim.EvSendFailed:
+		h.fail++
+	default:
+		h.recv++
+	}
 	if w.retired[v] {
 		w.failf("slot %d: delivery to node %d retired in slot %d", slot, node, w.retireDay[v])
 		return
@@ -292,9 +328,9 @@ func (w *WakeChecker) onDeliver(slot int, node sim.NodeID, ev sim.Event) {
 }
 
 // OnSlot implements sim.Observer: every node that was due this slot must
-// have been stepped, every stander must broadcast exactly when its key
-// won its channel in the previous slot, and a node whose Done now reports
-// true retires.
+// have been stepped, every delivery must match its channel's outcome,
+// every stander must broadcast exactly when its key won its channel in the
+// previous slot, and a node whose Done now reports true retires.
 func (w *WakeChecker) OnSlot(slot int, outcomes []sim.ChannelOutcome) {
 	clear(w.armedNext)
 	for _, o := range outcomes {
@@ -302,6 +338,9 @@ func (w *WakeChecker) OnSlot(slot int, outcomes []sim.ChannelOutcome) {
 			if b >= 0 && int(b) < len(w.protos) {
 				w.bcastAt[b], w.bcastCh[b] = slot, o.Channel
 			}
+		}
+		if len(o.Broadcasters) > 0 {
+			w.auditChannel(slot, o)
 		}
 		if o.Winner >= 0 && int(o.Winner) < len(w.protos) {
 			if key := w.last[o.Winner].Key; key != sim.NoKey {
@@ -312,6 +351,9 @@ func (w *WakeChecker) OnSlot(slot int, outcomes []sim.ChannelOutcome) {
 	for v, p := range w.protos {
 		if w.retired[v] {
 			continue
+		}
+		if w.heard[v].slot == slot {
+			w.failf("slot %d: node %d delivered to off every contended channel", slot, v)
 		}
 		if w.expect[v] == slot && w.stepped[v] != slot {
 			w.failf("slot %d: awake node %d skipped by the sparse scan", slot, v)
@@ -331,6 +373,58 @@ func (w *WakeChecker) OnSlot(slot int, outcomes []sim.ChannelOutcome) {
 		}
 	}
 	w.armed, w.armedNext = w.armedNext, w.armed
+}
+
+// auditChannel checks the deliveries of one contended channel against its
+// outcome and marks them audited, so OnSlot can flag any delivery left
+// over. A broadcaster not stepped this slot is an armed stander, whose
+// last action is its stand. Ids outside the run are the slot checker's
+// to report.
+func (w *WakeChecker) auditChannel(slot int, o sim.ChannelOutcome) {
+	known := func(v sim.NodeID) bool { return v >= 0 && int(v) < len(w.protos) }
+	all := !w.keyed
+	for _, b := range o.Broadcasters {
+		if !known(b) {
+			continue
+		}
+		want := heardCount{win: 1}
+		if !all && b != o.Winner {
+			want.win = 0
+			if !w.last[b].Quiet && w.deafFrom[b] < 0 {
+				want.fail = 1
+			}
+		}
+		w.audit(slot, o.Channel, b, want)
+	}
+	recv := 1
+	if all {
+		recv = len(o.Broadcasters)
+	}
+	for _, ls := range [][]sim.NodeID{o.Listeners, o.Parked} {
+		for _, l := range ls {
+			if !known(l) {
+				continue
+			}
+			want := heardCount{recv: recv}
+			if w.deafFrom[l] >= 0 {
+				want.recv = 0
+			}
+			w.audit(slot, o.Channel, l, want)
+		}
+	}
+}
+
+// audit compares node's deliveries in slot with want and consumes them.
+func (w *WakeChecker) audit(slot, ch int, node sim.NodeID, want heardCount) {
+	got := w.heard[node]
+	if got.slot != slot {
+		got = heardCount{}
+	}
+	w.heard[node].slot = -1
+	if got.win != want.win || got.fail != want.fail || got.recv != want.recv {
+		w.failf("slot %d: node %d on channel %d heard %d wins, %d losses and %d receptions, want %d, %d and %d",
+			slot, node, ch, got.win, got.fail, got.recv, want.win, want.fail, want.recv)
+	}
 }
 
 // checkStander checks that stander v, not stepped this slot, broadcast on

@@ -114,6 +114,7 @@ func TestWakeCheckerStands(t *testing.T) {
 			s.step(1, 1, sim.Listen(0))
 			s.catchUp(0, 0, 1)
 			s.deliver(1, 0, sim.EvSendSucceeded)
+			s.deliver(1, 1, sim.EvReceived)
 			s.w.OnSlot(1, []sim.ChannelOutcome{out(0, 0, ids(0), ids(1))})
 		}, "stander 0 broadcast on channel 0 without its key"},
 		{"deaf stander delivered a loss", func(s *wakeStream) {
@@ -193,5 +194,81 @@ func TestWakeCheckerStands(t *testing.T) {
 	s.w.OnSlot(2, nil)
 	if err := s.w.Err(); err != nil {
 		t.Errorf("clean stand stream flagged: %v", err)
+	}
+}
+
+// contend is slot 0 of every delivery stream: node 0 listens on channel 0
+// while node 1 broadcasts there plainly and node 2 quietly.
+func (s *wakeStream) contend() {
+	s.step(0, 0, sim.Listen(0))
+	s.step(0, 1, sim.Broadcast(0, "a"))
+	s.step(0, 2, sim.BroadcastQuiet(0, "b"))
+}
+
+// TestWakeCheckerDeliveries feeds the wake oracle's delivery audit
+// hand-built sparse slots, one fault per rule: a hearing loser, a winner
+// or a listener denied its delivery, a quiet loser handed its loss, and a
+// delivery on a channel nobody broadcast on. The clean streams are the
+// slot won by either broadcaster, the quiet loser skipped.
+func TestWakeCheckerDeliveries(t *testing.T) {
+	contended := []sim.ChannelOutcome{out(0, 1, ids(1, 2), ids(0))}
+	violations := []struct {
+		name string
+		feed func(s *wakeStream)
+		want string
+	}{
+		{"hearing loser not told it lost", func(s *wakeStream) {
+			s.deliver(0, 2, sim.EvSendSucceeded)
+			s.deliver(0, 0, sim.EvReceived)
+			s.w.OnSlot(0, []sim.ChannelOutcome{out(0, 2, ids(1, 2), ids(0))})
+		}, "node 1 on channel 0 heard 0 wins, 0 losses and 0 receptions, want 0, 1 and 0"},
+		{"quiet loser delivered its loss", func(s *wakeStream) {
+			s.deliver(0, 1, sim.EvSendSucceeded)
+			s.deliver(0, 2, sim.EvSendFailed)
+			s.deliver(0, 0, sim.EvReceived)
+			s.w.OnSlot(0, contended)
+		}, "node 2 on channel 0 heard 0 wins, 1 losses and 0 receptions, want 0, 0 and 0"},
+		{"winner told it lost", func(s *wakeStream) {
+			s.deliver(0, 1, sim.EvSendFailed)
+			s.deliver(0, 0, sim.EvReceived)
+			s.w.OnSlot(0, contended)
+		}, "node 1 on channel 0 heard 0 wins, 1 losses and 0 receptions, want 1, 0 and 0"},
+		{"listener not delivered to", func(s *wakeStream) {
+			s.deliver(0, 1, sim.EvSendSucceeded)
+			s.w.OnSlot(0, contended)
+		}, "node 0 on channel 0 heard 0 wins, 0 losses and 0 receptions, want 0, 0 and 1"},
+		{"delivery on an idle channel", func(s *wakeStream) {
+			s.deliver(0, 1, sim.EvSendSucceeded)
+			s.deliver(0, 0, sim.EvReceived)
+			s.w.OnSlot(0, []sim.ChannelOutcome{out(0, 1, ids(1, 2), nil), out(1, sim.None, nil, ids(0))})
+		}, "node 0 delivered to off every contended channel"},
+	}
+	for _, tc := range violations {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newWakeStream()
+			s.contend()
+			tc.feed(s)
+			err := s.w.Err()
+			if err == nil {
+				t.Fatal("violation not detected")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("error %q does not mention %q", err, tc.want)
+			}
+		})
+	}
+
+	for _, winner := range []int{1, 2} {
+		s := newWakeStream()
+		s.contend()
+		s.deliver(0, winner, sim.EvSendSucceeded)
+		if winner == 2 {
+			s.deliver(0, 1, sim.EvSendFailed)
+		}
+		s.deliver(0, 0, sim.EvReceived)
+		s.w.OnSlot(0, []sim.ChannelOutcome{out(0, sim.NodeID(winner), ids(1, 2), ids(0))})
+		if err := s.w.Err(); err != nil {
+			t.Errorf("clean slot won by node %d flagged: %v", winner, err)
+		}
 	}
 }

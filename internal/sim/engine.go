@@ -389,10 +389,11 @@ func (e *Engine) RunSlot() error {
 // listeners merged with the listeners parked there, and the parked ones
 // that heard something are re-woken; standers broadcasting this slot are
 // merged into the broadcasters, not counted as parked listeners; deaf
-// nodes are left out of both delivery lists, so the delivery loops are the
-// dense engine's own. An observed sparse slot reports the parked listeners
-// apart from the stepped ones, and walks the channels whose only listeners
-// are parked too, in order, as the dense scan would have filed them.
+// nodes and quiet losers are left out of the delivery lists, so the
+// delivery loops are the dense engine's own and read no hint. An observed
+// sparse slot reports the parked listeners apart from the stepped ones,
+// and walks the channels whose only listeners are parked too, in order,
+// as the dense scan would have filed them.
 func (e *Engine) resolveChannels(slot int) {
 	var outcomes []ChannelOutcome
 	var pt []int
@@ -434,8 +435,7 @@ func (e *Engine) resolveChannels(slot int) {
 		winner := None
 		if len(bs) > 0 {
 			ls := live
-			deaf := sparse && e.sp.deafHere[ch]
-			if len(pk) > 0 || deaf {
+			if len(pk) > 0 || sparse && e.sp.deafHere[ch] {
 				ls = e.hearingListeners(live, pk)
 			}
 			switch e.collisions {
@@ -456,7 +456,7 @@ func (e *Engine) resolveChannels(slot int) {
 				winner = bs[e.rand.Intn(len(bs))]
 				msg := e.acts[winner].Msg
 				hear := bs
-				if deaf {
+				if sparse {
 					hear = e.hearingBroadcasters(bs, winner, slot)
 				}
 				for _, b := range hear {

@@ -19,8 +19,10 @@ import (
 // carries the key (b>>2)&3, so some carry none. A park ends on a delivery
 // unless it is quiet; a stand ends on a win, and in its other slots the
 // node listens unless the message that won its channel in the previous
-// slot carried its key, as Stand promises. Each hold ends at an absolute
-// slot, so the Sleep hint it carries honours its contract. A catching
+// slot carried its key, as Stand promises. A broadcast byte whose top two
+// bits are 01 broadcasts quietly, and the node ignores a loss there, as
+// BroadcastQuiet promises. Each hold ends at an absolute slot, so the
+// Sleep hint it carries honours its contract. A catching
 // node's deaf holds (stands and quiet parks) also end before the run's
 // last slot, so it is caught up before its log is compared; a deaf hold
 // that would not is a plain action instead. A non-catching node keeps
@@ -40,6 +42,7 @@ type scripted struct {
 	holdEnd  int // first slot after the hold; the hold is over when slot >= holdEnd
 	lastWin  int // slot of the last win heard, and its message's key
 	lastKey  sim.WakeKey
+	quietAt  int // slot of the last quiet broadcast
 	log      []string
 	steps    []int
 }
@@ -83,6 +86,9 @@ func (s *scripted) Step(slot int) sim.Action {
 		return s.hold
 	default:
 		act := sim.Broadcast(ch, int(b)).Keyed(keyOf(int(b)))
+		if b&0xc0 == 0x40 {
+			act.Quiet, s.quietAt = true, slot
+		}
 		if !hold {
 			return act
 		}
@@ -93,6 +99,9 @@ func (s *scripted) Step(slot int) sim.Action {
 }
 
 func (s *scripted) Deliver(slot int, ev sim.Event) {
+	if ev.Kind == sim.EvSendFailed && s.quietAt == slot {
+		return
+	}
 	if ev.Kind == sim.EvSendSucceeded {
 		s.wins[[2]int{s.asn.ChannelSet(sim.NodeID(s.id), slot)[ev.Channel], slot}] = ev
 	}
@@ -181,6 +190,9 @@ func FuzzEngineSlot(f *testing.F) {
 	// than its stander (TestEngineSlotSeedArmsBelowStepped).
 	f.Add(armSeed.rawN, armSeed.rawC, armSeed.seed, armSeed.script)
 	f.Add(armDeafSeed.rawN, armDeafSeed.rawC, armDeafSeed.seed, armDeafSeed.script)
+	// A quiet loser, a hearing loser and a deaf stander lose one channel
+	// in one slot (TestEngineSlotSeedQuietLoser).
+	f.Add(quietSeed.rawN, quietSeed.rawC, quietSeed.seed, quietSeed.script)
 	f.Fuzz(func(t *testing.T, rawN, rawC uint8, seed int64, script []byte) {
 		checkEngineSlot(t, rawN, rawC, seed, script)
 	})
@@ -210,6 +222,34 @@ var (
 	armSeed     = seedScript{3, 0, 1, []byte("\xb0\x01\x05\x01\x05\x00\x01\x05\x01\x05\x01\x01\x01\x01\x01")}
 	armDeafSeed = seedScript{3, 0, 1, []byte("\x01\xb0\x05\x01\x05\x01\x00\x05\x01\x05\x01\x01\x01\x01\x01")}
 )
+
+// quietSeed is FuzzEngineSlot's script of five nodes on one shared
+// channel: in slot 0 nodes 0 and 2 broadcast plainly, node 1 stands deaf
+// awaiting key 1, node 4 broadcasts quietly and node 3 listens; then all
+// listen.
+var quietSeed = seedScript{3, 0, 1, []byte("\x05\xb0\x05\x01\x41\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01")}
+
+// TestEngineSlotSeedQuietLoser pins what quietSeed is for: node 2 wins
+// slot 0, so one channel has a hearing loser (node 0), a deaf stander
+// (node 1) and a quiet loser (node 4). The wake oracle audits that only
+// node 0 hears its loss; node 0's log shows it and node 4's shows no slot
+// 0 delivery. Node 2's message carries key 1, so node 1's group is armed
+// and wins slot 1.
+func TestEngineSlotSeedQuietLoser(t *testing.T) {
+	outs, recs := checkEngineSlot(t, quietSeed.rawN, quietSeed.rawC, quietSeed.seed, quietSeed.script)
+	if slot0 := strings.Split(outs.String(), "\n")[0]; !strings.Contains(slot0, " b[0 1 2 4] w2 l[3]") {
+		t.Fatalf("slot 0 is %q, want nodes 0, 1 and 4 to lose to node 2", slot0)
+	}
+	if !slices.ContainsFunc(recs[0].log, func(e string) bool { return strings.HasPrefix(e, "0/send-failed/") }) {
+		t.Fatalf("hearing loser's log %v lacks its slot-0 loss", recs[0].log)
+	}
+	if slices.ContainsFunc(recs[4].log, func(e string) bool { return strings.HasPrefix(e, "0/") }) {
+		t.Fatalf("quiet loser's log %v has a slot-0 delivery", recs[4].log)
+	}
+	if slot1 := strings.Split(outs.String(), "\n")[1]; !strings.Contains(slot1, " b[1] w1 ") {
+		t.Fatalf("slot 1 is %q, want node 1's armed stand to win", slot1)
+	}
+}
 
 // TestEngineSlotSeedArmsBelowStepped pins what armSeed and armDeafSeed are
 // for: one of nodes 2 and 4 wins slot 0 with key 1, so in slot 1 the
@@ -277,7 +317,7 @@ func checkEngineSlot(t *testing.T, rawN, rawC uint8, seed int64, script []byte) 
 			wake.Reset(n, model)
 		}
 		for i := range protos {
-			recs[i] = &scripted{script: script, id: i, n: n, c: c, slots: slots, asn: asn, wins: wins, lastWin: -2, catches: i%2 == 1}
+			recs[i] = &scripted{script: script, id: i, n: n, c: c, slots: slots, asn: asn, wins: wins, lastWin: -2, quietAt: -1, catches: i%2 == 1}
 			protos[i] = recs[i]
 			if recs[i].catches {
 				protos[i] = catching{recs[i]}

@@ -11,13 +11,16 @@ package sim
 //     contract), so the engine's tie-break stream and every per-node
 //     stream advance exactly as they would densely.
 //   - One dormancy contract: a delivery wakes a parked node, or the node
-//     is deaf and catches up. A parked listener stays in its channel's
+//     waived it — a quiet loser has nothing to learn, and a deaf
+//     CatchUpper catches up. A parked listener stays in its channel's
 //     delivery set, in the node order the dense run would have held, and
-//     a delivery there has the next slot step it again. A CatchUpper that
-//     stands or quiet-parks under UniformWinner is deaf: its deliveries
-//     are skipped and reported as one slot range before its next Step or
-//     its winning delivery. Any other quiet park is a plain park, and any
-//     other stand a stepped broadcast.
+//     a delivery there has the next slot step it again. A quiet broadcast
+//     (BroadcastQuiet) that loses gets no EvSendFailed: its Deliver would
+//     have ignored it, and it is stepped next slot like any broadcaster.
+//     A CatchUpper that stands or quiet-parks under UniformWinner is deaf:
+//     its deliveries are skipped and reported as one slot range before
+//     its next Step or its winning delivery. Any other quiet park is a
+//     plain park, and any other stand a stepped broadcast.
 //   - Standing broadcasters sit in a group per channel and wake key. In
 //     the slot after a message carrying the key wins the channel, the
 //     group joins the channel's broadcasters in node order, exactly where
@@ -35,9 +38,10 @@ import "slices"
 // dormancy hints and scans only awake nodes each slot. Executions are
 // byte-identical to the dense engine — transcripts, RNG draw order, error
 // strings and traces included — because dormant nodes neither act nor draw
-// randomness, and every delivery wakes its target or is caught up on
-// (CatchUpper). The engine silently falls back to dense stepping as
-// Engine.configure describes; Sparse() reports the effective mode.
+// randomness, and every delivery wakes its target, is waived by a quiet
+// loser (BroadcastQuiet) or is caught up on (CatchUpper). The engine
+// silently falls back to dense stepping as Engine.configure describes;
+// Sparse() reports the effective mode.
 func WithSparse() Option {
 	return func(e *Engine) { e.sparseReq = true }
 }
@@ -521,17 +525,21 @@ func (e *Engine) armed(ch int, bs, pk []NodeID) []NodeID {
 }
 
 // hearingBroadcasters returns the broadcasters of a channel that get a
-// delivery this slot, in bscratch: all but the deaf losers, the standers
-// (armed or new) that did not win. A deaf winner is caught up first.
+// delivery this slot under UniformWinner, in bscratch: all but the losers
+// that waived their loss — the quiet ones (BroadcastQuiet) and the deaf
+// ones, standers (armed or new) that did not win. A deaf winner is caught
+// up first.
 func (e *Engine) hearingBroadcasters(bs []NodeID, winner NodeID, slot int) []NodeID {
 	sp := &e.sp
 	out := sp.bscratch[:0]
 	for _, b := range bs {
-		if sp.deafFrom[b] >= 0 {
-			if b != winner {
-				continue
+		switch {
+		case b == winner:
+			if sp.deafFrom[b] >= 0 {
+				e.catchUp(b, slot)
 			}
-			e.catchUp(b, slot)
+		case e.acts[b].Quiet || sp.deafFrom[b] >= 0:
+			continue
 		}
 		out = append(out, b)
 	}
@@ -553,9 +561,9 @@ func (e *Engine) holdsDeaf(v int32) bool {
 
 // markDeafHere notes that a node served deaf may sit in channel ch's
 // runs this slot — a stand or quiet park that starts here, or an armed
-// group — so its deliveries must go through hearingListeners and
-// hearingBroadcasters. Elsewhere the live runs are delivered to as they
-// are, without a copy.
+// group — so its listeners must go through hearingListeners. Elsewhere
+// the live listen run is delivered to as it is, without a copy;
+// broadcasters always go through hearingBroadcasters.
 func (e *Engine) markDeafHere(ch int) {
 	sp := &e.sp
 	if !sp.deafHere[ch] {

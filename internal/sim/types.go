@@ -66,19 +66,26 @@ type Message any
 // executions byte-identical. On an OpBroadcast action the hint means
 // nothing unless Await names a wake key, which makes the broadcast a
 // standing one (see Stand); a plain broadcaster always gets feedback, so
-// it is stepped again in the next slot. A Sleep <= 0 promises nothing: the
-// action is the plain one, whatever Quiet and Await say, so a protocol may
-// pass a bound that has run down to zero or below straight to Sleep,
-// ParkListen, ParkListenQuiet or Stand (FuzzEngineSlot's scripted holds
-// issue Sleep = 0 in their last slot).
+// it is stepped again in the next slot. A Sleep <= 0 promises no
+// dormancy: a park or stand is then the plain listen or broadcast,
+// whatever Quiet and Await say, so a protocol may pass a bound that has
+// run down to zero or below straight to Sleep, ParkListen,
+// ParkListenQuiet or Stand (FuzzEngineSlot's scripted holds issue
+// Sleep = 0 in their last slot). Quiet on a broadcast is the one hint
+// that needs no Sleep: it promises only that losing this slot teaches
+// the node nothing (see BroadcastQuiet).
 //
 // The field order packs Op, Quiet and Key into one word, so the wake keys
 // do not grow the engine's per-node action buffer.
 type Action struct {
 	Op Op
-	// Quiet makes a listen hint a deaf hold for a CatchUpper under
-	// UniformWinner (see ParkListenQuiet); otherwise, and without a
-	// positive Sleep on an OpListen action, the engine ignores it.
+	// Quiet on an OpBroadcast action promises that losing changes
+	// nothing: the node's Deliver would ignore the EvSendFailed, so a
+	// sparse engine delivers a quiet broadcaster only its win (see
+	// BroadcastQuiet). On an OpListen action with a positive Sleep it makes
+	// the park a deaf hold for a CatchUpper under UniformWinner (see
+	// ParkListenQuiet). The dense engine never reads it, and otherwise the
+	// sparse engine ignores it too.
 	Quiet bool
 	// Key is the wake key the broadcast message carries (see WakeKey):
 	// when it wins its channel, the nodes standing there on Key broadcast
@@ -141,6 +148,19 @@ func ParkListenQuiet(ch, k int) Action {
 // Broadcast returns the action of broadcasting msg on local channel ch.
 func Broadcast(ch int, msg Message) Action {
 	return Action{Op: OpBroadcast, Channel: ch, Msg: msg}
+}
+
+// BroadcastQuiet is Broadcast with a waiver: the node promises that its
+// Deliver would ignore an EvSendFailed for this slot — no state change, no
+// randomness — so losing teaches it nothing. A sparse engine delivers a
+// quiet broadcaster only its win, and the dense engine, which reads no
+// hint, delivers every loss, so both leave the node in the same state.
+// This is COGCAST's informed node, which ignores all feedback once it
+// holds the message; under the paper's model every loser would get the
+// winner's message. A quiet broadcast is stepped again in the next slot
+// like any plain one, and needs no Sleep.
+func BroadcastQuiet(ch int, msg Message) Action {
+	return Action{Op: OpBroadcast, Channel: ch, Msg: msg, Quiet: true}
 }
 
 // Stand returns a standing broadcast of msg on local channel ch: the node
@@ -228,8 +248,9 @@ type Protocol interface {
 // CatchUpper is an optional Protocol interface for nodes that can rebuild
 // the deliveries they missed from state shared outside the radio (COGCOMP
 // re-reads its channel's census log). A sparse engine keeps one dormancy
-// contract: a delivery wakes a parked node, or the node is deaf and
-// catches up. Only a CatchUpper under UniformWinner is held deaf, while it
+// contract: a delivery wakes a parked node, or the node waived it — a
+// quiet loser (BroadcastQuiet) has nothing to learn, and a deaf
+// CatchUpper catches up. Only a CatchUpper under UniformWinner is held deaf, while it
 // stands (Stand) or sits in a quiet park (ParkListenQuiet): the engine
 // skips every delivery to it but a winning one and, before the node's next
 // Step or that win, calls CatchUp once with the skipped slots. CatchUp
