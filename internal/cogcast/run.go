@@ -79,6 +79,7 @@ type RunConfig struct {
 // for concurrent use: parallel trial runners keep one per worker.
 type Arena struct {
 	nodes       []*Node
+	slab        []Node // backs nodes: one allocation per growth, not per node
 	protos      []sim.Protocol
 	eng         *sim.Engine
 	wasInformed []bool
@@ -142,16 +143,14 @@ func EngineOptions(dst []sim.Option, asn sim.Assignment, cfg RunConfig, ck **inv
 // build (re)initializes n nodes and the engine for one trial.
 func (a *Arena) build(asn sim.Assignment, source sim.NodeID, payload sim.Message, seed int64, engOpts []sim.Option) error {
 	n := asn.Nodes()
-	if cap(a.nodes) < n {
-		a.nodes = append(a.nodes[:cap(a.nodes)], make([]*Node, n-cap(a.nodes))...)
-		a.protos = make([]sim.Protocol, n)
+	if len(a.slab) < n {
+		a.slab = append(a.slab, make([]Node, n-len(a.slab))...)
+		a.nodes, a.protos = make([]*Node, n), make([]sim.Protocol, n)
 	}
 	a.nodes = a.nodes[:n]
 	a.protos = a.protos[:n]
 	for i := range a.nodes {
-		if a.nodes[i] == nil {
-			a.nodes[i] = &Node{}
-		}
+		a.nodes[i] = &a.slab[i]
 		a.nodes[i].Reinit(sim.View(asn, sim.NodeID(i)), sim.NodeID(i) == source, payload, seed)
 		a.protos[i] = a.nodes[i]
 	}

@@ -28,7 +28,10 @@ type rosterEntry struct {
 //
 // Each entry records the slot it won in, and a channel's log is in slot
 // order, because every slot has at most one winner and its entry is
-// logged by the first delivery of that slot's win. So the entries a node
+// logged by the first delivery of that slot's win, and later ones find
+// it. Every delivery of a win carries the same entry, so the log does not
+// depend on which node the engine delivers to first (node order on a
+// dense engine, channel order on a sparse one). So the entries a node
 // would have heard while it was not delivered to — a sparse engine serves
 // census contenders and listeners deaf, see Node.CatchUp — are one range
 // of positions, which holdSlots finds by slot.

@@ -66,7 +66,7 @@ type Node struct {
 	f      aggfunc.Func
 	input  int64
 
-	cast *cogcast.Node
+	cast cogcast.Node
 
 	// Phase-one log. pos counts the phase-one slots the node stepped or
 	// missed (MissSlot); a plain outage does neither, so pos trails the
@@ -162,11 +162,7 @@ var _ sim.Protocol = (*Node)(nil)
 // a fresh one.
 func (nd *Node) reinit(view sim.NodeView, source bool, n, phase1Len int, input int64, f aggfunc.Func, seed int64, cen *census) {
 	cast := nd.cast
-	if cast == nil {
-		cast = cogcast.New(view, source, initPayload{}, seed)
-	} else {
-		cast.Reinit(view, source, initPayload{}, seed)
-	}
+	cast.Reinit(view, source, initPayload{}, seed)
 	*nd = Node{
 		id:          view.ID(),
 		n:           n,

@@ -101,6 +101,7 @@ type Result struct {
 // runners keep one per worker.
 type Arena struct {
 	nodes    []*Node
+	slab     []Node // backs nodes: one allocation per growth, not per node
 	cen      census
 	protos   []sim.Protocol
 	eng      *sim.Engine
@@ -113,17 +114,15 @@ type Arena struct {
 // when non-nil, maps each node to the protocol the engine drives (e.g. a
 // fault-injection wrapper); nil drives the nodes directly.
 func (a *Arena) build(asn sim.Assignment, source sim.NodeID, n, l int, input func(i int) int64, f aggfunc.Func, seed int64, engOpts []sim.Option, wrap func(sim.NodeID, *Node) sim.Protocol) error {
-	if cap(a.nodes) < n {
-		a.nodes = append(a.nodes[:cap(a.nodes)], make([]*Node, n-cap(a.nodes))...)
-		a.protos = make([]sim.Protocol, n)
+	if len(a.slab) < n {
+		a.slab = append(a.slab, make([]Node, n-len(a.slab))...)
+		a.nodes, a.protos = make([]*Node, n), make([]sim.Protocol, n)
 	}
 	a.nodes = a.nodes[:n]
 	a.protos = a.protos[:n]
 	a.cen.reset(asn)
 	for i := range a.nodes {
-		if a.nodes[i] == nil {
-			a.nodes[i] = &Node{}
-		}
+		a.nodes[i] = &a.slab[i]
 		a.nodes[i].reinit(sim.View(asn, sim.NodeID(i)), sim.NodeID(i) == source, n, l, input(i), f, seed, &a.cen)
 		if wrap == nil {
 			a.protos[i] = a.nodes[i]

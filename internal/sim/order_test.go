@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/cogradio/crn/internal/assign"
 	"github.com/cogradio/crn/internal/rng"
 	"github.com/cogradio/crn/internal/sim"
 )
@@ -114,9 +115,10 @@ func (p *planNode) Done() bool { return false }
 // listeners, filled in node order, resolved in ascending channel order
 // with the engine's tie-break stream. With waive set, as on a sparse
 // engine, a quiet broadcaster that loses gets no delivery. It returns
-// every node's delivery log and the observer stream as outcomeLog renders
-// it.
-func referenceRun(asn sim.Assignment, per, slots int, seed int64, model sim.CollisionModel, waive bool) ([][]string, string) {
+// every node's delivery log, the observer stream as outcomeLog renders
+// it, and the number of slots that hold both a listener on a silent
+// channel and a failed broadcaster.
+func referenceRun(asn sim.Assignment, per, slots int, seed int64, model sim.CollisionModel, waive bool) ([][]string, string, int) {
 	n := asn.Nodes()
 	r := rng.New(seed, int64(n), 0x5e5)
 	logs := make([][]string, n)
@@ -124,7 +126,9 @@ func referenceRun(asn sim.Assignment, per, slots int, seed int64, model sim.Coll
 		logs[to] = append(logs[to], fmt.Sprintf("%d/%v/%d/%v/%d", slot, kind, from, msg, ch))
 	}
 	var stream strings.Builder
+	mixed := 0
 	for slot := 0; slot < slots; slot++ {
+		silent, lost := false, false
 		acts := make([]sim.Action, n)
 		bs, ls := map[int][]sim.NodeID{}, map[int][]sim.NodeID{}
 		for id := range acts {
@@ -153,6 +157,7 @@ func referenceRun(asn sim.Assignment, per, slots int, seed int64, model sim.Coll
 			winner := sim.None
 			switch {
 			case len(b) == 0:
+				silent = true
 			case model == sim.AllDelivered:
 				winner = b[0]
 				for _, v := range b {
@@ -165,6 +170,7 @@ func referenceRun(asn sim.Assignment, per, slots int, seed int64, model sim.Coll
 				}
 			default:
 				winner = b[r.Intn(len(b))]
+				lost = lost || len(b) > 1
 				for _, v := range b {
 					kind := sim.EvSendFailed
 					if v == winner {
@@ -181,8 +187,11 @@ func referenceRun(asn sim.Assignment, per, slots int, seed int64, model sim.Coll
 			fmt.Fprintf(&stream, " ch%d b%v w%d l%v", ch, b, winner, l)
 		}
 		stream.WriteByte('\n')
+		if silent && lost {
+			mixed++
+		}
 	}
-	return logs, stream.String()
+	return logs, stream.String(), mixed
 }
 
 // TestResolutionOrderMatchesReference checks every stepping mode against
@@ -195,9 +204,14 @@ func referenceRun(asn sim.Assignment, per, slots int, seed int64, model sim.Coll
 // key, so slots sort in every number of digit passes whatever the digit
 // width; the sparse scan, whose per-channel state is O(C), runs over the
 // first two. Twelve nodes on five channels fill slots small enough to take
-// the engine's insertion sort, with many nodes per channel. Each run is
+// the engine's insertion sort, with many nodes per channel. The dense and
+// sharded scans also run 8192 nodes on the partitioned topology, whose
+// slots pass the dense engine's node-order delivery cut. Each run is
 // checked observed (the outcome stream and the deliveries) and unobserved
-// (the deliveries).
+// (the deliveries). Under UniformWinner every run must hold a slot with
+// both a listener on a silent channel, which the dense engine's node-order
+// delivery pass skips, and a failed broadcaster, which it hands the
+// winner's message.
 func TestResolutionOrderMatchesReference(t *testing.T) {
 	const per, slots = 4, 24
 	type mode struct {
@@ -205,7 +219,14 @@ func TestResolutionOrderMatchesReference(t *testing.T) {
 		asn  sim.Assignment
 		opts []sim.Option
 	}
-	var modes []mode
+	big, err := assign.Partitioned(8192, per, 1, assign.LocalLabels, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	modes := []mode{
+		{"dense/partitioned", big, nil},
+		{"shards=3/partitioned", big, []sim.Option{sim.WithShards(3)}},
+	}
 	for _, sh := range []struct{ n, top int }{{96, 6}, {96, 12}, {96, 21}, {96, 30}, {12, 2}} {
 		asn := newEdgeSets(sh.n, per, sh.top)
 		name := fmt.Sprintf("n=%d/2^%d", sh.n, sh.top)
@@ -219,10 +240,16 @@ func TestResolutionOrderMatchesReference(t *testing.T) {
 	for _, m := range modes {
 		sparse := strings.HasPrefix(m.name, "sparse")
 		for _, model := range []sim.CollisionModel{sim.UniformWinner, sim.AllDelivered} {
+			if model == sim.AllDelivered && m.asn == big {
+				continue // ~10⁵ deliveries a slot on the shared core, and no node-order pass
+			}
 			for _, observed := range []bool{false, true} {
 				name := fmt.Sprintf("%s/%v/observed=%v", m.name, model, observed)
 				const seed = 7
-				wantLogs, wantStream := referenceRun(m.asn, per, slots, seed, model, sparse)
+				wantLogs, wantStream, mixed := referenceRun(m.asn, per, slots, seed, model, sparse)
+				if model == sim.UniformWinner && mixed == 0 {
+					t.Fatalf("%s: no slot has both a silent listener and a failed broadcaster", name)
+				}
 				nodes := make([]*planNode, m.asn.Nodes())
 				protos := make([]sim.Protocol, len(nodes))
 				for i := range nodes {
@@ -263,6 +290,60 @@ func TestResolutionOrderMatchesReference(t *testing.T) {
 				if got := obs.String(); got != wantStream {
 					t.Fatalf("%s: outcome stream differs from the reference\n got %s\nwant %s", name, got, wantStream)
 				}
+			}
+		}
+	}
+}
+
+// orderNode follows its plan and appends its id to a log every node
+// shares, so the log records the order in which the engine delivers
+// across nodes.
+type orderNode struct {
+	planNode
+	shared *[][2]int
+}
+
+func (o *orderNode) Deliver(slot int, _ sim.Event) {
+	*o.shared = append(*o.shared, [2]int{slot, o.id})
+}
+
+// TestDenseDeliversInNodeOrder pins the dense engine's delivery order under
+// UniformWinner in slots above its node-order cut (4096 entries): within a
+// slot, nodes are delivered to in ascending id order, serially and
+// sharded, though the channels resolve in ascending physical order, where
+// the shared core comes before every private channel. The identity tests
+// compare per-node logs, which the delivery order does not change; this
+// test fails if delivery returns to channel order.
+func TestDenseDeliversInNodeOrder(t *testing.T) {
+	const n, per, slots = 8192, 4, 8
+	asn, err := assign.Partitioned(n, per, 1, assign.LocalLabels, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{1, 2} {
+		var log [][2]int
+		protos := make([]sim.Protocol, n)
+		for i := range protos {
+			protos[i] = &orderNode{planNode{id: i, per: per}, &log}
+		}
+		e, err := sim.NewEngine(asn, protos, 7, sim.WithShards(shards))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.Shards() != shards {
+			t.Fatalf("Shards() = %d, want %d", e.Shards(), shards)
+		}
+		for s := 0; s < slots; s++ {
+			if err := e.RunSlot(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(log) == 0 {
+			t.Fatalf("shards=%d: no delivery", shards)
+		}
+		for i := 1; i < len(log); i++ {
+			if prev, cur := log[i-1], log[i]; prev[0] == cur[0] && prev[1] >= cur[1] {
+				t.Fatalf("shards=%d: slot %d delivered to node %d after node %d", shards, cur[0], cur[1], prev[1])
 			}
 		}
 	}

@@ -232,14 +232,17 @@ type Event struct {
 // medium, then calls Deliver for every node that received feedback. A node
 // for which Done reports true is skipped entirely (its radio is off).
 //
-// Step and Deliver are always invoked from a single goroutine; protocol
-// implementations need no internal locking.
+// A node's calls never overlap. Deliver runs on one goroutine, but under
+// WithShards other nodes' Steps run on shard goroutines: state nodes share
+// is written only from Deliver. A slot's deliveries come in node order or
+// in channel order, by engine mode and slot size (see resolveChannels), and
+// no Deliver may depend on the order in which other nodes are delivered to.
 type Protocol interface {
 	// Step returns the node's action for the given slot.
 	Step(slot int) Action
-	// Deliver reports the outcome of the node's action in the given slot.
-	// It is called at most once per slot, and only when there is feedback:
-	// silent listening (nothing broadcast on the channel) produces no call.
+	// Deliver reports the outcome of the node's action in the given slot
+	// (silent listening produces no call): at most once per slot, but once
+	// per broadcaster on its channel for a listener under AllDelivered.
 	Deliver(slot int, ev Event)
 	// Done reports whether the node has terminated.
 	Done() bool
