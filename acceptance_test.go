@@ -34,7 +34,7 @@ func TestPaperHeadlineResults(t *testing.T) {
 			}
 			res, err := net.Broadcast(crn.BroadcastOptions{
 				Payload: "m", Seed: seed, RunToCompletion: true,
-				MaxSlots: 64 * net.SlotBound(0),
+				EngineOptions: crn.EngineOptions{MaxSlots: 64 * net.SlotBound(0)},
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -106,7 +106,8 @@ func TestPaperHeadlineResults(t *testing.T) {
 			}
 			res, err := net.Broadcast(crn.BroadcastOptions{
 				Payload: "m", Seed: seed, RunToCompletion: true,
-				MaxSlots: 64 * net.SlotBound(0), Trajectory: true,
+				Trajectory:    true,
+				EngineOptions: crn.EngineOptions{MaxSlots: 64 * net.SlotBound(0)},
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -29,7 +29,7 @@ func TestReactiveJammedNetworkStrategies(t *testing.T) {
 			if net.MinOverlap() != 12-2*3 {
 				t.Errorf("overlap = %d, want c-2*PerSlot = 6", net.MinOverlap())
 			}
-			res, err := net.Broadcast(crn.BroadcastOptions{Payload: "m", Seed: 8, RunToCompletion: true, MaxSlots: 50000, Check: true})
+			res, err := net.Broadcast(crn.BroadcastOptions{Payload: "m", Seed: 8, RunToCompletion: true, EngineOptions: crn.EngineOptions{MaxSlots: 50000, Check: true}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -80,7 +80,7 @@ func TestReactiveZeroEnergyControl(t *testing.T) {
 	}
 	run := func(net *crn.Network) (*crn.BroadcastResult, string) {
 		var buf bytes.Buffer
-		res, err := net.Broadcast(crn.BroadcastOptions{Payload: "m", Seed: 8, RunToCompletion: true, MaxSlots: 50000, Trace: &buf})
+		res, err := net.Broadcast(crn.BroadcastOptions{Payload: "m", Seed: 8, RunToCompletion: true, EngineOptions: crn.EngineOptions{MaxSlots: 50000, Trace: &buf}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,8 +115,8 @@ func TestReactiveBroadcastShardSparseIdentity(t *testing.T) {
 		net := reactiveNet(t, "busiest", budget)
 		var buf bytes.Buffer
 		res, err := net.Broadcast(crn.BroadcastOptions{
-			Payload: "m", Seed: 8, RunToCompletion: true, MaxSlots: 50000,
-			Shards: shards, Sparse: sparse, Trace: &buf,
+			Payload: "m", Seed: 8, RunToCompletion: true,
+			EngineOptions: crn.EngineOptions{MaxSlots: 50000, Shards: shards, Sparse: sparse, Trace: &buf},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -146,7 +146,7 @@ func TestReactiveBroadcastShardSparseIdentity(t *testing.T) {
 // reported, and a per-slot cap above the whole reserve burns out in slot 0.
 func TestReactiveExhaustionLedger(t *testing.T) {
 	net := reactiveNet(t, "busiest", crn.AdversaryBudget{PerSlot: 3, Total: 7})
-	res, err := net.Broadcast(crn.BroadcastOptions{Payload: "m", Seed: 8, RunToCompletion: true, MaxSlots: 50000})
+	res, err := net.Broadcast(crn.BroadcastOptions{Payload: "m", Seed: 8, RunToCompletion: true, EngineOptions: crn.EngineOptions{MaxSlots: 50000}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestReactiveExhaustionLedger(t *testing.T) {
 	// reserve does — the whole budget burns as soon as the strategy sees
 	// enough traffic to spend it, and the ledger never overshoots.
 	net = reactiveNet(t, "busiest", crn.AdversaryBudget{PerSlot: 5, Total: 3})
-	res, err = net.Broadcast(crn.BroadcastOptions{Payload: "m", Seed: 8, RunToCompletion: true, MaxSlots: 50000})
+	res, err = net.Broadcast(crn.BroadcastOptions{Payload: "m", Seed: 8, RunToCompletion: true, EngineOptions: crn.EngineOptions{MaxSlots: 50000}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestAdversaryTraceLedgerInvariant(t *testing.T) {
 	traces = make([]bytes.Buffer, 2)
 
 	net := reactiveNet(t, "follower", crn.AdversaryBudget{PerSlot: 3, Total: 80})
-	if _, err := net.Broadcast(crn.BroadcastOptions{Payload: "m", Seed: 8, RunToCompletion: true, MaxSlots: 50000, Trace: &traces[0]}); err != nil {
+	if _, err := net.Broadcast(crn.BroadcastOptions{Payload: "m", Seed: 8, RunToCompletion: true, EngineOptions: crn.EngineOptions{MaxSlots: 50000, Trace: &traces[0]}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -198,7 +198,8 @@ func TestAdversaryTraceLedgerInvariant(t *testing.T) {
 		inputs[i] = int64(i + 1)
 	}
 	if _, err := static.Aggregate(inputs, crn.AggregateOptions{
-		Seed: 5, Recover: true, Adversary: "crasher", AdversaryEnergy: 60, Trace: &traces[1],
+		Seed: 5, Recover: true, Adversary: "crasher", AdversaryEnergy: 60,
+		EngineOptions: crn.EngineOptions{Trace: &traces[1]},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -240,8 +241,9 @@ func TestAdversaryAggregateRecovered(t *testing.T) {
 		t.Run(strategy, func(t *testing.T) {
 			run := func(shards int) *crn.AggregateResult {
 				res, err := net.Aggregate(inputs, crn.AggregateOptions{
-					Seed: 5, Recover: true, Check: true, Shards: shards,
+					Seed: 5, Recover: true,
 					Adversary: strategy, AdversaryEnergy: 60, AdversaryPerSlot: 2,
+					EngineOptions: crn.EngineOptions{Check: true, Shards: shards},
 				})
 				if err != nil {
 					t.Fatal(err)

@@ -37,7 +37,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"time"
 
 	"github.com/cogradio/crn/internal/adversary"
 	"github.com/cogradio/crn/internal/aggfunc"
@@ -381,35 +380,26 @@ func (nw *Network) SlotBound(kappa float64) int {
 	return cogcast.SlotBound(nw.Nodes(), nw.ChannelsPerNode(), nw.MinOverlap(), kappa)
 }
 
-// BroadcastOptions configures a Broadcast run.
-type BroadcastOptions struct {
-	// Source is the initiating node (default 0).
-	Source NodeID
-	// Payload is the message to disseminate.
-	Payload any
-	// Seed determines all protocol randomness.
-	Seed int64
-	// MaxSlots bounds the run; zero means the theoretical SlotBound.
+// EngineOptions holds the execution settings Broadcast, Aggregate and
+// AggregateRounds share; BroadcastOptions and AggregateOptions embed it.
+type EngineOptions struct {
+	// MaxSlots bounds the run; zero means the protocol's own budget (the
+	// theoretical SlotBound for Broadcast, a budget above the Theorem 10
+	// bound for Aggregate). AggregateRounds rejects it: a session sizes
+	// its own window.
 	MaxSlots int
-	// RunToCompletion stops as soon as every node is informed, measuring
-	// completion time, rather than running the fixed theoretical horizon.
-	RunToCompletion bool
-	// Trajectory records the informed count after every slot.
-	Trajectory bool
-	// CollectMetrics requests medium statistics (busy channels, collision
-	// and delivery rates) in the result.
-	CollectMetrics bool
 	// Trace, when non-nil, streams a structured JSONL event trace of the
-	// run to the writer — per-slot channel outcomes, epidemic progress,
-	// per-node informed events, and (on jammed networks) per-slot jamming
-	// injections. The schema is documented in TRACE.md. Tracing does not
-	// change the run's results. Buffer the writer for large runs.
+	// run to the writer: per-slot channel outcomes, the protocol's
+	// progress events, and the jammer's, adversary's and recovery
+	// supervisor's events where they take part. The schema is documented
+	// in TRACE.md. Tracing does not change the run's results. Buffer the
+	// writer for large runs. AggregateRounds rejects it.
 	Trace io.Writer
 	// Check runs the invariant oracle alongside the protocol: the
 	// assignment's overlap contract, every slot's collision resolution,
-	// and the resulting distribution tree are independently re-verified,
-	// and any violation fails the run. Results are unchanged; runs are
-	// slower. Zero cost when false.
+	// the distribution tree and, for aggregation, the cluster census and
+	// the aggregate against directly computed ground truth. Any violation
+	// fails the run. Results are unchanged; zero cost when false.
 	Check bool
 	// Shards splits the engine's per-slot protocol scan across that many
 	// goroutines, speeding up very large static networks on multi-core
@@ -418,21 +408,38 @@ type BroadcastOptions struct {
 	// jammed networks silently run serially. 0 or 1 means serial.
 	Shards int
 	// Sparse runs the engine in event-driven stepping mode: nodes that
-	// declare themselves dormant are skipped instead of scanned every slot,
-	// so a slot costs O(awake + deliveries) instead of Θ(n). Results are
-	// byte-identical at any setting, Trace, Check and CollectMetrics
-	// included; dynamic or jammed networks silently step densely.
+	// declare themselves dormant (almost every node in COGCOMP's census
+	// window) are skipped instead of scanned, so a slot costs
+	// O(awake + deliveries) instead of Θ(n). Results are byte-identical at
+	// any setting; dynamic or jammed networks and recovered runs silently
+	// step densely.
 	Sparse bool
-	// Context, when non-nil, can interrupt the run. Cancellation is
-	// observed at slot boundaries and consumes no protocol randomness, so
-	// a run that completes is byte-identical to the same run without a
-	// context. An interrupted run returns an *InterruptedError wrapping
-	// ErrCanceled or ErrDeadlineExceeded and carrying the count of fully
-	// executed slots.
+	// Context, when non-nil, can interrupt the run; context.WithTimeout
+	// bounds its wall-clock time. Cancellation is observed at slot
+	// boundaries and consumes no protocol randomness, so a run that
+	// completes is byte-identical to the same run without a context. An
+	// interrupted run returns an *InterruptedError wrapping ErrCanceled or
+	// ErrDeadlineExceeded and carrying the count of fully executed slots.
 	Context context.Context
-	// Deadline, when positive, bounds the run's wall-clock time by
-	// wrapping Context (or a background context) with a timeout.
-	Deadline time.Duration
+}
+
+// BroadcastOptions configures a Broadcast run.
+type BroadcastOptions struct {
+	// Source is the initiating node (default 0).
+	Source NodeID
+	// Payload is the message to disseminate.
+	Payload any
+	// Seed determines all protocol randomness.
+	Seed int64
+	// RunToCompletion stops as soon as every node is informed, measuring
+	// completion time, rather than running the fixed theoretical horizon.
+	RunToCompletion bool
+	// Trajectory records the informed count after every slot.
+	Trajectory bool
+	// CollectMetrics requests medium statistics (busy channels, collision
+	// and delivery rates) in the result.
+	CollectMetrics bool
+	EngineOptions
 }
 
 // BroadcastResult reports a Broadcast run.
@@ -473,8 +480,6 @@ type MediumMetrics struct {
 
 // Broadcast runs COGCAST over the network.
 func (nw *Network) Broadcast(opts BroadcastOptions) (*BroadcastResult, error) {
-	ctx, cancel := interruptContext(opts.Context, opts.Deadline)
-	defer cancel()
 	cfg := cogcast.RunConfig{
 		MaxSlots:         opts.MaxSlots,
 		Trajectory:       opts.Trajectory,
@@ -482,7 +487,7 @@ func (nw *Network) Broadcast(opts BroadcastOptions) (*BroadcastResult, error) {
 		Check:            opts.Check,
 		Shards:           opts.Shards,
 		Sparse:           opts.Sparse,
-		Context:          ctx,
+		Context:          opts.Context,
 	}
 	var collector *metrics.Collector
 	if opts.CollectMetrics {
@@ -495,21 +500,14 @@ func (nw *Network) Broadcast(opts BroadcastOptions) (*BroadcastResult, error) {
 		nw.adv.Reset()
 		cfg.Observer = sim.Tee(cfg.Observer, nw.adv)
 	}
-	var sink *trace.JSONL
-	if opts.Trace != nil {
-		sink = nw.newTrace(opts.Trace, "cogcast", opts.Seed, cfg.Collisions)
-		cfg.Trace = sink
-		defer nw.detachTrace()
-	}
-	res, err := cogcast.Run(nw.asn, sim.NodeID(opts.Source), opts.Payload, opts.Seed, cfg)
+	var res *cogcast.Result
+	err := nw.run(opts.EngineOptions, "cogcast", opts.Seed, func(tr trace.Sink) (err error) {
+		cfg.Trace = tr
+		res, err = cogcast.Run(nw.asn, sim.NodeID(opts.Source), opts.Payload, opts.Seed, cfg)
+		return err
+	})
 	if err != nil {
-		return nil, finishInterrupted(sink, err)
-	}
-	if sink != nil {
-		sink.Finish()
-		if terr := sink.Err(); terr != nil {
-			return nil, terr
-		}
+		return nil, err
 	}
 	out := &BroadcastResult{
 		Slots:         res.Slots,
@@ -540,12 +538,17 @@ func (nw *Network) Broadcast(opts BroadcastOptions) (*BroadcastResult, error) {
 	return out, nil
 }
 
-// newTrace builds the JSONL sink for a traced run: header metadata from
-// the network, plus — when the network is the Theorem 18 jamming
-// reduction — a hookup so the assignment reports its per-slot injections
-// into the same stream. detachTrace undoes the hookup after the run.
-func (nw *Network) newTrace(w io.Writer, protocol string, seed int64, collisions sim.CollisionModel) *trace.JSONL {
-	sink := trace.NewJSONL(w)
+// run opens and closes one run of the named protocol: body runs it,
+// writing to tr. With eo.Trace set, tr is a JSONL sink whose header
+// describes the network, and the jamming assignment and reactive adversary
+// write into it for the run's length; otherwise tr is nil. An interrupt
+// becomes an *InterruptedError, and a finished trace's write error is
+// returned.
+func (nw *Network) run(eo EngineOptions, protocol string, seed int64, body func(tr trace.Sink) error) error {
+	if eo.Trace == nil {
+		return finishInterrupted(nil, body(nil))
+	}
+	sink := trace.NewJSONL(eo.Trace)
 	sink.SetMeta(trace.Meta{
 		Protocol:   protocol,
 		Nodes:      nw.Nodes(),
@@ -553,23 +556,25 @@ func (nw *Network) newTrace(w io.Writer, protocol string, seed int64, collisions
 		MinOverlap: nw.MinOverlap(),
 		Channels:   nw.TotalChannels(),
 		Seed:       seed,
-		Collisions: collisions.String(),
+		Collisions: sim.UniformWinner.String(),
 	})
-	if ja, ok := nw.asn.(*jamming.Assignment); ok {
-		ja.SetTrace(sink)
+	nw.attachTrace(sink)
+	defer nw.attachTrace(nil)
+	if err := body(sink); err != nil {
+		return finishInterrupted(sink, err)
 	}
-	if nw.adv != nil {
-		nw.adv.SetTrace(sink)
-	}
-	return sink
+	sink.Finish()
+	return sink.Err()
 }
 
-func (nw *Network) detachTrace() {
+// attachTrace points the jamming assignment's injection events and the
+// reactive adversary's events at tr; nil detaches them.
+func (nw *Network) attachTrace(tr trace.Sink) {
 	if ja, ok := nw.asn.(*jamming.Assignment); ok {
-		ja.SetTrace(nil)
+		ja.SetTrace(tr)
 	}
 	if nw.adv != nil {
-		nw.adv.SetTrace(nil)
+		nw.adv.SetTrace(tr)
 	}
 }
 
@@ -584,19 +589,6 @@ type AggregateOptions struct {
 	Seed int64
 	// Kappa scales phase one's length (0 = library default).
 	Kappa float64
-	// MaxSlots bounds the run (0 = a budget above the Theorem 10 bound).
-	// AggregateRounds rejects it: a session sizes its own window.
-	MaxSlots int
-	// Trace, when non-nil, streams a structured JSONL event trace of the
-	// run to the writer — per-slot channel outcomes, phase transitions,
-	// and the final cluster census. The schema is documented in TRACE.md.
-	// Tracing does not change the run's results.
-	Trace io.Writer
-	// Check runs the invariant oracle alongside the protocol: assignment
-	// contract, per-slot collision resolution, distribution tree, cluster
-	// census, and the aggregate against directly-computed ground truth.
-	// Any violation fails the run. Zero cost when false.
-	Check bool
 	// Recover runs the aggregation under the crash-restart recovery
 	// supervisor: the four COGCOMP phases become checkpointed epochs that
 	// are re-executed (with exponential backoff, up to MaxRetries times)
@@ -636,26 +628,7 @@ type AggregateOptions struct {
 	// AdversaryPerSlot caps nodes held down per slot (0 = the
 	// DefaultAdversaryPerSlot default).
 	AdversaryPerSlot int
-	// Shards splits the engine's per-slot protocol scan across that many
-	// goroutines, speeding up very large networks on multi-core machines.
-	// Results are byte-identical at any value; 0 or 1 means serial.
-	Shards int
-	// Sparse runs the engine in event-driven stepping mode: COGCOMP's
-	// census window and phase-four holding patterns leave almost every
-	// node dormant, and the sparse engine skips them instead of scanning
-	// all n each slot. Results are byte-identical at any setting, Trace
-	// and Check included; recovered runs (Recover) silently step densely.
-	Sparse bool
-	// Context, when non-nil, can interrupt the run. Cancellation is
-	// observed at slot boundaries and consumes no protocol randomness, so
-	// a run that completes is byte-identical to the same run without a
-	// context. An interrupted run returns an *InterruptedError wrapping
-	// ErrCanceled or ErrDeadlineExceeded and carrying the count of fully
-	// executed slots.
-	Context context.Context
-	// Deadline, when positive, bounds the run's wall-clock time by
-	// wrapping Context (or a background context) with a timeout.
-	Deadline time.Duration
+	EngineOptions
 }
 
 // FaultSpec declares one timed fault-injection element of a recovered run.
@@ -773,16 +746,16 @@ type Reading struct {
 var ErrIncomplete = cogcomp.ErrIncomplete
 
 // Sentinels for interrupted runs: errors.Is(err, ErrCanceled) matches a run
-// stopped by its Context, errors.Is(err, ErrDeadlineExceeded) one stopped by
-// its Deadline (or a context deadline). The concrete error is always an
+// stopped by canceling its Context, errors.Is(err, ErrDeadlineExceeded) one
+// stopped by the Context's deadline. The concrete error is always an
 // *InterruptedError carrying the partial progress.
 var (
 	ErrCanceled         = errors.New("crn: run canceled")
 	ErrDeadlineExceeded = errors.New("crn: deadline exceeded")
 )
 
-// InterruptedError reports a run stopped by its Context or Deadline at a
-// slot boundary. The slots already executed are real, fully simulated
+// InterruptedError reports a run stopped by its Context at a slot
+// boundary. The slots already executed are real, fully simulated
 // slots; only the remainder of the run is missing.
 type InterruptedError struct {
 	// Slots is the count of fully executed slots before the interrupt.
@@ -803,19 +776,6 @@ func (e *InterruptedError) Error() string { return e.cause.Error() }
 // errors.Is works with ErrCanceled/ErrDeadlineExceeded as well as
 // context.Canceled/context.DeadlineExceeded.
 func (e *InterruptedError) Unwrap() []error { return []error{e.sentinel, e.cause} }
-
-// interruptContext assembles a run's interrupt context from the Context
-// and Deadline options. The returned cancel is never nil; callers must
-// defer it (it releases the deadline timer).
-func interruptContext(ctx context.Context, deadline time.Duration) (context.Context, context.CancelFunc) {
-	if deadline <= 0 {
-		return ctx, func() {}
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return context.WithTimeout(ctx, deadline)
-}
 
 // finishInterrupted converts an engine interrupt into the public typed
 // error. When a trace sink is attached it records the interrupt as a
@@ -846,57 +806,41 @@ func (nw *Network) Aggregate(inputs []int64, opts AggregateOptions) (*AggregateR
 	if nw.Dynamic() {
 		return nil, errors.New("crn: Aggregate requires a static network (COGCOMP revisits phase-one channels)")
 	}
-	name := opts.Func
-	if name == "" {
-		name = "sum"
-	}
-	f, err := aggfunc.ByName(name)
+	f, err := aggfunc.ByName(opts.Func)
 	if err != nil {
 		return nil, err
 	}
-	ctx, cancel := interruptContext(opts.Context, opts.Deadline)
-	defer cancel()
-	var sink *trace.JSONL
-	if opts.Trace != nil {
-		sink = nw.newTrace(opts.Trace, "cogcomp", opts.Seed, sim.UniformWinner)
-		defer nw.detachTrace()
-	}
 	if opts.Adversary != "" && !opts.Recover {
 		return nil, errors.New("crn: Adversary needs Recover (the classic runner has no fault injection)")
-	}
-	cfg := cogcomp.Config{
-		Kappa:    opts.Kappa,
-		MaxSlots: opts.MaxSlots,
-		Func:     f,
-		Check:    opts.Check,
-		Shards:   opts.Shards,
-		Sparse:   opts.Sparse,
-		Context:  ctx,
-	}
-	if sink != nil {
-		cfg.Trace = sink
 	}
 	var (
 		res *cogcomp.Result
 		rec *recov.Result
 		drv *adversary.Driver
 	)
-	if opts.Recover {
-		rec, drv, err = nw.aggregateRecovered(inputs, opts, cfg, sink)
+	err = nw.run(opts.EngineOptions, "cogcomp", opts.Seed, func(tr trace.Sink) (err error) {
+		cfg := cogcomp.Config{
+			Kappa:    opts.Kappa,
+			MaxSlots: opts.MaxSlots,
+			Func:     f,
+			Trace:    tr,
+			Check:    opts.Check,
+			Shards:   opts.Shards,
+			Sparse:   opts.Sparse,
+			Context:  opts.Context,
+		}
+		if !opts.Recover {
+			res, err = cogcomp.Run(nw.asn, sim.NodeID(opts.Source), inputs, opts.Seed, cfg)
+			return err
+		}
+		rec, drv, err = nw.aggregateRecovered(inputs, opts, cfg)
 		if rec != nil {
 			res = &rec.Result
 		}
-	} else {
-		res, err = cogcomp.Run(nw.asn, sim.NodeID(opts.Source), inputs, opts.Seed, cfg)
-	}
+		return err
+	})
 	if err != nil {
-		return nil, finishInterrupted(sink, err)
-	}
-	if sink != nil {
-		sink.Finish()
-		if terr := sink.Err(); terr != nil {
-			return nil, terr
-		}
+		return nil, err
 	}
 	out := &AggregateResult{
 		Value:          exportValue(res.Value),
@@ -931,7 +875,7 @@ func (nw *Network) Aggregate(inputs []int64, opts AggregateOptions) (*AggregateR
 // COGCOMP settings ccfg, with optional injected outages and a crash
 // adversary. It returns the adversary's driver when one was built, so its
 // ledger can be reported.
-func (nw *Network) aggregateRecovered(inputs []int64, opts AggregateOptions, ccfg cogcomp.Config, sink *trace.JSONL) (*recov.Result, *adversary.Driver, error) {
+func (nw *Network) aggregateRecovered(inputs []int64, opts AggregateOptions, ccfg cogcomp.Config) (*recov.Result, *adversary.Driver, error) {
 	cfg := recov.Config{Config: ccfg, MaxRetries: opts.MaxRetries}
 	var parts []faults.Schedule
 	if opts.OutageRate > 0 {
@@ -978,9 +922,7 @@ func (nw *Network) aggregateRecovered(inputs []int64, opts AggregateOptions, ccf
 			// its loop through the observer hook.
 			parts = append(parts, drv)
 			cfg.Observer = drv
-			if sink != nil {
-				drv.SetTrace(sink)
-			}
+			drv.SetTrace(cfg.Trace)
 		}
 	}
 	if len(parts) > 0 {
@@ -1049,23 +991,17 @@ func (nw *Network) AggregateRounds(rounds [][]int64, opts AggregateOptions) (*Se
 			return nil, fmt.Errorf("crn: AggregateRounds does not support %s (sessions run untraced and unsupervised)", o.name)
 		}
 	}
-	name := opts.Func
-	if name == "" {
-		name = "sum"
-	}
-	f, err := aggfunc.ByName(name)
+	f, err := aggfunc.ByName(opts.Func)
 	if err != nil {
 		return nil, err
 	}
-	ctx, cancel := interruptContext(opts.Context, opts.Deadline)
-	defer cancel()
 	res, err := cogcomp.RunRounds(nw.asn, sim.NodeID(opts.Source), rounds, opts.Seed, cogcomp.SessionConfig{
 		Kappa:   opts.Kappa,
 		Func:    f,
 		Shards:  opts.Shards,
 		Sparse:  opts.Sparse,
 		Check:   opts.Check,
-		Context: ctx,
+		Context: opts.Context,
 	})
 	if err != nil {
 		return nil, finishInterrupted(nil, err)

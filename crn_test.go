@@ -57,7 +57,7 @@ func TestNewNetworkEveryTopology(t *testing.T) {
 	for name, spec := range specs {
 		t.Run(name, func(t *testing.T) {
 			net := mustNetwork(t, spec)
-			res, err := net.Broadcast(crn.BroadcastOptions{Payload: "x", Seed: 9, RunToCompletion: true, MaxSlots: 100000})
+			res, err := net.Broadcast(crn.BroadcastOptions{Payload: "x", Seed: 9, RunToCompletion: true, EngineOptions: crn.EngineOptions{MaxSlots: 100000}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -93,7 +93,7 @@ func TestNewNetworkValidation(t *testing.T) {
 
 func TestBroadcastTrajectoryAndTree(t *testing.T) {
 	net := mustNetwork(t, defaultSpec())
-	res, err := net.Broadcast(crn.BroadcastOptions{Source: 5, Payload: 42, Seed: 2, RunToCompletion: true, MaxSlots: 50000, Trajectory: true})
+	res, err := net.Broadcast(crn.BroadcastOptions{Source: 5, Payload: 42, Seed: 2, RunToCompletion: true, Trajectory: true, EngineOptions: crn.EngineOptions{MaxSlots: 50000}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestJammedNetwork(t *testing.T) {
 		if net.MinOverlap() != 12-2*3 {
 			t.Errorf("%s: overlap = %d, want c-2kJam = 6", strategy, net.MinOverlap())
 		}
-		res, err := net.Broadcast(crn.BroadcastOptions{Payload: "m", Seed: 8, RunToCompletion: true, MaxSlots: 50000})
+		res, err := net.Broadcast(crn.BroadcastOptions{Payload: "m", Seed: 8, RunToCompletion: true, EngineOptions: crn.EngineOptions{MaxSlots: 50000}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -324,7 +324,8 @@ func TestAggregateRecoverUnderOutages(t *testing.T) {
 	sawRestart := false
 	for seed := int64(1); seed <= 4; seed++ {
 		res, err := net.Aggregate(inputs, crn.AggregateOptions{
-			Seed: seed, Recover: true, OutageRate: 0.003, Check: true,
+			Seed: seed, Recover: true, OutageRate: 0.003,
+			EngineOptions: crn.EngineOptions{Check: true},
 		})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)

@@ -1,11 +1,13 @@
 package crn_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
 	"os"
 	"strings"
+	"time"
 
 	crn "github.com/cogradio/crn"
 	"github.com/cogradio/crn/internal/scenario"
@@ -35,7 +37,8 @@ func Example() {
 	// Device 0 disseminates a message; everyone relays it epidemically on
 	// uniformly random channels.
 	b, err := net.Broadcast(crn.BroadcastOptions{
-		Payload: "hello", Seed: 7, RunToCompletion: true, MaxSlots: 10000,
+		Payload: "hello", Seed: 7, RunToCompletion: true,
+		EngineOptions: crn.EngineOptions{MaxSlots: 10000},
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -73,6 +76,42 @@ func Example() {
 	// phases: tree build 80 | census 32 | rewind 80 | convergecast 28
 	// largest message (words): 1
 	// rendezvous baseline: 85 slots (complete=true), COGCAST speedup 12.1x
+}
+
+// One EngineOptions value configures how both protocols run: here the
+// invariant oracle, sparse stepping and a wall-clock budget. A deadline is
+// a context.WithTimeout context; a run that finishes within it is
+// byte-identical to one without, and one that does not returns an
+// *InterruptedError matching crn.ErrDeadlineExceeded.
+func ExampleEngineOptions() {
+	net, err := crn.NewNetwork(crn.Spec{
+		Nodes: 64, ChannelsPerNode: 8, MinOverlap: 2,
+		TotalChannels: 24, Topology: crn.SharedCore, Seed: 1,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	eo := crn.EngineOptions{Check: true, Sparse: true, Context: ctx}
+
+	b, err := net.Broadcast(crn.BroadcastOptions{Payload: "hi", Seed: 7, RunToCompletion: true, EngineOptions: eo})
+	if err != nil {
+		log.Fatal(err)
+	}
+	inputs := make([]int64, net.Nodes())
+	for i := range inputs {
+		inputs[i] = int64(i)
+	}
+	a, err := net.Aggregate(inputs, crn.AggregateOptions{Seed: 7, EngineOptions: eo})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("broadcast: all informed %v after %d slots\n", b.AllInformed, b.Slots)
+	fmt.Printf("aggregate: sum %v after %d slots\n", a.Value, a.Slots)
+	// Output:
+	// broadcast: all informed true after 5 slots
+	// aggregate: sum 2016 after 296 slots
 }
 
 // Aggregation functions beyond sum: the stats aggregate carries
@@ -141,7 +180,8 @@ func ExampleNewJammedNetwork() {
 	}
 	fmt.Println("guaranteed overlap:", net.MinOverlap())
 	res, err := net.Broadcast(crn.BroadcastOptions{
-		Payload: "sos", Seed: 5, RunToCompletion: true, MaxSlots: 100000,
+		Payload: "sos", Seed: 5, RunToCompletion: true,
+		EngineOptions: crn.EngineOptions{MaxSlots: 100000},
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -166,7 +206,7 @@ func ExampleNewJammedNetwork() {
 				}
 				res, err := net.Broadcast(crn.BroadcastOptions{
 					Payload: "sos", Seed: int64(1000 + trial), RunToCompletion: true,
-					MaxSlots: 100 * net.SlotBound(0),
+					EngineOptions: crn.EngineOptions{MaxSlots: 100 * net.SlotBound(0)},
 				})
 				if err != nil {
 					log.Fatal(err)
@@ -233,7 +273,8 @@ func Example_consensus() {
 	}
 	decision := agg.Value.(int64)
 	bc, err := net.Broadcast(crn.BroadcastOptions{
-		Payload: decision, Seed: 2, RunToCompletion: true, MaxSlots: 20 * net.SlotBound(0),
+		Payload: decision, Seed: 2, RunToCompletion: true,
+		EngineOptions: crn.EngineOptions{MaxSlots: 20 * net.SlotBound(0)},
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -269,7 +310,7 @@ func Example_whitespace() {
 	for epoch := 1; epoch <= 3; epoch++ {
 		opts := crn.BroadcastOptions{
 			Payload: "beacon", Seed: int64(100 + epoch), RunToCompletion: true,
-			MaxSlots: 20 * static.SlotBound(0),
+			EngineOptions: crn.EngineOptions{MaxSlots: 20 * static.SlotBound(0)},
 		}
 		s, err := static.Broadcast(opts)
 		if err != nil {
@@ -298,7 +339,8 @@ func Example_whitespace() {
 	}
 	res, err := pu.Broadcast(crn.BroadcastOptions{
 		Payload: "beacon", Seed: 300, RunToCompletion: true,
-		MaxSlots: 100 * pu.SlotBound(0), CollectMetrics: true,
+		CollectMetrics: true,
+		EngineOptions:  crn.EngineOptions{MaxSlots: 100 * pu.SlotBound(0)},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -83,7 +83,7 @@ func TestPrimaryUserNetworkBroadcast(t *testing.T) {
 	if net.MinOverlap() != 2 {
 		t.Errorf("MinOverlap = %d, want the pilot band size", net.MinOverlap())
 	}
-	res, err := net.Broadcast(crn.BroadcastOptions{Payload: "b", Seed: 2, RunToCompletion: true, MaxSlots: 100000})
+	res, err := net.Broadcast(crn.BroadcastOptions{Payload: "b", Seed: 2, RunToCompletion: true, EngineOptions: crn.EngineOptions{MaxSlots: 100000}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,8 @@ func TestPrimaryUserNetworkValidation(t *testing.T) {
 func TestBroadcastMetrics(t *testing.T) {
 	net := mustNetwork(t, defaultSpec())
 	res, err := net.Broadcast(crn.BroadcastOptions{
-		Payload: "m", Seed: 4, RunToCompletion: true, MaxSlots: 50000, CollectMetrics: true,
+		Payload: "m", Seed: 4, RunToCompletion: true, CollectMetrics: true,
+		EngineOptions: crn.EngineOptions{MaxSlots: 50000},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +117,7 @@ func TestBroadcastMetrics(t *testing.T) {
 		t.Errorf("metrics = %+v", *res.Metrics)
 	}
 	// Not requested -> nil.
-	res2, err := net.Broadcast(crn.BroadcastOptions{Payload: "m", Seed: 4, RunToCompletion: true, MaxSlots: 50000})
+	res2, err := net.Broadcast(crn.BroadcastOptions{Payload: "m", Seed: 4, RunToCompletion: true, EngineOptions: crn.EngineOptions{MaxSlots: 50000}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,12 +177,12 @@ func TestAggregateRoundsValidation(t *testing.T) {
 	// ignored.
 	rounds = [][]int64{make([]int64, net.Nodes())}
 	for name, opts := range map[string]crn.AggregateOptions{
-		"Trace":      {Trace: io.Discard},
+		"Trace":      {EngineOptions: crn.EngineOptions{Trace: io.Discard}},
 		"Recover":    {Recover: true},
 		"OutageRate": {OutageRate: 0.01},
 		"Faults":     {Faults: []crn.FaultSpec{{Kind: "random", Rate: 0.01}}},
 		"Adversary":  {Adversary: "crasher"},
-		"MaxSlots":   {MaxSlots: 5},
+		"MaxSlots":   {EngineOptions: crn.EngineOptions{MaxSlots: 5}},
 	} {
 		if _, err := net.AggregateRounds(rounds, opts); err == nil {
 			t.Errorf("%s accepted", name)

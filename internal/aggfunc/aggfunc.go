@@ -188,10 +188,11 @@ var (
 	_ Func = Collect{}
 )
 
-// ByName returns the function with the given name.
+// ByName returns the function with the given name; the empty name means
+// sum.
 func ByName(name string) (Func, error) {
 	switch name {
-	case "sum":
+	case "sum", "":
 		return Sum{}, nil
 	case "count":
 		return Count{}, nil

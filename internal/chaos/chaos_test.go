@@ -85,8 +85,8 @@ func TestBroadcastByteIdenticalWithContext(t *testing.T) {
 	run := func(ctx context.Context, shards int, sparse bool) (*crn.BroadcastResult, []byte) {
 		var buf bytes.Buffer
 		res, err := newNet(t, 3).Broadcast(crn.BroadcastOptions{
-			Payload: "hello", Seed: 3, RunToCompletion: true, MaxSlots: 1 << 20,
-			Shards: shards, Sparse: sparse, Trace: &buf, Context: ctx,
+			Payload: "hello", Seed: 3, RunToCompletion: true,
+			EngineOptions: crn.EngineOptions{MaxSlots: 1 << 20, Shards: shards, Sparse: sparse, Trace: &buf, Context: ctx},
 		})
 		if err != nil {
 			t.Fatalf("shards=%d sparse=%v ctx=%v: %v", shards, sparse, ctx, err)
@@ -157,53 +157,77 @@ func TestScenarioRepeatByteIdentical(t *testing.T) {
 	}
 }
 
-// TestCancelTraceGraceful cancels a traced run mid-flight and asserts the
+// TestCancelTraceGraceful cancels a traced run mid-flight on every run
+// path (Broadcast, classic Aggregate, recovered Aggregate) and asserts the
 // whole graceful-interrupt contract: the typed error with slot-exact
 // partial progress, both sentinel matches, and a trace file that is
 // complete (end-of-stream marker present) and self-describes the
-// interrupt with a cancel event.
+// interrupt with a cancel event. Both aggregation runners wrap the
+// engine's interrupt with their own slot accounting, so each row states
+// its text.
 func TestCancelTraceGraceful(t *testing.T) {
 	defer chaos.LeakCheck(t)()
-	var buf bytes.Buffer
-	_, err := newNet(t, 5).Broadcast(crn.BroadcastOptions{
-		Payload: "x", Seed: 5, RunToCompletion: true, MaxSlots: 1 << 20,
-		Trace: &buf, Context: chaos.CancelAfterChecks(4),
-	})
-	var ie *crn.InterruptedError
-	if !errors.As(err, &ie) {
-		t.Fatalf("error %v (%T), want *crn.InterruptedError", err, err)
-	}
-	if ie.Slots != 4 || ie.Deadline {
-		t.Fatalf("InterruptedError = %+v, want Slots=4 Deadline=false", ie)
-	}
-	if !errors.Is(err, crn.ErrCanceled) || !errors.Is(err, context.Canceled) {
-		t.Fatalf("sentinel mismatch: %v", err)
-	}
-	if want := "sim: run canceled after 4 slots"; err.Error() != want {
-		t.Fatalf("error text %q, want %q", err.Error(), want)
-	}
-	s, serr := trace.Summarize(bytes.NewReader(buf.Bytes()))
-	if serr != nil {
-		t.Fatal(serr)
-	}
-	if !s.Complete {
-		t.Fatal("interrupted trace is missing its end-of-stream marker")
-	}
-	if s.Cancel == nil || s.Cancel.Slot != 4 || s.Cancel.A != 0 {
-		t.Fatalf("cancel event = %+v, want slot 4, deadline 0", s.Cancel)
+	inputs := make([]int64, 64)
+	for _, tc := range []struct {
+		name    string
+		run     func(crn.EngineOptions) error
+		wantErr string
+	}{
+		{"broadcast", func(eo crn.EngineOptions) error {
+			eo.MaxSlots = 1 << 20
+			_, err := newNet(t, 5).Broadcast(crn.BroadcastOptions{Payload: "x", Seed: 5, RunToCompletion: true, EngineOptions: eo})
+			return err
+		}, "sim: run canceled after 4 slots"},
+		{"aggregate", func(eo crn.EngineOptions) error {
+			_, err := newNet(t, 5).Aggregate(inputs, crn.AggregateOptions{Seed: 5, EngineOptions: eo})
+			return err
+		}, "cogcomp: sim: run canceled after 4 slots (after 4 slots; l=96 n=64)"},
+		{"aggregate-recovered", func(eo crn.EngineOptions) error {
+			_, err := newNet(t, 5).Aggregate(inputs, crn.AggregateOptions{Seed: 5, Recover: true, EngineOptions: eo})
+			return err
+		}, "recover: sim: run canceled after 4 slots (after 4 slots; l=96 n=64)"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			err := tc.run(crn.EngineOptions{Trace: &buf, Context: chaos.CancelAfterChecks(4)})
+			var ie *crn.InterruptedError
+			if !errors.As(err, &ie) {
+				t.Fatalf("error %v (%T), want *crn.InterruptedError", err, err)
+			}
+			if ie.Slots != 4 || ie.Deadline {
+				t.Fatalf("InterruptedError = %+v, want Slots=4 Deadline=false", ie)
+			}
+			if !errors.Is(err, crn.ErrCanceled) || !errors.Is(err, context.Canceled) {
+				t.Fatalf("sentinel mismatch: %v", err)
+			}
+			if err.Error() != tc.wantErr {
+				t.Fatalf("error text %q, want %q", err.Error(), tc.wantErr)
+			}
+			s, serr := trace.Summarize(bytes.NewReader(buf.Bytes()))
+			if serr != nil {
+				t.Fatal(serr)
+			}
+			if !s.Complete {
+				t.Fatal("interrupted trace is missing its end-of-stream marker")
+			}
+			if s.Cancel == nil || s.Cancel.Slot != 4 || s.Cancel.A != 0 {
+				t.Fatalf("cancel event = %+v, want slot 4, deadline 0", s.Cancel)
+			}
+		})
 	}
 }
 
 // TestDeadlineErrors exercises both deadline paths: an already-expired
 // context deadline trips deterministically before slot zero (for a
-// broadcast and for an aggregation session), and the Deadline option
-// produces the deadline sentinel.
+// broadcast and for an aggregation session), and a context.WithTimeout
+// budget produces the deadline sentinel.
 func TestDeadlineErrors(t *testing.T) {
 	defer chaos.LeakCheck(t)()
 	expired, cancel := context.WithDeadline(context.Background(), time.Unix(0, 0))
 	defer cancel()
 	_, err := newNet(t, 9).Broadcast(crn.BroadcastOptions{
-		Payload: "x", Seed: 9, RunToCompletion: true, MaxSlots: 1 << 20, Context: expired,
+		Payload: "x", Seed: 9, RunToCompletion: true,
+		EngineOptions: crn.EngineOptions{MaxSlots: 1 << 20, Context: expired},
 	})
 	if want := "sim: deadline exceeded after 0 slots"; err == nil || err.Error() != want {
 		t.Fatalf("expired-context error %v, want %q", err, want)
@@ -217,7 +241,7 @@ func TestDeadlineErrors(t *testing.T) {
 	}
 
 	// A session run honours the same context before its first slot.
-	_, err = newNet(t, 9).AggregateRounds([][]int64{make([]int64, 64)}, crn.AggregateOptions{Seed: 9, Context: expired})
+	_, err = newNet(t, 9).AggregateRounds([][]int64{make([]int64, 64)}, crn.AggregateOptions{Seed: 9, EngineOptions: crn.EngineOptions{Context: expired}})
 	if want := "sim: deadline exceeded after 0 slots"; err == nil || err.Error() != want {
 		t.Fatalf("expired-context AggregateRounds error %v, want %q", err, want)
 	}
@@ -225,9 +249,9 @@ func TestDeadlineErrors(t *testing.T) {
 		t.Fatalf("AggregateRounds sentinel mismatch: %v", err)
 	}
 
-	// The Deadline option: a 1ns budget cannot survive a 4096-node
-	// aggregation; the exact interrupt slot is wall-clock dependent, but
-	// the typed error is not.
+	// A timeout: a 1ns budget cannot survive a 4096-node aggregation; the
+	// exact interrupt slot is wall-clock dependent, but the typed error is
+	// not.
 	inputs := make([]int64, 4096)
 	big, err := crn.NewNetwork(crn.Spec{
 		Nodes: 4096, ChannelsPerNode: 8, MinOverlap: 2,
@@ -236,9 +260,11 @@ func TestDeadlineErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = big.Aggregate(inputs, crn.AggregateOptions{Seed: 1, Deadline: time.Nanosecond})
+	timeout, cancelTimeout := context.WithTimeout(context.Background(), time.Nanosecond)
+	defer cancelTimeout()
+	_, err = big.Aggregate(inputs, crn.AggregateOptions{Seed: 1, EngineOptions: crn.EngineOptions{Context: timeout}})
 	if !errors.Is(err, crn.ErrDeadlineExceeded) {
-		t.Fatalf("Deadline option error %v, want ErrDeadlineExceeded", err)
+		t.Fatalf("timeout error %v, want ErrDeadlineExceeded", err)
 	}
 }
 
@@ -395,7 +421,8 @@ func TestTornTraceDetection(t *testing.T) {
 	defer chaos.LeakCheck(t)()
 	var buf bytes.Buffer
 	if _, err := newNet(t, 21).Broadcast(crn.BroadcastOptions{
-		Payload: "x", Seed: 21, RunToCompletion: true, MaxSlots: 1 << 20, Trace: &buf,
+		Payload: "x", Seed: 21, RunToCompletion: true,
+		EngineOptions: crn.EngineOptions{MaxSlots: 1 << 20, Trace: &buf},
 	}); err != nil {
 		t.Fatal(err)
 	}

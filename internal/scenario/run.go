@@ -269,14 +269,21 @@ func (sc *Scenario) ExecuteContext(ctx context.Context, out io.Writer) (*Outcome
 	return oc, nil
 }
 
+// engineOptions builds the engine settings every cogcast, cogcomp and
+// session run shares from the scenario, with maxSlots as the slot bound.
+func (sc *Scenario) engineOptions(ctx context.Context, maxSlots int) crn.EngineOptions {
+	return crn.EngineOptions{
+		MaxSlots: maxSlots, Check: sc.Engine.Check,
+		Shards: sc.Engine.Shards, Sparse: sc.Engine.Sparse, Context: ctx,
+	}
+}
+
 // broadcastOptions builds a cogcast run's options from the scenario, for
 // the single run and every -repeat repetition alike.
 func (sc *Scenario) broadcastOptions(ctx context.Context, seed int64, budget int) crn.BroadcastOptions {
 	return crn.BroadcastOptions{
 		Source: crn.NodeID(sc.Protocol.Source), Payload: sc.Protocol.Payload, Seed: seed,
-		RunToCompletion: true, MaxSlots: budget,
-		Check: sc.Engine.Check, Shards: sc.Engine.Shards, Sparse: sc.Engine.Sparse,
-		Context: ctx,
+		RunToCompletion: true, EngineOptions: sc.engineOptions(ctx, budget),
 	}
 }
 
@@ -288,10 +295,8 @@ func (sc *Scenario) broadcastOptions(ctx context.Context, seed int64, budget int
 func (sc *Scenario) aggregateOptions(ctx context.Context, seed int64) crn.AggregateOptions {
 	opts := crn.AggregateOptions{
 		Source: crn.NodeID(sc.Protocol.Source), Func: sc.Protocol.Aggregate, Seed: seed,
-		MaxSlots: sc.slotBudget(0),
-		Check:    sc.Engine.Check, Recover: sc.Recovery.Enabled, OutageRate: sc.Recovery.OutageRate,
-		Shards: sc.Engine.Shards, Sparse: sc.Engine.Sparse,
-		Context: ctx,
+		Recover: sc.Recovery.Enabled, OutageRate: sc.Recovery.OutageRate,
+		EngineOptions: sc.engineOptions(ctx, sc.slotBudget(0)),
 	}
 	if sc.Recovery.Enabled {
 		opts.OutageDuration = sc.Recovery.OutageDuration

@@ -50,8 +50,13 @@ type scripted struct {
 // winLog maps a physical channel and slot to the winning event there.
 type winLog map[[2]int]sim.Event
 
-// keyOf is the wake key a scripted message carries.
-func keyOf(msg sim.Message) sim.WakeKey { return sim.WakeKey(msg.(int)>>2) & 3 }
+// keyOf is the wake key a scripted message carries; a delivery without a
+// scripted message (an engine fault) carries none, so the run goes on to
+// report the divergence.
+func keyOf(msg sim.Message) sim.WakeKey {
+	b, _ := msg.(int)
+	return sim.WakeKey(b>>2) & 3
+}
 
 func (s *scripted) Step(slot int) sim.Action {
 	s.steps = append(s.steps, slot)
@@ -124,6 +129,15 @@ func (s *scripted) record(slot int, ev sim.Event) {
 
 func (s *scripted) Done() bool { return false }
 
+// filler listens on its local channel 0 in every slot and keeps nothing.
+// FuzzEngineSlot adds sim.ByNodeMin of them when asked, so a dense slot
+// files enough entries to deliver in node order.
+type filler struct{}
+
+func (filler) Step(int) sim.Action    { return sim.Listen(0) }
+func (filler) Deliver(int, sim.Event) {}
+func (filler) Done() bool             { return false }
+
 // catching is scripted with a CatchUp: served deaf through its stands and
 // quiet parks, it rebuilds the deliveries it missed from the run's winLog
 // — a loss in its stand's first slot and in every slot its key armed, a
@@ -166,7 +180,10 @@ func (c catching) CatchUp(from, to int) {
 // channel's Listeners ∪ Parked against the dense Listeners — so one target
 // drives the shared scan and resolver through all three stepping modes.
 // Dense runs must report no parked listener, and sparse Parked lists must
-// be ascending and disjoint from Listeners.
+// be ascending and disjoint from Listeners. A rawN in its last, partial
+// cycle (248–255) adds sim.ByNodeMin filler listeners after the scripted
+// nodes, so dense slots take the node-order delivery pass, which the
+// sparse engine never does.
 func FuzzEngineSlot(f *testing.F) {
 	f.Add(uint8(8), uint8(3), int64(1), []byte("\x02\x05\x08\x0b\x0e\x11\x14\x17"))
 	f.Add(uint8(4), uint8(2), int64(7), []byte{2, 2, 2, 2, 1, 1, 1, 1})
@@ -193,6 +210,9 @@ func FuzzEngineSlot(f *testing.F) {
 	// A quiet loser, a hearing loser and a deaf stander lose one channel
 	// in one slot (TestEngineSlotSeedQuietLoser).
 	f.Add(quietSeed.rawN, quietSeed.rawC, quietSeed.seed, quietSeed.script)
+	// Two scripted nodes among filler listeners: a listener hears a win,
+	// then listens on a silent channel (TestEngineSlotSeedFillsByNode).
+	f.Add(fillSeed.rawN, fillSeed.rawC, fillSeed.seed, fillSeed.script)
 	f.Fuzz(func(t *testing.T, rawN, rawC uint8, seed int64, script []byte) {
 		checkEngineSlot(t, rawN, rawC, seed, script)
 	})
@@ -228,6 +248,29 @@ var (
 // awaiting key 1, node 4 broadcasts quietly and node 3 listens; then all
 // listen.
 var quietSeed = seedScript{3, 0, 1, []byte("\x05\xb0\x05\x01\x41\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01")}
+
+// fillSeed is FuzzEngineSlot's script of two nodes on one channel among
+// the filler listeners (rawN 248): node 0 broadcasts and node 1 listens in
+// slot 0, and in slot 1 node 0 idles while node 1 listens again.
+var fillSeed = seedScript{248, 0, 1, []byte{2, 1, 0, 1}}
+
+// TestEngineSlotSeedFillsByNode pins what fillSeed is for: every dense
+// slot files at least sim.ByNodeMin entries, so it delivers in node order,
+// and node 1, which heard node 0's win in slot 0, listens on a silent
+// channel in slot 1, where a winner left over from slot 0 would reach it.
+func TestEngineSlotSeedFillsByNode(t *testing.T) {
+	outs, recs := checkEngineSlot(t, fillSeed.rawN, fillSeed.rawC, fillSeed.seed, fillSeed.script)
+	if len(recs) != 2 {
+		t.Fatalf("%d scripted nodes, want 2", len(recs))
+	}
+	if got := strings.Join(recs[1].log, ","); got != "0/received/0/2/0" {
+		t.Fatalf("node 1's log is %q, want only its slot-0 reception", got)
+	}
+	slot1 := strings.Split(outs.String(), "\n")[1]
+	if !strings.Contains(slot1, " b[] w-1 l[1 2 3 ") || strings.Count(slot1, " ") < sim.ByNodeMin {
+		t.Fatalf("slot 1 is %.80q…, want node 1 and the fillers on a silent channel", slot1)
+	}
+}
 
 // TestEngineSlotSeedQuietLoser pins what quietSeed is for: node 2 wins
 // slot 0, so one channel has a hearing loser (node 0), a deaf stander
@@ -289,15 +332,19 @@ func TestEngineSlotSeedParksTwoChannels(t *testing.T) {
 // checkEngineSlot is FuzzEngineSlot's body; it returns the sparse run's
 // outcome stream and nodes.
 func checkEngineSlot(t *testing.T, rawN, rawC uint8, seed int64, script []byte) (*outcomeLog, []*scripted) {
-	n := 2 + int(rawN)%31 // [2, 32] nodes
+	n := 2 + int(rawN)%31 // [2, 32] scripted nodes
 	c := 1 + int(rawC)%7  // [1, 7] channels per node
+	fill := 0
+	if rawN >= 248 {
+		fill = sim.ByNodeMin
+	}
 	model := sim.UniformWinner
 	if rawC&0x80 != 0 {
 		model = sim.AllDelivered
 	}
 	// SharedCore is deterministic construction (RandomPool's rejection
 	// sampling may legitimately fail to find a draw at low overlap).
-	asn, err := assign.SharedCore(n, c, 1, 2*c, assign.LocalLabels, seed)
+	asn, err := assign.SharedCore(n+fill, c, 1, 2*c, assign.LocalLabels, seed)
 	if err != nil {
 		t.Fatalf("SharedCore(%d, %d) rejected valid parameters: %v", n, c, err)
 	}
@@ -306,21 +353,24 @@ func checkEngineSlot(t *testing.T, rawN, rawC uint8, seed int64, script []byte) 
 		slots = 64
 	}
 	// run executes the script under opts, behind the wake oracle when
-	// wake is non-nil, leaves its nodes in recs and returns the engine
-	// and every node's delivery log.
+	// wake is non-nil, leaves its scripted nodes in recs and returns the
+	// engine and every scripted node's delivery log.
 	var recs []*scripted
 	run := func(wake *invariant.WakeChecker, opts ...sim.Option) (*sim.Engine, string) {
-		protos := make([]sim.Protocol, n)
+		protos := make([]sim.Protocol, n+fill)
 		recs = make([]*scripted, n)
 		wins := winLog{}
 		if wake != nil {
-			wake.Reset(n, model)
+			wake.Reset(n+fill, model)
 		}
 		for i := range protos {
-			recs[i] = &scripted{script: script, id: i, n: n, c: c, slots: slots, asn: asn, wins: wins, lastWin: -2, quietAt: -1, catches: i%2 == 1}
-			protos[i] = recs[i]
-			if recs[i].catches {
-				protos[i] = catching{recs[i]}
+			protos[i] = filler{}
+			if i < n {
+				recs[i] = &scripted{script: script, id: i, n: n, c: c, slots: slots, asn: asn, wins: wins, lastWin: -2, quietAt: -1, catches: i%2 == 1}
+				protos[i] = recs[i]
+				if recs[i].catches {
+					protos[i] = catching{recs[i]}
+				}
 			}
 			if wake != nil {
 				protos[i] = wake.Wrap(sim.NodeID(i), protos[i])

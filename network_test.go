@@ -71,9 +71,9 @@ func TestStaticNetworkConcurrentRuns(t *testing.T) {
 	run := func(i int) (any, error) {
 		seed := int64(i / 2)
 		if i%2 == 0 {
-			return net.Broadcast(crn.BroadcastOptions{Payload: "m", Seed: seed, RunToCompletion: true, Check: true})
+			return net.Broadcast(crn.BroadcastOptions{Payload: "m", Seed: seed, RunToCompletion: true, EngineOptions: crn.EngineOptions{Check: true}})
 		}
-		return net.Aggregate(inputs, crn.AggregateOptions{Seed: seed, Check: true})
+		return net.Aggregate(inputs, crn.AggregateOptions{Seed: seed, EngineOptions: crn.EngineOptions{Check: true}})
 	}
 	got := make([]any, 6)
 	var wg sync.WaitGroup
@@ -132,7 +132,8 @@ func FuzzNetworkSpec(f *testing.F) {
 		}
 		shards := 1 + int(rawShards)%4
 		if _, err := net.Broadcast(crn.BroadcastOptions{
-			Payload: "m", Seed: seed, MaxSlots: 500, Check: true, Shards: shards, Sparse: sparse,
+			Payload: "m", Seed: seed,
+			EngineOptions: crn.EngineOptions{MaxSlots: 500, Check: true, Shards: shards, Sparse: sparse},
 		}); err != nil {
 			t.Fatalf("%+v: Broadcast: %v", spec, err)
 		}
@@ -143,7 +144,7 @@ func FuzzNetworkSpec(f *testing.F) {
 		for i := range inputs {
 			inputs[i] = int64(i)
 		}
-		_, err = net.Aggregate(inputs, crn.AggregateOptions{Seed: seed, Check: true, Shards: shards, Sparse: sparse})
+		_, err = net.Aggregate(inputs, crn.AggregateOptions{Seed: seed, EngineOptions: crn.EngineOptions{Check: true, Shards: shards, Sparse: sparse}})
 		if err != nil && !errors.Is(err, crn.ErrIncomplete) {
 			t.Fatalf("%+v: Aggregate: %v", spec, err)
 		}
@@ -187,7 +188,7 @@ func FuzzNetworkConstructors(f *testing.F) {
 					t.Fatalf("%+v: NewJammedNetworkPhases err %v, NewJammedNetwork err %v", jp, err, oneErr)
 				}
 				if err == nil {
-					opts := crn.BroadcastOptions{Payload: "m", Seed: seed, MaxSlots: 500}
+					opts := crn.BroadcastOptions{Payload: "m", Seed: seed, EngineOptions: crn.EngineOptions{MaxSlots: 500}}
 					a, aErr := net.Broadcast(opts)
 					b, bErr := one.Broadcast(opts)
 					if aErr != nil || bErr != nil || !reflect.DeepEqual(a, b) {
@@ -220,7 +221,8 @@ func FuzzNetworkConstructors(f *testing.F) {
 				}
 			}
 			if _, err := net.AggregateRounds(in, crn.AggregateOptions{
-				Func: funcs[int(strategy)%len(funcs)], Seed: seed, Check: true, Sparse: sparse,
+				Func: funcs[int(strategy)%len(funcs)], Seed: seed,
+				EngineOptions: crn.EngineOptions{Check: true, Sparse: sparse},
 			}); err != nil {
 				t.Fatalf("n=%d c=%d: AggregateRounds: %v", n, c, err)
 			}
@@ -230,7 +232,8 @@ func FuzzNetworkConstructors(f *testing.F) {
 			return
 		}
 		if _, err := net.Broadcast(crn.BroadcastOptions{
-			Payload: "m", Seed: seed, MaxSlots: 500, Check: true, Sparse: sparse,
+			Payload: "m", Seed: seed,
+			EngineOptions: crn.EngineOptions{MaxSlots: 500, Check: true, Sparse: sparse},
 		}); err != nil {
 			t.Fatalf("n=%d c=%d kind %d: Broadcast: %v", n, c, kind%4, err)
 		}

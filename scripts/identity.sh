@@ -13,7 +13,16 @@
 #   cogsim -protocol session -n 2000 -c 16 -k 4 -C 48 -check
 #   cogsim -protocol session -n 2000 -c 16 -k 4 -C 48 -sparse -check
 #   cogsim -protocol cogcomp -n 10000 -c 16 -k 4 -C 48 -sparse
+#   cogsim -protocol cogcast -n 2000 -c 16 -k 4 -C 48 -check -trace FILE
+#   cogsim -protocol cogcast -jam random -jamk 3 -n 256 -c 16 -check -trace FILE
+#   cogsim -protocol cogcast -adversary busiest -energy 120 -n 256 -c 12 -check -trace FILE
+#   cogsim -protocol cogcomp -recover -adversary crasher -energy 60 -n 48 -check -trace FILE
 #   cogsim run scenarios/*.yaml                     (each side's own library)
+#
+# The four cogcast and adversary rows trace through the crn package's run
+# plumbing: a plain broadcast, a jammed one (jam events), one against a
+# reactive jammer (adv and jam events) and a recovered aggregation against
+# a crash adversary (fault, restart and adv events).
 #
 # Only the wall-clock lines "[E… finished in …]" and the "trace: wrote
 # <path>" line are stripped before cmp. The exit status is non-zero if any
@@ -47,12 +56,16 @@ for side in base new; do
 	"$d/cogsim" -protocol session -n 2000 -c 16 -k 4 -C 48 -check >"$d/session-dense.txt"
 	"$d/cogsim" -protocol session -n 2000 -c 16 -k 4 -C 48 -sparse -check >"$d/session.txt"
 	"$d/cogsim" -protocol cogcomp -n 10000 -c 16 -k 4 -C 48 -sparse >"$d/census.txt"
+	"$d/cogsim" -protocol cogcast -n 2000 -c 16 -k 4 -C 48 -check -trace "$d/cast.jsonl" >"$d/cast.txt"
+	"$d/cogsim" -protocol cogcast -jam random -jamk 3 -n 256 -c 16 -check -trace "$d/jam.jsonl" >"$d/jam.txt"
+	"$d/cogsim" -protocol cogcast -adversary busiest -energy 120 -n 256 -c 12 -check -trace "$d/adv.jsonl" >"$d/adv.txt"
+	"$d/cogsim" -protocol cogcomp -recover -adversary crasher -energy 60 -n 48 -check -trace "$d/crash.jsonl" >"$d/crash.txt"
 	(cd "$src" && "$d/cogsim" run scenarios/*.yaml) >"$d/scenarios.txt"
 done
 
 strip() { grep -v -e '^\[E[0-9]* finished in .*\]$' -e '^trace: wrote ' "$1" || true; }
 status=0
-for f in quick.txt exp.txt exp.jsonl e29.txt sim-dense.txt sim-dense.jsonl sim.txt sim.jsonl session-dense.txt session.txt census.txt scenarios.txt; do
+for f in quick.txt exp.txt exp.jsonl e29.txt sim-dense.txt sim-dense.jsonl sim.txt sim.jsonl session-dense.txt session.txt census.txt cast.txt cast.jsonl jam.txt jam.jsonl adv.txt adv.jsonl crash.txt crash.jsonl scenarios.txt; do
 	if cmp -s <(strip "$tmp/base/$f") <(strip "$tmp/new/$f"); then
 		echo "same    $f"
 	else
