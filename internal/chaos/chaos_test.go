@@ -181,11 +181,11 @@ func TestCancelTraceGraceful(t *testing.T) {
 		{"aggregate", func(eo crn.EngineOptions) error {
 			_, err := newNet(t, 5).Aggregate(inputs, crn.AggregateOptions{Seed: 5, EngineOptions: eo})
 			return err
-		}, "cogcomp: sim: run canceled after 4 slots (after 4 slots; l=96 n=64)"},
+		}, "cogcomp: sim: run canceled after 4 slots (l=96 n=64)"},
 		{"aggregate-recovered", func(eo crn.EngineOptions) error {
 			_, err := newNet(t, 5).Aggregate(inputs, crn.AggregateOptions{Seed: 5, Recover: true, EngineOptions: eo})
 			return err
-		}, "recover: sim: run canceled after 4 slots (after 4 slots; l=96 n=64)"},
+		}, "recover: sim: run canceled after 4 slots (l=96 n=64)"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var buf bytes.Buffer

@@ -323,8 +323,8 @@ func (nd *Node) deliverPhase2(slot int, ev sim.Event) {
 // quiet park after it, and each would have held one entry of the channel's
 // log: a winner always receives its own success and logs its entry in its
 // winning slot, so the node holds the entries logged in [from, to). In
-// phase four only a sender's stand is deaf, and every delivery it skips is
-// inert (see send). No other phase stands or parks quietly.
+// phase four only a sender's stand or stand-by is deaf, and every delivery
+// it skips is inert (see standBy). No other phase stands or parks quietly.
 func (nd *Node) CatchUp(from, to int) {
 	if from < nd.p3start && to > nd.p2start {
 		nd.holdSlots(max(from, nd.p2start), min(to, nd.p3start))
@@ -581,21 +581,16 @@ func (nd *Node) stepPhase4(slot int) sim.Action {
 		if receiver {
 			return nd.wait(slot, nd.collected[nd.idx].ch)
 		}
-		return nd.wait(slot, nd.ch0) // sender awaiting its cluster's announcement
+		return nd.standBy(slot)
 	case 1:
 		if receiver {
 			return nd.wait(slot, nd.collected[nd.idx].ch)
 		}
 		if !nd.ownSent && nd.announced == nd.r0 {
-			if nd.valueWire == nil {
-				nd.valueWire = valueMsg{R: nd.r0, Sender: nd.id, Agg: nd.acc}
-			}
-			if size := nd.f.Size(nd.acc); size > nd.maxMsgSize {
-				nd.maxMsgSize = size
-			}
+			nd.wireValue()
 			return nd.send(slot)
 		}
-		return nd.wait(slot, nd.ch0)
+		return nd.standBy(slot)
 	default:
 		// A pending ack may also belong to a past cluster (duplicate
 		// resend under faults); it always names its own channel.
@@ -617,18 +612,36 @@ func (nd *Node) roundBoundary() int {
 }
 
 // send returns a sender's value broadcast in sub-slot one of a step that
-// announced its cluster. A sender that is not a mediator stands on it,
-// awaiting its cluster's announcement key, until its value wins or, in a
-// session, the round ends. Dense stepping would have it listen on ch0 in
-// every slot of the stand but one: sub-slot one after the announcement of
-// its cluster, where it re-sends the same valueWire, because ownSent stays
-// false until its parent acks a value of its own, which needs a win, and
-// acc only changes by merging a value of the cluster at collected[idx],
-// and a sender has collected every cluster. Its skipped Steps would only
-// refresh stepInRound, which only the source reads, and run startStep,
-// which finds pendingAck clear, the cluster pointer past the end and
-// ownSent false, and resets announced (see below). The deliveries a deaf
-// stander skips are inert too:
+// announced its cluster, for a sender stepped after hearing the
+// announcement. Under dense stepping that is every sender; under sparse
+// stepping a stand-by's group broadcasts without a Step (see standBy), so
+// it is a sender whose won value drew no ack, its parent still collecting
+// another cluster, and that heard the announcement again from its
+// sub-slot-two park. A sender that is not a mediator stands on its value,
+// making the stand-by's promise, until the value wins or, in a session,
+// the round ends.
+func (nd *Node) send(slot int) sim.Action {
+	if nd.isMediator {
+		return sim.Broadcast(nd.ch0, nd.valueWire)
+	}
+	return sim.Stand(nd.ch0, nd.valueWire, announceKey(nd.r0), nd.holdBound(slot))
+}
+
+// standBy returns a sender's wait for its cluster's announcement on ch0
+// in sub-slots zero and one. A sender that is not a mediator, has no ack
+// to send and has not been acked stands by on its announcement key
+// (sim.StandBy) until its value wins or, in a session, the round ends.
+// Dense stepping would have it listen on ch0 in every slot of the
+// stand-by but one: sub-slot one after the announcement of its cluster,
+// where it sends valueWire, because ownSent stays false until its parent
+// acks a value of its own, which needs a win, and acc only changes by
+// merging a value of the cluster at collected[idx], and a sender has
+// collected every cluster. So the value is final here, and wireValue
+// boxes it now. The skipped Steps would only refresh stepInRound, which
+// only the source reads, and run startStep, which finds pendingAck clear,
+// the cluster pointer past the end and ownSent false, and resets
+// announced (see below). The deliveries a deaf stander skips are inert
+// too:
 //
 //   - EvSendFailed in sub-slot one: deliverPhase4 ignores every
 //     sub-slot-one event but a received value;
@@ -639,16 +652,25 @@ func (nd *Node) roundBoundary() int {
 //     without faults no value is resent; a fault wrapper strips the stand;
 //   - an ack naming another node: it sets ownSent only for its own id, and
 //     the ack stream feeds only an active mediator, which never stands;
-//   - an announcement: it only sets announced, which the stand makes no
-//     Step read before startStep resets it — sub-slot two, where a won
-//     stand resumes, reads pendingAck and the cluster pointer, and a
-//     bound that expires lands on a round boundary, where resetRound
-//     resets it.
-func (nd *Node) send(slot int) sim.Action {
-	if nd.isMediator {
-		return sim.Broadcast(nd.ch0, nd.valueWire)
+//   - an announcement: it only sets announced, which no Step that runs
+//     reads before startStep resets it — sub-slot two, where a won stand
+//     resumes, reads pendingAck and the cluster pointer, and a bound that
+//     expires lands on a round boundary, where resetRound resets it.
+func (nd *Node) standBy(slot int) sim.Action {
+	if nd.isMediator || nd.ownSent || nd.pendingAck != sim.None {
+		return nd.wait(slot, nd.ch0)
 	}
-	return sim.Stand(nd.ch0, nd.valueWire, announceKey(nd.r0), nd.holdBound(slot))
+	nd.wireValue()
+	return sim.StandBy(nd.ch0, nd.valueWire, announceKey(nd.r0), nd.holdBound(slot))
+}
+
+// wireValue boxes the sender's value message, once per value of acc, and
+// records its size.
+func (nd *Node) wireValue() {
+	if nd.valueWire == nil {
+		nd.valueWire = valueMsg{R: nd.r0, Sender: nd.id, Agg: nd.acc}
+		nd.maxMsgSize = max(nd.maxMsgSize, nd.f.Size(nd.acc))
+	}
 }
 
 // wait returns the Listen action for a phase-four holding pattern, carrying
@@ -659,7 +681,9 @@ func (nd *Node) send(slot int) sim.Action {
 // first post-wake step re-runs them, and the promise stops at the next
 // round boundary, whose resetRound is a real state change. Mediators drive
 // the phase-four schedule and always run dense, and a pending ack breaks
-// the pattern on the next sub-slot, so neither parks.
+// the pattern on the next sub-slot, so neither parks. Receivers wait here,
+// and so do senders in sub-slot two, where a sender whose value won must
+// hear its ack; a sender's other waits stand by (see standBy).
 func (nd *Node) wait(slot, ch int) sim.Action {
 	if nd.isMediator || nd.pendingAck != sim.None {
 		return sim.Listen(ch)

@@ -227,6 +227,9 @@ func (a *Arena) RunWith(asn sim.Assignment, source sim.NodeID, inputs []int64, s
 		return true
 	})
 	if err != nil {
+		if errors.As(err, new(*sim.Interrupted)) { // it names the count
+			return nil, fmt.Errorf("cogcomp: %w (l=%d n=%d)", err, l, n)
+		}
 		return nil, fmt.Errorf("cogcomp: %w (after %d slots; l=%d n=%d)", err, total, l, n)
 	}
 

@@ -169,21 +169,36 @@ func TestSparseStandsAudited(t *testing.T) {
 	}
 }
 
-// workCounter wraps a node and counts its Step and Deliver calls in the
-// census window and in phase four, and its phase-one losses, forwarding
-// CatchUp so the engine still serves the node deaf.
+// workCounter wraps node id and counts its Step and Deliver calls in the
+// census window and in phase four, its phase-one losses and, when the
+// windows track senders, the deliveries it gets as a waiting sender,
+// forwarding CatchUp so the engine still serves the node deaf.
 type workCounter struct {
+	id      sim.NodeID
 	p       *cogcomp.Node
 	windows *phaseWindows
 }
 
 // phaseWindows holds the census window [p2, p3) and phase four's start p4,
 // the calls counted in them, and the EvSendFailed deliveries before p2.
+// A non-nil sender holds each node's phase-four sender state (see
+// workCounter.Step), and waited the deliveries to waiting senders.
 type phaseWindows struct {
 	p2, p3, p4 int
 	calls      int
 	lost       int
+	sender     []senderState
+	waited     int
 }
+
+// senderState is where a node stands as a phase-four sender.
+type senderState uint8
+
+const (
+	notSending senderState = iota
+	waiting                // its value is final and has not won yet
+	won
+)
 
 func (w *phaseWindows) count(slot int) {
 	if (slot >= w.p2 && slot < w.p3) || slot >= w.p4 {
@@ -191,15 +206,36 @@ func (w *phaseWindows) count(slot int) {
 	}
 }
 
+// Step starts the node's wait as a sender at its first phase-four Step
+// with its value final: it is neither the source nor a mediator, its
+// parent has not acked it, and it has merged a value from every member of
+// every cluster it informed (Progress counts merges until the ack).
 func (c workCounter) Step(slot int) sim.Action {
-	c.windows.count(slot)
+	w := c.windows
+	w.count(slot)
+	if w.sender != nil && slot >= w.p4 && w.sender[c.id] == notSending &&
+		c.p.Parent() != sim.None && !c.p.IsMediator() && !c.p.OwnSent() {
+		members := 0
+		c.p.CollectedSnapshot(func(_, _, size int) { members += size })
+		if c.p.Progress() >= members {
+			w.sender[c.id] = waiting
+		}
+	}
 	return c.p.Step(slot)
 }
 
 func (c workCounter) Deliver(slot int, ev sim.Event) {
-	c.windows.count(slot)
-	if ev.Kind == sim.EvSendFailed && slot < c.windows.p2 {
-		c.windows.lost++
+	w := c.windows
+	w.count(slot)
+	if ev.Kind == sim.EvSendFailed && slot < w.p2 {
+		w.lost++
+	}
+	if w.sender != nil && w.sender[c.id] == waiting {
+		if ev.Kind == sim.EvSendSucceeded {
+			w.sender[c.id] = won
+		} else {
+			w.waited++
+		}
 	}
 	c.p.Deliver(slot, ev)
 }
@@ -213,8 +249,11 @@ func (c workCounter) CatchUp(from, to int) { c.p.CatchUp(from, to) }
 // than ×2.5 from n = 4000 to n = 8000. Contenders that were stepped and
 // delivered to on every attempt grew them ×3.3 per doubling — the
 // Θ(Σm²) of m contenders per channel; standing contenders served deaf are
-// touched once per stand and once per win. Smaller n is no test: there
-// phase four's plain parks dominate.
+// touched once per stand and once per win, 3n − 2 calls in all. Phase
+// four's senders stand by deaf too, so it makes about 18 calls per node
+// and both phases grow ×1.9–2.0 per doubling from n = 500 on; while its
+// waiting senders sat in hearing parks, re-stepped by every delivery on
+// their channel, phase four grew ×3.2 from n = 1000 to 2000.
 func TestSparseContentionWorkScales(t *testing.T) {
 	work := func(n int) int {
 		asn, err := assign.SharedCore(n, 16, 4, 48, assign.LocalLabels, 1)
@@ -270,5 +309,52 @@ func TestSparsePhaseOneWaivesLosses(t *testing.T) {
 	}
 	if !invariant.AggEqual(got.Value, want.Value) || got.TotalSlots != want.TotalSlots {
 		t.Errorf("sparse run (%v, %d slots) != dense (%v, %d slots)", got.Value, got.TotalSlots, want.Value, want.TotalSlots)
+	}
+}
+
+// TestSparseSendersStandBy pins phase four's stand-bys on E29's shape:
+// once its value is final, a sender that is not a mediator waits for its
+// cluster's announcement deaf, so a sparse engine delivers it nothing
+// until its value wins, while the dense engine, which reads no hint,
+// delivers it every announcement, value, loss and ack on its channel.
+// Both runs must reach the same result.
+func TestSparseSendersStandBy(t *testing.T) {
+	const n = 1000
+	asn, err := assign.SharedCore(n, 16, 4, 48, assign.LocalLabels, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := cogcomp.PhaseOneLength(n, 16, 4, cogcast.DefaultKappa)
+	run := func(sparse bool) (*cogcomp.Result, *phaseWindows) {
+		w := &phaseWindows{p2: l, p3: l + n, p4: 2*l + n, sender: make([]senderState, n)}
+		res, err := new(cogcomp.Arena).RunWith(asn, 0, trialInputs(n, 0), 1, cogcomp.Config{Sparse: sparse},
+			func(id sim.NodeID, nd *cogcomp.Node) sim.Protocol { return workCounter{id: id, p: nd, windows: w} })
+		if err != nil {
+			t.Fatal(err)
+		}
+		wins := 0
+		for _, st := range w.sender {
+			if st == won {
+				wins++
+			}
+		}
+		if wins < n/2 {
+			t.Fatalf("sparse=%v: %d senders won after waiting, want at least %d", sparse, wins, n/2)
+		}
+		return res, w
+	}
+	want, dense := run(false)
+	got, sparse := run(true)
+	t.Logf("deliveries to waiting senders: %d dense, %d sparse", dense.waited, sparse.waited)
+	if dense.waited == 0 {
+		t.Fatal("dense phase four delivered nothing to a waiting sender: the pin has nothing to skip")
+	}
+	if sparse.waited != 0 {
+		t.Errorf("sparse phase four delivered %d times to waiting senders, want 0", sparse.waited)
+	}
+	if !invariant.AggEqual(got.Value, want.Value) || got.TotalSlots != want.TotalSlots ||
+		got.MaxMessageSize != want.MaxMessageSize {
+		t.Errorf("sparse run (%v, %d slots, max message %d) != dense (%v, %d slots, max message %d)",
+			got.Value, got.TotalSlots, got.MaxMessageSize, want.Value, want.TotalSlots, want.MaxMessageSize)
 	}
 }

@@ -20,17 +20,18 @@ import (
 //     stepped it, before any delivery reaches it in that slot,
 //   - one dormancy contract: a delivery wakes a parked node, or the node
 //     waived it — a quiet loser has nothing to learn, and a deaf node
-//     catches up. A delivered node is stepped in the next slot.
-//     A node that implements sim.CatchUpper and stands or parks quietly
-//     under sim.UniformWinner is deaf: from the slot of that action it
-//     gets no delivery but a winning one, and before its next Step or its
-//     winning delivery in slot t it gets exactly one CatchUp(from, t),
-//     from being that slot, unless it won in that very slot; the CatchUp
-//     leaves it not done. Any other quiet park is a plain park, and any
-//     other stand a plain broadcast,
-//   - a stander (sim.Stand) is not stepped before it wins or its bound
-//     expires, and it is among its channel's Broadcasters exactly in the
-//     slots after a message carrying its awaited key won there — the
+//     catches up. A delivered node is stepped in the next slot. A node
+//     that implements sim.CatchUpper and stands, stands by or parks
+//     quietly under sim.UniformWinner is deaf: from the slot of that
+//     action it gets no delivery but a winning one, and before its next
+//     Step or its winning delivery in slot t it gets exactly one
+//     CatchUp(from, t), from being that slot, unless it won in that very
+//     slot; the CatchUp leaves it not done. Any other quiet park or
+//     stand-by is a plain park, and any other stand a plain broadcast,
+//   - a stander (sim.Stand, or sim.StandBy, which is deaf from the listen
+//     that opens it) is not stepped before it wins or its bound expires,
+//     and it is among its channel's Broadcasters exactly in the slots
+//     after a message carrying its awaited key won there — the
 //     checker takes each winner's message key from the winner's last
 //     recorded action, not from the engine,
 //   - every node hears what its channel's outcome says, and nothing
@@ -62,9 +63,10 @@ type WakeChecker struct {
 	stepped   []int        // last slot the node was stepped, -1 initially
 	last      []sim.Action // the node's last action, for its message key
 
-	// Stands: standAt is the slot of the node's current stand, -1 if it
-	// does not stand; standCh is its physical channel, read from the stand
-	// slot's Broadcasters; wonAt is the slot a stand was won in.
+	// Stands: standAt is the slot of the node's current stand or stand-by,
+	// -1 if it does not stand; standCh is its physical channel, read from
+	// the stand slot's Broadcasters, or its Listeners for a stand-by;
+	// wonAt is the slot a stand was won in.
 	standAt []int
 	standCh []int
 	wonAt   []int
@@ -259,7 +261,7 @@ func (w *WakeChecker) onStep(slot int, node sim.NodeID, act sim.Action) {
 	w.stepped[v] = slot
 	w.last[v] = act
 	deaf := w.catcher[v] && w.keyed && act.Sleep > 0
-	stand := deaf && act.Op == sim.OpBroadcast && act.Await != sim.NoKey
+	stand := deaf && act.Op != sim.OpIdle && act.Await != sim.NoKey
 	w.standAt[v] = -1
 	if stand {
 		w.standAt[v] = slot
@@ -337,6 +339,12 @@ func (w *WakeChecker) OnSlot(slot int, outcomes []sim.ChannelOutcome) {
 		for _, b := range o.Broadcasters {
 			if b >= 0 && int(b) < len(w.protos) {
 				w.bcastAt[b], w.bcastCh[b] = slot, o.Channel
+				w.opened(slot, b, o.Channel)
+			}
+		}
+		for _, l := range o.Listeners {
+			if l >= 0 && int(l) < len(w.protos) {
+				w.opened(slot, l, o.Channel)
 			}
 		}
 		if len(o.Broadcasters) > 0 {
@@ -359,9 +367,7 @@ func (w *WakeChecker) OnSlot(slot int, outcomes []sim.ChannelOutcome) {
 			w.failf("slot %d: awake node %d skipped by the sparse scan", slot, v)
 			w.expect[v] = slot + 1
 		}
-		if at := w.standAt[v]; at == slot {
-			w.standCh[v] = w.bcastCh[v]
-		} else if at >= 0 {
+		if at := w.standAt[v]; at >= 0 && at < slot {
 			w.checkStander(slot, v)
 		}
 		if w.wonAt[v] == slot {
@@ -424,6 +430,14 @@ func (w *WakeChecker) audit(slot, ch int, node sim.NodeID, want heardCount) {
 	if got.win != want.win || got.fail != want.fail || got.recv != want.recv {
 		w.failf("slot %d: node %d on channel %d heard %d wins, %d losses and %d receptions, want %d, %d and %d",
 			slot, node, ch, got.win, got.fail, got.recv, want.win, want.fail, want.recv)
+	}
+}
+
+// opened records ch as node v's stand channel if v's stand or stand-by
+// opened in slot, where v broadcast or listened on ch.
+func (w *WakeChecker) opened(slot int, v sim.NodeID, ch int) {
+	if w.standAt[v] == slot {
+		w.standCh[v] = ch
 	}
 }
 

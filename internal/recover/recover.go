@@ -42,6 +42,7 @@
 package recover
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -255,6 +256,9 @@ func (r *run) supervise() error {
 			if err == sim.ErrMaxSlots {
 				r.stalled = true
 				return nil
+			}
+			if errors.As(err, new(*sim.Interrupted)) { // it names the count
+				return fmt.Errorf("recover: %w (l=%d n=%d)", err, r.l, r.n)
 			}
 			return fmt.Errorf("recover: %w (after %d slots; l=%d n=%d)", err, r.eng.Slot(), r.l, r.n)
 		}

@@ -15,22 +15,25 @@ import (
 // in each slot is decoded from script[slot*n+id]. A byte with its top bit
 // set and k = (b>>4)&7 > 0 holds its action for the next k slots,
 // ignoring the script: a listen parks (quietly if bit 3 is set), a
-// broadcast stands, awaiting wake key 1 or 2 (bit 3). Every broadcast
-// carries the key (b>>2)&3, so some carry none. A park ends on a delivery
-// unless it is quiet; a stand ends on a win, and in its other slots the
+// broadcast stands, awaiting wake key 1 or 2 (bit 3). A listen whose bit
+// 2 is clear, which no committed input holds, stands by instead, awaiting
+// the same keys. Every broadcast carries the key (b>>2)&3, so some carry
+// none, and so does a stand-by's. A park ends on a delivery unless it is
+// quiet; a stand or stand-by ends on a win, and in its other slots the
 // node listens unless the message that won its channel in the previous
-// slot carried its key, as Stand promises. A broadcast byte whose top two
-// bits are 01 broadcasts quietly, and the node ignores a loss there, as
-// BroadcastQuiet promises. Each hold ends at an absolute slot, so the
-// Sleep hint it carries honours its contract. A catching
-// node's deaf holds (stands and quiet parks) also end before the run's
-// last slot, so it is caught up before its log is compared; a deaf hold
-// that would not is a plain action instead. A non-catching node keeps
-// issuing quiet holds, which a sparse engine serves as the plain action:
-// its quiet park as a park that deliveries wake, its stand as a broadcast
-// stepped every slot. The node never terminates — the fuzz body runs slots
-// slots — logs every delivery and records the slots it is stepped in.
-// Every winner records its win in the run's winLog.
+// slot carried its key, as Stand and StandBy promise. A broadcast byte
+// whose top two bits are 01 broadcasts quietly, and the node ignores a
+// loss there, as BroadcastQuiet promises. Each hold ends at an absolute
+// slot, so the Sleep hint it carries honours its contract. A catching
+// node's deaf holds (stands, stand-bys and quiet parks) also end before
+// the run's last slot, so it is caught up before its log is compared; a
+// deaf hold that would not is a plain action instead. A non-catching node
+// keeps issuing quiet holds, which a sparse engine serves as the plain
+// action: its quiet park or stand-by as a park that deliveries wake, its
+// stand as a broadcast stepped every slot. The node never terminates —
+// the fuzz body runs slots slots — logs every delivery and records the
+// slots it is stepped in. Every winner records its win in the run's
+// winLog.
 type scripted struct {
 	script   []byte
 	id, n, c int
@@ -63,7 +66,12 @@ func (s *scripted) Step(slot int) sim.Action {
 	if slot < s.holdEnd {
 		act := s.hold
 		act.Sleep = s.holdEnd - 1 - slot
-		if act.Op == sim.OpBroadcast && !(s.lastWin == slot-1 && s.lastKey == act.Await) {
+		armed := s.lastWin == slot-1 && s.lastKey == act.Await
+		switch {
+		case act.Await == sim.NoKey:
+		case act.Op == sim.OpListen && armed:
+			return sim.Broadcast(act.Channel, act.Msg).Keyed(act.Key)
+		case act.Op == sim.OpBroadcast && !armed:
 			return sim.Listen(act.Channel)
 		}
 		return act
@@ -75,7 +83,7 @@ func (s *scripted) Step(slot int) sim.Action {
 	b := s.script[idx]
 	ch := int(b/3) % s.c
 	k := int(b>>4) & 7
-	deaf := s.catches && (b%3 == 2 || b&8 != 0)
+	deaf := s.catches && (b%3 == 2 || b&8 != 0 || b&4 == 0)
 	hold := b&0x80 != 0 && k > 0 && !(deaf && slot+k+1 >= s.slots)
 	switch b % 3 {
 	case 0:
@@ -85,7 +93,10 @@ func (s *scripted) Step(slot int) sim.Action {
 			return sim.Listen(ch)
 		}
 		s.hold, s.holdEnd = sim.ParkListen(ch, k), slot+k+1
-		if b&8 != 0 {
+		switch {
+		case b&4 == 0:
+			s.hold = sim.StandBy(ch, int(b), 1+sim.WakeKey(b>>3)&1, k).Keyed(keyOf(int(b)))
+		case b&8 != 0:
 			s.hold = sim.ParkListenQuiet(ch, k)
 		}
 		return s.hold
@@ -112,7 +123,7 @@ func (s *scripted) Deliver(slot int, ev sim.Event) {
 	}
 	switch {
 	case slot >= s.holdEnd:
-	case s.hold.Op == sim.OpBroadcast:
+	case s.hold.Await != sim.NoKey:
 		if ev.Kind == sim.EvSendSucceeded {
 			s.holdEnd = 0
 		}
@@ -138,10 +149,11 @@ func (filler) Step(int) sim.Action    { return sim.Listen(0) }
 func (filler) Deliver(int, sim.Event) {}
 func (filler) Done() bool             { return false }
 
-// catching is scripted with a CatchUp: served deaf through its stands and
-// quiet parks, it rebuilds the deliveries it missed from the run's winLog
-// — a loss in its stand's first slot and in every slot its key armed, a
-// reception otherwise — so its log must match the dense run's.
+// catching is scripted with a CatchUp: served deaf through its stands,
+// stand-bys and quiet parks, it rebuilds the deliveries it missed from the
+// run's winLog — a loss in its stand's first slot and in every later slot
+// its key armed, a reception otherwise — so its log must match the dense
+// run's.
 type catching struct{ *scripted }
 
 func (c catching) CatchUp(from, to int) {
@@ -153,9 +165,9 @@ func (c catching) CatchUp(from, to int) {
 			continue
 		}
 		ev.Kind, ev.Channel = sim.EvReceived, c.hold.Channel
-		if c.hold.Op == sim.OpBroadcast {
+		if c.hold.Await != sim.NoKey {
 			prev, armed := c.wins[[2]int{phys, t - 1}]
-			if t == from || (armed && keyOf(prev.Msg) == c.hold.Await) {
+			if t == from && c.hold.Op == sim.OpBroadcast || t > from && armed && keyOf(prev.Msg) == c.hold.Await {
 				ev.Kind = sim.EvSendFailed
 			}
 		}
@@ -213,6 +225,9 @@ func FuzzEngineSlot(f *testing.F) {
 	// Two scripted nodes among filler listeners: a listener hears a win,
 	// then listens on a silent channel (TestEngineSlotSeedFillsByNode).
 	f.Add(fillSeed.rawN, fillSeed.rawC, fillSeed.seed, fillSeed.script)
+	// Stand-bys on one channel: a deaf one armed next to a hearing one, and
+	// a deaf one awaiting another key (TestEngineSlotSeedStandsBy).
+	f.Add(standBySeed.rawN, standBySeed.rawC, standBySeed.seed, standBySeed.script)
 	f.Fuzz(func(t *testing.T, rawN, rawC uint8, seed int64, script []byte) {
 		checkEngineSlot(t, rawN, rawC, seed, script)
 	})
@@ -253,6 +268,40 @@ var quietSeed = seedScript{3, 0, 1, []byte("\x05\xb0\x05\x01\x41\x01\x01\x01\x01
 // the filler listeners (rawN 248): node 0 broadcasts and node 1 listens in
 // slot 0, and in slot 1 node 0 idles while node 1 listens again.
 var fillSeed = seedScript{248, 0, 1, []byte{2, 1, 0, 1}}
+
+// standBySeed is FuzzEngineSlot's script of five nodes on one shared
+// channel. In slot 0 node 0 broadcasts a message carrying key 1, nodes 1
+// and 2 stand by awaiting key 1 for two slots, node 3 stands by awaiting
+// key 2 for three, and node 4 listens; then all listen but node 0, which
+// broadcasts a message carrying key 2 in slot 2. Nodes 1 and 3 catch up,
+// so their stand-bys are deaf; node 2's is a plain park.
+var standBySeed = seedScript{3, 0, 1, []byte("\x05\xa0\xa0\xb8\x01\x01\x01\x01\x01\x01\x08\x01\x01\x01\x01")}
+
+// TestEngineSlotSeedStandsBy pins what standBySeed is for. Node 0 wins
+// slot 0: the deaf stand-bys 1 and 3 listen there without a delivery (the
+// wake oracle audits it), and the hearing one, node 2, hears the win. In
+// slot 1 node 1's group broadcasts unstepped next to node 2, which was
+// woken and stepped, and loses to it, so node 1 stays deaf until its bound
+// ends in slot 3; there node 3's group, armed by slot 2's key 2,
+// broadcasts alone. Node 1's log holds the reception and the loss that
+// CatchUp rebuilt in the sparse run.
+func TestEngineSlotSeedStandsBy(t *testing.T) {
+	outs, recs := checkEngineSlot(t, standBySeed.rawN, standBySeed.rawC, standBySeed.seed, standBySeed.script)
+	slots := strings.Split(outs.String(), "\n")
+	for i, want := range map[int]string{0: " b[0] w0 l[1 2 3 4]", 1: " b[1 2] w2 ", 3: " b[3] w3 "} {
+		if !strings.Contains(slots[i], want) {
+			t.Fatalf("slot %d is %q, want %q", i, slots[i], want)
+		}
+	}
+	for node, want := range map[int]string{1: "[0 3 4]", 2: "[0 1 2 3 4]", 3: "[0 4]"} {
+		if got := fmt.Sprint(recs[node].steps); got != want {
+			t.Fatalf("node %d stepped in slots %s, want %s", node, got, want)
+		}
+	}
+	if got, want := strings.Join(recs[1].log[:2], ","), "0/received/0/5/0,1/send-failed/2/160/0"; got != want {
+		t.Fatalf("node 1's log starts %q, want %q", got, want)
+	}
+}
 
 // TestEngineSlotSeedFillsByNode pins what fillSeed is for: every dense
 // slot files at least sim.ByNodeMin entries, so it delivers in node order,

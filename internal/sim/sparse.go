@@ -17,11 +17,12 @@ package sim
 //     a delivery there has the next slot step it again. A quiet broadcast
 //     (BroadcastQuiet) that loses gets no EvSendFailed: its Deliver would
 //     have ignored it, and it is stepped next slot like any broadcaster.
-//     A CatchUpper that stands or quiet-parks under UniformWinner is deaf:
-//     its deliveries are skipped and reported as one slot range before
-//     its next Step or its winning delivery. Any other quiet park is a
-//     plain park, and any other stand a stepped broadcast.
-//   - Standing broadcasters sit in a group per channel and wake key. In
+//     A CatchUpper that stands, stands by (StandBy) or quiet-parks under
+//     UniformWinner is deaf: its deliveries are skipped and reported as
+//     one slot range before its next Step or its winning delivery. Any
+//     other quiet park or stand-by is a plain park, and any other stand a
+//     stepped broadcast.
+//   - Standers and stand-bys sit in a group per channel and wake key. In
 //     the slot after a message carrying the key wins the channel, the
 //     group joins the channel's broadcasters in node order, exactly where
 //     dense stepping would have filed them, so the tie-break draw and the
@@ -547,10 +548,10 @@ func (e *Engine) hearingBroadcasters(bs []NodeID, winner NodeID, slot int) []Nod
 	return out
 }
 
-// standing reports whether node v's act is a stand this engine honours,
-// which is one it can hold deaf (see Stand).
+// standing reports whether node v's act is a stand or stand-by this
+// engine honours, which is one it can hold deaf (see Stand, StandBy).
 func (e *Engine) standing(v int32, act *Action) bool {
-	return act.Op == OpBroadcast && act.Sleep > 0 && act.Await != NoKey && e.holdsDeaf(v)
+	return act.Op != OpIdle && act.Sleep > 0 && act.Await != NoKey && e.holdsDeaf(v)
 }
 
 // holdsDeaf reports whether node v's stands and quiet parks are deaf.

@@ -66,14 +66,14 @@ type Message any
 // executions byte-identical. On an OpBroadcast action the hint means
 // nothing unless Await names a wake key, which makes the broadcast a
 // standing one (see Stand); a plain broadcaster always gets feedback, so
-// it is stepped again in the next slot. A Sleep <= 0 promises no
-// dormancy: a park or stand is then the plain listen or broadcast,
-// whatever Quiet and Await say, so a protocol may pass a bound that has
-// run down to zero or below straight to Sleep, ParkListen,
-// ParkListenQuiet or Stand (FuzzEngineSlot's scripted holds issue
-// Sleep = 0 in their last slot). Quiet on a broadcast is the one hint
-// that needs no Sleep: it promises only that losing this slot teaches
-// the node nothing (see BroadcastQuiet).
+// it is stepped again in the next slot. On an OpListen action Await makes
+// the park a stand-by (see StandBy). A Sleep <= 0 promises no dormancy: a
+// park or stand is then the plain listen or broadcast, whatever Quiet and
+// Await say, so a protocol may pass a bound that has run down to zero or
+// below straight to any hinted constructor (FuzzEngineSlot's scripted
+// holds issue Sleep = 0 in their last slot). Quiet on a broadcast is the
+// one hint that needs no Sleep: it promises only that losing this slot
+// teaches the node nothing (see BroadcastQuiet).
 //
 // The field order packs Op, Quiet and Key into one word, so the wake keys
 // do not grow the engine's per-node action buffer.
@@ -94,8 +94,9 @@ type Action struct {
 	Channel int
 	Msg     Message
 	Sleep   int
-	// Await is the wake key a standing broadcast waits for (see Stand).
-	// NoKey, the zero value, makes a broadcast plain.
+	// Await is the wake key a standing broadcast or a stand-by waits for
+	// (see Stand, StandBy). NoKey, the zero value, makes a broadcast plain
+	// and a listen a park.
 	Await WakeKey
 }
 
@@ -182,6 +183,17 @@ func Stand(ch int, msg Message, key WakeKey, k int) Action {
 	return Action{Op: OpBroadcast, Channel: ch, Msg: msg, Sleep: k, Await: key}
 }
 
+// StandBy returns a stand that opens with a listen on local channel ch:
+// from this slot on the node makes Stand's promise, until it wins or k
+// slots pass its Step returning Listen(ch) but Broadcast(ch, msg), with
+// the action's Key, in the slot after a message carrying key wins the
+// channel. A sparse engine holds it deaf in key's stand group from this
+// listen on; any other stand-by, or one with key NoKey, is
+// ParkListen(ch, k). With k <= 0 it is Listen(ch).
+func StandBy(ch int, msg Message, key WakeKey, k int) Action {
+	return Action{Op: OpListen, Channel: ch, Msg: msg, Sleep: k, Await: key}
+}
+
 // Keyed returns the action with its message carrying wake key key (see
 // Action.Key).
 func (a Action) Keyed(key WakeKey) Action {
@@ -254,7 +266,7 @@ type Protocol interface {
 // contract: a delivery wakes a parked node, or the node waived it — a
 // quiet loser (BroadcastQuiet) has nothing to learn, and a deaf
 // CatchUpper catches up. Only a CatchUpper under UniformWinner is held deaf, while it
-// stands (Stand) or sits in a quiet park (ParkListenQuiet): the engine
+// stands (Stand, StandBy) or sits in a quiet park (ParkListenQuiet): the engine
 // skips every delivery to it but a winning one and, before the node's next
 // Step or that win, calls CatchUp once with the skipped slots. CatchUp
 // must leave Done false: the engine reads a deaf node's Done only when it
