@@ -331,3 +331,29 @@ func TestCheckerDisabledAllocFree(t *testing.T) {
 		t.Errorf("unchecked steady-state RunSlot allocates %.2f objects/slot, want 0", allocs)
 	}
 }
+
+// TestColdArenaAllocConstantInN pins a cold COGCAST run's allocation count
+// to O(1) in n: a fresh Arena grows its node slab, pointer slices and
+// engine scratch once each, whatever the network size, and a node's
+// generator is a value inside the node, not an allocation of its own (a
+// generator per node made the count at n = 4000 about 3000 higher than at
+// n = 1000). The runs stop at SlotBound, 160 and 192 slots here, below the
+// 274th draw at which a generator allocates its 607-word state array.
+func TestColdArenaAllocConstantInN(t *testing.T) {
+	coldRun := func(n int) float64 {
+		asn, err := assign.SharedCore(n, 16, 4, 48, assign.LocalLabels, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(3, func() {
+			if _, err := new(cogcast.Arena).Run(asn, 0, "m", 1, cogcast.RunConfig{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := coldRun(1000), coldRun(4000)
+	t.Logf("allocs: n=1000 %.0f, n=4000 %.0f", small, large)
+	if large-small > 8 {
+		t.Errorf("cold arena run allocates %.0f objects at n=4000 vs %.0f at n=1000, want a difference <= 8", large, small)
+	}
+}

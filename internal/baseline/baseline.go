@@ -18,7 +18,6 @@ package baseline
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"slices"
 
 	"github.com/cogradio/crn/internal/rng"
@@ -44,7 +43,7 @@ type datum struct {
 // they do not relay (that relay is precisely COGCAST's advantage).
 type rdvNode struct {
 	view     sim.NodeView
-	rand     *rand.Rand
+	rand     rng.Stream
 	source   bool
 	informed bool
 	body     sim.Message
@@ -93,12 +92,12 @@ func RendezvousBroadcast(asn sim.Assignment, source sim.NodeID, body sim.Message
 	for i := range nodes {
 		nodes[i] = &rdvNode{
 			view:     sim.View(asn, sim.NodeID(i)),
-			rand:     rng.New(seed, int64(i), 0xba5e),
 			source:   sim.NodeID(i) == source,
 			informed: sim.NodeID(i) == source,
 			body:     body,
 			wire:     payload{Body: body},
 		}
+		nodes[i].rand.Reseed(seed, int64(i), 0xba5e)
 		protos[i] = nodes[i]
 	}
 	eng, err := sim.NewEngine(asn, protos, seed, opts...)
@@ -126,7 +125,7 @@ func RendezvousBroadcast(asn sim.Assignment, source sim.NodeID, body sim.Message
 // sender in the race, which is what makes the baseline cost O(c²n/k).
 type aggSender struct {
 	view sim.NodeView
-	rand *rand.Rand
+	rand rng.Stream
 	// wire is the boxed datum, built once: the report never changes, and
 	// re-boxing it every Step was the dominant allocation of the whole
 	// rendezvous-aggregation baseline.
@@ -147,7 +146,7 @@ func (n *aggSender) Done() bool             { return false }
 // distinct datum it hears.
 type aggSource struct {
 	view  sim.NodeView
-	rand  *rand.Rand
+	rand  rng.Stream
 	heard map[sim.NodeID]int64
 }
 
@@ -188,20 +187,21 @@ func RendezvousAggregation(asn sim.Assignment, source sim.NodeID, inputs []int64
 	}
 	src := &aggSource{
 		view:  sim.View(asn, source),
-		rand:  rng.New(seed, int64(source), 0xa66),
 		heard: make(map[sim.NodeID]int64, n-1),
 	}
+	src.rand.Reseed(seed, int64(source), 0xa66)
 	protos := make([]sim.Protocol, n)
 	for i := range protos {
 		if sim.NodeID(i) == source {
 			protos[i] = src
 			continue
 		}
-		protos[i] = &aggSender{
+		snd := &aggSender{
 			view: sim.View(asn, sim.NodeID(i)),
-			rand: rng.New(seed, int64(i), 0xa66),
 			wire: datum{ID: sim.NodeID(i), Value: inputs[i]},
 		}
+		snd.rand.Reseed(seed, int64(i), 0xa66)
+		protos[i] = snd
 	}
 	eng, err := sim.NewEngine(asn, protos, seed)
 	if err != nil {

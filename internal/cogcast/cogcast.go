@@ -19,7 +19,6 @@ package cogcast
 
 import (
 	"math"
-	"math/rand"
 
 	"github.com/cogradio/crn/internal/rng"
 	"github.com/cogradio/crn/internal/sim"
@@ -35,7 +34,7 @@ type Payload struct {
 // Node is one COGCAST participant. It implements sim.Protocol.
 type Node struct {
 	view sim.NodeView
-	rand *rand.Rand
+	rand rng.Stream
 
 	informed bool
 	payload  sim.Message
@@ -68,12 +67,13 @@ func New(view sim.NodeView, source bool, payload sim.Message, seed int64) *Node 
 func (n *Node) Reinit(view sim.NodeView, source bool, payload sim.Message, seed int64) {
 	*n = Node{
 		view:         view,
-		rand:         rng.Reseed(n.rand, seed, int64(view.ID()), 0xca57),
+		rand:         n.rand, // keeps the stream's state array; reseeded below
 		informed:     source,
 		payload:      payload,
 		parent:       sim.None,
 		informedSlot: -1,
 	}
+	n.rand.Reseed(seed, int64(view.ID()), 0xca57)
 	if source {
 		n.wire = Payload{Body: payload}
 	}
@@ -82,12 +82,28 @@ func (n *Node) Reinit(view sim.NodeView, source bool, payload sim.Message, seed 
 // Step implements sim.Protocol: choose a uniform random channel; broadcast
 // if informed, listen otherwise. The broadcast is quiet, because Deliver
 // returns at once for an informed node: a loss teaches it nothing.
-func (n *Node) Step(slot int) sim.Action {
-	ch := n.rand.Intn(n.view.NumChannels(slot))
+func (n *Node) Step(slot int) (a sim.Action) {
+	n.StepInto(slot, &a)
+	return a
+}
+
+// StepInto is Step writing its action into *a: sim.BroadcastQuiet(ch, wire)
+// if the node is informed, sim.Listen(ch) otherwise. Every field of *a is
+// written, so a caller may pass an action that holds an earlier slot's.
+//
+// The fields are written one by one on purpose. Returning the constructor's
+// result builds the action in a stack temporary with byte stores and copies
+// it out with 16-byte loads, which stall on store forwarding, and this is
+// the per-node, per-slot path of COGCAST and of COGCOMP's phase one.
+// TestStepIntoMatchesConstructors pins the writes to the constructors.
+func (n *Node) StepInto(slot int, a *sim.Action) {
+	a.Channel = n.rand.Intn(n.view.NumChannels(slot))
+	a.Key, a.Sleep, a.Await = sim.NoKey, 0, sim.NoKey
 	if n.informed {
-		return sim.BroadcastQuiet(ch, n.wire)
+		a.Op, a.Quiet, a.Msg = sim.OpBroadcast, true, n.wire
+		return
 	}
-	return sim.Listen(ch)
+	a.Op, a.Quiet, a.Msg = sim.OpListen, false, nil
 }
 
 // Deliver implements sim.Protocol. Only a first reception changes state:

@@ -200,14 +200,19 @@ func PhaseOneLength(n, c, k int, kappa float64) int {
 }
 
 // Step implements sim.Protocol.
-func (nd *Node) Step(slot int) sim.Action {
+func (nd *Node) Step(slot int) (a sim.Action) {
 	if slot < nd.holdUntil {
 		return sim.Idle() // recovery backoff gap
 	}
 	switch {
 	case slot < nd.p2start:
 		nd.pos++
-		return nd.cast.Step(slot)
+		// Written into the named result, not returned from cast.Step: a
+		// returned action is copied out of a stack temporary with wide
+		// loads that stall on the temporary's narrow stores (see
+		// cogcast.Node.StepInto).
+		nd.cast.StepInto(slot, &a)
+		return a
 	case slot < nd.p3start:
 		nd.initPhase2()
 		return nd.stepPhase2(slot)

@@ -16,7 +16,6 @@ package gossip
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 
 	"github.com/cogradio/crn/internal/rng"
 	"github.com/cogradio/crn/internal/sim"
@@ -80,7 +79,7 @@ type message struct {
 // Node is one gossip participant. It implements sim.Protocol.
 type Node struct {
 	view   sim.NodeView
-	rand   *rand.Rand
+	rand   rng.Stream
 	rumors rumorSet
 	// wire is the boxed message holding rumors, rebuilt only when the set
 	// grows, so the steady-state slot path does not re-box every broadcast.
@@ -96,12 +95,13 @@ func NewNode(view sim.NodeView, initial []Rumor, totalRumors int, seed int64) *N
 	for _, r := range initial {
 		set = set.with(r)
 	}
-	return &Node{
+	n := &Node{
 		view:   view,
-		rand:   rng.New(seed, int64(view.ID()), 0x6055),
 		rumors: set,
 		wire:   message{rumors: set},
 	}
+	n.rand.Reseed(seed, int64(view.ID()), 0x6055)
+	return n
 }
 
 // Step implements sim.Protocol: broadcast the known set if nonempty,

@@ -19,6 +19,17 @@
 // 64-byte allocation); draw 274 writes the state back into the 607-word
 // array, which is allocated then, once per generator, and kept across
 // reseeds.
+//
+// The source comes in two shapes, with one stream:
+//   - New and Reseed return a *rand.Rand: every math/rand method, reached
+//     through the Source64 interface. Use it where a caller needs more than
+//     Intn (Shuffle, Perm, PermInto, Float64), as assign.Builder does, or
+//     draws too rarely for the call chain to matter.
+//   - Stream is a 16-byte value with Reseed and Intn only, and Intn calls
+//     the source directly. Embed it by value in a type that draws Intn on a
+//     per-slot path: a protocol node, the engine's tie-break. It costs no
+//     allocation of its own, and s.Reseed(seed, ids...) followed by Intn
+//     draws what New(seed, ids...).Intn would.
 package rng
 
 import "math/rand"

@@ -118,8 +118,76 @@ func TestReseedDrawAllocFree(t *testing.T) {
 	}
 }
 
+// intnBounds are Intn bounds that reach every branch of math/rand's Intn:
+// 1, powers of two (masked), bounds whose rejection loop discards about a
+// quarter of the raw draws (3·2²⁹+1 and 3·2⁶¹+1), and bounds above 2³¹−1,
+// which go through Int63n instead of Int31n where int has 64 bits.
+var intnBounds = func() (bs []int) {
+	for _, b := range []int64{
+		1, 2, 1 << 10, 1 << 30, 7, 1000, 3<<29 + 1, 1<<31 - 1,
+		1 << 31, 1<<31 + 1, 1 << 62, 3<<61 + 1, math.MaxInt64,
+	} {
+		if b <= math.MaxInt {
+			bs = append(bs, int(b))
+		}
+	}
+	return bs
+}()
+
+// sameIntn fails t unless s and r return the same value for each of draws
+// calls of Intn(bound). The stream contract is value for value, so a Stream that
+// consumed a different number of raw draws would diverge within a few
+// calls.
+func sameIntn(t *testing.T, name string, s *Stream, r *rand.Rand, bound, draws int) {
+	t.Helper()
+	for d := 0; d < draws; d++ {
+		if g, w := s.Intn(bound), r.Intn(bound); g != w {
+			t.Fatalf("%s: Intn(%d) call %d: Stream %d, math/rand %d", name, bound, d+1, g, w)
+		}
+	}
+}
+
+func TestStreamMatchesMathRand(t *testing.T) {
+	// Each bound from a fresh seed for 700 calls, which carries the raw
+	// draw count past the lazy boundaries 273, 274 and 334 whatever the
+	// rejection rate, then from a stream reseeded part-way through.
+	var s Stream
+	for i, seed := range edgeSeeds {
+		next := edgeSeeds[(i+1)%len(edgeSeeds)]
+		for _, bound := range intnBounds {
+			s.Reseed(seed, 0xca57)
+			sameIntn(t, "fresh", &s, stdlib(Derive(seed, 0xca57)), bound, 700)
+			for _, k := range lazyBoundaries {
+				s.Reseed(seed)
+				want := stdlib(Derive(seed))
+				sameIntn(t, "before reseed", &s, want, bound, k)
+				s.Reseed(next, 0x5e5)
+				want.Seed(Derive(next, 0x5e5))
+				sameIntn(t, "reseeded", &s, want, bound, 400)
+			}
+		}
+	}
+}
+
+func TestStreamIntnPanicsOnNonPositive(t *testing.T) {
+	for _, n := range []int{0, -1, math.MinInt} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Intn(%d) did not panic", n)
+				}
+			}()
+			var s Stream
+			s.Reseed(1)
+			s.Intn(n)
+		}()
+	}
+}
+
 // FuzzSource compares the source with math/rand over arbitrary seeds and
-// draw counts, reseeding to ^seed after reseedAt draws. The committed corpus
+// draw counts, reseeding to ^seed after reseedAt draws. Beside it, a Stream
+// reseeded the same way draws Intn over intnBounds against
+// rand.New(rand.NewSource(Derive(…))). The committed corpus
 // (testdata/fuzz/FuzzSource) holds the edge seeds, each reseeded at a lazy
 // boundary.
 func FuzzSource(f *testing.F) {
@@ -127,10 +195,19 @@ func FuzzSource(f *testing.F) {
 		s := new(source)
 		s.Seed(seed)
 		got, want := rand.New(s), stdlib(seed)
+		var st Stream
+		st.Reseed(seed)
+		stWant := stdlib(Derive(seed))
 		for i := 0; i < int(draws); i++ {
 			if i == int(reseedAt) {
 				got.Seed(^seed)
 				want.Seed(^seed)
+				st.Reseed(^seed, 0xca57)
+				stWant.Seed(Derive(^seed, 0xca57))
+			}
+			bound := intnBounds[i%len(intnBounds)]
+			if g, w := st.Intn(bound), stWant.Intn(bound); g != w {
+				t.Fatalf("seed %d reseedAt %d call %d: Stream Intn(%d) = %d, math/rand %d", seed, reseedAt, i, bound, g, w)
 			}
 			var g, w int64
 			if i%3 == 2 {
@@ -168,6 +245,29 @@ func benchReseedDraw(b *testing.B, d int) {
 	b.Run("math-rand", func(b *testing.B) { run(b, stdlib(1)) })
 }
 
+// BenchmarkIntn measures one per-slot draw, Intn(c) for a channel count c
+// that is not a power of two: through a generator from New (rand) and
+// through a Stream (stream).
+func BenchmarkIntn(b *testing.B) {
+	const c = 96
+	b.Run("rand", func(b *testing.B) {
+		r, sum := New(1), 0
+		for i := 0; i < b.N; i++ {
+			sum += r.Intn(c)
+		}
+		drawSink = sum
+	})
+	b.Run("stream", func(b *testing.B) {
+		var s Stream
+		s.Reseed(1)
+		sum := 0
+		for i := 0; i < b.N; i++ {
+			sum += s.Intn(c)
+		}
+		drawSink = sum
+	})
+}
+
 func BenchmarkReseedDraw16(b *testing.B)  { benchReseedDraw(b, 16) }
 func BenchmarkReseedDraw44(b *testing.B)  { benchReseedDraw(b, 44) }
 func BenchmarkReseedDraw607(b *testing.B) { benchReseedDraw(b, 607) }
@@ -193,5 +293,8 @@ func TestStateAllocatedPastDraw273(t *testing.T) {
 	}
 	if got := unsafe.Sizeof(source{}); got != 16 {
 		t.Errorf("source is %d B, want 16", got)
+	}
+	if got := unsafe.Sizeof(Stream{}); got != 16 {
+		t.Errorf("Stream is %d B, want 16", got)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"math/rand"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -72,7 +71,7 @@ var _ Observer = (ObserverFunc)(nil)
 type Engine struct {
 	asn        Assignment
 	nodes      []Protocol
-	rand       *rand.Rand
+	rand       rng.Stream
 	collisions CollisionModel
 
 	slot int
@@ -225,8 +224,8 @@ func NewEngine(asn Assignment, nodes []Protocol, seed int64, opts ...Option) (*E
 // Reset re-initializes the engine over a new assignment, protocol set and
 // seed, exactly as NewEngine would — observer and collision model return to
 // their defaults before opts apply, and the tie-break stream restarts at the
-// derived seed — but the action buffer, the sort scratch and the generator
-// source are kept, so a trial arena resetting an engine between
+// derived seed — but the action buffer, the sort scratch and the tie-break
+// stream's state are kept, so a trial arena resetting an engine between
 // trials allocates nothing once the scratch has grown to the largest shape
 // seen. Executions after a Reset are byte-identical to those of a fresh
 // engine.
@@ -244,7 +243,7 @@ func (e *Engine) Reset(asn Assignment, nodes []Protocol, seed int64, opts ...Opt
 	}
 	e.asn = asn
 	e.nodes = nodes
-	e.rand = rng.Reseed(e.rand, seed, int64(len(nodes)), 0x5e5)
+	e.rand.Reseed(seed, int64(len(nodes)), 0x5e5)
 	e.collisions = UniformWinner
 	e.slot = 0
 	e.obs = nil
