@@ -63,8 +63,9 @@ type Static struct {
 	sets       [][]int
 
 	// The lazily built channel→members reverse index, invalidated whenever
-	// a Builder regenerates the assignment.
-	index *Index
+	// a Builder regenerates the assignment. The invalidated index is kept
+	// as spare, and the next build reuses its arrays.
+	index, spare *Index
 }
 
 var _ sim.FixedAssignment = (*Static)(nil)

@@ -32,7 +32,9 @@ type Builder struct {
 func (b *Builder) reuse(n, c, totalChannels, k int) *Static {
 	s := &b.s
 	s.channels, s.perNode, s.minOverlap = totalChannels, c, k
-	s.index = nil
+	if s.index != nil {
+		s.spare, s.index = s.index, nil
+	}
 	need := n * c
 	if cap(s.backing) < need {
 		s.backing = make([]int, need)

@@ -29,15 +29,18 @@ type Index struct {
 // building it on first use and caching it until the next rebuild of the
 // underlying Static. The first call is not safe to race with other calls on
 // the same Static; trial arenas build per-worker assignments, so in practice
-// each Index has a single owner.
+// each Index has a single owner. The index of a Builder's Static is valid
+// until the next build, as the Static is: that build's index reuses its
+// arrays.
 func (s *Static) Index() *Index {
 	if s.index == nil {
-		s.index = buildIndex(s)
+		s.index, s.spare = buildIndex(s, s.spare), nil
 	}
 	return s.index
 }
 
-func buildIndex(s *Static) *Index {
+// buildIndex builds s's index, into old's arrays if old is not nil.
+func buildIndex(s *Static, old *Index) *Index {
 	n := len(s.sets)
 	c := s.channels
 	// Tolerate malformed sets so tests on invalid Statics don't panic.
@@ -47,7 +50,10 @@ func buildIndex(s *Static) *Index {
 		}
 	}
 	idx := &Index{nodes: n}
-	idx.offsets = make([]int32, c+1)
+	if old != nil {
+		idx.offsets, idx.members, idx.bits = old.offsets, old.members, old.bits[:0]
+	}
+	idx.offsets = zeroed(idx.offsets, c+1)
 	total := 0
 	for _, set := range s.sets {
 		total += len(set)
@@ -60,7 +66,7 @@ func buildIndex(s *Static) *Index {
 	for ch := 0; ch < c; ch++ {
 		idx.offsets[ch+1] += idx.offsets[ch]
 	}
-	idx.members = make([]int32, idx.offsets[c])
+	idx.members = zeroed(idx.members, int(idx.offsets[c]))
 	next := make([]int32, c)
 	copy(next, idx.offsets[:c])
 	// Scanning nodes in ascending order makes each channel's member list
@@ -81,7 +87,7 @@ func buildIndex(s *Static) *Index {
 		words := (c + 63) / 64
 		if perNode := total / n; words <= 2*perNode {
 			idx.words = words
-			idx.bits = make([]uint64, n*words)
+			idx.bits = zeroed(idx.bits, n*words)
 			for u, set := range s.sets {
 				row := idx.bits[u*words : (u+1)*words]
 				for _, ch := range set {
@@ -93,6 +99,17 @@ func buildIndex(s *Static) *Index {
 		}
 	}
 	return idx
+}
+
+// zeroed returns buf resized to n and cleared, reusing its array when it is
+// large enough.
+func zeroed[T int32 | uint64](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
 // Members returns the nodes holding physical channel ch, in ascending node

@@ -207,3 +207,54 @@ func TestOverlapMatchesBruteForce(t *testing.T) {
 		}
 	}
 }
+
+// TestIndexRebuiltIntoSpare pins the index's reuse: a warm Builder's
+// rebuild and Index allocate only the index header and its fill cursor,
+// and a reused index matches a fresh one through a change of shape, from
+// a topology with bitsets to one without and back.
+func TestIndexRebuiltIntoSpare(t *testing.T) {
+	var b Builder
+	build := func(partitioned bool, seed int64) (*Static, *Static) {
+		t.Helper()
+		if partitioned {
+			got, err := b.Partitioned(200, 6, 2, LocalLabels, seed)
+			want, err2 := Partitioned(200, 6, 2, LocalLabels, seed)
+			if err != nil || err2 != nil {
+				t.Fatal(err, err2)
+			}
+			return got, want
+		}
+		got, err := b.SharedCore(200, 6, 2, 24, LocalLabels, seed)
+		want, err2 := SharedCore(200, 6, 2, 24, LocalLabels, seed)
+		if err != nil || err2 != nil {
+			t.Fatal(err, err2)
+		}
+		return got, want
+	}
+	for i, partitioned := range []bool{false, false, true, false} {
+		got, want := build(partitioned, int64(i+1))
+		gi, wi := got.Index(), want.Index()
+		if gi.HasBitsets() == partitioned {
+			t.Fatalf("build %d: bitsets %v on a partitioned=%v topology", i, gi.HasBitsets(), partitioned)
+		}
+		if gi.MemoryBytes() != wi.MemoryBytes() || gi.HasBitsets() != wi.HasBitsets() {
+			t.Fatalf("build %d: index of %d B (bitsets %v), fresh %d B (%v)", i, gi.MemoryBytes(), gi.HasBitsets(), wi.MemoryBytes(), wi.HasBitsets())
+		}
+		for ch := 0; ch < want.Channels(); ch++ {
+			for u := sim.NodeID(0); u < 200; u++ {
+				if gi.Contains(u, ch) != wi.Contains(u, ch) {
+					t.Fatalf("build %d: Contains(%d, %d) = %v, fresh %v", i, u, ch, gi.Contains(u, ch), wi.Contains(u, ch))
+				}
+			}
+		}
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := b.SharedCore(200, 6, 2, 24, LocalLabels, 9); err != nil {
+			t.Fatal(err)
+		}
+		b.s.Index()
+	})
+	if allocs != 2 {
+		t.Errorf("warm rebuild and Index allocated %.1f times per run, want 2", allocs)
+	}
+}

@@ -59,6 +59,29 @@ type infCluster struct {
 // and holding-pattern actions carry dormancy hints in every engine mode:
 // each honours the Action.Sleep contract, and a dense engine ignores them.
 type Node struct {
+	// The fields every Done and Step reads come first, so that one slot's
+	// first touch of the node, the engine's Done, brings them into the
+	// cache with it: at the end of the node's 688 bytes, done missed on
+	// its own line in every slot. TestHotFieldsLead pins the order.
+	done bool
+	// holdUntil makes the node idle in every slot before it (recovery
+	// backoff gaps). Zero classically, so the guard never fires.
+	holdUntil int
+
+	p2start, p3start, p4start int
+
+	// pos counts the phase-one slots the node stepped or missed
+	// (MissSlot); a plain outage does neither, so pos trails the slot
+	// number by the node's down slots.
+	pos int
+
+	cast cogcast.Node
+
+	// Phase-one log: acts holds, in ascending pos, the slots phase three
+	// replays, and cur is the rewind's cursor into it (see seek).
+	acts []act
+	cur  int
+
 	id     sim.NodeID
 	n      int
 	l      int // phase-one length
@@ -66,27 +89,11 @@ type Node struct {
 	f      aggfunc.Func
 	input  int64
 
-	cast cogcast.Node
-
-	// Phase-one log. pos counts the phase-one slots the node stepped or
-	// missed (MissSlot); a plain outage does neither, so pos trails the
-	// slot number by the node's down slots. acts holds, in ascending pos,
-	// the slots phase three replays, and cur is the rewind's cursor into
-	// it (see seek).
-	pos  int
-	acts []act
-	cur  int
-
-	p2start, p3start, p4start int
-
 	// p3base is the slot phase three's rewind is anchored at. It equals
 	// p3start classically; the recovery supervisor moves it forward when it
 	// re-executes the rewind (RetryRewind), so that slots before the new
 	// base map to out-of-range rewound indices and the node idles.
 	p3base int
-	// holdUntil makes the node idle in every slot before it (recovery
-	// backoff gaps). Zero classically, so the guard never fires.
-	holdUntil int
 
 	// Captured from the embedded COGCAST node when phase two begins.
 	p2init   bool
@@ -135,7 +142,6 @@ type Node struct {
 	mergesTotal int // monotone merge counter (recovery progress metric)
 
 	maxMsgSize int
-	done       bool
 
 	// Multi-round session state (see session.go). roundSteps == 0 means the
 	// classic single-round protocol.
@@ -201,27 +207,34 @@ func PhaseOneLength(n, c, k int, kappa float64) int {
 
 // Step implements sim.Protocol.
 func (nd *Node) Step(slot int) (a sim.Action) {
-	if slot < nd.holdUntil {
-		return sim.Idle() // recovery backoff gap
-	}
+	nd.StepInto(slot, &a)
+	return a
+}
+
+// StepInto implements sim.StepperInto: it is Step writing every field of
+// the action into *a. Every phase writes through a rather than returning
+// an action, which would be copied out of a stack temporary with wide
+// loads that stall on the temporary's narrow stores (see
+// cogcast.Node.StepInto). Assigning a constructor's result
+// (*a = sim.Listen(ch)) compiles to stores into *a, but for sim.Stand and
+// sim.StandBy, which stand writes field by field instead, and for a Keyed
+// result, so keys are set on a afterwards.
+func (nd *Node) StepInto(slot int, a *sim.Action) {
 	switch {
+	case slot < nd.holdUntil:
+		*a = sim.Idle() // recovery backoff gap
 	case slot < nd.p2start:
 		nd.pos++
-		// Written into the named result, not returned from cast.Step: a
-		// returned action is copied out of a stack temporary with wide
-		// loads that stall on the temporary's narrow stores (see
-		// cogcast.Node.StepInto).
-		nd.cast.StepInto(slot, &a)
-		return a
+		nd.cast.StepInto(slot, a)
 	case slot < nd.p3start:
 		nd.initPhase2()
-		return nd.stepPhase2(slot)
+		nd.stepPhase2(slot, a)
 	case slot < nd.p4start:
 		nd.initPhase3()
-		return nd.stepPhase3(slot)
+		nd.stepPhase3(slot, a)
 	default:
 		nd.initPhase4()
-		return nd.stepPhase4(slot)
+		nd.stepPhase4(slot, a)
 	}
 }
 
@@ -282,30 +295,32 @@ func (nd *Node) initPhase2() {
 	}
 }
 
-func (nd *Node) stepPhase2(slot int) sim.Action {
-	if nd.source || !nd.informed {
+func (nd *Node) stepPhase2(slot int, a *sim.Action) {
+	switch {
+	case nd.source || !nd.informed:
 		// The source belongs to no cluster and needs no census. Idling
 		// through the rest of the window is pure, so it carries a hint up
 		// to (not across) the phase boundary — the waking Step runs
 		// initPhase3.
-		return sim.Sleep(nd.p3start - 1 - slot)
-	}
-	if !nd.censusDone {
+		*a = sim.Sleep(nd.p3start - 1 - slot)
+	case !nd.censusDone:
 		// A contender re-sends the same entry every slot until it wins,
 		// whatever it hears, so it stands, bounded by the rewind. Every
 		// census message carries the census key, and while contenders are
 		// left on the channel one of their entries wins each slot, which
 		// re-arms the rest for the next.
-		return sim.Stand(nd.ch0, nd.censusWire, censusKey, nd.p3start-1-slot).Keyed(censusKey)
+		stand(a, sim.OpBroadcast, nd.ch0, nd.censusWire, censusKey, nd.p3start-1-slot)
+		a.Key = censusKey
+	default:
+		// Census done: pure listening until the rewind. The park is quiet
+		// — every census broadcast on the channel still reaches the
+		// roster, through CatchUp, but none of it changes this node's
+		// behavior before phase three, so the engine need not re-step it
+		// per delivery. Without the quiet flag the drain would re-wake the
+		// channel's whole audience every slot, making sparse census Θ(n·m)
+		// in steps instead of Θ(m²) in deliveries.
+		*a = sim.ParkListenQuiet(nd.ch0, nd.p3start-1-slot)
 	}
-	// Census done: pure listening until the rewind. The park is quiet —
-	// every census broadcast on the channel still reaches the roster,
-	// through CatchUp, but none of it changes this node's behavior before
-	// phase three, so the engine need not re-step it per delivery. Without
-	// the quiet flag the drain would re-wake the channel's whole audience
-	// every slot, making sparse census Θ(n·m) in steps instead of Θ(m²) in
-	// deliveries.
-	return sim.ParkListenQuiet(nd.ch0, nd.p3start-1-slot)
 }
 
 func (nd *Node) deliverPhase2(slot int, ev sim.Event) {
@@ -376,20 +391,20 @@ func (nd *Node) rewoundSlot(slot int) int {
 	return nd.p2start - 1 - (slot - nd.p3base)
 }
 
-func (nd *Node) stepPhase3(slot int) sim.Action {
-	a, ok := nd.seek(nd.rewoundSlot(slot))
+func (nd *Node) stepPhase3(slot int, a *sim.Action) {
+	at, ok := nd.seek(nd.rewoundSlot(slot))
 	switch {
 	case !ok:
 		// A roleless node would retune to the rewound channel; staying off
 		// the air is observably identical and cheaper. Idling is pure, so
 		// the hint spans the gap to the node's next acting rewound slot.
-		return sim.Sleep(nd.rewindGap(slot))
-	case a.won:
+		*a = sim.Sleep(nd.rewindGap(slot))
+	case at.won:
 		// This node informed the cluster of the rewound slot and channel —
 		// if the cluster is nonempty its members report their size now.
-		return sim.Listen(a.ch)
+		*a = sim.Listen(at.ch)
 	default:
-		return sim.Broadcast(a.ch, rewindMsg{R: nd.r0, Size: nd.clusterSize})
+		*a = sim.Broadcast(at.ch, rewindMsg{R: nd.r0, Size: nd.clusterSize})
 	}
 }
 
@@ -552,62 +567,58 @@ func (nd *Node) resetRound(r int) {
 	nd.valueWire = nil
 }
 
-func (nd *Node) stepPhase4(slot int) sim.Action {
+func (nd *Node) stepPhase4(slot int, a *sim.Action) {
 	step := (slot - nd.p4start) / 3
 	sub := (slot - nd.p4start) % 3
 	if nd.roundSteps > 0 {
 		if r := step / nd.roundSteps; r != nd.round {
 			nd.resetRound(r)
 			if nd.done {
-				return sim.Idle()
+				*a = sim.Idle()
+				return
 			}
 		}
 		nd.stepInRound = step % nd.roundSteps
 		if nd.roundFinished {
 			// Idle until the next round boundary, whose Step runs
 			// resetRound — the hint must wake the node exactly there.
-			return sim.Sleep(nd.holdBound(slot))
+			*a = sim.Sleep(nd.holdBound(slot))
+			return
 		}
 	}
 	if sub == 0 {
 		nd.startStep()
 		if nd.done || nd.roundFinished {
-			return sim.Idle()
+			*a = sim.Idle()
+			return
 		}
 	}
+	// Sub-slot zero carries the mediator's announcement, one the values,
+	// two the acks. Otherwise a receiver waits on its cluster's channel
+	// and a sender on its own: it sends in sub-slot one once its cluster
+	// is announced, and stands by for that in zero and one.
 	receiver := nd.idx < len(nd.collected)
-	switch sub {
-	case 0:
-		if nd.mediatorActive() {
-			r := nd.medClusters[nd.medIdx].r
-			nd.announced = r
-			return sim.Broadcast(nd.ch0, announceMsg{R: r}).Keyed(announceKey(r))
-		}
-		if receiver {
-			return nd.wait(slot, nd.collected[nd.idx].ch)
-		}
-		return nd.standBy(slot)
-	case 1:
-		if receiver {
-			return nd.wait(slot, nd.collected[nd.idx].ch)
-		}
-		if !nd.ownSent && nd.announced == nd.r0 {
-			nd.wireValue()
-			return nd.send(slot)
-		}
-		return nd.standBy(slot)
-	default:
+	switch {
+	case sub == 0 && nd.mediatorActive():
+		r := nd.medClusters[nd.medIdx].r
+		nd.announced = r
+		*a = sim.Broadcast(nd.ch0, announceMsg{R: r})
+		a.Key = announceKey(r)
+	case sub == 2 && nd.pendingAck != sim.None:
 		// A pending ack may also belong to a past cluster (duplicate
 		// resend under faults); it always names its own channel.
 		// Classically only the current receiver ever holds one, and
 		// pendingAckCh is then collected[idx].ch — identical behavior.
-		if nd.pendingAck != sim.None {
-			return sim.Broadcast(nd.pendingAckCh, ackMsg{ID: nd.pendingAck})
-		}
-		if receiver {
-			return nd.wait(slot, nd.collected[nd.idx].ch)
-		}
-		return nd.wait(slot, nd.ch0)
+		*a = sim.Broadcast(nd.pendingAckCh, ackMsg{ID: nd.pendingAck})
+	case receiver:
+		nd.wait(slot, nd.collected[nd.idx].ch, a)
+	case sub == 1 && !nd.ownSent && nd.announced == nd.r0:
+		nd.wireValue()
+		nd.send(slot, a)
+	case sub == 2:
+		nd.wait(slot, nd.ch0, a)
+	default:
+		nd.standBy(slot, a)
 	}
 }
 
@@ -625,11 +636,12 @@ func (nd *Node) roundBoundary() int {
 // sub-slot-two park. A sender that is not a mediator stands on its value,
 // making the stand-by's promise, until the value wins or, in a session,
 // the round ends.
-func (nd *Node) send(slot int) sim.Action {
+func (nd *Node) send(slot int, a *sim.Action) {
 	if nd.isMediator {
-		return sim.Broadcast(nd.ch0, nd.valueWire)
+		*a = sim.Broadcast(nd.ch0, nd.valueWire)
+		return
 	}
-	return sim.Stand(nd.ch0, nd.valueWire, announceKey(nd.r0), nd.holdBound(slot))
+	stand(a, sim.OpBroadcast, nd.ch0, nd.valueWire, announceKey(nd.r0), nd.holdBound(slot))
 }
 
 // standBy returns a sender's wait for its cluster's announcement on ch0
@@ -661,12 +673,22 @@ func (nd *Node) send(slot int) sim.Action {
 //     reads before startStep resets it — sub-slot two, where a won stand
 //     resumes, reads pendingAck and the cluster pointer, and a bound that
 //     expires lands on a round boundary, where resetRound resets it.
-func (nd *Node) standBy(slot int) sim.Action {
+func (nd *Node) standBy(slot int, a *sim.Action) {
 	if nd.isMediator || nd.ownSent || nd.pendingAck != sim.None {
-		return nd.wait(slot, nd.ch0)
+		nd.wait(slot, nd.ch0, a)
+		return
 	}
 	nd.wireValue()
-	return sim.StandBy(nd.ch0, nd.valueWire, announceKey(nd.r0), nd.holdBound(slot))
+	stand(a, sim.OpListen, nd.ch0, nd.valueWire, announceKey(nd.r0), nd.holdBound(slot))
+}
+
+// stand writes sim.Stand(ch, msg, key, k) into *a for op sim.OpBroadcast
+// and sim.StandBy(ch, msg, key, k) for sim.OpListen, field by field:
+// assigned from either constructor, the action is built in a stack
+// temporary and copied out (see StepInto). TestStandMatchesConstructors
+// pins the writes to the constructors.
+func stand(a *sim.Action, op sim.Op, ch int, msg sim.Message, key sim.WakeKey, k int) {
+	a.Op, a.Quiet, a.Key, a.Channel, a.Msg, a.Sleep, a.Await = op, false, sim.NoKey, ch, msg, k, key
 }
 
 // wireValue boxes the sender's value message, once per value of acc, and
@@ -689,11 +711,12 @@ func (nd *Node) wireValue() {
 // the pattern on the next sub-slot, so neither parks. Receivers wait here,
 // and so do senders in sub-slot two, where a sender whose value won must
 // hear its ack; a sender's other waits stand by (see standBy).
-func (nd *Node) wait(slot, ch int) sim.Action {
+func (nd *Node) wait(slot, ch int, a *sim.Action) {
 	if nd.isMediator || nd.pendingAck != sim.None {
-		return sim.Listen(ch)
+		*a = sim.Listen(ch)
+		return
 	}
-	return sim.ParkListen(ch, nd.holdBound(slot))
+	*a = sim.ParkListen(ch, nd.holdBound(slot))
 }
 
 // holdBound returns how long a phase-four hint may last from slot on:

@@ -221,7 +221,8 @@ func TestCensusLogSharedByChannel(t *testing.T) {
 		return out
 	}
 	// src's census broadcast succeeds; a hears it, b is down and misses it.
-	act := src.stepPhase2(9)
+	var act sim.Action
+	src.stepPhase2(9, &act)
 	src.deliverPhase2(9, sim.Event{Kind: sim.EvSendSucceeded, From: src.id, Msg: act.Msg})
 	a.deliverPhase2(9, sim.Event{Kind: sim.EvReceived, From: src.id, Msg: act.Msg})
 	other.deliverPhase2(9, sim.Event{Kind: sim.EvSendSucceeded, From: other.id, Msg: other.censusWire})
@@ -239,7 +240,7 @@ func TestCensusLogSharedByChannel(t *testing.T) {
 	if src.CensusDone() {
 		t.Fatal("ResetCensus left the census done")
 	}
-	act = src.stepPhase2(30)
+	src.stepPhase2(30, &act)
 	if act.Op != sim.OpBroadcast {
 		t.Fatalf("reset node %v, want a census broadcast", act.Op)
 	}

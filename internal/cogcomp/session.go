@@ -81,6 +81,12 @@ func RunRounds(asn sim.Assignment, source sim.NodeID, rounds [][]int64, seed int
 // arena's next execution reuses; callers that retain them across trials must
 // copy.
 func (a *Arena) RunRounds(asn sim.Assignment, source sim.NodeID, rounds [][]int64, seed int64, cfg SessionConfig) (*SessionResult, error) {
+	return a.runRounds(asn, source, rounds, seed, cfg, nil)
+}
+
+// runRounds is RunRounds with wrap interposed between the engine and every
+// node, as Prepare interposes it.
+func (a *Arena) runRounds(asn sim.Assignment, source sim.NodeID, rounds [][]int64, seed int64, cfg SessionConfig, wrap func(sim.NodeID, *Node) sim.Protocol) (*SessionResult, error) {
 	n := asn.Nodes()
 	if len(rounds) == 0 {
 		return nil, errors.New("cogcomp: session needs at least one round")
@@ -93,7 +99,7 @@ func (a *Arena) RunRounds(asn sim.Assignment, source sim.NodeID, rounds [][]int6
 	nodes, eng, l, err := a.Prepare(asn, source, rounds[0], seed, Config{
 		Kappa: cfg.Kappa, Func: cfg.Func, Check: cfg.Check,
 		Shards: cfg.Shards, Sparse: cfg.Sparse, Context: cfg.Context,
-	}, nil)
+	}, wrap)
 	if err != nil {
 		return nil, err
 	}

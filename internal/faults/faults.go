@@ -184,6 +184,12 @@ func (b *Blackout) Up(node sim.NodeID, slot int) bool {
 // slots passing (its Step is not called), modelling a powered-off radio
 // whose firmware clock resumes with the global slot number — the synchrony
 // assumption of the model survives because slots are globally numbered.
+//
+// A Crasher implements sim.StepperInto whatever it wraps: its StepInto
+// calls the inner protocol's StepInto when it has one and its Step
+// otherwise, so a wrapped node still writes its action in place. It strips
+// every dormancy hint (see StepInto), so it does not forward
+// sim.CatchUpper: without a stand or a quiet park nothing is served deaf.
 type Crasher struct {
 	inner    sim.Protocol
 	id       sim.NodeID
@@ -205,7 +211,10 @@ type Restartable interface {
 	Restart(slot int)
 }
 
-var _ sim.Protocol = (*Crasher)(nil)
+var (
+	_ sim.Protocol    = (*Crasher)(nil)
+	_ sim.StepperInto = (*Crasher)(nil)
+)
 
 // Option configures a Crasher.
 type Option func(*Crasher)
@@ -237,7 +246,14 @@ func Wrap(inner sim.Protocol, id sim.NodeID, schedule Schedule, opts ...Option) 
 }
 
 // Step implements sim.Protocol.
-func (c *Crasher) Step(slot int) sim.Action {
+func (c *Crasher) Step(slot int) (a sim.Action) {
+	c.StepInto(slot, &a)
+	return a
+}
+
+// StepInto implements sim.StepperInto: Step writing every field of the
+// action into *a.
+func (c *Crasher) StepInto(slot int, a *sim.Action) {
 	up := c.schedule.Up(c.id, slot)
 	if up == c.down {
 		c.down = !up
@@ -258,15 +274,19 @@ func (c *Crasher) Step(slot int) sim.Action {
 		if c.restart != nil {
 			c.restart.MissSlot(slot)
 		}
-		return sim.Idle()
+		*a = sim.Idle()
+		return
 	}
-	act := c.inner.Step(slot)
+	if in, ok := c.inner.(sim.StepperInto); ok {
+		in.StepInto(slot, a)
+	} else {
+		*a = c.inner.Step(slot)
+	}
 	// Strip any dormancy hint: the inner protocol cannot promise "no state
 	// change for k slots" across a fault boundary it knows nothing about —
 	// a crash mid-promise must be observed at the scheduled slot, so a
 	// fault-wrapped node is stepped densely.
-	act.Sleep = 0
-	return act
+	a.Sleep = 0
 }
 
 // Deliver implements sim.Protocol. Down nodes cannot receive, but the

@@ -170,7 +170,9 @@ func (w *WakeChecker) Reset(n int, m sim.CollisionModel) {
 // Wrap interposes the checker between the engine and node id's protocol p,
 // which must be in its initial state: a node already done is retired
 // before slot 0. id must lie in the range given to Reset. The wrapper
-// implements sim.CatchUpper exactly when p does.
+// implements sim.CatchUpper exactly when p does, and sim.StepperInto
+// always: it steps p through p's StepInto when p has one and through Step
+// otherwise, so the audited run steps its nodes as an unaudited one would.
 func (w *WakeChecker) Wrap(id sim.NodeID, p sim.Protocol) sim.Protocol {
 	w.protos[id] = p
 	if p.Done() {
@@ -185,18 +187,28 @@ func (w *WakeChecker) Wrap(id sim.NodeID, p sim.Protocol) sim.Protocol {
 	return q
 }
 
-// wakeProbe reports node id's steps and deliveries to the checker.
+// wakeProbe reports node id's steps and deliveries to the checker. It
+// forwards sim.StepperInto (see WakeChecker.Wrap), and catchUpProbe
+// forwards sim.CatchUpper too.
 type wakeProbe struct {
 	w  *WakeChecker
 	id sim.NodeID
 	p  sim.Protocol
 }
 
-func (q wakeProbe) Step(slot int) sim.Action {
+func (q wakeProbe) Step(slot int) (a sim.Action) {
+	q.StepInto(slot, &a)
+	return a
+}
+
+func (q wakeProbe) StepInto(slot int, a *sim.Action) {
 	q.w.caughtUp(slot, q.id, "stepped")
-	act := q.p.Step(slot)
-	q.w.onStep(slot, q.id, act)
-	return act
+	if in, ok := q.p.(sim.StepperInto); ok {
+		in.StepInto(slot, a)
+	} else {
+		*a = q.p.Step(slot)
+	}
+	q.w.onStep(slot, q.id, *a)
 }
 
 func (q wakeProbe) Deliver(slot int, ev sim.Event) {

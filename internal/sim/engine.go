@@ -71,6 +71,7 @@ var _ Observer = (ObserverFunc)(nil)
 type Engine struct {
 	asn        Assignment
 	nodes      []Protocol
+	into       bool // every node is a StepperInto, decided by Reset
 	rand       rng.Stream
 	collisions CollisionModel
 
@@ -236,10 +237,13 @@ func (e *Engine) Reset(asn Assignment, nodes []Protocol, seed int64, opts ...Opt
 	if got, want := len(nodes), asn.Nodes(); got != want {
 		return fmt.Errorf("sim: got %d protocols for %d nodes", got, want)
 	}
+	e.into = true
 	for i, p := range nodes {
 		if p == nil {
 			return fmt.Errorf("sim: protocol for node %d is nil", i)
 		}
+		_, ok := p.(StepperInto)
+		e.into = e.into && ok
 	}
 	e.asn = asn
 	e.nodes = nodes
@@ -608,39 +612,47 @@ func (e *Engine) scanShard(sc *shardScan, slot int) {
 			e.acts[i] = Idle()
 			continue
 		}
-		act := p.Step(slot)
-		e.acts[i] = act
-		if act.Op == OpIdle {
+		op, ch := OpIdle, 0
+		if e.into {
+			a := &e.acts[i]
+			p.(StepperInto).StepInto(slot, a)
+			op, ch = a.Op, a.Channel
+		} else {
+			act := p.Step(slot)
+			e.acts[i] = act
+			op, ch = act.Op, act.Channel
+		}
+		if op == OpIdle {
 			continue
 		}
-		phys, err := e.physChannel(NodeID(i), slot, act)
+		phys, err := e.physChannel(NodeID(i), slot, ch, op)
 		if err != nil {
 			sc.err = err
 			return
 		}
-		sc.file(NodeID(i), phys, act.Op)
+		sc.file(NodeID(i), phys, op)
 		e.win[i] = None
 	}
 }
 
-// physChannel validates node id's non-idle action and maps its local
-// channel to the physical one. Every scan reports a failing node through
-// it, so the error text does not depend on the mode.
-func (e *Engine) physChannel(id NodeID, slot int, act Action) (int, error) {
+// physChannel validates node id's non-idle action, op on local channel ch,
+// and maps ch to the physical channel. Every scan reports a failing node
+// through it, so the error text does not depend on the mode.
+func (e *Engine) physChannel(id NodeID, slot, ch int, op Op) (int, error) {
 	set := e.asn.ChannelSet(id, slot)
-	if act.Channel < 0 || act.Channel >= len(set) {
+	if ch < 0 || ch >= len(set) {
 		return 0, fmt.Errorf("sim: slot %d: node %d chose local channel %d outside [0,%d)",
-			slot, id, act.Channel, len(set))
+			slot, id, ch, len(set))
 	}
-	phys := set[act.Channel]
+	phys := set[ch]
 	if phys < 0 {
 		return 0, fmt.Errorf("sim: slot %d: assignment mapped node %d to negative physical channel %d", slot, id, phys)
 	}
 	if phys > maxPhys {
 		return 0, fmt.Errorf("sim: slot %d: assignment mapped node %d to physical channel %d above %d", slot, id, phys, maxPhys)
 	}
-	if act.Op != OpListen && act.Op != OpBroadcast {
-		return 0, fmt.Errorf("sim: slot %d: node %d produced invalid op %d", slot, id, act.Op)
+	if op != OpListen && op != OpBroadcast {
+		return 0, fmt.Errorf("sim: slot %d: node %d produced invalid op %d", slot, id, op)
 	}
 	return phys, nil
 }

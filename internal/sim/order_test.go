@@ -63,7 +63,7 @@ func newEdgeSets(n, per, top int) *edgeSets {
 // quiet (sim.BroadcastQuiet).
 func planned(id, slot, per int) sim.Action {
 	h := mix(uint64(id)<<40 ^ uint64(slot))
-	ch := int(h>>8) % per
+	ch := int((h >> 8) % uint64(per)) // reduced before int, which is 32 bits on 386
 	switch h % 3 {
 	case 0:
 		return sim.Idle()

@@ -252,8 +252,12 @@ func (e *Engine) scanSparse(slot int) error {
 		if sp.deafFrom[v] >= 0 {
 			e.catchUp(NodeID(v), slot)
 		}
-		act := p.Step(slot)
-		e.acts[v] = act
+		a := &e.acts[v]
+		if e.into {
+			p.(StepperInto).StepInto(slot, a)
+		} else {
+			e.acts[v] = p.Step(slot)
+		}
 		// Done flipping inside Step retires the node now, but its action
 		// still resolves this slot: the dense engine steps first and skips
 		// only from the next slot on.
@@ -262,27 +266,27 @@ func (e *Engine) scanSparse(slot int) error {
 			e.retireNode(v)
 		}
 		phys := -1
-		if act.Op != OpIdle {
+		if a.Op != OpIdle {
 			var err error
-			if phys, err = e.physChannel(NodeID(v), slot, act); err != nil {
+			if phys, err = e.physChannel(NodeID(v), slot, a.Channel, a.Op); err != nil {
 				return err
 			}
 			if phys >= len(sp.parked) {
 				e.growParked(phys + 1)
 			}
-			sc.file(NodeID(v), phys, act.Op)
+			sc.file(NodeID(v), phys, a.Op)
 		}
 		switch {
 		case !live:
-		case e.standing(v, &act):
-			sp.standKey[v] = act.Await
-			e.parkListen(v, phys, slot, act.Sleep, true)
-		case act.Sleep <= 0 || act.Op == OpBroadcast:
+		case e.standing(v, a):
+			sp.standKey[v] = a.Await
+			e.parkListen(v, phys, slot, a.Sleep, true)
+		case a.Sleep <= 0 || a.Op == OpBroadcast:
 			next = append(next, v)
-		case act.Op == OpIdle:
-			e.parkIdle(v, slot, act.Sleep)
+		case a.Op == OpIdle:
+			e.parkIdle(v, slot, a.Sleep)
 		default:
-			e.parkListen(v, phys, slot, act.Sleep, act.Quiet && e.holdsDeaf(v))
+			e.parkListen(v, phys, slot, a.Sleep, a.Quiet && e.holdsDeaf(v))
 		}
 	}
 	sp.awake, sp.awakeNext = next, sp.awake

@@ -240,9 +240,10 @@ type Event struct {
 }
 
 // Protocol is the behavior of one node. The engine drives all nodes in
-// lockstep: each slot it calls Step on every non-done node, resolves the
-// medium, then calls Deliver for every node that received feedback. A node
-// for which Done reports true is skipped entirely (its radio is off).
+// lockstep: each slot it calls Step (or StepInto, see StepperInto) on every
+// non-done node, resolves the medium, then calls Deliver for every node that
+// received feedback. A node for which Done reports true is skipped entirely
+// (its radio is off).
 //
 // A node's calls never overlap. Deliver runs on one goroutine, but under
 // WithShards other nodes' Steps run on shard goroutines: state nodes share
@@ -258,6 +259,14 @@ type Protocol interface {
 	Deliver(slot int, ev Event)
 	// Done reports whether the node has terminated.
 	Done() bool
+}
+
+// StepperInto is an optional Protocol interface: StepInto(slot, a) is
+// Step(slot) writing every field of the action into *a, which may hold an
+// earlier one. An engine whose nodes all have it steps them in place,
+// sparing a returned Action's copy (DESIGN.md §5). Wrappers forward it.
+type StepperInto interface {
+	StepInto(slot int, a *Action)
 }
 
 // CatchUpper is an optional Protocol interface for nodes that can rebuild
