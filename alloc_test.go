@@ -316,6 +316,48 @@ func TestCheckerObservedAllocFree(t *testing.T) {
 	}
 }
 
+// TestCheckerResetAllocFree pins a warm checker's Reset to no allocation:
+// the membership table it rebuilds for a fixed assignment reuses its
+// backing array when the shape has not grown.
+func TestCheckerResetAllocFree(t *testing.T) {
+	asn, err := assign.SharedCore(256, 16, 4, 48, assign.LocalLabels, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck := new(invariant.Checker)
+	ck.Reset(asn, sim.UniformWinner)
+	if allocs := testing.AllocsPerRun(10, func() { ck.Reset(asn, sim.UniformWinner) }); allocs != 0 {
+		t.Errorf("warm Checker.Reset allocates %.2f objects, want 0", allocs)
+	}
+}
+
+// TestCheckAssignmentAllocConstantInN pins CheckAssignment's allocation
+// count to O(1) in n, in both its exhaustive and its sampled regime: it
+// copies the sets into flat arrays of its own rather than building a
+// membership map per node (which cost some 5000 allocations at n = 5000).
+// The bound leaves room for the odd allocation of the runtime's own that
+// lands inside a measured call.
+func TestCheckAssignmentAllocConstantInN(t *testing.T) {
+	allocs := func(n int) float64 {
+		asn, err := assign.SharedCore(n, 16, 4, 48, assign.LocalLabels, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(4, func() {
+			if err := invariant.CheckAssignment(asn, 0); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	for _, ns := range [][2]int{{64, 512}, {5000, 20000}} {
+		small, large := allocs(ns[0]), allocs(ns[1])
+		t.Logf("allocs: n=%d %.0f, n=%d %.0f", ns[0], small, ns[1], large)
+		if large-small > 2 {
+			t.Errorf("CheckAssignment allocates %.0f objects at n=%d vs %.0f at n=%d, want a difference <= 2", large, ns[1], small, ns[0])
+		}
+	}
+}
+
 // TestCheckerDisabledAllocFree reaffirms the opt-in contract after the
 // invariant wiring landed in the protocol runners: with Check off nothing
 // is attached to the engine and the slot path stays the pinned

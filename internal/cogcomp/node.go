@@ -113,11 +113,14 @@ type Node struct {
 	held       []uint64
 	censusWire sim.Message
 
-	// Derived at the start of phase three.
+	// Derived at the start of phase three. rewindWire is the node's boxed
+	// rewindMsg, built at its first phase-three broadcast, after
+	// initPhase3 has fixed r0 and clusterSize.
 	p3init      bool
 	clusterSize int
 	isMediator  bool
 	medClusters []medCluster // descending r
+	rewindWire  sim.Message
 
 	// Phase three harvest.
 	collected []infCluster
@@ -404,7 +407,10 @@ func (nd *Node) stepPhase3(slot int, a *sim.Action) {
 		// if the cluster is nonempty its members report their size now.
 		*a = sim.Listen(at.ch)
 	default:
-		*a = sim.Broadcast(at.ch, rewindMsg{R: nd.r0, Size: nd.clusterSize})
+		if nd.rewindWire == nil {
+			nd.rewindWire = rewindMsg{R: nd.r0, Size: nd.clusterSize}
+		}
+		*a = sim.Broadcast(at.ch, nd.rewindWire)
 	}
 }
 
@@ -781,7 +787,7 @@ func (nd *Node) deliverPhase4(slot int, ev sim.Event) {
 				nd.medAcked[m.ID] = true
 				if len(nd.medAcked) == len(cl.members) {
 					nd.medIdx++
-					nd.medAcked = make(map[sim.NodeID]bool)
+					clear(nd.medAcked)
 				}
 			}
 		}
@@ -992,7 +998,7 @@ func (nd *Node) AssumeMediator(acked, skip func(sim.NodeID) bool) {
 			break
 		}
 		nd.medIdx++
-		nd.medAcked = make(map[sim.NodeID]bool)
+		clear(nd.medAcked)
 	}
 }
 
@@ -1012,7 +1018,7 @@ func (nd *Node) MarkMedAcked(id sim.NodeID) {
 		nd.medAcked[id] = true
 		if len(nd.medAcked) == len(cl.members) {
 			nd.medIdx++
-			nd.medAcked = make(map[sim.NodeID]bool)
+			clear(nd.medAcked)
 		}
 	}
 }

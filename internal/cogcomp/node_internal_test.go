@@ -83,6 +83,38 @@ func TestCensusDerivation(t *testing.T) {
 	}
 }
 
+// TestRewindReportFollowsReinit checks the phase-three report a cluster
+// member broadcasts: it carries the member's own informed slot and cluster
+// size, and a node reinitialized into another run reports its new cluster,
+// not the one it boxed in the last run.
+func TestRewindReportFollowsReinit(t *testing.T) {
+	const n, l = 12, 8
+	asn, err := assign.FullOverlap(n, 4, assign.LocalLabels, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nd := new(Node)
+	for _, tc := range []struct {
+		r0     int
+		roster []rosterEntry
+		want   rewindMsg
+	}{
+		{3, []rosterEntry{{id: 5, r: 3}, {id: 2, r: 3}, {id: 7, r: 3}, {id: 4, r: 6}}, rewindMsg{R: 3, Size: 3}},
+		{6, []rosterEntry{{id: 2, r: 6}, {id: 9, r: 2}}, rewindMsg{R: 6, Size: 1}},
+	} {
+		cen := new(census)
+		cen.reset(asn)
+		nd.reinit(sim.View(asn, 2), false, n, l, 0, aggfunc.Sum{}, 1, cen)
+		nd.p2init, nd.informed, nd.r0 = true, true, tc.r0
+		setRoster(nd, tc.roster)
+		nd.acts = append(nd.acts, act{pos: tc.r0, ch: 1}) // the listen that informed it
+		slot := nd.p3start + l - 1 - tc.r0                // replays phase-one slot r0
+		if a := nd.Step(slot); a.Op != sim.OpBroadcast || a.Channel != 1 || a.Msg != tc.want {
+			t.Errorf("r0=%d: phase-three step = %+v, want a broadcast of %+v on channel 1", tc.r0, a, tc.want)
+		}
+	}
+}
+
 func TestMediatorElectionSmallestIDInLatestCluster(t *testing.T) {
 	roster := []rosterEntry{
 		{id: 5, r: 3}, {id: 7, r: 3},

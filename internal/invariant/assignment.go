@@ -22,9 +22,11 @@ const sampledPairsPerNode = 4
 // CheckAssignment independently verifies an assignment's (n, C, c, k)
 // contract for one slot: parameters are sane, every channel set is
 // non-empty, duplicate-free, within [0, C) and no larger than c, and every
-// pair of nodes overlaps on at least k channels. Overlap is counted with
-// per-node membership maps — deliberately not assign.Validate's bitmap
-// path — so the two implementations cross-check each other.
+// pair of nodes overlaps on at least k channels. The sets are copied once
+// into a flat array and an open-addressed membership table, both the
+// oracle's own, and overlap is counted over them — deliberately not
+// assign.Validate's bitmap path — so the two implementations cross-check
+// each other.
 //
 // For static assignments one slot covers all of them; for per-slot
 // assignments (dynamic, jamming) it verifies the given slot, and the
@@ -43,8 +45,15 @@ func CheckAssignment(a sim.Assignment, slot int) error {
 	if k < 1 || k > c {
 		return fmt.Errorf("invariant: assignment overlap k=%d violates 1 <= k <= c=%d", k, c)
 	}
-	sets := make([][]int, n)
-	member := make([]map[int]bool, n)
+	if total > maxTableChannel {
+		return fmt.Errorf("invariant: assignment has C=%d channels, more than the oracle's %d", total, maxTableChannel)
+	}
+	// Node u's set is flat[off[u]:off[u+1]], in ChannelSet order; member
+	// holds the same channels for lookups.
+	flat := make([]int32, 0, n*c)
+	off := make([]int32, n+1)
+	var member memberTable
+	member.reset(n, c)
 	for u := 0; u < n; u++ {
 		set := a.ChannelSet(sim.NodeID(u), slot)
 		if len(set) == 0 {
@@ -53,23 +62,21 @@ func CheckAssignment(a sim.Assignment, slot int) error {
 		if len(set) > c {
 			return fmt.Errorf("invariant: node %d has %d channels, more than c=%d", u, len(set), c)
 		}
-		m := make(map[int]bool, len(set))
 		for _, ch := range set {
 			if ch < 0 || ch >= total {
 				return fmt.Errorf("invariant: node %d holds channel %d outside [0,%d)", u, ch, total)
 			}
-			if m[ch] {
+			if !member.insert(u, int32(ch)) {
 				return fmt.Errorf("invariant: node %d holds channel %d twice", u, ch)
 			}
-			m[ch] = true
+			flat = append(flat, int32(ch))
 		}
-		sets[u] = set
-		member[u] = m
+		off[u+1] = int32(len(flat))
 	}
 	checkPair := func(u, v int) error {
 		overlap := 0
-		for _, ch := range sets[v] {
-			if member[u][ch] {
+		for _, ch := range flat[off[v]:off[v+1]] {
+			if member.has(u, ch) {
 				overlap++
 			}
 		}

@@ -9,22 +9,30 @@
 // ground truth.
 //
 // The checker deliberately shares no code with the engine's hot path or
-// with package assign's Validate: membership is re-derived by scanning
-// ChannelSet, overlap is counted with maps instead of bitmaps, and winner
-// uniformity is tested statistically (chi-square over winner positions
-// pooled across runs). A bug in the engine's dense scratch bookkeeping or
-// in assign's bitmap sets therefore cannot hide itself from the oracle.
+// with package assign's Validate, Index or bitmap sets: membership is
+// re-derived from ChannelSet alone, overlap is counted over the oracle's
+// own copy of the sets, and winner uniformity is tested statistically
+// (chi-square over winner positions pooled across runs). A bug in the
+// engine's dense scratch bookkeeping or in assign's bitmap sets therefore
+// cannot hide itself from the oracle.
+//
+// Under a sim.Fixed assignment, whose sets never change, Reset copies
+// every node's ChannelSet into a table the checker owns (one open-addressed
+// row per node, O(n·c) in all) and every membership test is a lookup in
+// it. The table is rebuilt at every Reset, never cached by assignment, so
+// an assignment rebuilt in place is checked against its new sets. Any
+// other assignment may change its sets every slot, so its memberships are
+// re-derived by scanning that slot's ChannelSet.
 //
 // Stepped participants (broadcasters and Listeners) are re-derived in every
 // slot. Parked listeners (ChannelOutcome.Parked) are checked when a park
 // starts: the checker keeps its own copy of each channel's last reported
 // parked list and of the channel each node is parked on, diffs every
-// changed list against its copy, and scans ChannelSet once per arrival.
-// Parks exist only under a sim.Fixed assignment, whose sets never change,
-// so the membership holds for the whole park; a parked list under any
-// other assignment is itself a violation. A park must be the node's only
-// radio: a node parked on two channels, or stepped while parked, is
-// reported.
+// changed list against its copy, and tests membership once per arrival.
+// Parks exist only under a sim.Fixed assignment, so the membership holds
+// for the whole park; a parked list under any other assignment is itself a
+// violation. A park must be the node's only radio: a node parked on two
+// channels, or stepped while parked, is reported.
 //
 // Checking is opt-in and zero-cost when disabled: nothing is attached to
 // the engine, so the untraced slot path remains the pinned zero-allocation
@@ -53,6 +61,11 @@ type Checker struct {
 	numChan int
 	fixed   bool // sim.Fixed(asn): the only assignments that may report parks
 
+	// members copies the sets of a fixed assignment at Reset; tabled
+	// reports that inSet reads it instead of scanning ChannelSet.
+	members memberTable
+	tabled  bool
+
 	lastSlot int
 	stamp    int
 	nodeSeen []int // stamp when the node last participated in a slot
@@ -77,14 +90,19 @@ type Checker struct {
 var _ sim.Observer = (*Checker)(nil)
 
 // Reset prepares the checker for one run over the given assignment and
-// collision model. Violation state and the slot cursor reset; the pooled
-// uniformity tallies are kept (call a fresh Checker to drop them).
+// collision model. Violation state and the slot cursor reset, and a fixed
+// assignment's sets are copied afresh; the pooled uniformity tallies are
+// kept (call a fresh Checker to drop them).
 func (c *Checker) Reset(asn sim.Assignment, model sim.CollisionModel) {
 	c.asn = asn
 	c.model = model
 	c.n = asn.Nodes()
 	c.numChan = asn.Channels()
 	c.fixed = sim.Fixed(asn)
+	c.tabled = c.fixed && c.numChan <= maxTableChannel
+	if c.tabled {
+		c.members.load(asn, c.numChan)
+	}
 	c.lastSlot = -1
 	c.firstErr = nil
 	c.violations = 0
@@ -277,9 +295,13 @@ func (c *Checker) arrive(slot, ch int, pk []sim.NodeID) {
 	c.parked[ch] = append(old[:0], pk...)
 }
 
-// inSet reports whether physical channel ch is in node id's channel set
-// for the slot, scanning ChannelSet.
+// inSet reports whether physical channel ch, which lies in [0, numChan),
+// is in node id's channel set for the slot: a lookup in the table under a
+// fixed assignment, a scan of the slot's ChannelSet otherwise.
 func (c *Checker) inSet(id sim.NodeID, slot, ch int) bool {
+	if c.tabled {
+		return c.members.has(int(id), int32(ch))
+	}
 	for _, p := range c.asn.ChannelSet(id, slot) {
 		if p == ch {
 			return true

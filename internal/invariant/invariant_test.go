@@ -25,6 +25,12 @@ func (f *fakeAsn) PerNode() int                         { return f.c }
 func (f *fakeAsn) MinOverlap() int                      { return f.k }
 func (f *fakeAsn) ChannelSet(u sim.NodeID, _ int) []int { return f.sets[u] }
 
+// fixedAsn is a fakeAsn that declares its sets fixed, so the checker
+// copies them into its membership table instead of scanning ChannelSet.
+type fixedAsn struct{ *fakeAsn }
+
+func (fixedAsn) FixedChannelSets() bool { return true }
+
 // fullAsn is a 4-node, 4-channel full-overlap fake.
 func fullAsn() *fakeAsn {
 	sets := [][]int{{0, 1, 2, 3}, {0, 1, 2, 3}, {0, 1, 2, 3}, {0, 1, 2, 3}}
@@ -70,7 +76,7 @@ func TestCheckerViolations(t *testing.T) {
 	restricted.sets[3] = []int{1, 2, 3} // node 3 does not hold channel 0
 	cases := []struct {
 		name string
-		asn  *fakeAsn
+		asn  sim.Assignment
 		feed func(c *invariant.Checker)
 		want string
 	}{
@@ -104,6 +110,9 @@ func TestCheckerViolations(t *testing.T) {
 		{"channel outside node's set", restricted, func(c *invariant.Checker) {
 			c.OnSlot(0, []sim.ChannelOutcome{out(0, 3, ids(3), nil)})
 		}, "outside its"},
+		{"channel outside node's fixed set", fixedAsn{restricted}, func(c *invariant.Checker) {
+			c.OnSlot(0, []sim.ChannelOutcome{out(0, 3, ids(3), nil)})
+		}, "slot 0: node 3 used physical channel 0 outside its 3-channel set"},
 		{"empty channel report", fullAsn(), func(c *invariant.Checker) {
 			c.OnSlot(0, []sim.ChannelOutcome{out(0, sim.None, nil, nil)})
 		}, "no participants"},
@@ -161,6 +170,57 @@ func TestCheckerReset(t *testing.T) {
 	c.OnSlot(0, nil) // slot cursor must restart
 	if c.Err() != nil {
 		t.Errorf("slot cursor not reset: %v", c.Err())
+	}
+}
+
+// TestCheckerResetAfterRebuild rebuilds an assignment in place between two
+// runs, as arenas do with assign.Builder: the Static keeps its pointer and
+// its shape, but the second run must be checked against the new sets.
+func TestCheckerResetAfterRebuild(t *testing.T) {
+	const n = 40
+	var b assign.Builder
+	first, err := b.SharedCore(n, 6, 2, 30, assign.LocalLabels, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := make([][]int, n)
+	for u := range old {
+		old[u] = slices.Clone(first.ChannelSet(sim.NodeID(u), 0))
+	}
+	var c invariant.Checker
+	c.Reset(first, sim.UniformWinner)
+	second, err := b.SharedCore(n, 6, 2, 30, assign.LocalLabels, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second != first {
+		t.Fatal("the builder did not rebuild its Static in place")
+	}
+	c.Reset(second, sim.UniformWinner)
+	gained, lost, slot := 0, 0, 0
+	for u := sim.NodeID(0); u < n; u++ {
+		now := second.ChannelSet(u, 0)
+		for ch := 0; ch < second.Channels(); ch++ {
+			was, is := slices.Contains(old[u], ch), slices.Contains(now, ch)
+			if was == is {
+				continue
+			}
+			before := c.Violations()
+			c.OnSlot(slot, []sim.ChannelOutcome{out(ch, sim.None, nil, ids(int(u)))})
+			slot++
+			flagged := c.Violations() > before
+			if is {
+				gained++
+			} else {
+				lost++
+			}
+			if flagged == is {
+				t.Errorf("node %d listening on channel %d (in its rebuilt set: %v): flagged = %v", u, ch, is, flagged)
+			}
+		}
+	}
+	if gained == 0 || lost == 0 {
+		t.Fatalf("rebuild moved no channel (gained %d, lost %d): the test checks nothing", gained, lost)
 	}
 }
 
@@ -234,6 +294,10 @@ func TestCheckAssignmentRejects(t *testing.T) {
 			sets: [][]int{{0, 7}, {0, 1}}}, "outside"},
 		{"overlap below k", &fakeAsn{n: 2, total: 4, c: 2, k: 2,
 			sets: [][]int{{0, 1}, {1, 2}}}, "below k"},
+		{"overlap count", &fakeAsn{n: 3, total: 6, c: 3, k: 3,
+			sets: [][]int{{0, 1, 2}, {0, 1, 2}, {2, 5, 1}}}, "nodes 0 and 2 overlap on 2 channels, below k=3 (slot 0)"},
+		{"first repeat in set order", &fakeAsn{n: 2, total: 6, c: 5, k: 1,
+			sets: [][]int{{0, 1, 2}, {4, 1, 3, 1, 4}}}, "node 1 holds channel 1 twice"},
 		{"oversized set", &fakeAsn{n: 2, total: 4, c: 2, k: 1,
 			sets: [][]int{{0, 1, 2}, {0, 1}}}, "more than c"},
 		{"empty set", &fakeAsn{n: 2, total: 4, c: 2, k: 1,
