@@ -116,10 +116,11 @@ func runCtx(ctx context.Context, args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	// The flag set becomes a Scenario verbatim — no Normalize, no
-	// Validate, so flag semantics (including -seed 0) and the legacy
-	// guard errors stay exactly as they were. Execute is the shared run
-	// path; file mode goes through the same call.
+	// The flag set becomes a Scenario verbatim, without Normalize, so
+	// explicit flag zeros (-seed 0) keep their meaning. Execute is the
+	// shared run path; it validates a normalized copy exactly as file
+	// mode's Load does, so a rejected flag run names the scenario key its
+	// flag sets.
 	sc := &scenario.Scenario{
 		Name: "cli",
 		Seed: *seed,

@@ -2,9 +2,12 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"strings"
 	"testing"
+
+	"github.com/cogradio/crn/internal/rng"
 )
 
 func runOK(t *testing.T, args ...string) string {
@@ -154,6 +157,33 @@ func TestRepeatUnsupportedProtocol(t *testing.T) {
 	}
 }
 
+// TestFlagRunsValidated: flag runs pass the same Validate as scenario
+// files, so a flag the protocol does not support fails with the message
+// naming the scenario key it sets, while explicit zeros keep their flag
+// meaning (-seed 0 roots the run at seed 0, not at the file default 1).
+func TestFlagRunsValidated(t *testing.T) {
+	cases := []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-protocol", "cogcomp", "-curve"}, "scenario: protocol.curve: supports cogcast"},
+		{[]string{"-parallel", "-1", "-repeat", "2"}, "scenario: engine.parallel: -1 out of range"},
+	}
+	for _, c := range cases {
+		var out bytes.Buffer
+		if err := run(c.args, &out); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("run(%v): err = %v, want %q", c.args, err, c.want)
+		}
+		if out.Len() != 0 {
+			t.Errorf("run(%v) printed %q before failing validation", c.args, out.String())
+		}
+	}
+	out := runOK(t, "-protocol", "cogcast", "-n", "16", "-c", "4", "-k", "2", "-seed", "0", "-repeat", "2")
+	if want := fmt.Sprintf("rep 0 seed=%d:", rng.Derive(0, 0)); !strings.Contains(out, want) {
+		t.Errorf("-seed 0 output = %q, want %q", out, want)
+	}
+}
+
 // mediumLineOf extracts the "medium: ..." line from cogsim output.
 func mediumLineOf(t *testing.T, out string) string {
 	t.Helper()
@@ -245,7 +275,7 @@ func TestCheckFlag(t *testing.T) {
 
 	var buf bytes.Buffer
 	err := run([]string{"-check", "-protocol", "gossip"}, &buf)
-	if err == nil || !strings.Contains(err.Error(), "-check supports") {
+	if err == nil || !strings.Contains(err.Error(), "engine.check: supports") {
 		t.Errorf("-check with gossip: err = %v", err)
 	}
 }

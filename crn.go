@@ -50,7 +50,6 @@ import (
 	recov "github.com/cogradio/crn/internal/recover"
 	"github.com/cogradio/crn/internal/sim"
 	"github.com/cogradio/crn/internal/trace"
-	"github.com/cogradio/crn/internal/tree"
 )
 
 // NodeID identifies a node, 0..n-1.
@@ -519,9 +518,7 @@ func (nw *Network) Broadcast(opts BroadcastOptions) (*BroadcastResult, error) {
 	for i, p := range res.Parents {
 		out.Parents[i] = NodeID(p)
 	}
-	if tr, terr := tree.New(sim.NodeID(opts.Source), res.Parents); terr == nil {
-		out.TreeHeight = tr.Height()
-	}
+	out.TreeHeight = treeHeight(sim.NodeID(opts.Source), res.Parents)
 	if collector != nil {
 		m := collector.Snapshot()
 		out.Metrics = &MediumMetrics{
@@ -536,6 +533,38 @@ func (nw *Network) Broadcast(opts BroadcastOptions) (*BroadcastResult, error) {
 		out.Adversary = advReport(nw.adv)
 	}
 	return out, nil
+}
+
+// treeHeight is the depth of the deepest node in the distribution tree
+// that parents describes (Section 5): a node's parent is the node that
+// first informed it, and a node without one, other than the source, was
+// never informed and adds nothing. COGCAST's parents are acyclic (the
+// oracle checks the tree under Check), so each walk up a chain ends at the
+// source or at an uninformed node, and every depth is found once.
+func treeHeight(source sim.NodeID, parents []sim.NodeID) int {
+	depth := make([]int, len(parents)) // depth+1 once known, -1 uninformed, 0 unknown
+	depth[source] = 1
+	height := 0
+	var chain []sim.NodeID
+	for v := range parents {
+		chain = chain[:0]
+		u := sim.NodeID(v)
+		for depth[u] == 0 && parents[u] != sim.None {
+			chain = append(chain, u)
+			u = parents[u]
+		}
+		d := depth[u]
+		for i := len(chain) - 1; i >= 0; i-- {
+			if d > 0 {
+				d++
+			} else {
+				d = -1
+			}
+			depth[chain[i]] = d
+		}
+		height = max(height, d-1)
+	}
+	return height
 }
 
 // run opens and closes one run of the named protocol: body runs it,

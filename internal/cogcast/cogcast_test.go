@@ -5,8 +5,8 @@ import (
 
 	"github.com/cogradio/crn/internal/assign"
 	"github.com/cogradio/crn/internal/cogcast"
+	"github.com/cogradio/crn/internal/invariant"
 	"github.com/cogradio/crn/internal/sim"
-	"github.com/cogradio/crn/internal/tree"
 )
 
 func TestSlotBound(t *testing.T) {
@@ -93,24 +93,9 @@ func TestDistributionTreeIsSpanning(t *testing.T) {
 		if !res.AllInformed {
 			t.Fatalf("seed %d: incomplete", seed)
 		}
-		tr, err := tree.New(3, res.Parents)
-		if err != nil {
-			t.Fatalf("seed %d: invalid tree: %v", seed, err)
-		}
-		if !tr.Spanning() {
-			t.Errorf("seed %d: tree reaches %d of %d nodes", seed, tr.Size(), n)
-		}
-		// Parent must have been informed strictly before the child.
-		for v := 0; v < n; v++ {
-			p := res.Parents[v]
-			if p == sim.None {
-				continue
-			}
-			parentSlot := res.InformedSlots[p]
-			if p != 3 && parentSlot >= res.InformedSlots[v] {
-				t.Errorf("seed %d: node %d informed at %d by parent %d informed at %d",
-					seed, v, res.InformedSlots[v], p, parentSlot)
-			}
+		// A spanning tree: every node informed, each strictly after its parent.
+		if err := invariant.CheckBroadcastTree(n, 3, res.Parents, res.InformedSlots, true); err != nil {
+			t.Errorf("seed %d: %v", seed, err)
 		}
 	}
 }

@@ -6,8 +6,8 @@ import (
 
 	"github.com/cogradio/crn/internal/assign"
 	"github.com/cogradio/crn/internal/cogcast"
+	"github.com/cogradio/crn/internal/invariant"
 	"github.com/cogradio/crn/internal/sim"
-	"github.com/cogradio/crn/internal/tree"
 )
 
 // TestBroadcastTreeProperty: for arbitrary small shared-core parameters and
@@ -32,25 +32,8 @@ func TestBroadcastTreeProperty(t *testing.T) {
 		if err != nil || !res.AllInformed {
 			return false
 		}
-		tr, err := tree.New(sim.NodeID(src), res.Parents)
-		if err != nil {
-			return false
-		}
-		if !tr.Spanning() {
-			return false
-		}
-		for v := 0; v < n; v++ {
-			p := res.Parents[v]
-			if p < 0 {
-				continue
-			}
-			// Child informed strictly after its parent (source parent slot
-			// is -1, trivially earlier).
-			if res.InformedSlots[p] >= res.InformedSlots[v] {
-				return false
-			}
-		}
-		return true
+		// A spanning tree: every node informed, each strictly after its parent.
+		return invariant.CheckBroadcastTree(n, sim.NodeID(src), res.Parents, res.InformedSlots, true) == nil
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -76,11 +59,7 @@ func TestLargeNetworkStress(t *testing.T) {
 	if !res.AllInformed {
 		t.Fatalf("n=2048 broadcast incomplete after %d slots", res.Slots)
 	}
-	tr, err := tree.New(0, res.Parents)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tr.Spanning() {
-		t.Error("tree not spanning at n=2048")
+	if err := invariant.CheckBroadcastTree(n, 0, res.Parents, res.InformedSlots, true); err != nil {
+		t.Errorf("tree not spanning at n=2048: %v", err)
 	}
 }

@@ -140,8 +140,10 @@ func EngineOptions(dst []sim.Option, asn sim.Assignment, cfg RunConfig, ck **inv
 	return dst, nil
 }
 
-// build (re)initializes n nodes and the engine for one trial.
-func (a *Arena) build(asn sim.Assignment, source sim.NodeID, payload sim.Message, seed int64, engOpts []sim.Option) error {
+// build (re)initializes n nodes and the engine for one trial. wrap, when
+// non-nil, maps each node to the protocol the engine drives (e.g. a
+// fault-injection wrapper); nil drives the nodes directly.
+func (a *Arena) build(asn sim.Assignment, source sim.NodeID, payload sim.Message, seed int64, engOpts []sim.Option, wrap func(sim.NodeID, *Node) sim.Protocol) error {
 	n := asn.Nodes()
 	if len(a.slab) < n {
 		a.slab = append(a.slab, make([]Node, n-len(a.slab))...)
@@ -152,7 +154,11 @@ func (a *Arena) build(asn sim.Assignment, source sim.NodeID, payload sim.Message
 	for i := range a.nodes {
 		a.nodes[i] = &a.slab[i]
 		a.nodes[i].Reinit(sim.View(asn, sim.NodeID(i)), sim.NodeID(i) == source, payload, seed)
-		a.protos[i] = a.nodes[i]
+		if wrap == nil {
+			a.protos[i] = a.nodes[i]
+		} else {
+			a.protos[i] = wrap(sim.NodeID(i), a.nodes[i])
+		}
 	}
 	if a.eng == nil {
 		eng, err := sim.NewEngine(asn, a.protos, seed, engOpts...)
@@ -168,6 +174,14 @@ func (a *Arena) build(asn sim.Assignment, source sim.NodeID, payload sim.Message
 // Run executes COGCAST exactly as the package-level Run does, reusing the
 // arena's nodes and engine.
 func (a *Arena) Run(asn sim.Assignment, source sim.NodeID, payload sim.Message, seed int64, cfg RunConfig) (*Result, error) {
+	return a.RunWith(asn, source, payload, seed, cfg, nil)
+}
+
+// RunWith is Run with an optional protocol wrapper interposed between the
+// engine and every node — the hook fault injectors use to run COGCAST
+// under outages. The wrapper only decides what the engine steps; the
+// result is still read from the nodes. A nil wrap is exactly Run.
+func (a *Arena) RunWith(asn sim.Assignment, source sim.NodeID, payload sim.Message, seed int64, cfg RunConfig, wrap func(sim.NodeID, *Node) sim.Protocol) (*Result, error) {
 	n := asn.Nodes()
 	if source < 0 || int(source) >= n {
 		return nil, fmt.Errorf("cogcast: source %d outside [0,%d)", source, n)
@@ -181,7 +195,7 @@ func (a *Arena) Run(asn sim.Assignment, source sim.NodeID, payload sim.Message, 
 	if a.opts, err = EngineOptions(a.opts[:0], asn, cfg, &a.checker); err != nil {
 		return nil, fmt.Errorf("cogcast: %w", err)
 	}
-	if err := a.build(asn, source, payload, seed, a.opts); err != nil {
+	if err := a.build(asn, source, payload, seed, a.opts, wrap); err != nil {
 		return nil, err
 	}
 	nodes, eng := a.nodes, a.eng

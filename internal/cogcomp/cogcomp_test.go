@@ -8,7 +8,6 @@ import (
 	"github.com/cogradio/crn/internal/assign"
 	"github.com/cogradio/crn/internal/cogcomp"
 	"github.com/cogradio/crn/internal/sim"
-	"github.com/cogradio/crn/internal/tree"
 )
 
 func inputsFor(n int, seed int64) []int64 {
@@ -141,19 +140,16 @@ func TestNonZeroSource(t *testing.T) {
 		t.Fatal(err)
 	}
 	inputs := inputsFor(n, 11)
-	res, err := cogcomp.Run(asn, 17, inputs, 11, cogcomp.Config{})
+	// Check validates the distribution tree against the phase-one census.
+	res, err := cogcomp.Run(asn, 17, inputs, 11, cogcomp.Config{Check: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := aggfunc.Fold(aggfunc.Sum{}, inputs); res.Value != want {
 		t.Fatalf("aggregate = %v, want %v", res.Value, want)
 	}
-	tr, err := tree.New(17, res.Parents)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tr.Spanning() {
-		t.Error("distribution tree not spanning")
+	if res.InformedAfterPhase1 != n {
+		t.Errorf("distribution tree spans %d of %d nodes", res.InformedAfterPhase1, n)
 	}
 }
 
@@ -350,18 +346,15 @@ func TestLargerNetworkStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	inputs := inputsFor(n, 29)
-	res, err := cogcomp.Run(asn, 0, inputs, 29, cogcomp.Config{})
+	// Check validates the distribution tree against the phase-one census.
+	res, err := cogcomp.Run(asn, 0, inputs, 29, cogcomp.Config{Check: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := aggfunc.Fold(aggfunc.Sum{}, inputs); res.Value != want {
 		t.Fatalf("aggregate = %v, want %v", res.Value, want)
 	}
-	tr, err := tree.New(0, res.Parents)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tr.Spanning() {
-		t.Error("tree not spanning")
+	if res.InformedAfterPhase1 != n {
+		t.Errorf("distribution tree spans %d of %d nodes", res.InformedAfterPhase1, n)
 	}
 }

@@ -74,32 +74,19 @@ func runE20(cfg Config) ([]*Table, error) {
 				cfg.Trace.Emit(trace.TrialEvent(trial, ts))
 			}
 
-			// COGCAST under faults.
-			castNodes := make([]*cogcast.Node, n)
-			protos := make([]sim.Protocol, n)
-			for i := range castNodes {
-				castNodes[i] = cogcast.New(sim.View(asn, sim.NodeID(i)), i == 0, "m", ts)
-				protos[i] = faults.Wrap(castNodes[i], sim.NodeID(i), schedule, faults.WithTrace(cfg.Trace))
+			// COGCAST under faults. Crashers emit fault events from Step,
+			// so a traced run keeps one shard to keep the event order.
+			rc := cfg.cast(cogcast.RunConfig{UntilAllInformed: true, MaxSlots: 200000})
+			if cfg.Trace != nil {
+				rc.Shards = 1
 			}
-			eng, err := sim.NewEngine(asn, protos, ts)
+			cast, err := a.cast.RunWith(asn, 0, "m", ts, rc, func(id sim.NodeID, nd *cogcast.Node) sim.Protocol {
+				return faults.Wrap(nd, id, schedule, faults.WithTrace(cfg.Trace))
+			})
 			if err != nil {
 				return out, err
 			}
-			informed := func() bool {
-				for _, nd := range castNodes {
-					if !nd.Informed() {
-						return false
-					}
-				}
-				return true
-			}
-			if _, err := eng.RunWhile(200000, func() bool { return !informed() }); err != nil && !errors.Is(err, sim.ErrMaxSlots) {
-				return out, err
-			}
-			if informed() {
-				out.castDone = true
-				out.castSlots = float64(eng.Slot())
-			}
+			out.castDone, out.castSlots = cast.AllInformed, float64(cast.Slots)
 
 			// COGCOMP under the same faults.
 			inputs := make([]int64, n)
@@ -109,7 +96,8 @@ func runE20(cfg Config) ([]*Table, error) {
 				want += inputs[i]
 			}
 			l := cogcomp.PhaseOneLength(n, c, k, cogcast.DefaultKappa)
-			res, err := a.comp.RunWith(asn, 0, inputs, ts, cogcomp.Config{MaxSlots: 20 * (2*l + n)},
+			// No Check: the corrupted aggregates are the outcome measured here.
+			res, err := a.comp.RunWith(asn, 0, inputs, ts, cogcomp.Config{MaxSlots: 20 * (2*l + n), Context: cfg.Context},
 				func(id sim.NodeID, nd *cogcomp.Node) sim.Protocol {
 					return faults.Wrap(nd, id, schedule, faults.WithTrace(cfg.Trace))
 				})

@@ -340,6 +340,8 @@ func TestCheckBroadcastTree(t *testing.T) {
 		{"completion flag wrong", func(p []sim.NodeID, s []int) bool { return true }},
 		{"source has parent", func(p []sim.NodeID, s []int) bool { p[0] = 1; return false }},
 		{"self parent", func(p []sim.NodeID, s []int) bool { p[3] = 3; return false }},
+		{"parent out of range", func(p []sim.NodeID, s []int) bool { p[3] = 9; return false }},
+		{"cycle", func(p []sim.NodeID, s []int) bool { p[2] = 3; return false }},
 		{"uninformed parent", func(p []sim.NodeID, s []int) bool { p[3] = 4; return false }},
 		{"parent informed later", func(p []sim.NodeID, s []int) bool { s[3] = 1; return false }},
 		{"parent without slot", func(p []sim.NodeID, s []int) bool { s[1] = -1; return false }},
@@ -349,6 +351,27 @@ func TestCheckBroadcastTree(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			if err := mut(tc.fn); err == nil {
 				t.Error("malformed tree accepted")
+			}
+		})
+	}
+
+	// Small whole trees rooted at node 0, each with slots that agree with
+	// its parent pointers, so the one fault left is the one named.
+	whole := []struct {
+		name    string
+		parents []sim.NodeID
+		slots   []int
+		want    string
+	}{
+		{"chain hanging off unreached node", []sim.NodeID{sim.None, sim.None, 1}, []int{-1, -1, 4}, "uninformed node 1"},
+		{"root with parent", []sim.NodeID{1, sim.None}, []int{-1, -1}, "has parent 1"},
+		{"self loop", []sim.NodeID{sim.None, 1}, []int{-1, 2}, "its own parent"},
+	}
+	for _, tc := range whole {
+		t.Run(tc.name, func(t *testing.T) {
+			err := invariant.CheckBroadcastTree(len(tc.parents), 0, tc.parents, tc.slots, false)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("CheckBroadcastTree = %v, want an error naming %q", err, tc.want)
 			}
 		})
 	}

@@ -2,9 +2,10 @@ package scenario
 
 // Execution. Execute is the single run path behind cmd/cogsim: the flag
 // parser builds a Scenario and calls it, file mode loads one and calls
-// it, so the two are byte-identical by construction. The output format
-// and the guard errors below are therefore cogsim's — changing a string
-// here changes the CLI.
+// it, so the two are byte-identical by construction. Both pass the same
+// Validate before anything runs, so they share one rule set and one set
+// of error messages. The output format below is cogsim's — changing a
+// string here changes the CLI.
 
 import (
 	"bufio"
@@ -12,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"time"
 
 	crn "github.com/cogradio/crn"
@@ -61,9 +63,11 @@ func (sc *Scenario) RunContext(ctx context.Context, out io.Writer) error {
 }
 
 // Execute runs the scenario, writing the protocol report to out, and
-// returns the Outcome for assertion checking. The scenario must be
-// normalized (Load does this); Execute performs only the guard checks the
-// cogsim flag path relies on, not full validation.
+// returns the Outcome for assertion checking. It first validates a
+// normalized copy of the scenario and fails with Validate's error, while
+// the run itself keeps the caller's values: cogsim's flag path hands over
+// an unnormalized scenario whose explicit zeros (-seed 0) keep their
+// meaning.
 func (sc *Scenario) Execute(out io.Writer) (*Outcome, error) {
 	return sc.ExecuteContext(context.Background(), out)
 }
@@ -75,10 +79,13 @@ func (sc *Scenario) Execute(out io.Writer) (*Outcome, error) {
 // only and consume no randomness, so a run that completes is
 // byte-identical to the same run without a context.
 func (sc *Scenario) ExecuteContext(ctx context.Context, out io.Writer) (*Outcome, error) {
-	ctx, cancel, err := sc.limitContext(ctx)
-	if err != nil {
+	v := *sc
+	v.Events = slices.Clone(sc.Events) // Normalize fills event defaults in place
+	v.Normalize()
+	if err := v.Validate(); err != nil {
 		return nil, err
 	}
+	ctx, cancel := sc.limitContext(ctx)
 	defer cancel()
 	if sc.Protocol.Name == "experiment" {
 		return sc.executeExperiment(ctx, out)
@@ -94,9 +101,6 @@ func (sc *Scenario) ExecuteContext(ctx context.Context, out io.Writer) (*Outcome
 	auto := 64 * net.SlotBound(0)
 	budget := sc.slotBudget(auto)
 	if sc.Engine.Repeat > 1 {
-		if sc.Engine.Trace != "" {
-			return nil, fmt.Errorf("-trace records a single run; drop -repeat")
-		}
 		return sc.runRepeated(ctx, out, budget)
 	}
 
@@ -105,9 +109,6 @@ func (sc *Scenario) ExecuteContext(ctx context.Context, out io.Writer) (*Outcome
 	var traceFile *os.File
 	var traceW *bufio.Writer
 	if sc.Engine.Trace != "" {
-		if sc.Protocol.Name != "cogcast" && sc.Protocol.Name != "cogcomp" {
-			return nil, fmt.Errorf("-trace supports cogcast and cogcomp, not %q", sc.Protocol.Name)
-		}
 		traceFile, err = os.Create(sc.Engine.Trace)
 		if err != nil {
 			return nil, err
@@ -126,26 +127,6 @@ func (sc *Scenario) ExecuteContext(ctx context.Context, out io.Writer) (*Outcome
 		return ferr
 	}
 	defer closeTrace()
-
-	if sc.Engine.Check && sc.Protocol.Name != "cogcast" && sc.Protocol.Name != "cogcomp" && sc.Protocol.Name != "session" {
-		return nil, fmt.Errorf("-check supports cogcast, cogcomp and session, not %q", sc.Protocol.Name)
-	}
-	if (sc.Recovery.Enabled || sc.Recovery.OutageRate > 0) && sc.Protocol.Name != "cogcomp" {
-		return nil, fmt.Errorf("-recover/-outage support cogcomp, not %q", sc.Protocol.Name)
-	}
-	if sc.Recovery.OutageRate > 0 && !sc.Recovery.Enabled {
-		return nil, fmt.Errorf("-outage needs -recover (the classic runner has no fault injection)")
-	}
-	if sc.Adversary.Strategy != "" {
-		switch sc.Protocol.Name {
-		case "cogcast", "cogcomp":
-		default:
-			return nil, fmt.Errorf("-adversary supports cogcast and cogcomp, not %q", sc.Protocol.Name)
-		}
-		if sc.Protocol.Name == "cogcomp" && !sc.Recovery.Enabled {
-			return nil, fmt.Errorf("-adversary on cogcomp needs -recover (the classic runner has no fault injection)")
-		}
-	}
 
 	oc := &Outcome{Nodes: net.Nodes()}
 	switch sc.Protocol.Name {
@@ -263,8 +244,6 @@ func (sc *Scenario) ExecuteContext(ctx context.Context, out io.Writer) (*Outcome
 		fmt.Fprintf(out, "hopping-together: %d slots, complete: %v (one spectrum pass = %d)\n",
 			slots, done, net.TotalChannels())
 		oc.Slots, oc.AllInformed = slots, done
-	default:
-		return nil, fmt.Errorf("unknown protocol %q", sc.Protocol.Name)
 	}
 	return oc, nil
 }
@@ -331,7 +310,7 @@ func (sc *Scenario) runRepeated(ctx context.Context, out io.Writer, budget int) 
 			}
 			return float64(res.Slots), nil
 		}
-	case "cogcomp":
+	default: // cogcomp: Validate admits -repeat for no other protocol
 		fn = func(trialSeed int64, net *crn.Network) (float64, error) {
 			inputs := make([]int64, net.Nodes())
 			for i := range inputs {
@@ -343,8 +322,6 @@ func (sc *Scenario) runRepeated(ctx context.Context, out io.Writer, budget int) 
 			}
 			return float64(res.Slots), nil
 		}
-	default:
-		return nil, fmt.Errorf("-repeat supports cogcast and cogcomp, not %q", sc.Protocol.Name)
 	}
 	slots, err := parallel.Map(ctx, sc.Engine.Repeat, sc.Engine.Parallel, func(i int) (float64, error) {
 		trialSeed := rng.Derive(sc.Seed, int64(i))
@@ -399,19 +376,16 @@ func (sc *Scenario) executeExperiment(ctx context.Context, out io.Writer) (*Outc
 	return &Outcome{}, nil
 }
 
-// limitContext layers limits.deadline onto the caller's context. The
-// returned cancel must be called (it releases the timer); with no
-// deadline it is a no-op and the context passes through untouched.
-func (sc *Scenario) limitContext(ctx context.Context) (context.Context, context.CancelFunc, error) {
+// limitContext layers limits.deadline, which Validate has parsed, onto
+// the caller's context. The returned cancel must be called (it releases
+// the timer); with no deadline it is a no-op and the context passes
+// through untouched.
+func (sc *Scenario) limitContext(ctx context.Context) (context.Context, context.CancelFunc) {
 	if sc.Limits.Deadline == "" {
-		return ctx, func() {}, nil
+		return ctx, func() {}
 	}
-	d, err := time.ParseDuration(sc.Limits.Deadline)
-	if err != nil || d <= 0 {
-		return nil, nil, fmt.Errorf("limits.deadline: bad duration %q (want e.g. \"30s\" or \"2m\")", sc.Limits.Deadline)
-	}
-	ctx, cancel := context.WithTimeout(ctx, d)
-	return ctx, cancel, nil
+	d, _ := time.ParseDuration(sc.Limits.Deadline)
+	return context.WithTimeout(ctx, d)
 }
 
 // slotBudget is the slot budget a runner receives: protocol.max_slots
@@ -468,16 +442,9 @@ func (sc *Scenario) buildNetwork(seed int64) (*crn.Network, error) {
 		spec.Topology = crn.RandomPool
 	case "pairwise":
 		spec.Topology = crn.PairwiseDedicated
-	default:
-		return nil, fmt.Errorf("unknown topology %q", t.Generator)
 	}
-	switch t.Labels {
-	case "local":
-		spec.Labels = crn.LocalLabels
-	case "global":
+	if t.Labels == "global" {
 		spec.Labels = crn.GlobalLabels
-	default:
-		return nil, fmt.Errorf("unknown label model %q", t.Labels)
 	}
 	return crn.NewNetwork(spec)
 }

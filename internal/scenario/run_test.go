@@ -65,7 +65,7 @@ func TestSlotCapsEnforced(t *testing.T) {
 		Limits:   Limits{MaxSlots: 7},
 	}
 	sc.Normalize()
-	if _, err := sc.Execute(io.Discard); err == nil || !strings.Contains(err.Error(), "MaxSlots") {
-		t.Fatalf("session under a slot cap: err = %v, want the MaxSlots rejection", err)
+	if _, err := sc.Execute(io.Discard); err == nil || !strings.Contains(err.Error(), "limits.max_slots") {
+		t.Fatalf("session under a slot cap: err = %v, want Validate's limits.max_slots rejection", err)
 	}
 }

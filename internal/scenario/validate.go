@@ -3,7 +3,8 @@ package scenario
 // Semantic validation: field ranges, cross-section consistency, event
 // windows, and assertions against the features the scenario actually
 // enables. Validate assumes Normalize has run; `cogsim validate` stops
-// here, before anything executes.
+// here, before anything executes, and Execute runs it on a normalized
+// copy first, so flag runs meet the same rules.
 
 import (
 	"fmt"
