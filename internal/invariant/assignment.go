@@ -53,7 +53,7 @@ func CheckAssignment(a sim.Assignment, slot int) error {
 	flat := make([]int32, 0, n*c)
 	off := make([]int32, n+1)
 	var member memberTable
-	member.reset(n, c)
+	member.reset(n, c, total)
 	for u := 0; u < n; u++ {
 		set := a.ChannelSet(sim.NodeID(u), slot)
 		if len(set) == 0 {

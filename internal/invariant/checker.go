@@ -17,22 +17,30 @@
 // cannot hide itself from the oracle.
 //
 // Under a sim.Fixed assignment, whose sets never change, Reset copies
-// every node's ChannelSet into a table the checker owns (one open-addressed
-// row per node, O(n·c) in all) and every membership test is a lookup in
-// it. The table is rebuilt at every Reset, never cached by assignment, so
-// an assignment rebuilt in place is checked against its new sets. Any
-// other assignment may change its sets every slot, so its memberships are
-// re-derived by scanning that slot's ChannelSet.
+// every node's ChannelSet into a table the checker owns, one row per node,
+// and every membership test is a lookup in it. The row layout is picked
+// from the channel count C and the longest set c alone: a bitmap of
+// ⌈C/64⌉ words wherever that is no wider than an open-addressed hash row
+// of the next power of two ≥ 2c int32 slots (one word at C = 48), and the
+// hash row otherwise (the partitioned shapes, whose C grows with n). Only
+// the chosen layout is allocated. The table is rebuilt at every Reset,
+// never cached by assignment, so an assignment rebuilt in place is checked
+// against its new sets. Any other assignment may change its sets every
+// slot, so its memberships are re-derived by scanning that slot's
+// ChannelSet.
 //
 // Stepped participants (broadcasters and Listeners) are re-derived in every
 // slot. Parked listeners (ChannelOutcome.Parked) are checked when a park
 // starts: the checker keeps its own copy of each channel's last reported
-// parked list and of the channel each node is parked on, diffs every
-// changed list against its copy, and tests membership once per arrival.
-// Parks exist only under a sim.Fixed assignment, so the membership holds
-// for the whole park; a parked list under any other assignment is itself a
-// violation. A park must be the node's only radio: a node parked on two
-// channels, or stepped while parked, is reported.
+// parked list and of the channel each node is parked on. In every slot it
+// compares each reported list with its copy as raw memory, trusting no
+// slice header, so a list the engine rewrote in place is still seen to
+// change. A changed list is diffed against its copy in one merged walk
+// that touches only the ids that differ, and membership is tested once per
+// arrival. Parks exist only under a sim.Fixed assignment, so the
+// membership holds for the whole park; a parked list under any other
+// assignment is itself a violation. A park must be the node's only radio:
+// a node parked on two channels, or stepped while parked, is reported.
 //
 // Checking is opt-in and zero-cost when disabled: nothing is attached to
 // the engine, so the untraced slot path remains the pinned zero-allocation
@@ -41,8 +49,9 @@
 package invariant
 
 import (
+	"bytes"
 	"fmt"
-	"slices"
+	"unsafe"
 
 	"github.com/cogradio/crn/internal/sim"
 	"github.com/cogradio/crn/internal/stats"
@@ -76,7 +85,7 @@ type Checker struct {
 	parkedOn  []int32        // node -> 1 + channel it is parked on, 0 = none
 	parkSeen  []int          // channel -> stamp of the last slot reporting it
 	parkTouch []int          // channels with a non-empty copy
-	changed   []int          // outcomes whose Parked differs from the copy (scratch)
+	arrivals  []parkArrival  // parks starting in this slot (scratch)
 
 	// tally[b][pos] counts contended channels with b broadcasters whose
 	// winner sat at position pos of the ascending broadcaster list. Under
@@ -123,6 +132,8 @@ func (c *Checker) Reset(asn sim.Assignment, model sim.CollisionModel) {
 func (c *Checker) growParked() {
 	if short := c.n - len(c.parkedOn); short > 0 {
 		c.parkedOn = append(c.parkedOn, make([]int32, short)...)
+		// A slot starts each node's park at most once on a clean run.
+		c.arrivals = make([]parkArrival, 0, c.n)
 	}
 	if short := c.numChan - len(c.parked); short > 0 {
 		c.parked = append(c.parked, make([][]sim.NodeID, short)...)
@@ -203,7 +214,7 @@ func (c *Checker) OnSlot(slot int, outcomes []sim.ChannelOutcome) {
 // one park and starts another in the same slot is not taken for a node on
 // two channels.
 func (c *Checker) checkParks(slot int, outcomes []sim.ChannelOutcome) {
-	c.changed = c.changed[:0]
+	c.arrivals = c.arrivals[:0]
 	for i := range outcomes {
 		o := &outcomes[i]
 		if o.Channel < 0 || o.Channel >= c.numChan {
@@ -221,11 +232,9 @@ func (c *Checker) checkParks(slot int, outcomes []sim.ChannelOutcome) {
 			c.growParked()
 		}
 		c.parkSeen[o.Channel] = c.stamp
-		if slices.Equal(c.parked[o.Channel], o.Parked) {
-			continue
+		if !sameIDs(c.parked[o.Channel], o.Parked) {
+			c.repark(slot, o.Channel, o.Parked)
 		}
-		c.depart(o.Channel)
-		c.changed = append(c.changed, i)
 	}
 	keep := c.parkTouch[:0]
 	for _, ch := range c.parkTouch {
@@ -238,61 +247,112 @@ func (c *Checker) checkParks(slot int, outcomes []sim.ChannelOutcome) {
 		}
 	}
 	c.parkTouch = keep
-	for _, i := range c.changed {
-		c.arrive(slot, outcomes[i].Channel, outcomes[i].Parked)
+	for _, a := range c.arrivals {
+		c.arrive(slot, a)
 	}
 }
 
-// depart ends every park in the checker's copy of channel ch. The copy
-// itself stays until arrive diffs the new list against it.
-func (c *Checker) depart(ch int) {
-	for _, id := range c.parked[ch] {
-		if c.parkedOn[id] == int32(ch)+1 {
-			c.parkedOn[id] = 0
-		}
+// sameIDs reports whether two id lists hold the same ids in the same
+// order. Parked lists are long and mostly unchanged from slot to slot, so
+// the lists are compared as raw memory, which the runtime does in vector
+// blocks rather than one id at a time. The element width comes from
+// sim.NodeID itself, since it is an int and so 4 or 8 bytes by target.
+// This is the package's only use of unsafe.
+func sameIDs(a, b []sim.NodeID) bool {
+	if len(a) != len(b) {
+		return false
 	}
+	if len(a) == 0 {
+		return true
+	}
+	size := len(a) * int(unsafe.Sizeof(sim.NodeID(0)))
+	return bytes.Equal(
+		unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(a))), size),
+		unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(b))), size))
 }
 
-// arrive validates channel ch's new parked list pk and makes it the
-// checker's copy. Ids must be in range and strictly ascending; a node
-// must be parked nowhere else; and a node not in the old copy starts its
-// park here, so its channel set must hold ch.
-func (c *Checker) arrive(slot, ch int, pk []sim.NodeID) {
+// parkArrival is a park that starts in the current slot: node id on
+// channel ch. Both fit an int32, as parkedOn's channels do, which halves
+// the queue.
+type parkArrival struct{ id, ch int32 }
+
+// repark makes channel ch's changed parked list pk the checker's copy,
+// diffing the two in one merged walk. Ids must be in range and strictly
+// ascending. A node only in the old copy departs at once; a node only in
+// pk is queued for arrive, which checkParks applies after every departure
+// of the slot; a node in both goes on with its park and is not touched.
+// A list that breaks the order ends every park in the copy and leaves the
+// copy empty.
+func (c *Checker) repark(slot, ch int, pk []sim.NodeID) {
+	old, j := c.parked[ch], 0
+	queued := len(c.arrivals)
 	prev := sim.NodeID(-1)
 	for _, id := range pk {
 		if id < 0 || int(id) >= c.n {
 			c.failf("slot %d: channel %d parked listener %d outside [0,%d)", slot, ch, id, c.n)
-			c.parked[ch] = c.parked[ch][:0]
+			c.dropPark(ch, queued)
 			return
 		}
 		if id <= prev {
 			c.failf("slot %d: channel %d parked listeners out of ascending order (%d after %d)", slot, ch, id, prev)
-			c.parked[ch] = c.parked[ch][:0]
+			c.dropPark(ch, queued)
 			return
 		}
 		prev = id
-	}
-	old, j := c.parked[ch], 0
-	for _, id := range pk {
-		for j < len(old) && old[j] < id {
-			j++
+		for ; j < len(old) && old[j] < id; j++ {
+			c.leave(ch, old[j])
 		}
-		if on := c.parkedOn[id]; on != 0 {
-			c.failf("slot %d: node %d parked on channel %d while parked on channel %d", slot, id, ch, on-1)
-		}
-		c.parkedOn[id] = int32(ch) + 1
 		if j < len(old) && old[j] == id {
-			continue // the park goes on
+			j++ // the park goes on
+			continue
 		}
-		if !c.inSet(id, slot, ch) {
-			c.failf("slot %d: node %d parked on physical channel %d outside its %d-channel set",
-				slot, id, ch, len(c.asn.ChannelSet(id, slot)))
-		}
+		c.arrivals = append(c.arrivals, parkArrival{int32(id), int32(ch)})
+	}
+	for ; j < len(old); j++ {
+		c.leave(ch, old[j])
 	}
 	if len(old) == 0 && len(pk) > 0 {
 		c.parkTouch = append(c.parkTouch, ch)
 	}
 	c.parked[ch] = append(old[:0], pk...)
+}
+
+// dropPark ends every park in channel ch's copy, empties it, and forgets
+// the arrivals queued for it since the queue held queued entries.
+func (c *Checker) dropPark(ch, queued int) {
+	c.arrivals = c.arrivals[:queued]
+	c.depart(ch)
+	c.parked[ch] = c.parked[ch][:0]
+}
+
+// depart ends every park in the checker's copy of channel ch. The copy
+// itself stays; the caller empties or replaces it.
+func (c *Checker) depart(ch int) {
+	for _, id := range c.parked[ch] {
+		c.leave(ch, id)
+	}
+}
+
+// leave ends node id's park on channel ch, unless the node is parked on
+// another channel, which a violation already reported.
+func (c *Checker) leave(ch int, id sim.NodeID) {
+	if c.parkedOn[id] == int32(ch)+1 {
+		c.parkedOn[id] = 0
+	}
+}
+
+// arrive starts a park: the node must be parked nowhere else, and its
+// channel set must hold the channel.
+func (c *Checker) arrive(slot int, a parkArrival) {
+	id, ch := sim.NodeID(a.id), int(a.ch)
+	if on := c.parkedOn[id]; on != 0 {
+		c.failf("slot %d: node %d parked on channel %d while parked on channel %d", slot, id, ch, on-1)
+	}
+	c.parkedOn[id] = a.ch + 1
+	if !c.inSet(id, slot, ch) {
+		c.failf("slot %d: node %d parked on physical channel %d outside its %d-channel set",
+			slot, id, ch, len(c.asn.ChannelSet(id, slot)))
+	}
 }
 
 // inSet reports whether physical channel ch, which lies in [0, numChan),

@@ -282,37 +282,63 @@ func TestCheckAssignmentAccepts(t *testing.T) {
 	}
 }
 
+// TestCheckAssignmentRejects feeds CheckAssignment broken assignments. The
+// rows marked both run twice: as given, over a few channels that the
+// membership table keeps in bitmap rows, and over wideTotal channels that
+// it keeps in hash rows, so duplicate detection and the pair sweep are
+// checked under either layout.
 func TestCheckAssignmentRejects(t *testing.T) {
+	const wideTotal = 2048 // 32 words, wider than any hash row for c <= 8
 	cases := []struct {
 		name string
 		asn  *fakeAsn
 		want string
+		both bool
 	}{
 		{"duplicate channel", &fakeAsn{n: 2, total: 4, c: 3, k: 1,
-			sets: [][]int{{0, 1, 1}, {0, 1, 2}}}, "twice"},
+			sets: [][]int{{0, 1, 1}, {0, 1, 2}}}, "twice", true},
 		{"channel out of range", &fakeAsn{n: 2, total: 4, c: 2, k: 1,
-			sets: [][]int{{0, 7}, {0, 1}}}, "outside"},
+			sets: [][]int{{0, 7}, {0, 1}}}, "outside", false},
 		{"overlap below k", &fakeAsn{n: 2, total: 4, c: 2, k: 2,
-			sets: [][]int{{0, 1}, {1, 2}}}, "below k"},
+			sets: [][]int{{0, 1}, {1, 2}}}, "below k", true},
 		{"overlap count", &fakeAsn{n: 3, total: 6, c: 3, k: 3,
-			sets: [][]int{{0, 1, 2}, {0, 1, 2}, {2, 5, 1}}}, "nodes 0 and 2 overlap on 2 channels, below k=3 (slot 0)"},
+			sets: [][]int{{0, 1, 2}, {0, 1, 2}, {2, 5, 1}}}, "nodes 0 and 2 overlap on 2 channels, below k=3 (slot 0)", true},
 		{"first repeat in set order", &fakeAsn{n: 2, total: 6, c: 5, k: 1,
-			sets: [][]int{{0, 1, 2}, {4, 1, 3, 1, 4}}}, "node 1 holds channel 1 twice"},
+			sets: [][]int{{0, 1, 2}, {4, 1, 3, 1, 4}}}, "node 1 holds channel 1 twice", true},
 		{"oversized set", &fakeAsn{n: 2, total: 4, c: 2, k: 1,
-			sets: [][]int{{0, 1, 2}, {0, 1}}}, "more than c"},
+			sets: [][]int{{0, 1, 2}, {0, 1}}}, "more than c", false},
 		{"empty set", &fakeAsn{n: 2, total: 4, c: 2, k: 1,
-			sets: [][]int{{}, {0, 1}}}, "empty"},
+			sets: [][]int{{}, {0, 1}}}, "empty", false},
 		{"bad k", &fakeAsn{n: 2, total: 4, c: 2, k: 3,
-			sets: [][]int{{0, 1}, {0, 1}}}, "1 <= k <= c"},
+			sets: [][]int{{0, 1}, {0, 1}}}, "1 <= k <= c", false},
+	}
+	rejects := func(t *testing.T, asn *fakeAsn, want string) {
+		t.Helper()
+		err := invariant.CheckAssignment(asn, 0)
+		if err == nil {
+			t.Fatal("invalid assignment accepted")
+		}
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := invariant.CheckAssignment(tc.asn, 0)
-			if err == nil {
-				t.Fatal("invalid assignment accepted")
+			if !tc.both {
+				rejects(t, tc.asn, tc.want)
+				return
 			}
-			if !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("error %q does not mention %q", err, tc.want)
+			wide := *tc.asn
+			wide.total = wideTotal
+			for _, asn := range []*fakeAsn{tc.asn, &wide} {
+				bitmap, name := invariant.BitmapRows(asn), "hash rows"
+				if bitmap {
+					name = "bitmap rows"
+				}
+				if bitmap != (asn == tc.asn) {
+					t.Fatalf("C = %d, c = %d: %s, want the other layout", asn.total, asn.c, name)
+				}
+				t.Run(name, func(t *testing.T) { rejects(t, asn, tc.want) })
 			}
 		})
 	}
@@ -642,6 +668,50 @@ func TestCheckerParks(t *testing.T) {
 			c.OnSlot(0, []sim.ChannelOutcome{out(0, 1, ids(1, 2, 3), ids(0))})
 			if err := c.Err(); err != nil {
 				t.Fatalf("parks survived Reset: %v", err)
+			}
+		})
+	}
+}
+
+// TestCheckerParkRewrittenInPlace feeds a checker the same Parked backing
+// array in consecutive slots and rewrites one id in it between two of
+// them, so the list keeps its length and its slice header. The checker
+// must see the change through its own copy of the list, whether the new id
+// lacks the channel or is parked on another one.
+func TestCheckerParkRewrittenInPlace(t *testing.T) {
+	cases := []struct {
+		name   string
+		sets   [][]int
+		others []sim.ChannelOutcome // reported beside channel 0 in every slot
+		want   string
+	}{
+		{"to a node outside its set", [][]int{{0, 1}, {0, 2}, {1, 2}, {0, 3}}, nil,
+			"node 2 parked on physical channel 0 outside its 2-channel set"},
+		{"to a node parked on another channel", [][]int{{0, 1}, {0, 2}, {0, 3}, {0, 3}},
+			[]sim.ChannelOutcome{parked(3, 2)}, "node 2 parked on channel 0 while parked on channel 3"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			asn := fixedAsn{&fakeAsn{n: 4, total: 4, c: 2, k: 1, sets: tc.sets}}
+			pk := ids(0, 1, 3)
+			slot := func() []sim.ChannelOutcome {
+				return append([]sim.ChannelOutcome{{Channel: 0, Winner: sim.None, Parked: pk}}, tc.others...)
+			}
+			var c invariant.Checker
+			c.Reset(asn, sim.UniformWinner)
+			c.OnSlot(0, slot())
+			c.OnSlot(1, slot())
+			if err := c.Err(); err != nil {
+				t.Fatalf("clean parks flagged: %v", err)
+			}
+			pk[1] = 2 // still ascending, same length, same backing array
+			c.OnSlot(2, slot())
+			err := c.Err()
+			if err == nil {
+				t.Fatal("park rewritten in place not detected")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("error %q does not mention %q", err, tc.want)
 			}
 		})
 	}

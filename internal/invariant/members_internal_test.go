@@ -1,6 +1,7 @@
 package invariant
 
 import (
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -21,15 +22,15 @@ func (f *fixedSets) MinOverlap() int                      { return 1 }
 func (f *fixedSets) ChannelSet(u sim.NodeID, _ int) []int { return f.sets[u] }
 func (f *fixedSets) FixedChannelSets() bool               { return true }
 
-// collidingSets returns a fixed assignment over 64 channels whose three
-// nodes hold three channels each (c = 8). In a row of the width the table
-// gives three-channel sets, node 0's channels all start their probes at
-// the row's last slot, so its probes wrap around; node 1's all start at
+// collidingSets returns a fixed assignment over total channels whose three
+// nodes hold three channels each (c = 8). In a hash row of the width the
+// table gives three-channel sets, node 0's channels all start their probes
+// at the row's last slot, so its probes wrap around; node 1's all start at
 // slot 0; node 2's channels start at slot 1 or at the last slot, so a
-// lookup walks past occupied slots in every row.
-func collidingSets(t *testing.T) *fixedSets {
+// lookup walks past occupied slots in every row. Over 64 channels the
+// table picks bitmap rows instead; over more than 256 it keeps hash rows.
+func collidingSets(t *testing.T, total int) *fixedSets {
 	t.Helper()
-	const total = 64
 	probe := memberTable{shift: 3} // the width the table picks for three channels
 	byHome := make([][]int, 1<<probe.shift)
 	for ch := 0; ch < total; ch++ {
@@ -47,25 +48,69 @@ func collidingSets(t *testing.T) *fixedSets {
 	}}
 }
 
+// randomSets returns a fixed assignment of n nodes holding c distinct
+// channels each out of total, in random order, except that node 0's last
+// channel is the highest one, total-1.
+func randomSets(n, c, total int, seed int64) *fixedSets {
+	r := rand.New(rand.NewSource(seed))
+	f := &fixedSets{total: total, c: c, sets: make([][]int, n)}
+	for u := range f.sets {
+		f.sets[u] = r.Perm(total)[:c]
+	}
+	if i := slices.Index(f.sets[0], total-1); i >= 0 {
+		f.sets[0] = slices.Delete(f.sets[0], i, i+1)
+	} else {
+		f.sets[0] = f.sets[0][:c-1]
+	}
+	f.sets[0] = append(f.sets[0], total-1)
+	return f
+}
+
 // TestMembershipTableMatchesScan holds the checker's membership table to a
 // scan of ChannelSet for every node and every channel in [0, C), over
-// fixed assignments of several shapes.
+// fixed assignments of several shapes, and pins the layout each one gets:
+// bitmap rows of ⌈C/64⌉ words wherever they are no wider than a hash row
+// of the next power of two ≥ 2c int32 slots.
 func TestMembershipTableMatchesScan(t *testing.T) {
 	shapes := []struct {
-		name string
-		make func() (sim.Assignment, error)
+		name   string
+		bitmap bool
+		make   func() (sim.Assignment, error)
 	}{
-		{"shared core, C = 3c", func() (sim.Assignment, error) {
+		{"shared core, C = 3c", true, func() (sim.Assignment, error) {
 			return assign.SharedCore(200, 16, 4, 48, assign.LocalLabels, 1)
 		}},
-		{"partitioned, C >> 2c", func() (sim.Assignment, error) {
-			return assign.Partitioned(60, 8, 2, assign.LocalLabels, 2)
+		{"partitioned, C >> 2c", true, func() (sim.Assignment, error) {
+			return assign.Partitioned(60, 8, 2, assign.LocalLabels, 2) // C = 362: 48 B against 64 B
 		}},
-		{"full overlap", func() (sim.Assignment, error) {
+		{"partitioned, hash rows", false, func() (sim.Assignment, error) {
+			return assign.Partitioned(200, 8, 2, assign.LocalLabels, 2) // C = 1202: 152 B against 64 B
+		}},
+		{"full overlap", true, func() (sim.Assignment, error) {
 			return assign.FullOverlap(30, 16, assign.GlobalLabels, 3)
 		}},
-		{"short colliding sets", func() (sim.Assignment, error) {
-			return collidingSets(t), nil
+		{"short colliding sets", true, func() (sim.Assignment, error) {
+			return collidingSets(t, 64), nil
+		}},
+		{"short colliding sets, hash rows", false, func() (sim.Assignment, error) {
+			return collidingSets(t, 1024), nil
+		}},
+		// c = 8 gives a 64-byte hash row, which 8 words fill exactly.
+		{"C at the layout boundary", true, func() (sim.Assignment, error) {
+			return randomSets(40, 8, 512, 4), nil
+		}},
+		{"C one above the layout boundary", false, func() (sim.Assignment, error) {
+			return randomSets(40, 8, 513, 5), nil
+		}},
+		{"C not a multiple of 64", true, func() (sim.Assignment, error) {
+			return randomSets(40, 16, 100, 6), nil
+		}},
+		// Bit 63 of a word sits next to the following word's bit 0, which
+		// is node 1's bit 64 and node 3's bit 0.
+		{"last channel at bit 63 of a word", true, func() (sim.Assignment, error) {
+			return &fixedSets{total: 128, c: 4, sets: [][]int{
+				{5, 63}, {0, 64, 127}, {64, 127}, {0, 62}, {63},
+			}}, nil
 		}},
 	}
 	for _, sh := range shapes {
@@ -78,6 +123,9 @@ func TestMembershipTableMatchesScan(t *testing.T) {
 			c.Reset(asn, sim.UniformWinner)
 			if !c.tabled {
 				t.Fatal("fixed assignment not tabled")
+			}
+			if got := c.members.words > 0; got != sh.bitmap {
+				t.Fatalf("C = %d: bitmap rows = %v, want %v", asn.Channels(), got, sh.bitmap)
 			}
 			for u := 0; u < asn.Nodes(); u++ {
 				set := asn.ChannelSet(sim.NodeID(u), 0)

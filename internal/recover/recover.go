@@ -42,8 +42,10 @@
 package recover
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/cogradio/crn/internal/aggfunc"
@@ -148,6 +150,8 @@ type Arena struct {
 	gen      int
 	groups   [][]sim.NodeID
 	scratch  []sim.NodeID
+	inGroup  []int // node -> stamp of the last group censusCovers marked it in
+	stamp    int
 }
 
 // run is the per-execution supervisor state.
@@ -224,6 +228,12 @@ func (a *Arena) Run(asn sim.Assignment, source sim.NodeID, inputs []int64, seed 
 	for i := range a.pruned {
 		a.pruned[i] = false
 	}
+	if cap(a.inGroup) < n {
+		a.inGroup = make([]int, n)
+	}
+	a.inGroup = a.inGroup[:n]
+	clear(a.inGroup)
+	a.stamp = 0
 	a.ckpts = a.ckpts[:0]
 	a.gen = 0
 
@@ -390,21 +400,24 @@ func (r *run) censusGroups() {
 }
 
 // censusCovers reports whether id's roster holds a correct entry for every
-// group member the keep filter accepts.
+// group member the keep filter accepts. It stamps the group's members
+// first, so each roster entry is looked up once: O(m) per call for a group
+// of m, where a scan of the group per entry would be O(m²). Group ids are
+// unique, so an entry matches at most one member either way.
 func (r *run) censusCovers(id sim.NodeID, group []sim.NodeID, keep func(sim.NodeID) bool) bool {
+	r.a.stamp++
 	matched := 0
 	want := 0
 	for _, gid := range group {
+		r.a.inGroup[gid] = r.a.stamp
 		if keep == nil || keep(gid) {
 			want++
 		}
 	}
 	r.nodes[id].RosterSnapshot(func(rid sim.NodeID, rr int) {
-		for _, gid := range group {
-			if gid == rid && (keep == nil || keep(gid)) && r.nodes[gid].InformedSlot() == rr {
-				matched++
-				return
-			}
+		if rid >= 0 && int(rid) < len(r.a.inGroup) && r.a.inGroup[rid] == r.a.stamp &&
+			(keep == nil || keep(rid)) && r.nodes[rid].InformedSlot() == rr {
+			matched++
 		}
 	})
 	return matched == want
@@ -533,32 +546,35 @@ type rewindCluster struct {
 }
 
 // rewindClusters derives the expected cluster structure from the durable
-// tree: surviving informed nodes grouped by (parent, informed slot).
+// tree: surviving informed nodes grouped by (parent, informed slot), in
+// ascending order of informer, then slot, then member. The children are
+// listed in one pass in ascending id order, and a stable sort by parent
+// and informed slot lays each cluster out as one run of them.
 func (r *run) rewindClusters() []rewindCluster {
-	var out []rewindCluster
-	for i := range r.nodes {
-		if r.a.pruned[i] || !r.nodes[i].Informed() {
+	var kids []sim.NodeID
+	for j, nd := range r.nodes {
+		if r.a.pruned[j] || sim.NodeID(j) == r.source || !nd.Informed() {
 			continue
 		}
-		byR := make(map[int][]sim.NodeID)
-		var rs []int
-		for j, cnd := range r.nodes {
-			if j == i || r.a.pruned[j] || sim.NodeID(j) == r.source || !cnd.Informed() {
-				continue
-			}
-			if cnd.Parent() != sim.NodeID(i) {
-				continue
-			}
-			r0 := cnd.InformedSlot()
-			if _, ok := byR[r0]; !ok {
-				rs = append(rs, r0)
-			}
-			byR[r0] = append(byR[r0], sim.NodeID(j))
+		p := nd.Parent()
+		if p < 0 || int(p) >= r.n || int(p) == j || r.a.pruned[p] || !r.nodes[p].Informed() {
+			continue
 		}
-		sort.Ints(rs)
-		for _, r0 := range rs {
-			out = append(out, rewindCluster{informer: sim.NodeID(i), r: r0, members: byR[r0]})
+		kids = append(kids, sim.NodeID(j))
+	}
+	parent := func(id sim.NodeID) sim.NodeID { return r.nodes[id].Parent() }
+	slot := func(id sim.NodeID) int { return r.nodes[id].InformedSlot() }
+	slices.SortStableFunc(kids, func(a, b sim.NodeID) int {
+		return cmp.Or(cmp.Compare(parent(a), parent(b)), cmp.Compare(slot(a), slot(b)))
+	})
+	var out []rewindCluster
+	for len(kids) > 0 {
+		p, r0, m := parent(kids[0]), slot(kids[0]), 1
+		for m < len(kids) && parent(kids[m]) == p && slot(kids[m]) == r0 {
+			m++
 		}
+		out = append(out, rewindCluster{informer: p, r: r0, members: kids[:m:m]})
+		kids = kids[m:]
 	}
 	return out
 }
