@@ -95,7 +95,7 @@ func runE7(cfg Config) ([]*Table, error) {
 			if !won {
 				return gameResult{}, fmt.Errorf("exper: reduction player lost at c=%d k=%d n=%d", p.c, p.k, p.n)
 			}
-			if lim := minInt(p.c, p.n) * player.SimulatedSlots(); r > lim {
+			if lim := min(p.c, p.n) * player.SimulatedSlots(); r > lim {
 				return gameResult{}, fmt.Errorf("exper: Lemma 12 accounting violated: %d rounds > %d", r, lim)
 			}
 			return gameResult{rounds: float64(r), slots: float64(player.SimulatedSlots())}, nil
@@ -119,7 +119,7 @@ func runE7(cfg Config) ([]*Table, error) {
 		}
 		red.AddRow(itoa(p.c), itoa(p.k), itoa(p.n),
 			ftoa(rs.Median), ftoa(ss.Median),
-			ftoa(float64(minInt(p.c, p.n))*ss.Median),
+			ftoa(float64(min(p.c, p.n))*ss.Median),
 			itoa(games.LowerBoundRounds(p.c, p.k)))
 	}
 	red.AddNote("median rounds must sit between the Lemma 11 bound and min{c,n}·slots")
@@ -243,11 +243,4 @@ func runE8(cfg Config) ([]*Table, error) {
 	}
 	t.AddNote("the measured means track (c+1)/(k+1) for both strategies; mean first contact in the live system is necessarily at least the landing time")
 	return []*Table{t}, nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -110,9 +110,11 @@ func (c Config) workers() int {
 
 // cast, comp and session stamp the suite-wide engine settings onto one
 // trial's runner config, the only way Shards, Sparse, Check and Context
-// reach a trial. comp alone keeps a trial's own Sparse, for E29's sparse
-// points; it also stamps the COGCOMP config the recovery supervisor
-// embeds, which ignores Sparse.
+// reach a trial. The one deliberate exception is E20's COGCOMP arm, whose
+// hand-built config carries only Context: its corrupted aggregates are
+// the outcome it measures, so it runs unchecked. comp alone keeps a
+// trial's own Sparse, for E29's sparse points; it also stamps the COGCOMP
+// config the recovery supervisor embeds, which ignores Sparse.
 func (c Config) cast(rc cogcast.RunConfig) cogcast.RunConfig {
 	rc.Shards, rc.Sparse, rc.Check, rc.Context = c.Shards, c.Sparse, c.Check, c.Context
 	return rc

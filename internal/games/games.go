@@ -221,7 +221,7 @@ func (*ReductionPlayer) Name() string { return "reduction" }
 
 // Propose implements Player.
 func (p *ReductionPlayer) Propose(int) Edge {
-	if c := p.chooser.Channels(); len(p.tried) >= c*c {
+	if c := p.chooser.Channels(); len(p.queue) == 0 && len(p.tried) >= c*c {
 		// Every edge has been proposed. In a real game the winning edge was
 		// among them (the matching is nonempty), so this only happens when
 		// Propose is driven outside Play; repeat the last proposal rather

@@ -157,7 +157,7 @@ func TestReductionPlayerWinsEveryGame(t *testing.T) {
 			t.Fatalf("seed %d: reduction player lost after %d rounds", seed, rounds)
 		}
 		// Lemma 12's accounting: rounds ≤ min{c,n} · simulated slots.
-		if lim := minInt(c, n) * p.SimulatedSlots(); rounds > lim {
+		if lim := min(c, n) * p.SimulatedSlots(); rounds > lim {
 			t.Errorf("seed %d: %d rounds > min{c,n}·slots = %d", seed, rounds, lim)
 		}
 	}
@@ -165,26 +165,53 @@ func TestReductionPlayerWinsEveryGame(t *testing.T) {
 
 func TestReductionPlayerUniqueProposalsPerSlot(t *testing.T) {
 	// Per simulated slot the player may emit at most min{c, n-1} new
-	// proposals (all share the same source endpoint).
-	const c, n = 10, 6
-	p := NewReductionPlayer(NewCogcastChooser(n, c, 3))
-	perSlot := make(map[int]int)
-	seen := make(map[Edge]bool)
-	// Only c² = 100 unique proposals exist; stay below that.
-	for i := 0; i < 90; i++ {
-		before := p.SimulatedSlots()
-		e := p.Propose(i)
-		if seen[e] {
-			t.Fatalf("proposal %v repeated", e)
+	// proposals (all share the same source endpoint). Exactly c² = 100
+	// unique proposals exist, and Lemma 12's player makes every one of them
+	// before it repeats any, including the rest of the slot that completes
+	// the set: the sweep chooser's last slot queues c new edges at once.
+	const c = 10
+	for _, tc := range []struct {
+		name    string
+		n       int
+		chooser ChannelChooser
+	}{
+		{"cogcast", 6, NewCogcastChooser(6, c, 3)},
+		{"sweep", c + 1, sweepChooser{c: c, others: make([]int, c)}},
+	} {
+		p := NewReductionPlayer(tc.chooser)
+		perSlot := make(map[int]int)
+		seen := make(map[Edge]bool)
+		for i := 0; i < c*c; i++ {
+			before := p.SimulatedSlots()
+			e := p.Propose(i)
+			if seen[e] {
+				t.Fatalf("%s: proposal %d, %v, repeated", tc.name, i, e)
+			}
+			seen[e] = true
+			perSlot[before]++
 		}
-		seen[e] = true
-		perSlot[before]++
-	}
-	for slot, count := range perSlot {
-		if count > n-1 {
-			t.Errorf("slot %d produced %d proposals, want <= n-1 = %d", slot, count, n-1)
+		for slot, count := range perSlot {
+			if count > tc.n-1 {
+				t.Errorf("%s: slot %d produced %d proposals, want <= n-1 = %d", tc.name, slot, count, tc.n-1)
+			}
 		}
 	}
+}
+
+// sweepChooser puts the source on channel slot mod c and the c other nodes
+// on channels 0..c-1, so each slot offers c untried edges.
+type sweepChooser struct {
+	c      int
+	others []int
+}
+
+func (s sweepChooser) Channels() int { return s.c }
+
+func (s sweepChooser) Choose(slot int) (int, []int) {
+	for i := range s.others {
+		s.others[i] = i
+	}
+	return slot % s.c, s.others
 }
 
 func TestWinProbabilityValidation(t *testing.T) {
@@ -218,11 +245,4 @@ func TestReductionPlayerExhaustionDoesNotSpin(t *testing.T) {
 			t.Fatalf("proposal %v out of range", e)
 		}
 	}
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

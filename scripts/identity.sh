@@ -9,6 +9,7 @@
 #   cogbench -exp E20,E26,E27,E30 -trace FILE      (tables and JSONL trace)
 #   cogbench -exp E20 -quick -shards 2 -check -trace FILE
 #   cogbench -exp E29 -quick -sparse -check
+#   cogbench -exp E30 -quick -sparse -check
 #   cogsim -protocol cogcomp -n 2000 -check -trace FILE
 #   cogsim -protocol cogcomp -n 2000 -sparse -check -trace FILE
 #   cogsim -protocol session -n 2000 -c 16 -k 4 -C 48 -check
@@ -53,6 +54,7 @@ for side in base new; do
 	"$d/cogbench" -exp E20,E26,E27,E30 -trace "$d/exp.jsonl" >"$d/exp.txt"
 	"$d/cogbench" -exp E20 -quick -shards 2 -check -trace "$d/e20.jsonl" >"$d/e20.txt"
 	"$d/cogbench" -exp E29 -quick -sparse -check >"$d/e29.txt"
+	"$d/cogbench" -exp E30 -quick -sparse -check >"$d/e30.txt"
 	"$d/cogsim" -protocol cogcomp -n 2000 -check -trace "$d/sim-dense.jsonl" >"$d/sim-dense.txt"
 	"$d/cogsim" -protocol cogcomp -n 2000 -sparse -check -trace "$d/sim.jsonl" >"$d/sim.txt"
 	"$d/cogsim" -protocol session -n 2000 -c 16 -k 4 -C 48 -check >"$d/session-dense.txt"
@@ -67,7 +69,7 @@ done
 
 strip() { grep -v -e '^\[E[0-9]* finished in .*\]$' -e '^trace: wrote ' "$1" || true; }
 status=0
-for f in quick.txt exp.txt exp.jsonl e20.txt e20.jsonl e29.txt sim-dense.txt sim-dense.jsonl sim.txt sim.jsonl session-dense.txt session.txt census.txt cast.txt cast.jsonl jam.txt jam.jsonl adv.txt adv.jsonl crash.txt crash.jsonl scenarios.txt; do
+for f in quick.txt exp.txt exp.jsonl e20.txt e20.jsonl e29.txt e30.txt sim-dense.txt sim-dense.jsonl sim.txt sim.jsonl session-dense.txt session.txt census.txt cast.txt cast.jsonl jam.txt jam.jsonl adv.txt adv.jsonl crash.txt crash.jsonl scenarios.txt; do
 	if cmp -s <(strip "$tmp/base/$f") <(strip "$tmp/new/$f"); then
 		echo "same    $f"
 	else
